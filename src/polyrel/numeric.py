@@ -10,10 +10,22 @@ CL_m is the one-valued polylogarithm: the Bernoulli-weighted combination
 
 real part for odd m, imaginary part for even m, extended by the inversion
 relation CL_m(z) = (-1)^(m-1) CL_m(1/z) to |z| > 1 and by continuity to
-{0, 1, infinity}.  Li_m itself is evaluated by region: direct series for
-|z| <= 1/2, the log-expansion with zeta-value coefficients (and the
-distinguished log term at degree m-1) for 1/2 < |z| <= 2, and the inversion
-continuation formula beyond.
+{0, 1, infinity}.
+
+Li_1(z), ..., Li_m(z) at one point come out of one fused kernel (_li_all)
+in Python-int fixed point at the context precision plus guard bits, with
+the number of terms fixed before summing:
+
+* |z| <= 1/2: one pass over z^n, dividing the shared term by n once per
+  weight; N terms with 2|z|^N < 2^-bits.
+* 1/2 < |z| <= 2: with u = log(z)/2pi (|u| < 0.513), one sweep of u^k
+  against the cached table zeta(j-k) (2pi)^k / k!, plus the distinguished
+  log term at degree j-1 with one shared log(-log z); K terms with
+  2^8 |u|^K / (1-|u|) < 2^-bits.
+
+CL_m takes all its weights from one kernel call at |z| <= 1.  li_m is a
+thin wrapper: the kernel for |z| <= 2, the inversion continuation formula
+beyond.
 """
 
 from __future__ import annotations
@@ -21,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, hypot, inf, log2
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exact import DomainError
@@ -173,8 +186,12 @@ def zeta_int(k: int, policy: PrecisionPolicy):
             num //= (2 * i) * (2 * i - 1)
         acc += num
         d[i] = n * acc
+    # |d_j - d_n| <= d_n, so terms with (j+1)^-k < 2^-(prec+10) cannot move
+    # the sum; for large k (the log-expansion table) only a few terms remain
+    bits = ctx.prec + 10
+    terms = n if k * log2(n) <= bits else int(2 ** (bits / k)) + 1
     total = ctx.mpf(0)
-    for j in range(n):
+    for j in range(terms):
         term = ctx.mpf(d[j] - d[n]) / ctx.mpf((j + 1) ** k)
         total += term if j % 2 == 0 else -term
     eta = -total / ctx.mpf(d[n])
@@ -184,77 +201,173 @@ def zeta_int(k: int, policy: PrecisionPolicy):
     return value
 
 
-def _zeta_rational(j: int) -> Fraction:
-    """Exact zeta at integers <= 0: zeta(0) = -1/2, zeta(-n) = -B_(n+1)/(n+1)."""
-    if j > 0:
-        raise ValueError("only non-positive integers here")
-    if j == 0:
-        return Fraction(-1, 2)
-    n = -j
-    return -bernoulli(n + 1) / (n + 1)
-
-
 @lru_cache(maxsize=None)
 def _harmonic(m: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, m + 1)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
-# Li_m
+# Li_1 .. Li_m: fused fixed-point kernel
 # ---------------------------------------------------------------------------
 
-def _li_series(m: int, z, ctx):
-    """Direct power series, |z| <= 1/2 (geometric tail bound)."""
-    tol = ctx.mpf(10) ** (-ctx.dps - 3)
-    a = abs(z)
-    total = ctx.mpc(0)
-    power = ctx.mpc(1)
-    n = 0
-    while True:
-        n += 1
-        power *= z
-        total += power / ctx.mpf(n) ** m
-        if abs(power) / (1 - a) < tol:
-            return total
+# Fixed-point numbers are Python ints scaled by 2^wp, wp = ctx.prec + _GUARD_BITS;
+# the guard bits absorb the rounding of the truncated terms (about one ulp per
+# term and weight, so far below 2^36 ulps at any term count used here).
+_GUARD_BITS = 36
+# |e_(j,k)| <= zeta(2) * max_n (2pi)^n/n! < 2^8 for every table entry below.
+_COEFF_BITS = 8
+# |u| = |log z| / 2pi <= sqrt(log(2)^2 + pi^2) / 2pi < 0.513 for 1/2 < |z| <= 2.
+_U_MAX = 0.513
 
 
-def _li_unit_circle(m: int, z, ctx, policy):
-    """Log-expansion around z = 1: valid for |log z| < 2*pi.
+def _terms(wp: int, log2_ratio: float, extra_bits: float) -> int:
+    """Smallest K with 2^extra_bits * ratio^K < 2^-wp (ratio < 1)."""
+    if log2_ratio == -inf:
+        return 1
+    return int((wp + extra_bits) / -log2_ratio) + 1
 
-    Li_m(e^w) = sum_{k != m-1} zeta(m-k) w^k / k!
-                + w^(m-1)/(m-1)! (H_(m-1) - log(-w)).
+
+def _log2_abs(re: int, im: int, wp: int) -> float:
+    """log2 |re + i im| / 2^wp for fixed-point ints; -inf at zero."""
+    bits = max(abs(re).bit_length(), abs(im).bit_length())
+    if bits == 0:
+        return -inf
+    shift = max(bits - 60, 0)
+    return log2(hypot(re >> shift, im >> shift)) + shift - wp
+
+
+def _to_mpc(re: int, im: int, wp: int, ctx):
+    from mpmath.libmp import from_man_exp
+
+    prec = ctx.prec
+    return ctx.make_mpc(
+        (from_man_exp(re, -wp, prec, "n"), from_man_exp(im, -wp, prec, "n"))
+    )
+
+
+def _li_power_series(m: int, z, ctx, wp: int) -> List:
+    """|z| <= 1/2: Li_j(z) = z * sum_{n>=1} z^(n-1)/n^j, all j in one pass.
+
+    The sum is computed relative to z, so tiny |z| keeps full relative
+    accuracy; its tail after N terms is below |z|^N/(1-|z|) <= 2|z|^N.
     """
-    w = ctx.log(z)
-    tol = ctx.mpf(10) ** (-ctx.dps - 3)
-    total = ctx.mpc(0)
-    wk = ctx.mpc(1)  # w^k / k!
-    k = 0
-    small_streak = 0
-    while True:
-        if k == m - 1:
-            if w != 0:
-                total += wk * (policy.real(_harmonic(m - 1)) - ctx.log(-w))
-        else:
-            j = m - k
-            if j >= 2:
-                zv = zeta_int(j, policy)
-                contrib = wk * zv
-                total += contrib
-            else:
-                q = _zeta_rational(j)
-                if q != 0:
-                    contrib = wk * policy.real(q)
-                    total += contrib
-                else:
-                    contrib = ctx.mpf(0)
-            if k > m + 3:
-                small_streak = small_streak + 1 if abs(contrib) < tol else 0
-                if small_streak >= 3:
-                    return total
-        k += 1
-        wk = wk * w / k
-        if k > 40 * ctx.dps + 200:
-            raise RootFindingError("log-expansion of Li did not converge")
+    from mpmath.libmp import to_fixed
+
+    x, y = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+    n_terms = _terms(wp, _log2_abs(x, y, wp), 1)
+    one = 1 << wp
+    sr = [one] * m
+    si = [0] * m
+    qr, qi = x, y  # z^(n-1)
+    for n in range(2, n_terms + 1):
+        tr, ti = qr, qi
+        for j in range(m):
+            tr //= n
+            ti //= n
+            sr[j] += tr
+            si[j] += ti
+        qr, qi = (qr * x - qi * y) >> wp, (qr * y + qi * x) >> wp
+    return [z * _to_mpc(sr[j], si[j], wp, ctx) for j in range(m)]
+
+
+_log_tables: Dict[Tuple[int, int], Tuple] = {}
+
+
+def _log_table(m: int, wp: int, policy: PrecisionPolicy) -> Tuple:
+    """Rows j = 1..m of e_(j,k) = zeta(j-k) (2pi)^k / k! in fixed point.
+
+    Row j is (head, tail, dist): head holds k = 0..j with k = j-1 set to 0
+    (that degree carries the log term), tail holds the odd-offset
+    k = j+1, j+3, ... (zeta vanishes at negative even integers), and dist is
+    (2pi)^(j-1)/(j-1)!.  zeta at 1-2p comes from the functional equation
+    zeta(1-2p) = (-1)^p 2 (2p-1)! zeta(2p) / (2pi)^(2p), which turns the
+    tail entries into (-1)^p 2 zeta(2p) (2pi)^(j-1) (2p-1)!/k!.
+    Built on first use for each (m, wp), for every |u| <= _U_MAX.
+    """
+    key = (m, wp)
+    table = _log_tables.get(key)
+    if table is not None:
+        return table
+    from mpmath.libmp import pi_fixed, to_fixed
+
+    k_max = _terms(wp, log2(_U_MAX), _COEFF_BITS + 2)
+    one = 1 << wp
+    twopi = pi_fixed(wp) << 1
+
+    def zeta_fixed(s: int) -> int:
+        return to_fixed(zeta_int(s, policy)._mpf_, wp)
+
+    # scaled[k] = (2pi)^k / k!
+    scaled = [one]
+    for k in range(1, max(k_max, m + 1)):
+        scaled.append(scaled[-1] * twopi // (k << wp))
+    rows = []
+    for j in range(1, m + 1):
+        head = [zeta_fixed(j - k) * scaled[k] >> wp for k in range(j - 1)]
+        head += [0, -scaled[j] // 2]  # degree j-1; zeta(0) = -1/2
+        tail = []
+        for k in range(j + 1, k_max, 2):
+            p = (k - j + 1) // 2
+            # (2pi)^(j-1) (2p-1)!/k! = scaled[j-1] / (k C(k-1, j-1))
+            entry = (2 * zeta_fixed(2 * p) * scaled[j - 1] >> wp) // (
+                k * comb(k - 1, j - 1)
+            )
+            tail.append(-entry if p % 2 else entry)
+        rows.append((head, tail, scaled[j - 1]))
+    table = tuple(rows)
+    _log_tables[key] = table
+    return table
+
+
+def _li_log_series(m: int, z, ctx, policy: PrecisionPolicy, wp: int) -> List:
+    """1/2 < |z| <= 2: the expansion in u = w/2pi, w = log z (|u| < 0.513).
+
+    Li_j(e^w) = sum_{k != j-1} e_(j,k) u^k
+                + w^(j-1)/(j-1)! (H_(j-1) - log(-w)),
+    one sweep of u^k shared by every weight and one shared log(-w).  With
+    |e_(j,k)| < 2^8 the tail after K terms is below 2^8 |u|^K / (1-|u|).
+    """
+    from mpmath.libmp import mpc_log, mpf_neg, pi_fixed, to_fixed
+
+    w = mpc_log(z._mpc_, wp)
+    log_neg_w = mpc_log((mpf_neg(w[0]), mpf_neg(w[1])), wp)
+    twopi = pi_fixed(wp) << 1
+    ur = (to_fixed(w[0], wp) << wp) // twopi
+    ui = (to_fixed(w[1], wp) << wp) // twopi
+    n_terms = max(_terms(wp, _log2_abs(ur, ui, wp), _COEFF_BITS + 2), m + 1)
+    upr, upi = [1 << wp], [0]
+    for _ in range(n_terms - 1):
+        a, b = upr[-1], upi[-1]
+        upr.append((a * ur - b * ui) >> wp)
+        upi.append((a * ui + b * ur) >> wp)
+    log_r, log_i = to_fixed(log_neg_w[0], wp), to_fixed(log_neg_w[1], wp)
+    out = []
+    for j, (head, tail, dist) in enumerate(_log_table(m, wp, policy), start=1):
+        sr = sum(map(mul, head, upr)) + sum(map(mul, tail, upr[j + 1 :: 2]))
+        si = sum(map(mul, head, upi)) + sum(map(mul, tail, upi[j + 1 :: 2]))
+        # w^(j-1)/(j-1)! (H_(j-1) - log(-w)) = dist u^(j-1) (H_(j-1) - log(-w))
+        h = _harmonic(j - 1)
+        br = (h.numerator << wp) // h.denominator - log_r
+        bi = -log_i
+        ar, ai = upr[j - 1], upi[j - 1]
+        sr += dist * ((ar * br - ai * bi) >> wp)
+        si += dist * ((ar * bi + ai * br) >> wp)
+        out.append(_to_mpc(sr >> wp, si >> wp, wp, ctx))
+    return out
+
+
+def _li_all(m: int, z, policy: PrecisionPolicy) -> List:
+    """[Li_1(z), ..., Li_m(z)] for an mpc z with 0 < |z| <= 2, z != 1.
+
+    Every weight comes out of one fixed-point pass at ctx.prec plus
+    _GUARD_BITS bits, with the term count fixed up front from |z| (|z| <= 1/2)
+    or from |log z / 2pi| (1/2 < |z| <= 2).
+    """
+    ctx = policy.context
+    wp = ctx.prec + _GUARD_BITS
+    if abs(z) <= 0.5:
+        return _li_power_series(m, z, ctx, wp)
+    return _li_log_series(m, z, ctx, policy, wp)
 
 
 def _li_continuation(m: int, z, ctx, policy):
@@ -268,7 +381,7 @@ def _li_continuation(m: int, z, ctx, policy):
     a = -(twopij ** m) / policy.real(Fraction(_factorial(m))) * bern
     if z.imag == 0 and z.real < 0:
         a = ctx.mpc(a.real)
-    if z.imag < 0 or (z.imag == 0 and z.real >= 1):
+    if z.imag < 0:
         a -= twopij * ctx.log(z) ** (m - 1) / _factorial(m - 1)
     inner = li_m(m, 1 / z, policy)
     return (-1) ** (m + 1) * inner + a
@@ -305,11 +418,8 @@ def li_m(m: int, z, policy: PrecisionPolicy):
         raise BranchAmbiguityError(
             "Li_m is branch-ambiguous on (1, oo); evaluate CL_m instead"
         )
-    a = abs(z)
-    if a <= 0.5:
-        return _li_series(m, z, ctx)
-    if a <= 2:
-        return _li_unit_circle(m, z, ctx, policy)
+    if abs(z) <= 2:
+        return _li_all(m, z, policy)[m - 1]
     return _li_continuation(m, z, ctx, policy)
 
 
@@ -322,7 +432,10 @@ def cl_m(m: int, z, policy: PrecisionPolicy):
 
     Accepts complex values, rationals, INFINITY, and constant RatFuncs.
     Continuity values: 0 at 0 and infinity; zeta(m) at 1 for odd m, 0 for
-    even m.
+    even m.  |z| > 1 is folded to 1/z; for |z| <= 1 one fused _li_all call
+    gives Li_1(z)..Li_m(z) (power series for |z| <= 1/2, expansion in log z
+    beyond, both with term counts fixed in advance from |z|), which are
+    combined with the Bernoulli weights.
     """
     if m < 2:
         raise DomainError("cl_m needs m >= 2 (m = 1 is excluded)")
@@ -339,9 +452,7 @@ def cl_m(m: int, z, policy: PrecisionPolicy):
         inner = cl_m(m, 1 / z, policy)
         return inner if m % 2 == 1 else -inner
     logabs = ctx.log(a)
-    # |Li_j(z)| <= |z|/(1-|z|) for |z| < 1: skip terms that cannot matter
-    li_bound = a / (1 - a) if a < 1 else ctx.mpf(4)
-    floor = ctx.mpf(10) ** (-ctx.dps - 3)
+    lis = _li_all(m, z, policy)
     acc = ctx.mpc(0)
     for r in range(m):
         br = bernoulli(r)
@@ -349,9 +460,7 @@ def cl_m(m: int, z, policy: PrecisionPolicy):
             continue
         coeff = policy.real(Fraction(2 ** r) * br / _factorial(r))
         weight = coeff * logabs ** r
-        if a < 0.5 and abs(weight) * li_bound < floor:
-            continue
-        acc += weight * li_m(m - r, z, policy)
+        acc += weight * lis[m - r - 1]
     return acc.real if m % 2 == 1 else acc.imag
 
 

@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 
 import mpmath
@@ -64,10 +65,11 @@ def test_zeta_3_frozen_digits():
 
 
 def test_zeta_matches_mpmath_oracle():
-    mpmath.mp.dps = 60
-    for k in range(2, 12):
-        ref = CTX.mpf(mpmath.nstr(mpmath.zeta(k), 55))
-        assert close(zeta_int(k, POLICY), ref, 50)
+    # large k take the truncated loop that the log-expansion table relies on
+    with mpmath.workdps(60):
+        for k in [*range(2, 12), 40, 101, 300]:
+            ref = CTX.mpf(mpmath.nstr(mpmath.zeta(k), 55))
+            assert close(zeta_int(k, POLICY), ref, 50)
 
 
 def test_zeta_domain():
@@ -102,20 +104,92 @@ def test_li_branch_cut_error():
         li_m(1, 1, POLICY)
 
 
-@pytest.mark.parametrize("m", range(1, 8))
-def test_li_against_mpmath(m):
-    mpmath.mp.dps = 70
+def _random_grid(m):
     rng = SplitMix64(90 + m)
     for _ in range(8):
         re = rng.next_int(-300, 300) / 100
         im = rng.next_int(-300, 300) / 100 or 0.17
-        z = complex(re, im)
-        mine = li_m(m, z, POLICY)
-        ref = mpmath.polylog(m, mpmath.mpc(z))
-        got = abs(complex(mine.real, mine.imag) - complex(ref))
-        assert got < 1e-12  # float-level cross-check; digit-level below
-        ref_hi = CTX.mpc(mpmath.nstr(ref.real, 58), mpmath.nstr(ref.imag, 58))
-        assert abs(mine - ref_hi) < CTX.mpf(10) ** -50
+        yield complex(re, im)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_li_against_mpmath(m):
+    with mpmath.workdps(70):
+        for z in _random_grid(m):
+            mine = li_m(m, z, POLICY)
+            ref = mpmath.polylog(m, mpmath.mpc(z))
+            got = abs(complex(mine.real, mine.imag) - complex(ref))
+            assert got < 1e-12  # float-level cross-check; digit-level below
+            ref_hi = CTX.mpc(mpmath.nstr(ref.real, 58), mpmath.nstr(ref.imag, 58))
+            assert abs(mine - ref_hi) < CTX.mpf(10) ** -50
+
+
+# Region boundaries of the fused kernel (|z| = 1/2, |z| = 2), the unit
+# circle, the neighbourhood of z = 1 and the negative real axis.
+_EDGE_POINTS = [
+    cmath.rect(0.5 - 1e-12, 1.1),
+    cmath.rect(0.5 + 1e-12, 1.1),
+    0.5 - 1e-12,
+    -0.5 - 1e-12,
+    -1,
+    1j,
+    -1j,
+    cmath.exp(1j * cmath.pi / 3),
+    1 - 1e-6,
+    0.999 + 0.02j,
+    cmath.rect(2 - 1e-12, 2.0),
+    cmath.rect(2 + 1e-12, 2.0),
+    -(2 - 1e-12),
+    -(2 + 1e-12),
+    -0.25,
+    -0.75,
+    -1.5,
+    -3.0,
+]
+
+
+def _assert_within(mine, ref, digits, where):
+    """|mine - ref| < 10^-digits * max(1, |ref|), at the current mpmath precision."""
+    bound = mpmath.mpf(10) ** -digits * max(1, abs(ref))
+    assert abs(mpmath.mpmathify(mine) - ref) < bound, where
+
+
+@pytest.mark.parametrize("digits", [50, 60])
+def test_li_and_cl_differential_against_mpmath(digits):
+    """li_m (m = 1..7) and cl_m (m = 2..7) against mpmath's polylog 20 digits higher.
+
+    The CL_m oracle is the Bernoulli-weighted sum of mpmath's principal-branch
+    Li values at z itself, so it also checks the inversion fold of cl_m.
+    """
+    policy = PrecisionPolicy(digits)
+    points = [z for m in range(1, 8) for z in _random_grid(m)] + _EDGE_POINTS
+    with mpmath.workdps(digits + 20):
+        for z in points:
+            zz = mpmath.mpc(z)
+            lis = [mpmath.polylog(j, zz) for j in range(1, 8)]
+            for m in range(1, 8):
+                _assert_within(li_m(m, z, policy), lis[m - 1], digits, (m, z))
+            logabs = mpmath.log(abs(zz))
+            for m in range(2, 8):
+                acc = sum(
+                    mpmath.mpf(2) ** r * mpmath.bernoulli(r) / mpmath.factorial(r)
+                    * logabs ** r * lis[m - r - 1]
+                    for r in range(m)
+                )
+                ref = acc.real if m % 2 else acc.imag
+                _assert_within(cl_m(m, z, policy), ref, digits, (m, z))
+
+
+@pytest.mark.parametrize("digits", [50, 60])
+def test_li_continuation_across_negative_axis(digits):
+    """|z| > 2 just above, on and just below the negative real axis."""
+    policy = PrecisionPolicy(digits)
+    points = (-3 + 1e-30j, complex(-3, 0), complex(-3, -1e-30), -2.5 - 0.4j)
+    with mpmath.workdps(digits + 20):
+        for z in points:
+            for m in range(2, 8):
+                ref = mpmath.polylog(m, mpmath.mpc(z))
+                _assert_within(li_m(m, z, policy), ref, digits, (m, z))
 
 
 # -- CL ---------------------------------------------------------------------------
