@@ -113,14 +113,15 @@ def group_generators() -> Dict[str, List[Automorphism]]:
 
 
 def ab_parametrization() -> Tuple[Dict[int, RatFunc], Dict[int, RatFunc]]:
-    """The A_i = t_i t_4 and B_i arguments on the constraint t1 t2 t3 t4 = 1."""
+    """The A_i = t_i t_4 and B_i arguments on the constraint t1 t2 t3 t4 = 1,
+    gcd-cancelled."""
     t = {i: RatFunc.var(f"t{i}") for i in (1, 2, 3)}
     t[4] = 1 / (t[1] * t[2] * t[3])
-    A = {i: t[i] * t[4] for i in (1, 2, 3)}
+    A = {i: (t[i] * t[4]).cancelled() for i in (1, 2, 3)}
     B = {}
     for i in (1, 2, 3):
         j, k = [x for x in (1, 2, 3) if x != i]
-        B[i] = ((1 - 1 / t[j]) * (1 - 1 / t[k])) / ((1 - t[i]) * (1 - t[4]))
+        B[i] = (((1 - 1 / t[j]) * (1 - 1 / t[k])) / ((1 - t[i]) * (1 - t[4]))).cancelled()
     return A, B
 
 

@@ -10,6 +10,16 @@ Field automorphisms are stored by their images on the variables, composed
 exactly, and bred into finite groups / orbits by breadth-first closure.
 Automorphism images are kept gcd-cancelled: without cancellation the images
 of iterated compositions grow exponentially and closure cannot terminate.
+
+Most of the maps the catalog uses need no gcd at all.  When every image is
+c·x^m and the exponent matrix has determinant ±1, the map is an automorphism
+of the Laurent ring Q[x^±1], whose units are the monomials.  A reduced p/q
+has coprime p and q in that ring, so their images are coprime there too: the
+only common factor the images can have as polynomials is a monomial.
+Applying such a map to a cancelled argument therefore strips the common
+monomial and is done; every other map or argument goes through sympy's gcd.
+Closures are memoized by their generators, so the checks that share a group
+build it once per process.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .exact import DomainError, SplitMix64
+from .poly import MultiPoly
 from .ratfunc import INDETERMINATE, POLE, RatFunc
 
 __all__ = [
@@ -333,9 +344,11 @@ class Automorphism:
 
     Images are stored gcd-cancelled so every automorphism has one canonical
     representation; equality and hashing use that form directly.
+    ``_monomial`` holds (c, m) per variable when every image is c·x^m and the
+    exponent matrix is unimodular (see the module docstring), else None.
     """
 
-    __slots__ = ("variables", "images", "_key")
+    __slots__ = ("variables", "images", "_key", "_monomial")
 
     def __init__(self, images: Mapping[str, RatFunc | int | Fraction]):
         self.variables = tuple(sorted(images))
@@ -343,6 +356,7 @@ class Automorphism:
             v: RatFunc.coerce(images[v]).cancelled() for v in self.variables
         }
         self._key = tuple(self.images[v].serialize() for v in self.variables)
+        self._monomial = _unimodular_monomial_images(self.variables, self.images)
 
     @staticmethod
     def identity(variables: Sequence[str]) -> "Automorphism":
@@ -354,9 +368,49 @@ class Automorphism:
                    and (f.num.degree_in(v) or f.den.degree_in(v))]
         if missing:
             raise DomainError(f"automorphism does not cover variables {missing}")
+        if self._monomial is not None and f._cancelled is f:
+            return self._apply_monomial(f)
         for v in f.vars:
             binding.setdefault(v, RatFunc.var(v))
         return f.substitute(binding)
+
+    def _apply_monomial(self, f: RatFunc) -> RatFunc:
+        """Image of a cancelled f under a unimodular monomial map, cancelled.
+
+        Same variable table as ``f.substitute(...).cancelled()``: the union of
+        the images of the variables f depends on.
+        """
+        mono = self._monomial
+        n = len(self.variables)
+
+        def image(p) -> List[Tuple[List[int], Fraction]]:
+            out = []
+            for exp, c in p.terms.items():
+                m = [0] * n
+                for v, e in zip(p.vars, exp):
+                    if e:
+                        cv, mv = mono[v]
+                        c = c * cv ** e
+                        m = [a + e * b for a, b in zip(m, mv)]
+                out.append((m, c))
+            return out
+
+        num, den = image(f.num), image(f.den)
+        low = [min(col) for col in zip(*(m for m, _ in num + den))]
+        live = [v for v in f.vars if f.num.degree_in(v) or f.den.degree_in(v)]
+        vs = tuple(sorted({w for v in live for w in self.images[v].vars}))
+        pos = {v: i for i, v in enumerate(self.variables)}
+        cols = [pos.get(w) for w in vs]
+
+        def poly(terms) -> MultiPoly:
+            return MultiPoly(
+                vs,
+                {tuple([0 if i is None else m[i] - low[i] for i in cols]): c for m, c in terms},
+            )
+
+        out = RatFunc(poly(num), poly(den))
+        out._cancelled = out
+        return out
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: (self.compose(other)).apply(f) == self.apply(other.apply(f))."""
@@ -377,15 +431,74 @@ class Automorphism:
         return f"Automorphism({parts})"
 
 
+def _unimodular_monomial_images(
+    variables: Tuple[str, ...], images: Mapping[str, RatFunc]
+) -> "Dict[str, Tuple[Fraction, Tuple[int, ...]]] | None":
+    """{v: (c, m)} when each image is c·x^m with det(m rows) = ±1, else None."""
+    pos = {v: i for i, v in enumerate(variables)}
+    out = {}
+    for v in variables:
+        r = images[v]
+        if len(r.num.terms) != 1 or len(r.den.terms) != 1:
+            return None
+        ((ne, nc),) = r.num.terms.items()
+        ((de, dc),) = r.den.terms.items()
+        m = [0] * len(variables)
+        for w, a, b in zip(r.vars, ne, de):
+            if a != b:
+                if w not in pos:
+                    return None
+                m[pos[w]] = a - b
+        out[v] = (nc / dc, tuple(m))
+    if abs(_det([out[v][1] for v in variables])) != 1:
+        return None
+    return out
+
+
+def _det(rows: Sequence[Sequence[int]]) -> Fraction:
+    """Determinant of a square integer matrix by Gaussian elimination."""
+    m = [[Fraction(a) for a in r] for r in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        piv = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            if f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return det
+
+
+_closure_cache: Dict[Tuple, List[Automorphism]] = {}
+
+
 def group_closure(generators: Sequence[Automorphism], bound: int = 1024) -> List[Automorphism]:
     """Full closure of the generators under composition, including identity.
 
     Breadth-first multiplication by the generators; raises
     ClosureBoundExceeded if more than ``bound`` elements appear.  The result
-    is sorted by canonical image key, so its order is deterministic.
+    is sorted by canonical image key, so its order is deterministic.  Results
+    are memoized per process by the generators' keys; each call gets its own
+    list.
     """
     if not generators:
         raise DomainError("need at least one generator")
+    cache_key = tuple((g.variables, g._key) for g in generators)
+    group = _closure_cache.get(cache_key)
+    if group is None:
+        group = _closure(generators, bound)
+        _closure_cache[cache_key] = group
+    if len(group) > bound:
+        raise ClosureBoundExceeded(f"closure exceeded the bound of {bound} elements")
+    return list(group)
+
+
+def _closure(generators: Sequence[Automorphism], bound: int) -> List[Automorphism]:
     variables = generators[0].variables
     ident = Automorphism.identity(variables)
     seen: Dict[Tuple, Automorphism] = {ident._key: ident}
@@ -419,6 +532,7 @@ def orbit(
 
     Returns cancelled representatives sorted by serialization.
     """
+    x = x.cancelled()
     reps: Dict[str, RatFunc] = {}
     for sigma in group:
         image = sigma.apply(x).cancelled()

@@ -4,6 +4,16 @@ A polynomial carries a sorted tuple of variable names and a sparse map from
 exponent vectors to nonzero Fraction coefficients.  The canonical term order
 is graded lexicographic over the sorted variable table, which fixes a unique
 leading monomial and a reproducible serialization for every polynomial.
+
+Multiplication runs on integers: each operand is cleared to integer
+coefficients over the lcm of its denominators, and each exponent vector is
+packed into one int with a field per variable wide enough that no exponent
+sum can carry into the next field.  Products accumulate in the same loop
+order as the plain Fraction loop, removing a term whose sum cancels to zero
+and re-inserting it if it reappears, so the product's term insertion order
+is exactly the plain loop's.  `evaluate_in` sums in that order, so numeric
+values do not move in the last bits.  Each result coefficient becomes a
+Fraction once, at the end.
 """
 
 from __future__ import annotations
@@ -45,6 +55,15 @@ class MultiPoly:
         self.vars = vs
         self.terms = cleaned
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, vs: Tuple[str, ...], terms: Dict[Exponent, Fraction]) -> "MultiPoly":
+        """Wrap sorted variables and nonzero Fraction terms without re-checking."""
+        p = object.__new__(cls)
+        p.vars = vs
+        p.terms = terms
+        p._hash = None
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -142,10 +161,10 @@ class MultiPoly:
                 out.pop(exp, None)
             else:
                 out[exp] = s
-        return MultiPoly(p.vars, out)
+        return MultiPoly._trusted(p.vars, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -154,19 +173,33 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:
-                return MultiPoly(self.vars, {})
-            return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+                return MultiPoly._trusted(self.vars, {})
+            return MultiPoly._trusted(self.vars, {e: k * c for e, k in self.terms.items()})
         p, q = MultiPoly.align(self, other)
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
+        if not p.terms or not q.terms:
+            return MultiPoly._trusted(p.vars, {})
+        width = (_max_exponent(p) + _max_exponent(q)).bit_length() + 1
+        shifts = range(0, width * len(p.vars), width)
+        den_p, pt = _packed_integer_terms(p, shifts)
+        den_q, qt = _packed_integer_terms(q, shifts)
+        out: Dict[int, int] = {}
+        get = out.get
+        pop = out.pop
+        for k1, a1 in pt:
+            for k2, a2 in qt:
+                k = k1 + k2
+                s = get(k, 0) + a1 * a2
+                if s:
+                    out[k] = s
                 else:
-                    out[exp] = s
-        return MultiPoly(p.vars, out)
+                    pop(k)
+        den = den_p * den_q
+        mask = (1 << width) - 1
+        terms = {
+            tuple([(k >> sh) & mask for sh in shifts]): Fraction(a, den)
+            for k, a in out.items()
+        }
+        return MultiPoly._trusted(p.vars, terms)
 
     __rmul__ = __mul__
 
@@ -230,9 +263,6 @@ class MultiPoly:
 
     # -- equality / hashing / display ---------------------------------------
 
-    def _key(self):
-        return (self.vars, tuple(sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -242,8 +272,16 @@ class MultiPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # only variables that occur in some term enter the hash, so equal
+        # polynomials over different variable tables hash alike
         if self._hash is None:
-            self._hash = hash(self._key())
+            used = [i for i in range(len(self.vars)) if any(e[i] for e in self.terms)]
+            self._hash = hash(
+                (
+                    tuple(self.vars[i] for i in used),
+                    frozenset((tuple(e[i] for i in used), c) for e, c in self.terms.items()),
+                )
+            )
         return self._hash
 
     def sorted_terms(self):
@@ -279,6 +317,21 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_expr_string()!r})"
+
+
+def _max_exponent(p: MultiPoly) -> int:
+    return max(max(e, default=0) for e in p.terms)
+
+
+def _packed_integer_terms(p: MultiPoly, shifts: range) -> Tuple[int, list]:
+    """(lcm of the denominators, [(packed exponent, integer coefficient)])."""
+    den = 1
+    for c in p.terms.values():
+        den = den // gcd(den, c.denominator) * c.denominator
+    return den, [
+        (sum(e << sh for e, sh in zip(exp, shifts)), c.numerator * (den // c.denominator))
+        for exp, c in p.terms.items()
+    ]
 
 
 def _frac_str(c: Fraction) -> str:

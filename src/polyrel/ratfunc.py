@@ -155,7 +155,7 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDenominator("inverse of the zero function")
-        return RatFunc(self.den, self.num)
+        return self._keep_reduced(RatFunc(self.den, self.num))
 
     def pow_int(self, n: int, limit: int = 64) -> "RatFunc":
         """Integer power, expanded eagerly; |n| capped to guard against blowup."""
@@ -163,7 +163,18 @@ class RatFunc:
             raise DomainError(f"exponent {n} exceeds the configured limit {limit}")
         if n < 0:
             return self.inv().pow_int(-n, limit)
-        return RatFunc(self.num ** n, self.den ** n)
+        return self._keep_reduced(RatFunc(self.num ** n, self.den ** n))
+
+    def _keep_reduced(self, out: "RatFunc") -> "RatFunc":
+        """Mark ``out`` as its own cancelled form when self is one.
+
+        For the inverse and powers of a reduced p/q: coprime p, q stay coprime
+        in q/p and p^n/q^n, and the constructor's normalization then gives the
+        canonical representative.
+        """
+        if self._cancelled is self:
+            out._cancelled = out
+        return out
 
     def __pow__(self, n: int) -> "RatFunc":
         return self.pow_int(n)

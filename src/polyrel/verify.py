@@ -202,7 +202,6 @@ def phi_value(phi: RatFunc, x, policy: PrecisionPolicy):
         den_c = _univariate_coeffs(phi.den, var)
         co = _coerce(ctx)
         return co(num_c[-1]) / co(den_c[-1])
-    var = next(iter(phi.vars))
     binding = {v: policy.complex(x) for v in phi.vars}
     val, ok = phi.evaluate_in(binding, _coerce(ctx))
     return val if ok else INFINITY
@@ -210,7 +209,6 @@ def phi_value(phi: RatFunc, x, policy: PrecisionPolicy):
 
 def cr_num(ctx, x, y, z, w):
     """Numeric cross ratio with the infinity conventions of the symbolic one."""
-    pts = [x, y, z, w]
 
     def same(a, b):
         if a is INFINITY or b is INFINITY:

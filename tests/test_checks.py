@@ -54,6 +54,12 @@ def test_gprime_correspondence():
     assert d["union_matches_22"] and d["iota_acts_like_g"] and d["cycle_acts_like_h"]
 
 
+def test_ab_parametrization_is_reduced():
+    A, B = ab_parametrization()
+    for f in list(A.values()) + list(B.values()):
+        assert f._cancelled is f
+
+
 def test_q_equations():
     rep = check_q_equations()
     assert rep.passed

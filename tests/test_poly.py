@@ -1,0 +1,71 @@
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polyrel.poly import MultiPoly
+
+
+def reference_mul(p: MultiPoly, q: MultiPoly):
+    """The plain Fraction double loop the packed-integer multiply replaces."""
+    p, q = MultiPoly.align(p, q)
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(exp, Fraction(0)) + c1 * c2
+            if s == 0:
+                out.pop(exp, None)
+            else:
+                out[exp] = s
+    return p.vars, out
+
+
+coeffs = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4)
+
+
+@st.composite
+def polys(draw):
+    vs = sorted(draw(st.sets(st.sampled_from(["x", "y", "z"]), max_size=3)))
+    exps = st.tuples(*[st.integers(0, 5) for _ in vs])
+    pairs = draw(st.lists(st.tuples(exps, coeffs), max_size=6))
+    return MultiPoly(vs, dict(pairs))
+
+
+def _poly_1d(coefficients):
+    """Univariate polynomial in x with terms inserted in the given order."""
+    return MultiPoly(["x"], {(e,): Fraction(c) for e, c in coefficients})
+
+
+@given(polys(), polys())
+@settings(max_examples=300, deadline=None)
+# x^2 is inserted, cancelled to zero, then re-inserted at the end
+@example(_poly_1d([(0, 1), (1, 1), (2, 1)]), _poly_1d([(0, 1), (1, -1), (2, 1)]))
+@example(_poly_1d([(0, 1), (1, 1)]), _poly_1d([(0, 1), (1, -1), (2, 1)]))
+@example(MultiPoly.zero(["x"]), MultiPoly.var("y"))
+def test_mul_matches_reference_loop(p, q):
+    vs, ref = reference_mul(p, q)
+    got = p * q
+    assert got.vars == vs
+    assert got.terms == ref
+    assert list(got.terms) == list(ref)
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+
+
+@given(polys(), st.one_of(st.integers(-4, 4), coeffs))
+@settings(max_examples=100, deadline=None)
+def test_scalar_mul_matches_reference(p, c):
+    ref = {e: k * Fraction(c) for e, k in p.terms.items() if k * c != 0}
+    for got in (p * c, c * p):
+        assert got.vars == p.vars
+        assert got.terms == ref and list(got.terms) == list(ref)
+
+
+def test_equal_polynomials_over_different_tables_hash_alike():
+    x = MultiPoly.var("x")
+    x_xy = MultiPoly.var("x", ["x", "y"])
+    assert x == x_xy
+    assert hash(x) == hash(x_xy)
+    assert len({x, x_xy}) == 1
+    assert len({MultiPoly.const(3), MultiPoly.const(3, ["x", "y"])}) == 1
+    assert len({MultiPoly.zero(), MultiPoly.zero(["z"])}) == 1

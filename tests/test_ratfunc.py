@@ -202,3 +202,22 @@ def test_equivalence_is_equivalence_relation(v):
     assert g.equivalent(g)
     assert g.equivalent(h) and h.equivalent(g)
     assert h.equivalent(k) and g.equivalent(k)
+
+
+def test_equal_functions_over_different_tables_hash_alike():
+    x_xy = RatFunc(MultiPoly.var("x", ["x", "y"]), MultiPoly.const(1, ["x", "y"]))
+    assert x_xy == x
+    assert hash(x_xy) == hash(x)
+    assert len({x, x_xy}) == 1
+
+
+@pytest.mark.parametrize("g", [f1(z), big_f(z), (x - y * y) / (2 * x * y + 3)])
+def test_inverse_and_powers_of_reduced_form_stay_reduced(g):
+    red = g.cancelled()
+    for n in (-3, -1, 0, 1, 2, 3):
+        out = red.pow_int(n)
+        assert out._cancelled is out
+        # a fresh copy goes through the sympy gcd
+        assert out.serialize() == RatFunc(out.num, out.den).cancelled().serialize()
+        assert out.equivalent(g.pow_int(n))
+    assert g.inv()._cancelled is None  # unreduced input: no claim
