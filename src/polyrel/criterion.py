@@ -9,12 +9,20 @@ functionals: theta applied through the symmetric power, (phi, psi) through
 the wedge.  A true kernel element passes every pairing exactly; a non-member
 is caught with high probability (Schwartz-Zippel over the functional
 values), and every failure carries a reproducible witness.
+
+Each trial factors its specialized arguments once: a FactoredSum holds the
+integer exponent vectors of x and 1 - x for every term, the coefficients
+cleared to integers over their common denominator, and the sorted prime
+support the random functionals are drawn on.  The pairings against that
+trial's functionals then run entirely in Python integers, with a single
+Fraction built for each pairing's value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .exact import DomainError, SplitMix64, factor_rational, random_rational
@@ -23,6 +31,7 @@ from .formal import FormalSum, SpecializeResult
 __all__ = [
     "PrimeVector",
     "DualFunctional",
+    "FactoredSum",
     "Verdict",
     "log_vector",
     "beta_pairing",
@@ -51,15 +60,6 @@ class PrimeVector:
     def as_dict(self) -> Dict[int, Fraction]:
         return dict(self.coords)
 
-    def __neg__(self) -> "PrimeVector":
-        return PrimeVector(tuple((p, -e) for p, e in self.coords))
-
-    def __add__(self, other: "PrimeVector") -> "PrimeVector":
-        out = dict(self.coords)
-        for p, e in other.coords:
-            out[p] = out.get(p, Fraction(0)) + e
-        return PrimeVector.from_map(out)
-
     def support(self) -> Tuple[int, ...]:
         return tuple(p for p, _ in self.coords)
 
@@ -84,13 +84,14 @@ class DualFunctional:
     def __init__(self, values: Mapping[int, Fraction]):
         self.values = {int(p): Fraction(v) for p, v in values.items() if v != 0}
 
-    def __call__(self, v: PrimeVector) -> Fraction:
-        total = Fraction(0)
-        for p, e in v.coords:
-            w = self.values.get(p)
-            if w is not None:
-                total += w * e
-        return total
+    def cleared(self, support: Tuple[int, ...]) -> Tuple[int, List[int]]:
+        """(d, [d * value(p) for p in support]) with d the lcm of the denominators."""
+        d = lcm(*(v.denominator for v in self.values.values()))
+        out = []
+        for p in support:
+            v = self.values.get(p)
+            out.append(0 if v is None else v.numerator * (d // v.denominator))
+        return d, out
 
     def __repr__(self) -> str:
         return f"DualFunctional({self.values})"
@@ -114,31 +115,79 @@ def _constant_terms(s) -> List[Tuple[Fraction, Fraction]]:
     return out
 
 
+class FactoredSum:
+    """A sum of constant arguments in integer prime coordinates, factored once.
+
+    Built from a FormalSum over constants or from (coeff, rational) pairs.
+    ``support`` is the sorted tuple of primes dividing some x or 1 - x.  Each
+    term is (a, xv, wv): the coefficient cleared to the integer a over
+    ``scale``, the lcm of the coefficient denominators, and the exponent
+    vectors of x and 1 - x as tuples of (index into ``support``, exponent).
+    An argument 0 is a domain error; an argument 1 is skipped (1 - x = 0 has
+    no prime vector, so it pairs to zero by convention).
+    """
+
+    __slots__ = ("terms", "scale", "support")
+
+    def __init__(self, s):
+        factored = []
+        for c, x in _constant_terms(s):
+            if x == 0:
+                raise DomainError("kernel pairing argument 0 is outside the domain")
+            if x == 1:
+                continue
+            factored.append((c, factor_rational(x).factors, factor_rational(1 - x).factors))
+        support = sorted({p for _, fx, fw in factored for p in (*fx, *fw)})
+        index = {p: i for i, p in enumerate(support)}
+        scale = lcm(*(c.denominator for c, _, _ in factored))
+        self.terms = tuple(
+            (
+                c.numerator * (scale // c.denominator),
+                tuple((index[p], e) for p, e in fx.items()),
+                tuple((index[p], e) for p, e in fw.items()),
+            )
+            for c, fx, fw in factored
+        )
+        self.scale = scale
+        self.support = tuple(support)
+
+
 def beta_pairing(s, m: int, theta: DualFunctional, phi: DualFunctional, psi: DualFunctional) -> Fraction:
     """Exact pairing of the weight-m tensor of ``s`` with theta^(m-2) (phi ^ psi).
 
-    ``s`` is a FormalSum over constants (or (coeff, rational) pairs).  The
-    result is sum_x coeff * theta(log x)^(m-2) * (phi(log x) psi(log(1-x)) -
-    phi(log(1-x)) psi(log x)).  Arguments equal to 1 contribute zero by
-    convention (1-x = 0 has no prime vector) and are skipped; an argument
-    equal to 0 is a domain error.
+    ``s`` is a FormalSum over constants, (coeff, rational) pairs, or a
+    FactoredSum built from either (callers pairing one sum against many
+    functionals factor it once).  The result is sum_x coeff * theta(log
+    x)^(m-2) * (phi(log x) psi(log(1-x)) - phi(log(1-x)) psi(log x)).
+    Arguments equal to 1 contribute zero by convention (1-x = 0 has no prime
+    vector) and are skipped; an argument equal to 0 is a domain error.
+
+    The sum runs in integers: each functional is cleared over the lcm of its
+    own denominators (d_theta, d_phi, d_psi), and the total is divided once
+    by scale * d_theta^(m-2) * d_phi * d_psi at the end.
     """
     if m < 2:
         raise DomainError("beta pairing needs m >= 2")
-    total = Fraction(0)
-    for coeff, x in _constant_terms(s):
-        if x == 0:
-            raise DomainError("beta_pairing argument 0 is outside the domain")
-        if x == 1:
+    fs = s if isinstance(s, FactoredSum) else FactoredSum(s)
+    dt, th = theta.cleared(fs.support)
+    dp, ph = phi.cleared(fs.support)
+    dq, ps = psi.cleared(fs.support)
+    k = m - 2
+    total = 0
+    for a, xv, wv in fs.terms:
+        tv = px = qx = 0
+        for i, e in xv:
+            tv += th[i] * e
+            px += ph[i] * e
+            qx += ps[i] * e
+        if k and not tv:
             continue
-        v = log_vector(x)
-        w = log_vector(1 - x)
-        tv = theta(v)
-        if m > 2 and tv == 0:
-            continue
-        wedge = phi(v) * psi(w) - phi(w) * psi(v)
-        total += coeff * tv ** (m - 2) * wedge
-    return total
+        pw = qw = 0
+        for i, e in wv:
+            pw += ph[i] * e
+            qw += ps[i] * e
+        total += a * tv ** k * (px * qw - pw * qx)
+    return Fraction(total, fs.scale * dt ** k * dp * dq)
 
 
 def expand_tensor(s, m: int) -> Dict[Tuple, Fraction]:
@@ -272,22 +321,14 @@ def kernel_test(
         else:
             spec_sum = s
             binding = {}
-        terms = []
-        support_set = set()
-        for coeff, arg in spec_sum:
-            x = arg.constant_value()
-            if x == 1:
-                continue
-            terms.append((coeff, x))
-            support_set.update(log_vector(x).support())
-            support_set.update(log_vector(1 - x).support())
-        support = tuple(sorted(support_set))
+        factored = FactoredSum(spec_sum)
+        support = factored.support
         for k in range(functionals):
             fun_rng = root.split("fun", r, k)
             theta = _random_functional(support, fun_rng, height)
             phi = _random_functional(support, fun_rng, height)
             psi = _random_functional(support, fun_rng, height)
-            value = beta_pairing(terms, m, theta, phi, psi)
+            value = beta_pairing(factored, m, theta, phi, psi)
             if value != 0:
                 witness = {
                     "specialization": {v: str(q) for v, q in binding.items()},

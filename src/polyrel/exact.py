@@ -207,10 +207,9 @@ def factor_int(n: int) -> Dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(m):
-            if is_probable_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
+        if is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
         d = _brent_rho(m, rng)
         stack.append(d)
         stack.append(m // d)

@@ -14,12 +14,20 @@ and re-inserting it if it reappears, so the product's term insertion order
 is exactly the plain loop's.  `evaluate_in` sums in that order, so numeric
 values do not move in the last bits.  Each result coefficient becomes a
 Fraction once, at the end.
+
+Exact evaluation at a rational point also runs on integers.  The
+coefficients cleared over their lcm and the per-variable degrees are
+computed once per polynomial; `evaluate_ratio` homogenizes each point value
+a/b up to those degrees, sums integer terms against power tables of a and b,
+and returns the value as an integer pair.  `evaluate` turns the pair into
+one Fraction, and `RatFunc.evaluate` decides poles and 0/0 on the integer
+numerators before building its single Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 __all__ = ["MultiPoly", "grlex_key"]
@@ -40,7 +48,7 @@ class MultiPoly:
     variable set have directly comparable exponent vectors.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms", "_hash", "_integral")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Fraction]):
         vs = tuple(variables)
@@ -55,6 +63,7 @@ class MultiPoly:
         self.vars = vs
         self.terms = cleaned
         self._hash = None
+        self._integral = None
 
     @classmethod
     def _trusted(cls, vs: Tuple[str, ...], terms: Dict[Exponent, Fraction]) -> "MultiPoly":
@@ -63,6 +72,7 @@ class MultiPoly:
         p.vars = vs
         p.terms = terms
         p._hash = None
+        p._integral = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -235,15 +245,54 @@ class MultiPoly:
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact evaluation at rational values (all variables bound)."""
-        vals = [Fraction(point[v]) for v in self.vars]
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        return Fraction(*self.evaluate_ratio(point))
+
+    def _integer_form(self) -> Tuple[int, list, Tuple[int, ...]]:
+        """(scale, [(exponent, integer coefficient)], degrees), computed once.
+
+        The coefficients are cleared to integers over ``scale``, the lcm of
+        their denominators.
+        """
+        if self._integral is None:
+            scale = lcm(*(c.denominator for c in self.terms.values()))
+            ints = [(e, c.numerator * (scale // c.denominator)) for e, c in self.terms.items()]
+            if self.terms:
+                degrees = tuple(max(column) for column in zip(*self.terms))
+            else:
+                degrees = (0,) * len(self.vars)
+            self._integral = (scale, ints, degrees)
+        return self._integral
+
+    def evaluate_ratio(self, point: Mapping[str, Fraction]) -> Tuple[int, int]:
+        """Exact value at rational values as an integer pair (n, d), d > 0.
+
+        For point values a_v/b_v in lowest terms and the degree D_v of each
+        variable, n is the sum of c' * prod a_v^e_v * b_v^(D_v - e_v) over the
+        terms and d is scale * prod b_v^D_v, where the c' are the
+        coefficients cleared to integers over their lcm ``scale``.  Power
+        tables are built once per call and no Fraction arithmetic happens.
+        """
+        scale, ints, degrees = self._integer_form()
+        tables = []
+        base = 1
+        for v, deg in zip(self.vars, degrees):
+            q = point[v]
+            if not isinstance(q, (int, Fraction)):
+                q = Fraction(q)
+            a, b = q.numerator, q.denominator
+            a_pows = [1]
+            b_pows = [1]
+            for _ in range(deg):
+                a_pows.append(a_pows[-1] * a)
+                b_pows.append(b_pows[-1] * b)
+            tables.append([a_pows[e] * b_pows[deg - e] for e in range(deg + 1)])
+            base *= b_pows[deg]
+        total = 0
+        for exp, c in ints:
+            for t, e in zip(tables, exp):
+                c *= t[e]
+            total += c
+        return total, scale * base
 
     def evaluate_in(self, point: Mapping[str, object], coerce: Callable) -> object:
         """Evaluation in an arbitrary coefficient domain.

@@ -246,12 +246,11 @@ class RatFunc:
 
     def evaluate(self, point: Mapping[str, Scalar]):
         """Exact evaluation; returns Fraction, POLE, or INDETERMINATE."""
-        pt = {v: Fraction(point[v]) for v in self.vars}
-        den = self.den.evaluate(pt)
-        num = self.num.evaluate(pt)
+        den, den_scale = self.den.evaluate_ratio(point)
+        num, num_scale = self.num.evaluate_ratio(point)
         if den == 0:
             return INDETERMINATE if num == 0 else POLE
-        return num / den
+        return Fraction(num * den_scale, num_scale * den)
 
     def evaluate_in(self, point: Mapping[str, object], coerce):
         """Evaluation in another domain (e.g. arbitrary-precision complex).

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from polyrel.criterion import (
     DualFunctional,
+    FactoredSum,
     beta_pairing,
     expand_tensor,
     kernel_test,
@@ -120,6 +122,102 @@ def test_ones_skipped_zero_rejected():
         beta_pairing([(Fraction(1), Fraction(0))], 3, theta, phi, psi)
 
 
+def reference_pairing(s, m, theta, phi, psi) -> Fraction:
+    """The Fraction loop the integer pairing replaces: each term refactored."""
+
+    def apply(f, v):
+        total = Fraction(0)
+        for p, e in v.coords:
+            w = f.values.get(p)
+            if w is not None:
+                total += w * e
+        return total
+
+    if isinstance(s, FormalSum):
+        terms = [(c, a.constant_value()) for c, a in s]
+    else:
+        terms = [(Fraction(c), Fraction(v)) for c, v in s]
+    total = Fraction(0)
+    for coeff, x in terms:
+        if x == 1:
+            continue
+        v, w = log_vector(x), log_vector(1 - x)
+        tv = apply(theta, v)
+        if m > 2 and tv == 0:
+            continue
+        total += coeff * tv ** (m - 2) * (apply(phi, v) * apply(psi, w) - apply(phi, w) * apply(psi, v))
+    return total
+
+
+# coefficients with unlike denominators; arguments include 1 and negatives
+pairing_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+pairing_args = st.one_of(
+    st.just(Fraction(1)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=8).filter(bool),
+)
+# integer values, thirds and other non-integer values
+functional_values = st.one_of(
+    st.integers(-6, 6).map(Fraction),
+    st.integers(-9, 9).map(lambda k: Fraction(k, 3)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def pairing_cases(draw):
+    terms = draw(st.lists(st.tuples(pairing_coeffs, pairing_args), min_size=1, max_size=6))
+    support = {97}  # a prime no term has: its functional values must not matter
+    for _, x in terms:
+        if x != 1:
+            support.update(log_vector(x).support())
+            support.update(log_vector(1 - x).support())
+    funs = [DualFunctional({p: draw(functional_values) for p in sorted(support)}) for _ in range(3)]
+    return terms, draw(st.integers(2, 7)), funs
+
+
+@given(pairing_cases())
+@settings(max_examples=200, deadline=None)
+def test_pairing_matches_reference_loop(case):
+    terms, m, (theta, phi, psi) = case
+    as_sum = FormalSum([(c, RatFunc.from_value(x)) for c, x in terms])
+    for s in (terms, as_sum):
+        ref = reference_pairing(s, m, theta, phi, psi)
+        for given_s in (s, FactoredSum(s)):
+            got = beta_pairing(given_s, m, theta, phi, psi)
+            assert type(got) is Fraction and got == ref
+    # merging equal arguments in the FormalSum does not move the value
+    assert reference_pairing(as_sum, m, theta, phi, psi) == reference_pairing(terms, m, theta, phi, psi)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7])
+def test_pairing_skips_theta_zero_terms_above_weight_two(m):
+    # theta(log(2/3)) = theta(2) - theta(3) = 0, while the wedge part is not
+    # zero; only m = 2 keeps the term
+    theta = DualFunctional({2: Fraction(5, 3), 3: Fraction(5, 3)})
+    phi = DualFunctional({2: 1, 3: Fraction(-1, 2)})
+    psi = DualFunctional({3: Fraction(7, 3)})
+    terms = [(Fraction(3, 4), Fraction(2, 3)), (Fraction(-1, 6), Fraction(-4, 5)), (Fraction(2), Fraction(1))]
+    ref = reference_pairing(terms, m, theta, phi, psi)
+    assert beta_pairing(terms, m, theta, phi, psi) == ref
+    alone = beta_pairing(terms[:1], m, theta, phi, psi)
+    assert (alone != 0) == (m == 2)
+
+
+def test_factored_sum_structure():
+    fs = FactoredSum([(Fraction(1, 2), Fraction(-3, 4)), (Fraction(2, 3), Fraction(1)), (Fraction(-5, 6), 9)])
+    assert fs.support == (2, 3, 7)
+    assert fs.scale == 6
+    # x = -3/4: 3 / 2^2 and 1 - x = 7 / 2^2; x = 9: 3^2 and 1 - x = -8 = -2^3
+    assert fs.terms == (
+        (3, ((1, 1), (0, -2)), ((2, 1), (0, -2))),
+        (-5, ((1, 2),), ((0, 3),)),
+    )
+    with pytest.raises(DomainError):
+        FactoredSum([(Fraction(1), Fraction(0))])
+    with pytest.raises(DomainError):
+        FactoredSum(FormalSum.single(RatFunc.var("t")))
+
+
 # -- full tensor expansion (debug mode) ----------------------------------------------
 
 def test_expansion_five_term_vanishes():
@@ -231,3 +329,91 @@ def test_kernel_inversion_pair_passes_odd_weight():
 def test_kernel_constant_sum():
     s = FormalSum([(Fraction(3), RatFunc.from_value(1))])
     assert kernel_test(s, 3, seed=5).passed
+
+
+# -- golden witnesses ------------------------------------------------------------------
+# Full verdicts of the perturbed negative controls (a relation plus one extra
+# copy of its first argument), 4 trials x 3 functionals at seed 0; witnesses
+# must stay byte-identical.
+
+GOLDEN_XI7_PERTURBED = {
+    "status": "fail",
+    "witness": {
+        "specialization": {"t": "1/7", "u": "4/5"},
+        "theta": {
+            2: "-24", 3: "-24", 5: "-4", 7: "-13", 11: "-34", 13: "32", 17: "-1",
+            19: "-13", 23: "-18", 29: "28", 31: "-13", 37: "-36", 41: "32", 43: "-14",
+            47: "-11", 61: "36", 97: "4", 101: "10", 109: "32", 113: "1", 157: "-23",
+            193: "26", 241: "26", 293: "-14", 311: "26", 349: "-19", 439: "-7",
+            449: "21", 541: "18", 839: "-29", 883: "-38", 887: "31", 907: "-1",
+            1201: "-37",
+        },
+        "phi": {
+            2: "-4", 3: "22", 5: "10", 7: "17", 11: "21", 13: "-9", 17: "-12",
+            19: "-1", 23: "12", 29: "17", 31: "9", 37: "32", 41: "11", 43: "-13",
+            47: "-19", 61: "4", 97: "-34", 101: "-2", 109: "-32", 113: "-2",
+            157: "-14", 193: "2", 241: "4", 293: "10", 311: "22", 349: "-8",
+            439: "-14", 449: "-34", 541: "-29", 839: "-37", 883: "37", 887: "-5",
+            907: "18", 1201: "-12",
+        },
+        "psi": {
+            2: "24", 3: "-29", 5: "17", 7: "14", 11: "4", 13: "17", 17: "30", 19: "34",
+            23: "26", 31: "36", 37: "16", 41: "-28", 43: "-19", 47: "14", 61: "30",
+            97: "-11", 101: "-35", 109: "-13", 113: "37", 157: "25", 193: "37",
+            241: "-39", 293: "-27", 311: "21", 349: "-18", 439: "31", 449: "-4",
+            541: "8", 839: "-19", 883: "-8", 887: "18", 907: "4", 1201: "10",
+        },
+        "value": "-222013747200",
+        "trial": 0,
+        "functional_index": 0,
+    },
+    "trials": {
+        "trials": 4, "functionals": 3, "height": 40, "specialization_height": 7, "seed": 0, "weight": 7,
+    },
+}
+
+GOLDEN_GONCHAROV22_PERTURBED = {
+    "status": "fail",
+    "witness": {
+        "specialization": {"a1": "-1", "a2": "-35/4", "a3": "24/19"},
+        "theta": {
+            2: "-24", 3: "-24", 5: "-4", 7: "-13", 13: "-34", 19: "32", 37: "-1",
+            43: "-13", 229: "-18",
+        },
+        "phi": {
+            2: "28", 3: "-13", 5: "-36", 7: "32", 13: "-14", 19: "-11", 37: "36",
+            43: "4", 229: "10",
+        },
+        "psi": {
+            2: "32", 3: "1", 5: "-23", 7: "26", 13: "26", 19: "-14", 37: "26",
+            43: "-19", 229: "-7",
+        },
+        "value": "86912",
+        "trial": 0,
+        "functional_index": 0,
+    },
+    "trials": {
+        "trials": 4, "functionals": 3, "height": 40, "specialization_height": 40, "seed": 0, "weight": 3,
+    },
+}
+
+
+def _perturbed(name):
+    from polyrel.catalog import get_equation
+
+    eq = get_equation(name)
+    return eq.sum + FormalSum.single(eq.sum.terms[0][1], 1), eq.weight
+
+
+@pytest.mark.parametrize(
+    "name, spec_height, expected",
+    [
+        ("xi7_explicit", 7, GOLDEN_XI7_PERTURBED),
+        ("goncharov22", None, GOLDEN_GONCHAROV22_PERTURBED),
+    ],
+)
+def test_kernel_golden_witness(name, spec_height, expected):
+    s, m = _perturbed(name)
+    verdict = kernel_test(s, m, trials=4, functionals=3, seed=0, specialization_height=spec_height)
+    # key order too: the JSON report serializes dicts in insertion order
+    assert json.dumps(verdict.to_json()) == json.dumps(expected)

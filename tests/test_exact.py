@@ -8,6 +8,7 @@ from polyrel.exact import (
     DomainError,
     SampleSpaceExhausted,
     SplitMix64,
+    factor_int,
     factor_rational,
     random_rational,
 )
@@ -41,6 +42,24 @@ def test_factor_large_semiprime():
     n = 999983 * 999979
     f = factor_rational(Fraction(n))
     assert f.factors == {999979: 1, 999983: 1}
+
+
+def test_factor_int_large_prime_cofactor():
+    # the cofactor 2^61 - 1 (a Mersenne prime) is left after trial division
+    # and must be recognized as prime, not split
+    n = 3 * 7 * (2 ** 61 - 1)
+    assert factor_int(n) == {3: 1, 7: 1, 2 ** 61 - 1: 1}
+
+
+def test_factor_int_returns_a_copy_of_the_cache():
+    n = 2 ** 3 * 3 * 1000003
+    first = factor_int(n)
+    first[2] = 99
+    first[17] = 1
+    assert factor_int(n) == {2: 3, 3: 1, 1000003: 1}
+    second = factor_int(n)
+    second.clear()
+    assert factor_int(n) == {2: 3, 3: 1, 1000003: 1}
 
 
 nonzero_rationals = st.fractions(

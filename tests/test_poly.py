@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -69,3 +70,56 @@ def test_equal_polynomials_over_different_tables_hash_alike():
     assert len({x, x_xy}) == 1
     assert len({MultiPoly.const(3), MultiPoly.const(3, ["x", "y"])}) == 1
     assert len({MultiPoly.zero(), MultiPoly.zero(["z"])}) == 1
+
+
+# -- exact evaluation ---------------------------------------------------------
+
+
+def reference_evaluate(p: MultiPoly, point) -> Fraction:
+    """The plain Fraction loop the integer ratio evaluator replaces."""
+    vals = [Fraction(point[v]) for v in p.vars]
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        term = c
+        for v, e in zip(vals, exp):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+# negative, zero and plain-int values next to proper fractions
+point_values = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6),
+)
+
+
+@st.composite
+def poly_and_point(draw):
+    p = draw(polys())
+    return p, {v: draw(point_values) for v in p.vars}
+
+
+@given(poly_and_point())
+@settings(max_examples=300, deadline=None)
+@example((MultiPoly.zero(["x", "y"]), {"x": Fraction(2, 3), "y": 0}))
+@example((MultiPoly.const(Fraction(-7, 4)), {}))
+@example((MultiPoly.const(5, ["x"]), {"x": -3}))
+# y has degree 0 in every term but is still in the table
+@example((MultiPoly(["x", "y"], {(2, 0): Fraction(1, 2), (0, 0): Fraction(-3)}), {"x": Fraction(-1, 3), "y": 7}))
+def test_evaluate_matches_reference_loop(case):
+    p, point = case
+    ref = reference_evaluate(p, point)
+    got = p.evaluate(point)
+    assert type(got) is Fraction and got == ref
+    n, d = p.evaluate_ratio(point)
+    assert type(n) is int and type(d) is int and d > 0
+    assert Fraction(n, d) == ref
+
+
+def test_evaluate_needs_every_variable():
+    p = MultiPoly(["x", "y", "z"], {(3, 0, 1): Fraction(1), (1, 0, 2): Fraction(2)})
+    assert p.evaluate({"x": 1, "y": 5, "z": 2}) == 10
+    with pytest.raises(KeyError):
+        p.evaluate({"x": 1, "z": 2})

@@ -221,3 +221,73 @@ def test_inverse_and_powers_of_reduced_form_stay_reduced(g):
         assert out.serialize() == RatFunc(out.num, out.den).cancelled().serialize()
         assert out.equivalent(g.pow_int(n))
     assert g.inv()._cancelled is None  # unreduced input: no claim
+
+
+# -- exact evaluation against the plain Fraction loop -------------------------
+
+
+def _reference_poly_value(p: MultiPoly, pt) -> Fraction:
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        term = c
+        for v, e in zip(p.vars, exp):
+            term *= pt[v] ** e
+        total += term
+    return total
+
+
+def reference_evaluate(f: RatFunc, point):
+    """The Fraction evaluation the integer ratio evaluator replaces."""
+    pt = {v: Fraction(point[v]) for v in f.vars}
+    den = _reference_poly_value(f.den, pt)
+    num = _reference_poly_value(f.num, pt)
+    if den == 0:
+        return INDETERMINATE if num == 0 else POLE
+    return num / den
+
+
+eval_values = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+eval_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def ratfunc_and_point(draw):
+    vs = sorted(draw(st.sets(st.sampled_from(["x", "y"]), max_size=2)))
+    exps = st.tuples(*[st.integers(0, 3) for _ in vs])
+    num = MultiPoly(vs, dict(draw(st.lists(st.tuples(exps, eval_coeffs), max_size=4))))
+    den = MultiPoly(vs, dict(draw(st.lists(st.tuples(exps, eval_coeffs), min_size=1, max_size=4))))
+    if den.is_zero():
+        den = MultiPoly.const(draw(st.integers(1, 3)), vs)
+    point = {v: draw(eval_values) for v in vs}
+    if vs and draw(st.booleans()):
+        # a common factor (v - r) vanishing at the point: 0/0 or a pole
+        v = vs[0]
+        factor = MultiPoly.var(v, vs) - MultiPoly.const(point[v], vs)
+        den = den * factor
+        if draw(st.booleans()):
+            num = num * factor
+    return RatFunc(num, den), point
+
+
+@given(ratfunc_and_point())
+@settings(max_examples=300, deadline=None)
+def test_evaluate_matches_reference_loop(case):
+    f, point = case
+    ref = reference_evaluate(f, point)
+    got = f.evaluate(point)
+    if ref is POLE or ref is INDETERMINATE:
+        assert got is ref
+    else:
+        assert type(got) is Fraction and got == ref
+
+
+def test_evaluate_edge_cases():
+    assert RatFunc.from_value(0).evaluate({}) == 0
+    assert RatFunc.from_value(Fraction(-5, 6)).evaluate({}) == Fraction(-5, 6)
+    # y is in the table with degree 0 everywhere
+    g = RatFunc(MultiPoly.var("x", ["x", "y"]) * Fraction(1, 2), MultiPoly.const(3, ["x", "y"]) - MultiPoly.var("x", ["x", "y"]))
+    assert g.evaluate({"x": -1, "y": 0}) == Fraction(-1, 8)
+    assert g.evaluate({"x": 3, "y": Fraction(2, 7)}) is POLE
+    assert ((x * x - 1) / (x - 1)).evaluate({"x": 1}) is INDETERMINATE
+    assert ((x * x - 1) / (x - 1)).evaluate({"x": 0}) == 1
+    assert (1 / x).evaluate({"x": 0}) is POLE
