@@ -133,7 +133,7 @@ class FactoredSum:
         factored = []
         for c, x in _constant_terms(s):
             if x == 0:
-                raise DomainError("kernel pairing argument 0 is outside the domain")
+                raise DomainError("beta_pairing argument 0 is outside the domain")
             if x == 1:
                 continue
             factored.append((c, factor_rational(x).factors, factor_rational(1 - x).factors))

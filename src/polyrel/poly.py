@@ -15,13 +15,13 @@ is exactly the plain loop's.  `evaluate_in` sums in that order, so numeric
 values do not move in the last bits.  Each result coefficient becomes a
 Fraction once, at the end.
 
-Exact evaluation at a rational point also runs on integers.  The
-coefficients cleared over their lcm and the per-variable degrees are
-computed once per polynomial; `evaluate_ratio` homogenizes each point value
-a/b up to those degrees, sums integer terms against power tables of a and b,
-and returns the value as an integer pair.  `evaluate` turns the pair into
-one Fraction, and `RatFunc.evaluate` decides poles and 0/0 on the integer
-numerators before building its single Fraction.
+Exact evaluation at a rational point also runs on integers.
+`evaluate_ratio` clears the coefficients over their lcm, homogenizes each
+point value a/b up to its variable's degree, sums integer terms against
+power tables of a and b built once per call, and returns the value as an
+integer pair.  `evaluate` turns the pair into one Fraction, and
+`RatFunc.evaluate` decides poles and 0/0 on the integer numerators before
+building its single Fraction.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class MultiPoly:
     variable set have directly comparable exponent vectors.
     """
 
-    __slots__ = ("vars", "terms", "_hash", "_integral")
+    __slots__ = ("vars", "terms", "_hash")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Fraction]):
         vs = tuple(variables)
@@ -63,7 +63,6 @@ class MultiPoly:
         self.vars = vs
         self.terms = cleaned
         self._hash = None
-        self._integral = None
 
     @classmethod
     def _trusted(cls, vs: Tuple[str, ...], terms: Dict[Exponent, Fraction]) -> "MultiPoly":
@@ -72,7 +71,6 @@ class MultiPoly:
         p.vars = vs
         p.terms = terms
         p._hash = None
-        p._integral = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -247,22 +245,6 @@ class MultiPoly:
         """Exact evaluation at rational values (all variables bound)."""
         return Fraction(*self.evaluate_ratio(point))
 
-    def _integer_form(self) -> Tuple[int, list, Tuple[int, ...]]:
-        """(scale, [(exponent, integer coefficient)], degrees), computed once.
-
-        The coefficients are cleared to integers over ``scale``, the lcm of
-        their denominators.
-        """
-        if self._integral is None:
-            scale = lcm(*(c.denominator for c in self.terms.values()))
-            ints = [(e, c.numerator * (scale // c.denominator)) for e, c in self.terms.items()]
-            if self.terms:
-                degrees = tuple(max(column) for column in zip(*self.terms))
-            else:
-                degrees = (0,) * len(self.vars)
-            self._integral = (scale, ints, degrees)
-        return self._integral
-
     def evaluate_ratio(self, point: Mapping[str, Fraction]) -> Tuple[int, int]:
         """Exact value at rational values as an integer pair (n, d), d > 0.
 
@@ -272,7 +254,12 @@ class MultiPoly:
         coefficients cleared to integers over their lcm ``scale``.  Power
         tables are built once per call and no Fraction arithmetic happens.
         """
-        scale, ints, degrees = self._integer_form()
+        terms = self.terms
+        scale = lcm(*(c.denominator for c in terms.values()))
+        if terms:
+            degrees = [max(column) for column in zip(*terms)]
+        else:
+            degrees = [0] * len(self.vars)
         tables = []
         base = 1
         for v, deg in zip(self.vars, degrees):
@@ -288,10 +275,11 @@ class MultiPoly:
             tables.append([a_pows[e] * b_pows[deg - e] for e in range(deg + 1)])
             base *= b_pows[deg]
         total = 0
-        for exp, c in ints:
+        for exp, c in terms.items():
+            n = c.numerator * (scale // c.denominator)
             for t, e in zip(tables, exp):
-                c *= t[e]
-            total += c
+                n *= t[e]
+            total += n
         return total, scale * base
 
     def evaluate_in(self, point: Mapping[str, object], coerce: Callable) -> object:

@@ -212,8 +212,11 @@ def test_factored_sum_structure():
         (3, ((1, 1), (0, -2)), ((2, 1), (0, -2))),
         (-5, ((1, 2),), ((0, 3),)),
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^beta_pairing argument 0 is outside the domain$"):
         FactoredSum([(Fraction(1), Fraction(0))])
+    theta = phi = psi = DualFunctional({2: 1})
+    with pytest.raises(DomainError, match="^beta_pairing argument 0 is outside the domain$"):
+        beta_pairing([(Fraction(1), Fraction(1, 2)), (Fraction(1), 0)], 3, theta, phi, psi)
     with pytest.raises(DomainError):
         FactoredSum(FormalSum.single(RatFunc.var("t")))
 

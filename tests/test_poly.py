@@ -123,3 +123,7 @@ def test_evaluate_needs_every_variable():
     assert p.evaluate({"x": 1, "y": 5, "z": 2}) == 10
     with pytest.raises(KeyError):
         p.evaluate({"x": 1, "z": 2})
+    zero = MultiPoly(["x", "y"], {})
+    assert zero.evaluate({"x": 3, "y": 0}) == 0
+    with pytest.raises(KeyError):
+        zero.evaluate({"x": 3})
