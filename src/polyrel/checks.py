@@ -3,22 +3,40 @@
 Each check returns a CheckReport with a pass flag and enough detail to see
 what was compared.  All comparisons here are exact (rational function
 identities, inversion-class vectors, orbit partitions); the numeric and
-kernel fallbacks for the 21-term identity live at the end.
+kernel fallbacks for the 21-term identity live near the end.  CHECKS, at
+the end, names every check that `polyrel check --name` runs; the acceptance
+criteria in report.py call the same functions for the claims they share.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .catalog import f17_sum, get_equation
+from .catalog import XI7_BLOCKS, f17_sum, get_equation, weight_wt
 from .criterion import kernel_test
 from .formal import Automorphism, FormalSum, group_closure, inversion_class_key, orbit
+from .proofalgebra import report_json as proofalgebra_report
 from .ratfunc import INFINITY, RatFunc, cross_ratio
+from .verify import WOJTKOWIAK_TERMS, verify_numeric_sum
 
 __all__ = [
+    "CHECKS",
     "CheckReport",
+    "GROUP_ORDERS",
+    "ORBIT_SIZES",
+    "check_names",
+    "find_check",
+    "check_xi7_term_count",
+    "check_xi7_weights",
+    "check_xi7_explicit_vs_symmetric",
+    "check_group_orders",
+    "check_orbit_sizes",
+    "check_proof_algebra",
+    "orbit_sizes",
     "check_34_from_wojtkowiak",
     "check_22_to_34_substitution",
     "check_Gprime_correspondence",
@@ -147,59 +165,27 @@ def _wojtkowiak_x_part() -> Tuple[FormalSum, dict]:
     family at phi(x) = (x-a)(x-b)/((x-1/c)(x-abc)), (A, B, C) = (inf, 0, 1)."""
     a, b, c, x = (RatFunc.var(n) for n in ("a", "b", "c", "x"))
     phi = (x - a) * (x - b) / ((x - 1 / c) * (x - a * b * c))
-    alphas = [1 / c, a * b * c]  # preimages of infinity (poles)
-    betas = [a, b]  # preimages of 0 (zeros)
-    gammas = [RatFunc.from_value(0), INFINITY]  # preimages of 1
+    families = {
+        "A": [1 / c, a * b * c],  # preimages of infinity (poles)
+        "B": [a, b],  # preimages of 0 (zeros)
+        "C": [RatFunc.from_value(0), INFINITY],  # preimages of 1
+    }
 
-    terms: List[Tuple[Fraction, RatFunc]] = []
-    dropped = []
-
-    def add(sign: int, pt_y, pt_z, pt_w):
-        arg = cross_ratio(x, pt_y, pt_z, pt_w)
-        if arg is INFINITY:
-            dropped.append("infinite")
-            return
-        terms.append((Fraction(sign), arg))
-
-    terms.append((Fraction(1), phi))  # cr(phi(x), 1, 0, inf) = phi(x)
-    for g in gammas:
-        for bb in betas:
-            for al in alphas:
-                add(-1, g, bb, al)
-    for a1 in alphas:
-        for a2 in alphas:
-            for g in gammas:
-                if a1.equivalent(a2):
-                    dropped.append("coincident")
-                    continue
-                add(-1, a1, a2, g)
-    for b1 in betas:
-        for b2 in betas:
-            for g in gammas:
-                if b1.equivalent(b2):
-                    dropped.append("coincident")
-                    continue
-                add(-1, b1, b2, g)
-    for a1 in alphas:
-        for a2 in alphas:
-            for bb in betas:
-                if a1.equivalent(a2):
-                    dropped.append("coincident")
-                    continue
-                add(1, a1, a2, bb)
-    for b1 in betas:
-        for b2 in betas:
-            for al in alphas:
-                if b1.equivalent(b2):
-                    dropped.append("coincident")
-                    continue
-                add(1, b1, b2, al)
+    terms: List[Tuple[Fraction, RatFunc]] = [(Fraction(1), phi)]  # cr(phi(x), 1, 0, inf) = phi(x)
+    skipped = 0
+    for sign, fams in WOJTKOWIAK_TERMS:
+        for pts in itertools.product(*(families[f] for f in fams)):
+            arg = cross_ratio(x, *pts)
+            if arg is INFINITY:  # two coincident preimages of one point
+                skipped += 1
+            else:
+                terms.append((Fraction(sign), arg))
 
     s = FormalSum(terms)
     x_part = FormalSum([(co, arg) for co, arg in s if arg.depends_on("x")])
     info = {
         "raw_terms": len(terms),
-        "degenerate_skipped": len(dropped),
+        "degenerate_skipped": skipped,
         "x_dependent_terms": len(x_part),
     }
     return x_part, info
@@ -533,7 +519,6 @@ def check_gamma21_identity(
     numerically under CL_3.  The report records the strongest level holding.
     """
     from .catalog import gamma_core
-    from .verify import verify_numeric_sum
 
     x1, x2, z1 = (RatFunc.var(n) for n in ("x1", "x2", "z1"))
 
@@ -599,3 +584,104 @@ def check_gamma21_identity(
         else "",
     }
     return CheckReport("gamma21", passed, details)
+
+
+# ---------------------------------------------------------------------------
+# Counts and orders
+# ---------------------------------------------------------------------------
+
+GROUP_ORDERS = {"alpha": 192, "t": 192, "yz": 96}
+
+#: Orbits of y1 and of the triple product under G'.  Up to inversion in yz
+#: space y1 has 6 classes but the product still 32; both collapse to the 6
+#: and 16 classes of the 22-term relation only once y, z are bound to A, B.
+ORBIT_SIZES = {
+    "y1_plain": 12,
+    "product_plain": 32,
+    "y1_up_to_inversion_yz": 6,
+    "y1_substituted_up_to_inversion": 6,
+    "product_substituted_up_to_inversion": 16,
+}
+
+
+def check_xi7_term_count() -> CheckReport:
+    count = get_equation("xi7_explicit").sum.count_distinct_up_to_inversion()
+    return CheckReport("xi7-term-count", count == 274, {"count": count})
+
+
+def check_xi7_weights() -> CheckReport:
+    ok = all(weight_wt(a, b) == weight_wt(c, d) for _, _, (a, b, c, d) in XI7_BLOCKS)
+    return CheckReport("xi7-weights", ok, {"blocks": len(XI7_BLOCKS)})
+
+
+def check_xi7_explicit_vs_symmetric() -> CheckReport:
+    lhs = get_equation("xi7_explicit").sum.scale(60).inversion_class_vector()
+    rhs = get_equation("xi7_symmetric").sum.inversion_class_vector()
+    return CheckReport("xi7-explicit-vs-symmetric", lhs == rhs, {"classes": len(lhs)})
+
+
+def check_group_orders() -> CheckReport:
+    orders = {k: len(group_closure(v, bound=512)) for k, v in group_generators().items()}
+    return CheckReport("group-orders", orders == GROUP_ORDERS, orders)
+
+
+def orbit_sizes(gprime_report: CheckReport) -> Dict[str, int]:
+    """The ORBIT_SIZES quantities, reusing the orbits that
+    check_Gprime_correspondence measured."""
+    d = gprime_report.details
+    gprime = group_closure(group_generators()["yz"], bound=256)
+    return {
+        "y1_plain": d["orbit_y1"],
+        "product_plain": d["orbit_product"],
+        "y1_up_to_inversion_yz": len(orbit(RatFunc.var("y1"), gprime, up_to_inversion=True)),
+        "y1_substituted_up_to_inversion": d["classes_up_to_inversion_short"],
+        "product_substituted_up_to_inversion": d["classes_up_to_inversion_long"],
+    }
+
+
+def check_orbit_sizes() -> CheckReport:
+    sizes = orbit_sizes(check_Gprime_correspondence())
+    return CheckReport("orbit-sizes", sizes == ORBIT_SIZES, sizes)
+
+
+def check_proof_algebra(n: int) -> CheckReport:
+    """The exact weight-4 proof for one n (identities, claim, theorem)."""
+    rep = proofalgebra_report(n)
+    ok = all(rep["identities"].values()) and all(rep["claim_parts"].values()) and rep["theorem_zero"]
+    return CheckReport(f"proof-algebra-n{n}", ok, rep)
+
+
+# ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+
+#: every check `polyrel check --name` runs, besides the proof-algebra-n<k> family
+CHECKS: Dict[str, Callable[[], CheckReport]] = {
+    "xi7-term-count": check_xi7_term_count,
+    "xi7-weights": check_xi7_weights,
+    "xi7-explicit-vs-symmetric": check_xi7_explicit_vs_symmetric,
+    "group-orders": check_group_orders,
+    "orbit-sizes": check_orbit_sizes,
+    "gprime-correspondence": check_Gprime_correspondence,
+    "q-equations": check_q_equations,
+    "sub-22-to-34": check_22_to_34_substitution,
+    "wojt-34-match": check_34_from_wojtkowiak,
+    "gamma21": check_gamma21_identity,
+}
+
+_PROOF_ALGEBRA = re.compile(r"proof-algebra-n(\d+)")
+
+
+def check_names() -> List[str]:
+    """The names `polyrel check` accepts, the family written with <k>."""
+    return [*CHECKS, "proof-algebra-n<k>"]
+
+
+def find_check(name: str) -> Optional[Callable[[], CheckReport]]:
+    """The check called ``name`` (proof-algebra-n<k> for any k >= 2), or None."""
+    if name in CHECKS:
+        return CHECKS[name]
+    m = _PROOF_ALGEBRA.fullmatch(name)
+    if m and int(m.group(1)) >= 2:
+        return lambda: check_proof_algebra(int(m.group(1)))
+    return None

@@ -17,57 +17,35 @@ from fractions import Fraction
 
 from . import __version__
 from .catalog import equation_names, get_equation
-from .checks import (
-    check_22_to_34_substitution,
-    check_34_from_wojtkowiak,
-    check_gamma21_identity,
-    check_Gprime_correspondence,
-    check_q_equations,
-    group_generators,
-)
+from .checks import check_names, find_check
 from .criterion import kernel_test
 from .exact import DomainError
-from .formal import group_closure, orbit
 from .numeric import PrecisionPolicy, cl_m, li_m, poly_roots
-from .proofalgebra import report_json as proofalgebra_report
-from .ratfunc import RatFunc
 from .report import RunReport, run_acceptance
 from .verify import verify_numeric
 
 USAGE_ERROR, CHECK_FAILED, INTERNAL_ERROR = 2, 1, 3
 
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?"
-    r"(?P<im>[+-](?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?)?i?\s*$"
-)
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# a real part must end where a sign or the text does, so that '2i' and
+# '1e-5i' read as purely imaginary
+_COMPLEX_RE = re.compile(rf"(?P<re>[+-]?{_NUMBER}(?=[+-]|$))?(?:(?P<im>[+-]?(?:{_NUMBER})?)i)?")
 
 
 def parse_complex_literal(text: str) -> complex:
-    """Parse 'a+bi' with decimal components (also plain reals and 'bi')."""
+    """Parse 'a+bi' with decimal components (also plain reals, 'bi' and 'i')."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
-    if s.endswith("i"):
-        body = s[:-1]
-        m = re.match(
-            r"^(?P<re>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?(?P<im>[+-](?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?|)$",
-            body,
-        )
-        if m is None:
-            raise ValueError(f"bad complex literal {text!r}")
-        re_part = m.group("re")
-        im_part = m.group("im")
-        if im_part == "" and re_part is not None and "+" not in body[1:] and "-" not in body[1:]:
-            # forms like '2i' or '-1.5i': the whole body is the imaginary part
-            return complex(0.0, float(re_part))
-        if im_part in ("+", "-"):
-            im_val = 1.0 if im_part == "+" else -1.0
-        elif im_part:
-            im_val = float(im_part)
-        else:
-            im_val = 1.0
-        return complex(float(re_part or 0.0), im_val)
-    return complex(float(s), 0.0)
+    m = _COMPLEX_RE.fullmatch(s)
+    if m is None:
+        raise ValueError(f"bad complex literal {text!r}")
+    im = m.group("im")
+    if im is None:
+        imag = 0.0
+    else:
+        imag = float(im + "1" if im in ("", "+", "-") else im)
+    return complex(float(m.group("re") or 0.0), imag)
 
 
 def _policy(args) -> PrecisionPolicy:
@@ -205,123 +183,26 @@ def cmd_roots(args) -> int:
     return 0
 
 
-_STRUCTURAL_CHECKS = {
-    "gprime-correspondence": check_Gprime_correspondence,
-    "q-equations": check_q_equations,
-    "sub-22-to-34": check_22_to_34_substitution,
-    "wojt-34-match": check_34_from_wojtkowiak,
-    "gamma21": check_gamma21_identity,
-}
-
-
 def cmd_check(args) -> int:
     name = args.name
-    seed = _seed(args)
-    report = RunReport(command=f"check {name}", seed=seed)
+    check = find_check(name)
+    if check is None:
+        print(f"unknown check {name!r}; known: {', '.join(check_names())}", file=sys.stderr)
+        return USAGE_ERROR
+    report = RunReport(command=f"check {name}", seed=_seed(args))
     t0 = time.time()
-    if name in _STRUCTURAL_CHECKS:
-        rep = _STRUCTURAL_CHECKS[name]()
-        entry = {
+    rep = check()
+    if name == "xi7-term-count":
+        print(rep.details["count"])
+    report.checks.append(
+        {
             "id": name,
             "name": name,
             "passed": rep.passed,
             "details": rep.details,
             "seconds": round(time.time() - t0, 3),
         }
-    elif name == "xi7-term-count":
-        count = get_equation("xi7_explicit").sum.count_distinct_up_to_inversion()
-        print(count)
-        entry = {
-            "id": name,
-            "name": name,
-            "passed": count == 274,
-            "details": {"count": count},
-            "seconds": round(time.time() - t0, 3),
-        }
-    elif name == "xi7-weights":
-        from .catalog import XI7_BLOCKS, weight_wt
-
-        ok = all(weight_wt(a, b) == weight_wt(c, d) for _, _, (a, b, c, d) in XI7_BLOCKS)
-        entry = {
-            "id": name,
-            "name": name,
-            "passed": ok,
-            "details": {"blocks": len(XI7_BLOCKS)},
-            "seconds": round(time.time() - t0, 3),
-        }
-    elif name == "xi7-explicit-vs-symmetric":
-        lhs = get_equation("xi7_explicit").sum.scale(60).inversion_class_vector()
-        rhs = get_equation("xi7_symmetric").sum.inversion_class_vector()
-        entry = {
-            "id": name,
-            "name": name,
-            "passed": lhs == rhs,
-            "details": {"classes": len(lhs)},
-            "seconds": round(time.time() - t0, 3),
-        }
-    elif name == "group-orders":
-        gens = group_generators()
-        orders = {k: len(group_closure(v, bound=512)) for k, v in gens.items()}
-        entry = {
-            "id": name,
-            "name": name,
-            "passed": orders == {"alpha": 192, "t": 192, "yz": 96},
-            "details": orders,
-            "seconds": round(time.time() - t0, 3),
-        }
-    elif name == "orbit-sizes":
-        from .checks import _triple_product
-
-        gens = group_generators()
-        gp = group_closure(gens["yz"], bound=256)
-        y1 = RatFunc.var("y1")
-        prod = _triple_product()
-        sizes = {
-            "y1_plain": len(orbit(y1, gp)),
-            "product_plain": len(orbit(prod, gp)),
-            "y1_up_to_inversion": len(orbit(y1, gp, up_to_inversion=True)),
-            "product_up_to_inversion": len(orbit(prod, gp, up_to_inversion=True)),
-        }
-        entry = {
-            "id": name,
-            "name": name,
-            "passed": sizes
-            == {
-                "y1_plain": 12,
-                "product_plain": 32,
-                "y1_up_to_inversion": 6,
-                "product_up_to_inversion": 16,
-            },
-            "details": sizes,
-            "seconds": round(time.time() - t0, 3),
-        }
-    elif name.startswith("proof-algebra-n"):
-        n = int(name.rsplit("n", 1)[1])
-        rep = proofalgebra_report(n)
-        ok = (
-            all(rep["identities"].values())
-            and all(rep["claim_parts"].values())
-            and rep["theorem_zero"]
-        )
-        entry = {
-            "id": name,
-            "name": name,
-            "passed": ok,
-            "details": rep,
-            "seconds": round(time.time() - t0, 3),
-        }
-    else:
-        known = sorted(_STRUCTURAL_CHECKS) + [
-            "xi7-term-count",
-            "xi7-weights",
-            "xi7-explicit-vs-symmetric",
-            "group-orders",
-            "orbit-sizes",
-            "proof-algebra-n<k>",
-        ]
-        print(f"unknown check {name!r}; known: {', '.join(known)}", file=sys.stderr)
-        return USAGE_ERROR
-    report.checks.append(entry)
+    )
     return _emit(args, report)
 
 
@@ -329,8 +210,8 @@ def cmd_report(args) -> int:
     if not args.all and not args.only:
         print("report needs --all or --only", file=sys.stderr)
         return USAGE_ERROR
-    only = args.only.split(",") if args.only else None
-    report = run_acceptance(seed=_seed(args), jobs=args.jobs, only=only)
+    only = [cid.strip() for cid in args.only.split(",")] if args.only else None
+    report = run_acceptance(seed=_seed(args), only=only)
     return _emit(args, report)
 
 
@@ -406,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run the acceptance suite")
     p.add_argument("--all", action="store_true")
     p.add_argument("--only", default=None, help="comma-separated criterion ids")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_report)

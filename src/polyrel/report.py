@@ -1,31 +1,36 @@
 """Acceptance suite and machine-readable run reports.
 
-Each criterion function returns a dict with a stable shape: id, name,
-passed, details, and seconds.  run_acceptance executes them all (optionally
-in a thread pool; every criterion owns pre-split seeds, so scheduling cannot
-change any verdict) and assembles a RunReport whose JSON is byte-identical
-across runs with the same seed once timings are stripped.
+Each criterion function returns a dict with passed and details; _wrap adds
+id, name and seconds.  run_acceptance executes them in order (every
+criterion owns a pre-split seed) and assembles a RunReport whose JSON is
+byte-identical across runs with the same seed once timings are stripped.
+Claims that `polyrel check` also makes come from the same check functions.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List
 
 from . import __version__
-from .catalog import XI7_BLOCKS, a_k_sets, get_equation, theta, weight_wt
+from .catalog import XI7_BLOCKS, _block_sum, a_k_sets, get_equation, theta
 from .checks import (
+    ORBIT_SIZES,
     check_22_to_34_substitution,
     check_34_from_wojtkowiak,
     check_gamma21_identity,
     check_Gprime_correspondence,
+    check_group_orders,
     check_q_equations,
+    check_xi7_explicit_vs_symmetric,
+    check_xi7_term_count,
+    check_xi7_weights,
     class_vector_with_reps,
     group_generators,
+    orbit_sizes,
 )
 from .criterion import DualFunctional, beta_pairing, kernel_test, log_vector
 from .exact import SplitMix64, random_rational
@@ -129,77 +134,54 @@ def criterion_2_goncharov22(seed: int, points: int = 50) -> dict:
     }
 
 
-def criterion_3_symmetric_equivalences(seed: int) -> dict:
-    gens = group_generators()
-    details: Dict[str, object] = {}
-    alpha_G = group_closure(gens["alpha"], bound=512)
-    t_G = group_closure(gens["t"], bound=512)
-    yz_G = group_closure(gens["yz"], bound=256)
-    details["alpha_group_order"] = len(alpha_G)
-    details["t_group_order"] = len(t_G)
-    details["yz_group_order"] = len(yz_G)
-
-    y1 = RatFunc.var("y1")
-    from .checks import _triple_product
-
-    prod = _triple_product()
-    details["orbit_y1_plain"] = len(orbit(y1, yz_G))
-    details["orbit_product_plain"] = len(orbit(prod, yz_G))
-    # inversion collapses the orbits to 6 and 16 only after the A/B
-    # parametrization; the substituted class counts live in the G' check below
-    details["orbit_y1_up_to_inversion_yz"] = len(orbit(y1, yz_G, up_to_inversion=True))
-
-    # the order-192 action partitions both presentations into 16 + 6 classes
-    a1, a3 = RatFunc.var("a1"), RatFunc.var("a3")
-    beta1 = 1 - a1 + a1 * a3
-    g22 = get_equation("goncharov22")
-    orb16 = orbit(1 / a1, alpha_G, up_to_inversion=True)
-    orb6 = orbit(beta1 / a3, alpha_G, up_to_inversion=True)
-    g22_classes = {
-        inversion_class_key(a) for _, a in g22.sum if not a.is_constant()
-    }
+def _partition_16_6(s: FormalSum, group, x16: RatFunc, x6: RatFunc) -> bool:
+    """The orbits of x16 and x6 up to inversion are 16 and 6 disjoint classes
+    that cover the non-constant classes of s, with coefficients +1 and -1."""
+    orb16 = orbit(x16, group, up_to_inversion=True)
+    orb6 = orbit(x6, group, up_to_inversion=True)
+    classes = {inversion_class_key(a) for _, a in s if not a.is_constant()}
     k16 = {inversion_class_key(g) for g in orb16}
     k6 = {inversion_class_key(g) for g in orb6}
-    v22 = class_vector_with_reps(g22.sum)
-    details["alpha_partition"] = (
+    v = class_vector_with_reps(s)
+    return (
         len(orb16) == 16
         and len(orb6) == 6
-        and (k16 | k6) == g22_classes
+        and (k16 | k6) == classes
         and not (k16 & k6)
-        and all(v22[k][0] == 1 for k in k16)
-        and all(v22[k][0] == -1 for k in k6)
+        and all(v[k][0] == 1 for k in k16)
+        and all(v[k][0] == -1 for k in k6)
     )
 
-    t1, t2 = RatFunc.var("t1"), RatFunc.var("t2")
-    sym = get_equation("goncharov22_sym")
-    orb16t = orbit(t1, t_G, up_to_inversion=True)
-    orb6t = orbit(t1 * t2, t_G, up_to_inversion=True)
-    sym_classes = {
-        inversion_class_key(a) for _, a in sym.sum if not a.is_constant()
-    }
-    k16t = {inversion_class_key(g) for g in orb16t}
-    k6t = {inversion_class_key(g) for g in orb6t}
-    vsym = class_vector_with_reps(sym.sum)
-    details["t_partition"] = (
-        len(orb16t) == 16
-        and len(orb6t) == 6
-        and (k16t | k6t) == sym_classes
-        and not (k16t & k6t)
-        and all(vsym[k][0] == 1 for k in k16t)
-        and all(vsym[k][0] == -1 for k in k6t)
-    )
 
+def criterion_3_symmetric_equivalences(seed: int) -> dict:
+    gens = group_generators()
+    orders = check_group_orders()
     gp = check_Gprime_correspondence()
+    sizes = orbit_sizes(gp)
+    details: Dict[str, object] = {
+        "alpha_group_order": orders.details["alpha"],
+        "t_group_order": orders.details["t"],
+        "yz_group_order": orders.details["yz"],
+        "orbit_y1_plain": sizes["y1_plain"],
+        "orbit_product_plain": sizes["product_plain"],
+        "orbit_y1_up_to_inversion_yz": sizes["y1_up_to_inversion_yz"],
+    }
+    # the order-192 action partitions both presentations into 16 + 6 classes
+    a1, a3 = RatFunc.var("a1"), RatFunc.var("a3")
+    t1, t2 = RatFunc.var("t1"), RatFunc.var("t2")
+    details["alpha_partition"] = _partition_16_6(
+        get_equation("goncharov22").sum,
+        group_closure(gens["alpha"], bound=512),
+        1 / a1,
+        (1 - a1 + a1 * a3) / a3,
+    )
+    details["t_partition"] = _partition_16_6(
+        get_equation("goncharov22_sym").sum, group_closure(gens["t"], bound=512), t1, t1 * t2
+    )
     details["gprime"] = gp.details
     passed = (
-        len(alpha_G) == 192
-        and len(t_G) == 192
-        and len(yz_G) == 96
-        and details["orbit_y1_plain"] == 12
-        and details["orbit_product_plain"] == 32
-        and details["orbit_y1_up_to_inversion_yz"] == 6
-        and gp.details["classes_up_to_inversion_short"] == 6
-        and gp.details["classes_up_to_inversion_long"] == 16
+        orders.passed
+        and sizes == ORBIT_SIZES
         and details["alpha_partition"]
         and details["t_partition"]
         and gp.passed
@@ -302,14 +284,13 @@ def criterion_9_xi7(seed: int, points: int = 10) -> dict:
     explicit = get_equation("xi7_explicit")
     symmetric = get_equation("xi7_symmetric")
 
-    details["term_count"] = explicit.sum.count_distinct_up_to_inversion()
+    term_count = check_xi7_term_count()
+    details["term_count"] = term_count.details["count"]
+    weights = check_xi7_weights()
+    details["weight_balance"] = weights.passed
 
-    from .catalog import _block_sum
-
-    weights_ok = True
     multiplicity_ok = True
     for first, _, (a, b, c, d) in XI7_BLOCKS:
-        weights_ok = weights_ok and weight_wt(a, b) == weight_wt(c, d)
         # every argument class inside the block occurs with one shared
         # multiplicity, equal to the denominator of the first coefficient factor
         block = FormalSum(_block_sum(a, b, c, d))
@@ -320,13 +301,9 @@ def criterion_9_xi7(seed: int, points: int = 10) -> dict:
         multiplicity_ok = multiplicity_ok and {int(m) for m in mults.values()} == {
             first.denominator
         }
-    details["weight_balance"] = weights_ok
     details["multiplicity_rule"] = multiplicity_ok
-
-    details["sixty_identity"] = (
-        explicit.sum.scale(60).inversion_class_vector()
-        == symmetric.sum.inversion_class_vector()
-    )
+    sixty = check_xi7_explicit_vs_symmetric()
+    details["sixty_identity"] = sixty.passed
 
     kv = kernel_test(
         explicit.sum, 7, trials=8, functionals=3, seed=seed, specialization_height=7
@@ -360,10 +337,10 @@ def criterion_9_xi7(seed: int, points: int = 10) -> dict:
     )
 
     passed = (
-        details["term_count"] == 274
-        and weights_ok
+        term_count.passed
+        and weights.passed
         and multiplicity_ok
-        and details["sixty_identity"]
+        and sixty.passed
         and kv.passed
         and kv_sym.passed
         and nv.passed
@@ -476,23 +453,18 @@ CRITERIA: List = [
 ]
 
 
-def run_acceptance(
-    seed: int = 0,
-    jobs: int = 1,
-    only: List[str] | None = None,
-) -> RunReport:
+def run_acceptance(seed: int = 0, only: List[str] | None = None) -> RunReport:
     """Run the full acceptance suite (or a subset of criterion ids)."""
+    known = [cid for cid, _, _ in CRITERIA]
+    unknown = [cid for cid in only or () if cid not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown criterion ids {', '.join(unknown)}; known: {', '.join(known)}"
+        )
     report = RunReport(command="report --all", seed=seed)
-    selected = [c for c in CRITERIA if only is None or c[0] in only]
-
-    def run_one(entry):
-        cid, name, fn = entry
-        return _wrap(cid, name, lambda: fn(SplitMix64(seed).split("criterion", cid).seed))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(e) for e in selected]
-    report.checks.extend(results)
+    for cid, name, fn in CRITERIA:
+        if only is None or cid in only:
+            report.checks.append(
+                _wrap(cid, name, lambda: fn(SplitMix64(seed).split("criterion", cid).seed))
+            )
     return report

@@ -9,6 +9,7 @@ order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Dict, List, Sequence
@@ -28,6 +29,7 @@ __all__ = [
     "verify_dilog_general",
     "verify_trilog_theorem",
     "verify_wojtkowiak",
+    "WOJTKOWIAK_TERMS",
     "verify_fourlog_numeric",
     "preimages",
     "cr_num",
@@ -255,10 +257,8 @@ def verify_dilog_general(
     deltas = preimages(phi, D, policy)
     alpha_v = alpha if alpha is INFINITY else policy.complex(alpha)
     total = ctx.mpf(0)
-    for b in betas:
-        for g in gammas:
-            for d in deltas:
-                total += cl_m(2, cr_num(ctx, alpha_v, b, g, d), policy)
+    for b, g, d in itertools.product(betas, gammas, deltas):
+        total += cl_m(2, cr_num(ctx, alpha_v, b, g, d), policy)
     rhs = deg * cl_m(2, cr_num(ctx, a_val, _pt(B, policy), _pt(C, policy), _pt(D, policy)), policy)
     err = abs(total - rhs)
     meta = {"degree": deg, "precision": policy.working_digits, "error": float(err)}
@@ -284,40 +284,28 @@ def verify_trilog_theorem(
     ctx = policy.context
     var = next(v for v in phi.vars if phi.num.degree_in(v) or phi.den.degree_in(v))
     deg = max(phi.num.degree_in(var), phi.den.degree_in(var))
-    pre = {
-        "A": [preimages(phi, p, policy) for p in A_pts],
-        "B": [preimages(phi, p, policy) for p in B_pts],
-        "C": [preimages(phi, p, policy) for p in C_pts],
-        "D": [preimages(phi, p, policy) for p in D_pts],
-    }
+    targets = (A_pts, B_pts, C_pts, D_pts)
+    pre = [[preimages(phi, p, policy) for p in pts] for pts in targets]
     total = ctx.mpf(0)
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                for l in (0, 1):
-                    sign = (-1) ** (i + j + k + l)
-                    inner = ctx.mpf(0)
-                    for a in pre["A"][i]:
-                        for b in pre["B"][j]:
-                            for c in pre["C"][k]:
-                                for d in pre["D"][l]:
-                                    inner += cl_m(3, cr_num(ctx, a, b, c, d), policy)
-                    inner -= deg * cl_m(
-                        3,
-                        cr_num(
-                            ctx,
-                            _pt(A_pts[i], policy),
-                            _pt(B_pts[j], policy),
-                            _pt(C_pts[k], policy),
-                            _pt(D_pts[l], policy),
-                        ),
-                        policy,
-                    )
-                    total += sign * inner
+    for idx in itertools.product((0, 1), repeat=4):
+        inner = ctx.mpf(0)
+        for pts in itertools.product(*(fam[i] for fam, i in zip(pre, idx))):
+            inner += cl_m(3, cr_num(ctx, *pts), policy)
+        images = (_pt(pts[i], policy) for pts, i in zip(targets, idx))
+        inner -= deg * cl_m(3, cr_num(ctx, *images), policy)
+        total += (-1) ** sum(idx) * inner
     err = abs(total)
     meta = {"degree": deg, "precision": policy.working_digits, "error": float(err)}
     return Verdict("pass" if err < policy.tolerance else "fail",
                    None if err < policy.tolerance else {"error": float(err)}, meta)
+
+
+#: Wojtkowiak's combination for the trilogarithm of phi(x): beside
+#: CL_3(cr(phi(x), C, B, A)), each entry (sign, families) adds
+#: sign * CL_3(cr(x, p, q, r)) for every (p, q, r) in the product of the
+#: preimage families, where "A", "B", "C" stand for phi^-1(A), phi^-1(B),
+#: phi^-1(C).  Evaluated in this order, nesting the families left to right.
+WOJTKOWIAK_TERMS = ((-1, "CBA"), (-1, "AAC"), (-1, "BBC"), (1, "AAB"), (1, "BBA"))
 
 
 def verify_wojtkowiak(
@@ -327,33 +315,14 @@ def verify_wojtkowiak(
     combination at two points and compare."""
     policy = policy or PrecisionPolicy(50)
     ctx = policy.context
-    als = preimages(phi, A, policy)
-    bes = preimages(phi, B, policy)
-    gas = preimages(phi, C, policy)
+    pre = {f: preimages(phi, p, policy) for f, p in zip("ABC", (A, B, C))}
 
     def value(x):
         xv = policy.complex(x)
         total = cl_m(3, cr_num(ctx, phi_value(phi, x, policy), _pt(C, policy), _pt(B, policy), _pt(A, policy)), policy)
-        for g in gas:
-            for b in bes:
-                for a in als:
-                    total -= cl_m(3, cr_num(ctx, xv, g, b, a), policy)
-        for a1 in als:
-            for a2 in als:
-                for g in gas:
-                    total -= cl_m(3, cr_num(ctx, xv, a1, a2, g), policy)
-        for b1 in bes:
-            for b2 in bes:
-                for g in gas:
-                    total -= cl_m(3, cr_num(ctx, xv, b1, b2, g), policy)
-        for a1 in als:
-            for a2 in als:
-                for b in bes:
-                    total += cl_m(3, cr_num(ctx, xv, a1, a2, b), policy)
-        for b1 in bes:
-            for b2 in bes:
-                for a in als:
-                    total += cl_m(3, cr_num(ctx, xv, b1, b2, a), policy)
+        for sign, fams in WOJTKOWIAK_TERMS:
+            for pts in itertools.product(*(pre[f] for f in fams)):
+                total += sign * cl_m(3, cr_num(ctx, xv, *pts), policy)
         return total
 
     err = abs(value(x1) - value(x2))

@@ -25,6 +25,8 @@ def test_group_orders():
 def test_wojtkowiak_34_match():
     rep = check_34_from_wojtkowiak()
     assert rep.passed
+    # 1 + 5 * 8 cross ratios, 16 of them with two coincident preimages
+    assert (rep.details["raw_terms"], rep.details["degenerate_skipped"]) == (25, 16)
     assert rep.details["block_classes"] == 17
     assert rep.details["matched_direct"] + rep.details["matched_via_three_term"] == 17
     assert rep.details["difference_kernel"] == "pass"

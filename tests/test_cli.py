@@ -1,10 +1,15 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from polyrel.checks import check_names
 from polyrel.cli import main, parse_complex_literal
+from polyrel.report import CRITERIA
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "check_golden.json").read_text())
 
 
 def run_cli(*argv):
@@ -24,8 +29,16 @@ def test_parse_complex_literals():
     assert parse_complex_literal("-1.5-0.25i") == complex(-1.5, -0.25)
     assert parse_complex_literal("3") == complex(3, 0)
     assert parse_complex_literal("1.5e-2+2e1i") == complex(0.015, 20.0)
-    with pytest.raises(ValueError):
-        parse_complex_literal("nope")
+    assert parse_complex_literal("1e-5i") == complex(0, 1e-5)
+    assert parse_complex_literal("2e-3i") == complex(0, 2e-3)
+    assert parse_complex_literal("-1.5e-2i") == complex(0, -1.5e-2)
+    assert parse_complex_literal("2.5e-3-1e-2i") == complex(2.5e-3, -1e-2)
+    assert parse_complex_literal("1-i") == complex(1, -1)
+    assert parse_complex_literal("i") == complex(0, 1)
+    assert parse_complex_literal(" 0.5 + .25i ") == complex(0.5, 0.25)
+    for bad in ("nope", "3-2", "", "1i2", "1+2ii", "e5i"):
+        with pytest.raises(ValueError):
+            parse_complex_literal(bad)
 
 
 def test_list_and_show():
@@ -80,6 +93,37 @@ def test_check_xi7_term_count_prints_274():
 def test_check_unknown_name():
     code, _, err = run_cli("check", "--name", "bogus")
     assert code == 2
+    known = err.strip().split("; known: ", 1)[1].split(", ")
+    assert known == check_names()
+    for name in ("proof-algebra-n1", "proof-algebra-nx", "proof-algebra-n"):
+        assert run_cli("check", "--name", name)[0] == 2
+
+
+def strip_seconds(text):
+    data = json.loads(text)
+    for c in data["checks"]:
+        c.pop("seconds", None)
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_check_json_golden(name):
+    # exact checks produce no floats, so their JSON is platform-independent
+    code, out, _ = run_cli("check", "--name", name, "--seed", "0", "--json")
+    assert code == 0
+    assert strip_seconds(out[out.index("{"):]) == GOLDEN[name]
+
+
+def test_check_orbit_sizes():
+    code, out, _ = run_cli("check", "--name", "orbit-sizes", "--json")
+    assert code == 0
+    assert strip_seconds(out)["checks"][0]["details"] == {
+        "y1_plain": 12,
+        "product_plain": 32,
+        "y1_up_to_inversion_yz": 6,
+        "y1_substituted_up_to_inversion": 6,
+        "product_substituted_up_to_inversion": 16,
+    }
 
 
 def test_check_proof_algebra():
@@ -113,18 +157,26 @@ def test_report_subset():
     assert "q-equations" in out
 
 
-def test_report_subset_parallel_matches_serial():
-    code1, out1, _ = run_cli("report", "--only", "4", "--seed", "3", "--jobs", "2", "--json")
-    code2, out2, _ = run_cli("report", "--only", "4", "--seed", "3", "--jobs", "1", "--json")
+def test_report_subset_serial_runs_match():
+    code1, out1, _ = run_cli("report", "--only", "4", "--seed", "3", "--json")
+    code2, out2, _ = run_cli("report", "--only", "4", "--seed", "3", "--json")
     assert code1 == code2 == 0
+    assert strip_seconds(out1) == strip_seconds(out2)
 
-    def strip(text):
-        data = json.loads(text)
-        for c in data["checks"]:
-            c.pop("seconds", None)
-        return data
 
-    assert strip(out1) == strip(out2)
+def test_report_only_rejects_unknown_ids():
+    known = ", ".join(cid for cid, _, _ in CRITERIA)
+    for only, bad in (("99", "99"), ("4,zz", "zz")):
+        code, out, err = run_cli("report", "--only", only)
+        assert code == 2
+        assert out == ""
+        assert f"unknown criterion ids {bad}; known: {known}" in err
+
+
+def test_report_only_strips_whitespace():
+    code, out, _ = run_cli("report", "--only", " 4 , 4", "--seed", "3", "--json")
+    assert code == 0
+    assert [c["id"] for c in json.loads(out)["checks"]] == ["4"]
 
 
 def test_verify_fourlog_numeric_only():
