@@ -4,8 +4,10 @@ import pytest
 
 from polyrel.exact import DomainError
 from polyrel.proofalgebra import (
+    ARG_KINDS,
     FormalTensor,
     LogSpace,
+    _t_terms,
     beta4_formal,
     derived_symbols,
     report_json,
@@ -76,24 +78,26 @@ def test_beta4_formal_unknown_kind():
         beta4_formal("bogus", 1, 1, 2)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_identities_pass(n):
     assert all(verify_identities(n).values())
 
 
 def test_identities_negative_control():
-    out = verify_identities(2, altered_eq15=True)
-    assert not out["eq15_distribution_scalars"]
+    for n in (2, 4):
+        out = verify_identities(n, altered_eq15=True)
+        assert [k for k, ok in out.items() if not ok] == ["eq15_distribution_scalars"]
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_claim_and_theorem_pass(n):
     assert all(verify_claim_and_theorem(n).values())
 
 
 def test_theorem_negative_control():
-    out = verify_claim_and_theorem(2, perturb_coefficient=True)
-    assert not out["theorem_zero"]
+    for n in (2, 4):
+        out = verify_claim_and_theorem(n, perturb_coefficient=True)
+        assert [k for k, ok in out.items() if not ok] == ["theorem_zero"]
 
 
 def test_report_json_shape():
@@ -105,3 +109,208 @@ def test_report_json_shape():
         "eq12_row_column_sums",
         "eq15_distribution_scalars",
     }
+
+
+def test_add_is_in_place_and_drops_cancelled_coordinates():
+    t = beta4_formal("x_l/y_m", 1, 2, 3)
+    before = dict(t.coords)
+    u = t.scale(2)
+    assert t.coords == before and u.coords == {k: 2 * c for k, c in before.items()}
+    assert u.add(t, -2) is u and u.is_zero() and u.coords == {}
+    with pytest.raises(TypeError):
+        hash(t)
+
+
+# -- differential test against the rational tensor algebra ----------------------
+# The reference below is the tensor algebra in Fraction coordinates, at the
+# tensors' true values (sym3_wedge divides by 3).  FormalTensor stores 3x
+# each value, so every coordinate must be exactly 3x the reference's.
+
+def reference_vadd(*vs):
+    out = {}
+    for v in vs:
+        for k, c in v.items():
+            acc = out.get(k, Fraction(0)) + c
+            if acc == 0:
+                out.pop(k, None)
+            else:
+                out[k] = acc
+    return out
+
+
+def reference_vscale(v, c):
+    c = Fraction(c)
+    return {k: x * c for k, x in v.items()} if c else {}
+
+
+def reference_basis(space):
+    """Fraction copies of the basis vectors and the derived symbols."""
+    n = space.n
+    frac = lambda v: {k: Fraction(c) for k, c in v.items()}  # noqa: E731
+    xi = {i: frac(space.xi(i)) for i in range(1, n + 1)}
+    eta = {j: frac(space.eta(j)) for j in range(1, n + 1)}
+    xi_sum = reference_vadd(*xi.values())
+    eta_sum = reference_vadd(*eta.values())
+    return {
+        "xi": xi,
+        "eta": eta,
+        "zeta": lambda l, m: frac(space.zeta(l, m)),
+        "Z": frac(space.Z()),
+        "xi_sum": xi_sum,
+        "eta_sum": eta_sum,
+        "S": reference_vadd(xi_sum, reference_vscale(eta_sum, -1)),
+        "s": lambda l, m: reference_vadd(xi[l], reference_vscale(eta[m], -1)),
+    }
+
+
+def reference_wedge(u, v):
+    out = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            if a == b:
+                continue
+            key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+            acc = out.get(key, Fraction(0)) + sign * ca * cb
+            if acc == 0:
+                out.pop(key, None)
+            else:
+                out[key] = acc
+    return out
+
+
+def reference_sym(u, v):
+    out = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            key = (a, b) if a <= b else (b, a)
+            acc = out.get(key, Fraction(0)) + ca * cb
+            if acc == 0:
+                out.pop(key, None)
+            else:
+                out[key] = acc
+    return out
+
+
+def reference_product(sym_part, wedge_part):
+    out = {}
+    for sk, sc in sym_part.items():
+        for wk, wc in wedge_part.items():
+            acc = out.get((sk, wk), Fraction(0)) + sc * wc
+            if acc == 0:
+                out.pop((sk, wk), None)
+            else:
+                out[(sk, wk)] = acc
+    return out
+
+
+def reference_sym2_wedge(a, b, c, d):
+    return reference_product(reference_sym(a, b), reference_wedge(c, d))
+
+
+def reference_cube_wedge(a, b):
+    return reference_sym2_wedge(a, a, a, b)
+
+
+def reference_sym3_wedge(a, b, c, d):
+    total = reference_vadd(
+        reference_sym2_wedge(a, b, c, d),
+        reference_sym2_wedge(a, c, b, d),
+        reference_sym2_wedge(b, c, a, d),
+    )
+    return reference_vscale(total, Fraction(1, 3))
+
+
+def reference_beta4_formal(kind, l, m, n):
+    r = reference_basis(LogSpace(n))
+    neg = lambda v: reference_vscale(v, -1)  # noqa: E731
+    if kind == "X/Y-ratio":
+        v, w = r["S"], reference_vadd(r["Z"], neg(r["eta_sum"]))
+    elif kind == "(1-x)/(1-y)":
+        v = reference_vadd(r["S"], reference_vscale(r["s"](l, m), -(n - 1)))
+        w = reference_vadd(r["zeta"](l, m), neg(r["eta_sum"]), reference_vscale(r["eta"][m], n - 1))
+    elif kind == "(1-x^-1)/(1-y^-1)":
+        v = reference_vadd(r["S"], reference_vscale(r["s"](l, m), -n))
+        w = reference_vadd(
+            r["zeta"](l, m),
+            neg(r["xi"][l]),
+            neg(r["eta_sum"]),
+            reference_vscale(r["eta"][m], n - 1),
+        )
+    elif kind == "x_l/y_m":
+        v, w = r["s"](l, m), reference_vadd(r["zeta"](l, m), neg(r["eta"][m]))
+    elif kind == "1-1/x_l":
+        v, w = reference_vadd(r["xi_sum"], reference_vscale(r["xi"][l], -n)), neg(r["xi"][l])
+    else:
+        assert kind == "1-1/y_m"
+        v, w = reference_vadd(r["eta_sum"], reference_vscale(r["eta"][m], -n)), neg(r["eta"][m])
+    return reference_sym2_wedge(v, v, v, w)
+
+
+def reference_t_terms(n, l, m):
+    r = reference_basis(LogSpace(n))
+    S, s, z = r["S"], r["s"](l, m), r["zeta"](l, m)
+    a1 = reference_vadd(S, reference_vscale(s, -(n - 1)))
+    a2 = reference_vadd(S, reference_vscale(s, -n))
+    t1 = reference_vadd(
+        reference_vscale(reference_sym3_wedge(S, S, S, z), 2 * n - 1),
+        reference_vscale(reference_sym3_wedge(S, S, s, z), -3 * n * (n - 1)),
+        reference_vscale(reference_sym3_wedge(s, s, s, z), n * n * (n - 1) ** 2),
+    )
+    kron = reference_vadd(*(
+        reference_vscale(
+            reference_wedge(r["xi"][i], r["eta"][j]), Fraction(2 - n) ** ((i == l) + (j == m))
+        )
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    ))
+    a2a2 = reference_sym(a2, a2)
+    sym_mix = reference_vadd(
+        reference_vscale(reference_sym(a1, a1), n * n),
+        reference_vscale(a2a2, -(n - 1) ** 2),
+    )
+    t2 = reference_vscale(reference_product(sym_mix, kron), -1)
+    t3 = reference_vscale(
+        reference_product(a2a2, reference_wedge(r["eta"][m], r["xi"][l])), (n - 1) ** 2
+    )
+    t4_wedge = reference_vadd(
+        reference_wedge(r["xi_sum"], r["xi"][l]), reference_wedge(r["eta"][m], r["eta_sum"])
+    )
+    t4 = reference_vscale(reference_product(a2a2, t4_wedge), (n - 1) ** 2)
+    return t1, t2, t3, t4
+
+
+def assert_three_times(tensor, ref):
+    assert set(tensor.coords) == set(ref)
+    for k, c in tensor.coords.items():
+        assert type(c) is int and c == 3 * ref[k], k
+
+
+def probe_cells(n):
+    return sorted({(1, 1), (1, n), (n, 1), (n, n), (min(2, n), 1)})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tensors_are_three_times_the_rational_reference(n):
+    space = LogSpace(n)
+    r = reference_basis(space)
+    for l, m in probe_cells(n):
+        for kind in ARG_KINDS:
+            assert_three_times(beta4_formal(kind, l, m, n), reference_beta4_formal(kind, l, m, n))
+        S, s, z = space.S(), space.s(l, m), space.zeta(l, m)
+        rS, rs, rz = r["S"], r["s"](l, m), r["zeta"](l, m)
+        shifted = {k: S.get(k, 0) - 3 * s.get(k, 0) for k in {*S, *s}}
+        r_shifted = reference_vadd(rS, reference_vscale(rs, -3))
+        assert_three_times(FormalTensor.cube_wedge(s, z), reference_cube_wedge(rs, rz))
+        assert_three_times(FormalTensor.cube_wedge(shifted, z), reference_cube_wedge(r_shifted, rz))
+        # most reference coordinates here are thirds; the last has three distinct factors
+        xi_l = space.xi(l)
+        for (a, b, c), (ra, rb, rc) in (
+            ((S, S, s), (rS, rS, rs)),
+            ((S, s, s), (rS, rs, rs)),
+            ((S, s, xi_l), (rS, rs, r["xi"][l])),
+        ):
+            assert_three_times(
+                FormalTensor.sym3_wedge(a, b, c, z), reference_sym3_wedge(ra, rb, rc, rz)
+            )
+        for got, ref in zip(_t_terms(space, l, m), reference_t_terms(n, l, m)):
+            assert_three_times(got, ref)
