@@ -27,9 +27,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .exact import DomainError, SplitMix64, factor_rational, random_rational
 from .formal import FormalSum, SpecializeResult
+from .tensor import add_product, sym_power, wedge
 
 __all__ = [
-    "PrimeVector",
     "DualFunctional",
     "FactoredSum",
     "Verdict",
@@ -44,36 +44,10 @@ __all__ = [
 # Additive prime coordinates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimeVector:
-    """Element of Q tensor Q^x: sparse map prime -> rational exponent.
-
-    The sign of the underlying rational is torsion and is discarded.
-    """
-
-    coords: Tuple[Tuple[int, Fraction], ...]
-
-    @staticmethod
-    def from_map(m: Mapping[int, Fraction]) -> "PrimeVector":
-        return PrimeVector(tuple(sorted((p, Fraction(e)) for p, e in m.items() if e != 0)))
-
-    def as_dict(self) -> Dict[int, Fraction]:
-        return dict(self.coords)
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(p for p, _ in self.coords)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-
-def log_vector(q: Fraction | int) -> PrimeVector:
-    """Additive coordinates of a nonzero rational (sign torsion discarded)."""
-    q = Fraction(q)
-    if q == 0:
-        raise DomainError("log_vector of zero")
-    fac = factor_rational(q)
-    return PrimeVector.from_map({p: Fraction(e) for p, e in fac.factors.items()})
+def log_vector(q: Fraction | int) -> Dict[int, int]:
+    """Additive coordinates of a nonzero rational in Q tensor Q^x: a fresh
+    prime -> exponent dict (the sign is torsion and is discarded)."""
+    return factor_rational(q).factors
 
 
 class DualFunctional:
@@ -191,56 +165,24 @@ def beta_pairing(s, m: int, theta: DualFunctional, phi: DualFunctional, psi: Dua
 
 
 def expand_tensor(s, m: int) -> Dict[Tuple, Fraction]:
-    """Full sparse expansion of the weight-m tensor (debug mode, m <= 4).
+    """The reference expansion of the weight-m tensor, for any m >= 2.
 
-    Keys are (sym_part, wedge_pair): sym_part is a sorted tuple of m-2
+    Sums coeff * (log x)^(m-2) (x) (log x ^ log(1-x)) as a polyrel.tensor
+    dict.  Keys are (sym_part, wedge_pair): sym_part is a sorted tuple of m-2
     primes, wedge_pair an ordered prime pair p < q.  The sum is in the kernel
-    iff the expansion is empty.
+    iff the expansion is empty; beta_pairing is its contraction with
+    theta^(m-2) (phi ^ psi).
     """
-    if not 2 <= m <= 4:
-        raise DomainError("full tensor expansion is implemented for 2 <= m <= 4 only")
+    if m < 2:
+        raise DomainError("tensor expansion needs m >= 2")
     out: Dict[Tuple, Fraction] = {}
-
-    def bump(key: Tuple, c: Fraction):
-        acc = out.get(key, Fraction(0)) + c
-        if acc == 0:
-            out.pop(key, None)
-        else:
-            out[key] = acc
-
     for coeff, x in _constant_terms(s):
         if x == 0:
             raise DomainError("tensor expansion argument 0 is outside the domain")
         if x == 1:
             continue
-        v = log_vector(x).as_dict()
-        w = log_vector(1 - x).as_dict()
-        wedge: Dict[Tuple[int, int], Fraction] = {}
-        for p, ev in v.items():
-            for q, ew in w.items():
-                if p == q:
-                    continue
-                key, sign = ((p, q), 1) if p < q else ((q, p), -1)
-                acc = wedge.get(key, Fraction(0)) + sign * ev * ew
-                if acc == 0:
-                    wedge.pop(key, None)
-                else:
-                    wedge[key] = acc
-        if m == 2:
-            for pair, c in wedge.items():
-                bump(((), pair), coeff * c)
-        elif m == 3:
-            for r, er in v.items():
-                for pair, c in wedge.items():
-                    bump(((r,), pair), coeff * er * c)
-        else:
-            for r1, e1 in v.items():
-                for r2, e2 in v.items():
-                    if r1 > r2:
-                        continue
-                    mult = 2 if r1 != r2 else 1
-                    for pair, c in wedge.items():
-                        bump(((r1, r2), pair), coeff * mult * e1 * e2 * c)
+        v = log_vector(x)
+        add_product(out, sym_power(v, m - 2), wedge(v, log_vector(1 - x)), coeff)
     return out
 
 
@@ -288,7 +230,12 @@ def kernel_test(
     triples with integer values of height <= ``height``.  Passes iff every
     pairing is exactly zero; the first nonzero pairing is returned as a
     reproducible witness.  Soundness: true kernel elements always pass.
+    A verdict needs evidence, so ``trials`` and ``functionals`` must be >= 1.
     """
+    if trials < 1 or functionals < 1:
+        raise DomainError(
+            f"kernel test needs trials >= 1 and functionals >= 1 (got {trials}, {functionals})"
+        )
     root = SplitMix64(seed)
     variables = s.variables()
     spec_height = specialization_height or height

@@ -31,6 +31,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 from .exact import DomainError, SplitMix64
 from .poly import MultiPoly
 from .ratfunc import INDETERMINATE, POLE, RatFunc
+from .tensor import bump
 
 __all__ = [
     "FormalSum",
@@ -307,12 +308,7 @@ class FormalSum:
         """
         out: Dict[str, Fraction] = {}
         for c, a in self.terms:
-            key = inversion_class_key(a)
-            acc = out.get(key, Fraction(0)) + c
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            bump(out, {inversion_class_key(a): c})
         return out
 
     def count_distinct_up_to_inversion(self) -> int:

@@ -7,7 +7,8 @@ column m.  The quotient is realized by eliminating the last zeta row and
 column (a fixed echelon basis), so reduction to canonical coordinates is a
 projection with integer coefficients.
 
-Tensors live in Sym^2(L) (x) Lambda^2(L); the mixed notation "A^3 ^ B" of the
+Tensors live in Sym^2(L) (x) Lambda^2(L), built from polyrel.tensor's sparse
+dicts and helpers; the mixed notation "A^3 ^ B" of the
 weight-4 calculus means A (sym) A (x) (A ^ B) and is provided both directly
 (cube_wedge) and through the symmetric-power expansion (sym3_wedge), whose
 agreement is itself a verified identity.
@@ -26,9 +27,10 @@ bookkeeping identities, and the exact vanishing of the full combination.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .exact import DomainError
+from .tensor import add_product, bump, lin, sym, vsum, wedge
 
 __all__ = [
     "LogSpace",
@@ -42,30 +44,6 @@ __all__ = [
 
 Name = Tuple
 Vec = Dict[Name, int]
-
-
-def _bump(acc: Dict, other: Dict, c: int = 1) -> Dict:
-    """acc += c * other in place, dropping coordinates that cancel; returns acc."""
-    if c:
-        for k, x in other.items():
-            x = acc.get(k, 0) + c * x
-            if x:
-                acc[k] = x
-            else:
-                acc.pop(k, None)
-    return acc
-
-
-def _lin(*terms: Tuple[int, Dict]) -> Dict:
-    """The linear combination sum c * v over (c, v) pairs."""
-    out: Dict = {}
-    for c, v in terms:
-        _bump(out, v, c)
-    return out
-
-
-def _vsum(vs: Iterable[Dict]) -> Dict:
-    return _lin(*((1, v) for v in vs))
 
 
 class LogSpace:
@@ -122,10 +100,10 @@ class LogSpace:
         return {("eta", j): 1 for j in range(1, self.n + 1)}
 
     def S(self) -> Vec:
-        return _lin((1, self.xi_sum()), (-1, self.eta_sum()))
+        return lin((1, self.xi_sum()), (-1, self.eta_sum()))
 
     def s(self, l: int, m: int) -> Vec:
-        return _lin((1, self.xi(l)), (-1, self.eta(m)))
+        return lin((1, self.xi(l)), (-1, self.eta(m)))
 
     def _check(self, i: int):
         if not 1 <= i <= self.n:
@@ -133,49 +111,8 @@ class LogSpace:
 
 
 # ---------------------------------------------------------------------------
-# Wedge / symmetric pieces and the tensor space Sym^2 (x) Lambda^2
+# The tensor space Sym^2 (x) Lambda^2
 # ---------------------------------------------------------------------------
-
-def wedge(u: Vec, v: Vec) -> Dict[Tuple[Name, Name], int]:
-    out: Dict[Tuple[Name, Name], int] = {}
-    for a, ca in u.items():
-        for b, cb in v.items():
-            if a == b:
-                continue
-            key, c = ((a, b), ca * cb) if a < b else ((b, a), -ca * cb)
-            c += out.get(key, 0)
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return out
-
-
-def sym(u: Vec, v: Vec) -> Dict[Tuple[Name, Name], int]:
-    out: Dict[Tuple[Name, Name], int] = {}
-    for a, ca in u.items():
-        for b, cb in v.items():
-            key = (a, b) if a <= b else (b, a)
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _add_product(acc: Dict, sym_part: Dict, wedge_part: Dict, c: int):
-    """acc += c * sym_part (x) wedge_part in place."""
-    for sk, sc in sym_part.items():
-        f = c * sc
-        for wk, wc in wedge_part.items():
-            key = (sk, wk)
-            x = acc.get(key, 0) + f * wc
-            if x:
-                acc[key] = x
-            else:
-                acc.pop(key, None)
-
 
 class FormalTensor:
     """Sparse element of Sym^2(L) (x) Lambda^2(L) with integer coordinates.
@@ -193,7 +130,7 @@ class FormalTensor:
     def product(sym_part: Dict, wedge_part: Dict, c: int = 1) -> "FormalTensor":
         """c * sym_part (x) wedge_part."""
         out = FormalTensor()
-        _add_product(out.coords, sym_part, wedge_part, 3 * c)
+        add_product(out.coords, sym_part, wedge_part, 3 * c)
         return out
 
     @staticmethod
@@ -213,12 +150,12 @@ class FormalTensor:
         the plain sum of the three products (the tensor's 3x scale)."""
         out = FormalTensor()
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            _add_product(out.coords, sym(x, y), wedge(z, d), 1)
+            add_product(out.coords, sym(x, y), wedge(z, d), 1)
         return out
 
     def add(self, other: "FormalTensor", c: int = 1) -> "FormalTensor":
         """self += c * other in place; returns self."""
-        _bump(self.coords, other.coords, c)
+        bump(self.coords, other.coords, c)
         return self
 
     def __add__(self, other: "FormalTensor") -> "FormalTensor":
@@ -271,14 +208,14 @@ def _beta4_pair(space: LogSpace, kind: str, l: int, m: int) -> Tuple[Vec, Vec]:
     """(log of the argument, log of 1 - argument), modulo torsion."""
     n = space.n
     if kind == "X/Y-ratio":
-        return space.S(), _lin((1, space.Z()), (-1, space.eta_sum()))
+        return space.S(), lin((1, space.Z()), (-1, space.eta_sum()))
     if kind == "(1-x)/(1-y)":
-        v = _lin((1, space.S()), (1 - n, space.s(l, m)))
-        w = _lin((1, space.zeta(l, m)), (-1, space.eta_sum()), (n - 1, space.eta(m)))
+        v = lin((1, space.S()), (1 - n, space.s(l, m)))
+        w = lin((1, space.zeta(l, m)), (-1, space.eta_sum()), (n - 1, space.eta(m)))
         return v, w
     if kind == "(1-x^-1)/(1-y^-1)":
-        v = _lin((1, space.S()), (-n, space.s(l, m)))
-        w = _lin(
+        v = lin((1, space.S()), (-n, space.s(l, m)))
+        w = lin(
             (1, space.zeta(l, m)),
             (-1, space.xi(l)),
             (-1, space.eta_sum()),
@@ -286,13 +223,13 @@ def _beta4_pair(space: LogSpace, kind: str, l: int, m: int) -> Tuple[Vec, Vec]:
         )
         return v, w
     if kind == "x_l/y_m":
-        return space.s(l, m), _lin((1, space.zeta(l, m)), (-1, space.eta(m)))
+        return space.s(l, m), lin((1, space.zeta(l, m)), (-1, space.eta(m)))
     if kind == "1-1/x_l":
-        v = _lin((1, space.xi_sum()), (-n, space.xi(l)))
-        return v, _lin((-1, space.xi(l)))
+        v = lin((1, space.xi_sum()), (-n, space.xi(l)))
+        return v, lin((-1, space.xi(l)))
     if kind == "1-1/y_m":
-        v = _lin((1, space.eta_sum()), (-n, space.eta(m)))
-        return v, _lin((-1, space.eta(m)))
+        v = lin((1, space.eta_sum()), (-n, space.eta(m)))
+        return v, lin((-1, space.eta(m)))
     raise DomainError(f"unknown argument kind {kind!r}")
 
 
@@ -329,7 +266,7 @@ def _kronecker_wedge(space: LogSpace, l: int, m: int) -> Dict:
     out: Dict = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            _bump(out, wedge(space.xi(i), space.eta(j)), (2 - n) ** ((i == l) + (j == m)))
+            bump(out, wedge(space.xi(i), space.eta(j)), (2 - n) ** ((i == l) + (j == m)))
     return out
 
 
@@ -338,18 +275,18 @@ def _t_terms(space: LogSpace, l: int, m: int) -> Tuple[FormalTensor, ...]:
     S = space.S()
     s = space.s(l, m)
     z = space.zeta(l, m)
-    a1 = _lin((1, S), (1 - n, s))
-    a2 = _lin((1, S), (-n, s))
+    a1 = lin((1, S), (1 - n, s))
+    a2 = lin((1, S), (-n, s))
     t1 = FormalTensor()
     t1.add(FormalTensor.sym3_wedge(S, S, S, z), 2 * n - 1)
     t1.add(FormalTensor.sym3_wedge(S, S, s, z), -3 * n * (n - 1))
     t1.add(FormalTensor.sym3_wedge(s, s, s, z), n * n * (n - 1) ** 2)
     a2a2 = sym(a2, a2)
     # T_2 = -(n^2 a1.a1 - (n-1)^2 a2.a2) (x) kron, the sign moved into the sym part
-    sym_mix = _lin((-n * n, sym(a1, a1)), ((n - 1) ** 2, a2a2))
+    sym_mix = lin((-n * n, sym(a1, a1)), ((n - 1) ** 2, a2a2))
     t2 = FormalTensor.product(sym_mix, _kronecker_wedge(space, l, m))
     t3 = FormalTensor.product(a2a2, wedge(space.eta(m), space.xi(l)), (n - 1) ** 2)
-    t4_wedge = _lin(
+    t4_wedge = lin(
         (1, wedge(space.xi_sum(), space.xi(l))), (1, wedge(space.eta(m), space.eta_sum()))
     )
     t4 = FormalTensor.product(a2a2, t4_wedge, (n - 1) ** 2)
@@ -374,8 +311,8 @@ def verify_identities(n: int, altered_eq15: bool = False) -> Dict[str, bool]:
     for l in idx:
         for m in idx:
             lhs = wedge(
-                _lin((1, space.xi_sum()), (1 - n, space.xi(l))),
-                _lin((1, space.eta_sum()), (1 - n, space.eta(m))),
+                lin((1, space.xi_sum()), (1 - n, space.xi(l))),
+                lin((1, space.eta_sum()), (1 - n, space.eta(m))),
             )
             rhs = _kronecker_wedge(space, l, m)
             ok = ok and lhs == rhs
@@ -384,19 +321,19 @@ def verify_identities(n: int, altered_eq15: bool = False) -> Dict[str, bool]:
     z_vec = space.Z()
     ok = True
     for m in idx:
-        ok = ok and _vsum(space.zeta(i, m) for i in idx) == z_vec
+        ok = ok and vsum(space.zeta(i, m) for i in idx) == z_vec
     for l in idx:
-        ok = ok and _vsum(space.zeta(l, j) for j in idx) == z_vec
-    total = _vsum(space.zeta(i, j) for i in idx for j in idx)
-    ok = ok and total == _lin((n, z_vec))
+        ok = ok and vsum(space.zeta(l, j) for j in idx) == z_vec
+    total = vsum(space.zeta(i, j) for i in idx for j in idx)
+    ok = ok and total == lin((n, z_vec))
     report["eq12_row_column_sums"] = ok
 
     # (1/n) sum s_ij = S, cleared of its denominator
-    s_total = _vsum(space.s(i, j) for i in idx for j in idx)
-    report["eq13_S_as_average"] = s_total == _lin((n, space.S()))
+    s_total = vsum(space.s(i, j) for i in idx for j in idx)
+    report["eq13_S_as_average"] = s_total == lin((n, space.S()))
 
-    left = _vsum(_lin((1, space.xi_sum()), (-n, space.xi(m))) for m in idx)
-    right = _vsum(_lin((1, space.eta_sum()), (-n, space.eta(l))) for l in idx)
+    left = vsum(lin((1, space.xi_sum()), (-n, space.xi(m))) for m in idx)
+    right = vsum(lin((1, space.eta_sum()), (-n, space.eta(l))) for l in idx)
     report["eq14_centered_sums_vanish"] = not left and not right
 
     base = 3 - n if altered_eq15 else 2 - n
@@ -414,15 +351,15 @@ def verify_identities(n: int, altered_eq15: bool = False) -> Dict[str, bool]:
             acc: Vec = {}
             for l in idx:
                 for m in idx:
-                    _bump(acc, space.s(l, m), (2 - n) ** ((i == l) + (j == m)))
-            expected = _lin((1, space.S()), (1 - n, space.s(i, j)))
+                    bump(acc, space.s(l, m), (2 - n) ** ((i == l) + (j == m)))
+            expected = lin((1, space.S()), (1 - n, space.s(i, j)))
             ok = ok and acc == expected
     report["eq16_weighted_s_sum"] = ok
 
     # conversion check between the two views of the mixed cube notation
     S, sv = space.S(), space.s(1, min(2, n))
     z = space.zeta(1, 1)
-    direct = FormalTensor.cube_wedge(_lin((1, S), (-3, sv)), z)
+    direct = FormalTensor.cube_wedge(lin((1, S), (-3, sv)), z)
     expanded = FormalTensor.sym3_wedge(S, S, S, z)
     expanded.add(FormalTensor.sym3_wedge(S, S, sv, z), -9)
     expanded.add(FormalTensor.sym3_wedge(S, sv, sv, z), 27)
@@ -462,7 +399,7 @@ def verify_claim_and_theorem(n: int, perturb_coefficient: bool = False) -> Dict[
 
     S = space.S()
     Z = space.Z()
-    xi_eta = _vsum(wedge(space.xi(l), space.eta(m)) for l, m in cells)
+    xi_eta = vsum(wedge(space.xi(l), space.eta(m)) for l, m in cells)
     first_line = FormalTensor.cube_wedge(S, Z).scale(-n * (n - 2))
     first_line.add(FormalTensor.product(sym(S, S), xi_eta), n * (n - 2))
     second_line = FormalTensor()
@@ -483,7 +420,7 @@ def verify_claim_and_theorem(n: int, perturb_coefficient: bool = False) -> Dict[
         -n * (n - 2)
     )
 
-    s_zeta = _vsum(wedge(space.s(l, m), space.zeta(l, m)) for l, m in cells)
+    s_zeta = vsum(wedge(space.s(l, m), space.zeta(l, m)) for l, m in cells)
     report["s_wedge_zeta_aggregates"] = s_zeta == wedge(S, Z)
 
     one_var = FormalTensor()

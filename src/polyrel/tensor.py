@@ -1,0 +1,105 @@
+"""Sparse tensors with exact coefficients.
+
+A tensor is a plain dict from basis keys to nonzero exact coefficients (int
+or Fraction); a missing key has coefficient zero, so the empty dict is the
+zero tensor and equality is dict equality.  The symbol criterion
+(criterion.expand_tensor) and the weight-4 proof algebra both compute in this
+representation.  Basis keys only need to be mutually comparable (primes, or
+the tuple names of the formal log symbols).  Every helper keeps the
+invariant that no stored coefficient is zero.  The loops run on plain dicts,
+without per-coordinate calls, because the weight-4 proof runs them about a
+million times.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, Tuple
+
+__all__ = ["bump", "lin", "vsum", "wedge", "sym", "sym_power", "add_product"]
+
+
+def bump(acc: Dict, other: Dict, c=1) -> Dict:
+    """acc += c * other in place, dropping coordinates that cancel; returns acc."""
+    if c:
+        for k, x in other.items():
+            x = acc.get(k, 0) + c * x
+            if x:
+                acc[k] = x
+            else:
+                acc.pop(k, None)
+    return acc
+
+
+def lin(*terms: Tuple[int, Dict]) -> Dict:
+    """The linear combination sum c * v over (c, v) pairs."""
+    out: Dict = {}
+    for c, v in terms:
+        bump(out, v, c)
+    return out
+
+
+def vsum(vs: Iterable[Dict]) -> Dict:
+    return lin(*((1, v) for v in vs))
+
+
+def wedge(u: Dict, v: Dict) -> Dict:
+    """u ^ v: the coordinate of a ^ b sits on (a, b) when a < b, negated otherwise."""
+    out: Dict = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            if a == b:
+                continue
+            key, c = ((a, b), ca * cb) if a < b else ((b, a), -ca * cb)
+            c += out.get(key, 0)
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
+
+
+def sym(u: Dict, v: Dict) -> Dict:
+    """u.v in Sym^2, keyed by sorted pairs."""
+    out: Dict = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            key = (a, b) if a <= b else (b, a)
+            c = out.get(key, 0) + ca * cb
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
+
+
+def sym_power(v: Dict, k: int) -> Dict:
+    """v^k in Sym^k, keyed by sorted k-tuples; sym_power(v, 2) == sym(v, v).
+
+    A monomial's coefficient is the product of its factors' coefficients
+    times its multinomial count, summed here one ordering at a time.  All
+    orderings of a monomial contribute the same nonzero product, so nothing
+    cancels.
+    """
+    out: Dict = {(): 1}
+    for _ in range(k):
+        step: Dict = {}
+        for key, c in out.items():
+            for a, ca in v.items():
+                grown = tuple(sorted((*key, a)))
+                step[grown] = step.get(grown, 0) + c * ca
+        out = step
+    return out
+
+
+def add_product(acc: Dict, left: Dict, right: Dict, c=1) -> Dict:
+    """acc += c * left (x) right in place, keyed by (left key, right key); returns acc."""
+    for lk, lc in left.items():
+        f = c * lc
+        for rk, rc in right.items():
+            key = (lk, rk)
+            x = acc.get(key, 0) + f * rc
+            if x:
+                acc[key] = x
+            else:
+                acc.pop(key, None)
+    return acc

@@ -77,6 +77,11 @@ def _evaluate_terms(s: FormalSum, binding: Dict[str, object], ctx):
     return out
 
 
+def _require_points(points: int):
+    if points < 1:
+        raise DomainError(f"numeric verification needs points >= 1 (got {points})")
+
+
 def verify_numeric_sum(
     s: FormalSum,
     weight: int,
@@ -84,7 +89,8 @@ def verify_numeric_sum(
     policy: PrecisionPolicy | None = None,
     seed: int = 0,
 ) -> Verdict:
-    """CL_weight vanishes on the sum at ``points`` random complex samples."""
+    """CL_weight vanishes on the sum at ``points`` >= 1 random complex samples."""
+    _require_points(points)
     policy = policy or PrecisionPolicy(50)
     ctx = policy.context
     root = SplitMix64(seed)
@@ -338,7 +344,8 @@ def verify_fourlog_numeric(
     seed: int = 0,
 ) -> Verdict:
     """Bind the weight-4 template to the preimages of random (t, u) and test
-    CL_4 vanishing; the preimage map is z^(n-1)(z-1)."""
+    CL_4 vanishing at ``points`` >= 1 samples; the preimage map is z^(n-1)(z-1)."""
+    _require_points(points)
     policy = policy or PrecisionPolicy(60)
     ctx = policy.context
     eq = get_equation(f"fourlog_n{n}")

@@ -8,6 +8,8 @@ from polyrel.checks import (
     check_gamma21_identity,
     check_Gprime_correspondence,
     check_q_equations,
+    find_check,
+    gprime_orbits,
     group_generators,
 )
 from polyrel.criterion import kernel_test
@@ -54,6 +56,22 @@ def test_gprime_correspondence():
     assert (d["orbit_y1"], d["orbit_product"]) == (12, 32)
     assert (d["classes_up_to_inversion_short"], d["classes_up_to_inversion_long"]) == (6, 16)
     assert d["union_matches_22"] and d["iota_acts_like_g"] and d["cycle_acts_like_h"]
+
+
+def test_gprime_orbits_computed_once():
+    gprime, orbit_y1, orbit_prod, images_y1, images_prod = gprime_orbits()
+    assert gprime_orbits() is gprime_orbits()
+    assert [len(x) for x in (gprime, orbit_y1, orbit_prod, images_y1, images_prod)] == [96, 12, 32, 12, 32]
+    # the images are reduced A, B rational functions in t1..t3 only
+    for image in images_y1 + images_prod:
+        assert image.cancelled() is image and set(image.vars) <= {"t1", "t2", "t3"}
+
+
+def test_find_check_takes_canonical_names_only():
+    assert find_check("proof-algebra-n2") is not None
+    assert find_check("proof-algebra-n12") is not None
+    for name in ("proof-algebra-n02", "proof-algebra-n002", "proof-algebra-n1", "proof-algebra-n0", "bogus"):
+        assert find_check(name) is None
 
 
 def test_ab_parametrization_is_reduced():

@@ -73,6 +73,23 @@ def test_verify_five_term_exit_zero():
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--mode", "symbolic", "--trials", "0"),
+        ("--mode", "symbolic", "--functionals", "0"),
+        ("--mode", "symbolic", "--functionals", "-2"),
+        ("--mode", "numeric", "--points", "0"),
+        ("--mode", "numeric", "--points", "-1"),
+    ],
+)
+def test_verify_without_evidence_is_usage_error(extra):
+    code, out, err = run_cli("verify", "--equation", "five_term", "--seed", "1", "--json", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and ">= 1" in err
+
+
 def test_verify_building_block_is_usage_error():
     code, _, err = run_cli("verify", "--equation", "f17", "--seed", "1")
     assert code == 2
@@ -95,8 +112,10 @@ def test_check_unknown_name():
     assert code == 2
     known = err.strip().split("; known: ", 1)[1].split(", ")
     assert known == check_names()
-    for name in ("proof-algebra-n1", "proof-algebra-nx", "proof-algebra-n"):
-        assert run_cli("check", "--name", name)[0] == 2
+    for name in ("proof-algebra-n1", "proof-algebra-nx", "proof-algebra-n", "proof-algebra-n02"):
+        code, out, err = run_cli("check", "--name", name)
+        assert code == 2 and out == ""
+        assert err.strip().split("; known: ", 1)[1].split(", ") == check_names()
 
 
 def strip_seconds(text):

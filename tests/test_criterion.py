@@ -41,9 +41,9 @@ def random_functionals(support, seed, height=20):
 # -- log_vector ----------------------------------------------------------------
 
 def test_log_vector_basic():
-    assert log_vector(12).as_dict() == {2: 2, 3: 1}
-    assert log_vector(Fraction(-3, 2)).as_dict() == {3: 1, 2: -1}
-    assert log_vector(1).is_zero()
+    assert log_vector(12) == {2: 2, 3: 1}
+    assert log_vector(Fraction(-3, 2)) == {3: 1, 2: -1}
+    assert log_vector(1) == {}
 
 
 def test_log_vector_zero_rejected():
@@ -58,7 +58,7 @@ def test_inversion_combination_in_kernel(m):
     rng = SplitMix64(500 + m)
     for _ in range(5):
         x = random_rational(30, rng, {Fraction(-1)})
-        support = tuple(sorted(set(log_vector(x).support()) | set(log_vector(1 - x).support())))
+        support = tuple(sorted(set(log_vector(x)) | set(log_vector(1 - x))))
         theta, phi, psi = random_functionals(support, 77 + m)
         s = [(Fraction(1), x), (Fraction((-1) ** m), 1 / x)]
         assert beta_pairing(s, m, theta, phi, psi) == 0
@@ -75,7 +75,7 @@ def test_distribution_combination_in_kernel(m):
         vals = [x, -x, sq, 1 - x, 1 + x, 1 - sq]
         support = set()
         for v in vals:
-            support.update(log_vector(v).support())
+            support.update(log_vector(v))
         theta, phi, psi = random_functionals(tuple(sorted(support)), 31 * m)
         s = [
             (Fraction(1), sq),
@@ -95,7 +95,7 @@ def test_two_fifths_alone_is_nonzero():
 
 def test_pairing_antisymmetric_in_phi_psi():
     x = Fraction(3, 7)
-    support = tuple(sorted(set(log_vector(x).support()) | set(log_vector(1 - x).support())))
+    support = tuple(sorted(set(log_vector(x)) | set(log_vector(1 - x))))
     theta, phi, psi = random_functionals(support, 4242)
     s = [(Fraction(2), x)]
     assert beta_pairing(s, 3, theta, phi, psi) == -beta_pairing(s, 3, theta, psi, phi)
@@ -105,7 +105,7 @@ def test_pairing_linear_in_sum_and_theta_power():
     x, y = Fraction(2, 3), Fraction(5, 7)
     support = set()
     for v in (x, 1 - x, y, 1 - y):
-        support.update(log_vector(v).support())
+        support.update(log_vector(v))
     theta, phi, psi = random_functionals(tuple(sorted(support)), 99)
     a = beta_pairing([(Fraction(1), x)], 4, theta, phi, psi)
     b = beta_pairing([(Fraction(1), y)], 4, theta, phi, psi)
@@ -127,7 +127,7 @@ def reference_pairing(s, m, theta, phi, psi) -> Fraction:
 
     def apply(f, v):
         total = Fraction(0)
-        for p, e in v.coords:
+        for p, e in v.items():
             w = f.values.get(p)
             if w is not None:
                 total += w * e
@@ -169,8 +169,8 @@ def pairing_cases(draw):
     support = {97}  # a prime no term has: its functional values must not matter
     for _, x in terms:
         if x != 1:
-            support.update(log_vector(x).support())
-            support.update(log_vector(1 - x).support())
+            support.update(log_vector(x))
+            support.update(log_vector(1 - x))
     funs = [DualFunctional({p: draw(functional_values) for p in sorted(support)}) for _ in range(3)]
     return terms, draw(st.integers(2, 7)), funs
 
@@ -221,7 +221,7 @@ def test_factored_sum_structure():
         FactoredSum(FormalSum.single(RatFunc.var("t")))
 
 
-# -- full tensor expansion (debug mode) ----------------------------------------------
+# -- full tensor expansion (the reference for the pairing) ---------------------------
 
 def test_expansion_five_term_vanishes():
     res = five_term_sum().specialize({"x": Fraction(2, 7), "y": Fraction(3, 5)})
@@ -235,8 +235,9 @@ def test_expansion_detects_nonmember():
 
 
 def test_expansion_m_bounds():
-    with pytest.raises(DomainError):
-        expand_tensor([(Fraction(1), Fraction(2, 5))], 5)
+    for m in (1, 0, -1):
+        with pytest.raises(DomainError):
+            expand_tensor([(Fraction(1), Fraction(2, 5))], m)
 
 
 def test_expansion_consistent_with_pairing():
@@ -246,8 +247,8 @@ def test_expansion_consistent_with_pairing():
     assert expand_tensor(s, 4) == {}
     support = set()
     for _, v in s:
-        support.update(log_vector(v).support())
-        support.update(log_vector(1 - v).support())
+        support.update(log_vector(v))
+        support.update(log_vector(1 - v))
     theta, phi, psi = random_functionals(tuple(sorted(support)), 11)
     assert beta_pairing(s, 4, theta, phi, psi) == 0
 
@@ -281,18 +282,18 @@ def _contract_expansion(expansion, m, theta, phi, psi):
 @settings(max_examples=40, deadline=None)
 def test_pairing_equals_contracted_expansion(raw_terms, fseed):
     # dual-route check: the functional pairing must equal the explicit
-    # contraction of the fully expanded tensor, for every weight with a
-    # full expansion
+    # contraction of the fully expanded tensor, at every weight the catalog
+    # uses
     from hypothesis import assume
 
     terms = [(Fraction(c), q) for c, q in raw_terms]
     support = set()
     for _, q in terms:
-        support.update(log_vector(q).support())
-        support.update(log_vector(1 - q).support())
+        support.update(log_vector(q))
+        support.update(log_vector(1 - q))
     assume(support)
     theta, phi, psi = random_functionals(tuple(sorted(support)), fseed)
-    for m in (2, 3, 4):
+    for m in range(2, 8):
         expansion = expand_tensor(terms, m)
         for (sym_part, _), _ in expansion.items():
             assert len(sym_part) == m - 2
@@ -332,6 +333,14 @@ def test_kernel_inversion_pair_passes_odd_weight():
 def test_kernel_constant_sum():
     s = FormalSum([(Fraction(3), RatFunc.from_value(1))])
     assert kernel_test(s, 3, seed=5).passed
+
+
+@pytest.mark.parametrize("trials, functionals", [(0, 5), (10, 0), (-1, 5), (10, -3)])
+def test_kernel_without_evidence_rejected(trials, functionals):
+    # no specialization or no pairing would pass the sum unexamined
+    for s in (five_term_sum(), FormalSum([(Fraction(3), RatFunc.from_value(2))])):
+        with pytest.raises(DomainError, match="trials >= 1 and functionals >= 1"):
+            kernel_test(s, 2, trials=trials, functionals=functionals)
 
 
 # -- golden witnesses ------------------------------------------------------------------

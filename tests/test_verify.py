@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from polyrel.catalog import get_equation
-from polyrel.exact import SplitMix64
+from polyrel.exact import DomainError, SplitMix64
 from polyrel.numeric import PrecisionPolicy
 from polyrel.ratfunc import INFINITY, RatFunc
 from polyrel.verify import (
@@ -125,6 +127,18 @@ def test_fourlog_numeric_smallest_family():
     verdict = verify_fourlog_numeric(2, points=3, policy=PrecisionPolicy(50), seed=6)
     assert verdict.passed
     assert verdict.trials["max_abs_value"] < 1e-25
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_numeric_verifiers_need_points(points):
+    # zero samples would report vanishing with no evaluation behind it
+    eq = get_equation("five_term")
+    with pytest.raises(DomainError, match="points >= 1"):
+        verify_numeric_sum(eq.sum, 2, points=points)
+    with pytest.raises(DomainError, match="points >= 1"):
+        verify_numeric(eq, points=points)
+    with pytest.raises(DomainError, match="points >= 1"):
+        verify_fourlog_numeric(2, points=points)
 
 
 def test_random_phi_is_cubic_and_squarefree():
