@@ -20,6 +20,20 @@ Applying such a map to a cancelled argument therefore strips the common
 monomial and is done; every other map or argument goes through sympy's gcd.
 Closures are memoized by their generators, so the checks that share a group
 build it once per process.
+
+Closure and orbits cancel only what they keep.  Each call files the
+elements it keeps by their exact values at one fixed rational point p (the
+first fingerprint point).  The value of a composition g∘x at p is x's images
+at g(p), and that of an orbit image σ(x) is x at σ(p), so neither needs the
+composed function.  A value no kept element has proves the candidate new; a
+matching value is confirmed by cross-multiplication (``equivalent``, or
+``equivalent_up_to_inversion`` for orbits up to inversion, which file
+images under the pair {v, 1/v}), and a confirmed candidate is dropped
+uncancelled.  Every other candidate is cancelled and looked up by its
+canonical key as before: the new ones, those with no value at p (a pole or
+0/0 there), and those a monomial map yields already reduced, for which the
+index would cost more than it saves.  The point changes speed only, never a
+result.
 """
 
 from __future__ import annotations
@@ -494,6 +508,23 @@ def group_closure(generators: Sequence[Automorphism], bound: int = 1024) -> List
     return list(group)
 
 
+def _values(images: Mapping[str, RatFunc], variables: Sequence[str], point) -> "Tuple | None":
+    """The exact values of the images of ``variables`` at ``point``, or None
+    when one of them has a pole or is 0/0 there."""
+    out = []
+    for v in variables:
+        value = images[v].evaluate(point)
+        if value is POLE or value is INDETERMINATE:
+            return None
+        out.append(value)
+    return tuple(out)
+
+
+def _probe_point(names: Iterable[str]) -> Dict[str, Fraction]:
+    """The fixed rational point the closure and orbit dedup evaluate at."""
+    return {v: _fp_value(v, 0) for v in names}
+
+
 def _closure(generators: Sequence[Automorphism], bound: int) -> List[Automorphism]:
     variables = generators[0].variables
     ident = Automorphism.identity(variables)
@@ -503,20 +534,58 @@ def _closure(generators: Sequence[Automorphism], bound: int) -> List[Automorphis
         if g._key not in seen:
             seen[g._key] = g
             frontier.append(g)
+    point = _probe_point(
+        set(variables).union(*(r.vars for g in generators for r in g.images.values()))
+    )
+    index: Dict[Tuple, List[Automorphism]] = {}
+    for x in seen.values():
+        _index(index, _values(x.images, variables, point), x)
+    # g(p) for each generator that needs a gcd to compose: g∘x has x's images
+    # at g(p) as its value at p
+    moved = []
+    for g in generators:
+        at = None if g._monomial is not None else _values(g.images, variables, point)
+        moved.append(None if at is None else {**point, **dict(zip(variables, at))})
     while frontier:
         new_frontier = []
-        for g in generators:
+        for g, at in zip(generators, moved):
             for x in frontier:
+                value = None if at is None else _values(x.images, variables, at)
+                if value is not None and any(
+                    all(g.apply(x.images[v]).equivalent(y.images[v]) for v in variables)
+                    for y in index.get(value, ())
+                ):
+                    continue
                 composed = g.compose(x)
-                if composed._key not in seen:
-                    seen[composed._key] = composed
-                    new_frontier.append(composed)
-                    if len(seen) > bound:
-                        raise ClosureBoundExceeded(
-                            f"closure exceeded the bound of {bound} elements"
-                        )
+                if composed._key in seen:
+                    continue
+                seen[composed._key] = composed
+                if value is None:
+                    value = _values(composed.images, variables, point)
+                _index(index, value, composed)
+                new_frontier.append(composed)
+                if len(seen) > bound:
+                    raise ClosureBoundExceeded(
+                        f"closure exceeded the bound of {bound} elements"
+                    )
         frontier = new_frontier
     return sorted(seen.values(), key=lambda a: a._key)
+
+
+def _index(index: Dict, value, element) -> None:
+    """File ``element`` under its value at the probe point, if it has one."""
+    if value is not None:
+        index.setdefault(value, []).append(element)
+
+
+def _class_value(value, up_to_inversion: bool):
+    """Index key of an orbit image with this value at the probe point: the
+    value, or the pair {v, 1/v} up to inversion; None where there is none."""
+    if value is POLE or value is INDETERMINATE:
+        return None
+    if not up_to_inversion:
+        return value
+    return None if value == 0 else frozenset((value, 1 / value))
 
 
 def orbit(
@@ -526,12 +595,32 @@ def orbit(
 ) -> List[RatFunc]:
     """Distinct images of x under the group (optionally identifying [z]~[1/z]).
 
-    Returns cancelled representatives sorted by serialization.
+    Returns cancelled representatives sorted by serialization; each is the
+    first image of its class in group order.
     """
     x = x.cancelled()
+    point = _probe_point(
+        set(x.vars).union(*(r.vars for s in group for r in s.images.values()))
+    )
+    same = RatFunc.equivalent_up_to_inversion if up_to_inversion else RatFunc.equivalent
     reps: Dict[str, RatFunc] = {}
+    index: Dict = {}
     for sigma in group:
-        image = sigma.apply(x).cancelled()
+        image = sigma.apply(x)
+        value = None
+        if image._cancelled is not image:
+            # the value of sigma(x) at p is x at sigma(p)
+            at = _values(sigma.images, sigma.variables, point)
+            if at is not None:
+                value = x.evaluate({**point, **dict(zip(sigma.variables, at))})
+                value = _class_value(value, up_to_inversion)
+            if value is not None and any(same(image, rep) for rep in index.get(value, ())):
+                continue
+            image = image.cancelled()
         key = inversion_class_key(image) if up_to_inversion else image.serialize()
-        reps.setdefault(key, image)
+        if key not in reps:
+            reps[key] = image
+            if value is None:
+                value = _class_value(image.evaluate(point), up_to_inversion)
+            _index(index, value, image)
     return [reps[k] for k in sorted(reps)]

@@ -12,6 +12,7 @@ when a unique key is genuinely needed (group closures, class merging).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Mapping, Tuple, Union
 
 from .exact import DomainError
@@ -207,36 +208,78 @@ class RatFunc:
     # -- substitution / evaluation ---------------------------------------------
 
     def substitute(self, binding: Mapping[str, "RatFunc | Scalar"]) -> "RatFunc":
-        """Exact composition; every variable of self must be bound."""
+        """Exact composition; every variable of self must be bound.
+
+        The expansion runs on integers over one variable table, the union of
+        the tables of the images of the variables self depends on.  Each
+        image's num and den are cleared to integers over one common
+        denominator, and so are self's coefficients; that scales the result's
+        numerator and denominator by one positive constant, which the
+        constructor's normalization removes.  Exponent vectors are packed
+        into one int, each field wide enough for the largest exponent any
+        product can reach.  Products and sums drop a term that cancels to
+        zero as ``MultiPoly.__mul__`` does, so the terms come out in the order
+        of the plain Fraction expansion.
+        """
         missing = [v for v in self.vars if v not in binding]
         if missing:
             raise DomainError(f"unbound variables in substitution: {missing}")
-        images = {v: RatFunc.coerce(binding[v]) for v in self.vars}
         maxexp = {
             v: max(self.num.degree_in(v), self.den.degree_in(v)) for v in self.vars
         }
-        num_pows: Dict[str, list] = {}
-        den_pows: Dict[str, list] = {}
-        for v in self.vars:
-            n_p = [MultiPoly.const(1)]
-            d_p = [MultiPoly.const(1)]
-            for _ in range(maxexp[v]):
-                n_p.append(n_p[-1] * images[v].num)
-                d_p.append(d_p[-1] * images[v].den)
-            num_pows[v] = n_p
-            den_pows[v] = d_p
+        images = {v: RatFunc.coerce(binding[v]) for v in self.vars if maxexp[v]}
+        vs = tuple(sorted({w for image in images.values() for w in image.vars}))
+        pos = {w: i for i, w in enumerate(vs)}
+        top = [0] * len(vs)
+        for v, image in images.items():
+            for w in image.vars:
+                top[pos[w]] += maxexp[v] * max(image.num.degree_in(w), image.den.degree_in(w))
+        width = max(top, default=0).bit_length() + 1
+
+        def packed(p: MultiPoly, scale: int) -> list:
+            shifts = [pos[w] * width for w in p.vars]
+            return [
+                (sum(e << sh for e, sh in zip(exp, shifts)), c.numerator * (scale // c.denominator))
+                for exp, c in p.terms.items()
+            ]
+
+        pows = {}
+        for v, image in images.items():
+            cleared = _common_denominator(image)
+            n, d = packed(image.num, cleared), packed(image.den, cleared)
+            n_p, d_p = [None, n], [None, d]
+            for _ in range(maxexp[v] - 1):
+                n_p.append(_packed_product(n_p[-1], n))
+                d_p.append(_packed_product(d_p[-1], d))
+            pows[v] = (n_p, d_p)
+        scale = _common_denominator(self)
+        mask = (1 << width) - 1
 
         def expand(p: MultiPoly) -> MultiPoly:
-            total = MultiPoly.zero()
+            total: Dict[int, int] = {}
             for exp, c in p.terms.items():
-                term = MultiPoly.const(c)
+                term = [(0, c.numerator * (scale // c.denominator))]
                 for v, e in zip(p.vars, exp):
-                    term = term * num_pows[v][e]
-                    co = maxexp[v] - e
-                    if co:
-                        term = term * den_pows[v][co]
-                total = total + term
-            return total
+                    if v in pows:
+                        n_p, d_p = pows[v]
+                        co = maxexp[v] - e
+                        if e:
+                            term = _packed_product(term, n_p[e])
+                        if co:
+                            term = _packed_product(term, d_p[co])
+                for k, a in term:
+                    a += total.get(k, 0)
+                    if a:
+                        total[k] = a
+                    else:
+                        del total[k]
+            return MultiPoly._trusted(
+                vs,
+                {
+                    tuple([(k >> (i * width)) & mask for i in range(len(vs))]): Fraction(a)
+                    for k, a in total.items()
+                },
+            )
 
         new_num = expand(self.num)
         new_den = expand(self.den)
@@ -295,33 +338,56 @@ class RatFunc:
         return f"RatFunc({self.serialize()!r})"
 
 
+def _common_denominator(f: RatFunc) -> int:
+    """The lcm of the denominators of f's coefficients, num and den together."""
+    return lcm(*(c.denominator for p in (f.num, f.den) for c in p.terms.values()))
+
+
+def _packed_product(a: list, b: list) -> list:
+    """Product of two [(packed exponent, int)] lists, in MultiPoly.__mul__'s
+    loop order: a term that cancels to zero is removed and re-inserted if it
+    reappears."""
+    out: Dict[int, int] = {}
+    get = out.get
+    for k1, a1 in a:
+        for k2, a2 in b:
+            k = k1 + k2
+            s = get(k, 0) + a1 * a2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return list(out.items())
+
+
 def _sympy_cancel(f: RatFunc) -> RatFunc:
+    """Divide num and den by their gcd: sympy's cofactors over ZZ.
+
+    Both polynomials are cleared to integers over one common denominator,
+    which leaves the function unchanged; the constructor's normalization
+    then gives the canonical representative.
+    """
     import sympy
 
     syms = sympy.symbols(f.vars)
     if not isinstance(syms, tuple):
         syms = (syms,)
+    scale = _common_denominator(f)
 
     def to_sympy(p: MultiPoly):
         return sympy.Poly.from_dict(
-            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+            {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()},
             *syms,
-            domain="QQ",
+            domain="ZZ",
         )
 
     def from_sympy(sp) -> MultiPoly:
-        terms = {}
-        for exp, c in sp.as_dict().items():
-            q = sympy.Rational(c)
-            terms[tuple(int(e) for e in exp)] = Fraction(int(q.p), int(q.q))
-        return MultiPoly(sorted(f.vars), terms)
+        return MultiPoly(
+            f.vars,
+            {tuple(map(int, e)): int(c) for e, c in sp.as_dict(native=True).items()},
+        )
 
-    pn = to_sympy(f.num)
-    pd = to_sympy(f.den)
-    g = pn.gcd(pd)
-    if not g.is_one:
-        pn = pn.exquo(g)
-        pd = pd.exquo(g)
+    _, pn, pd = to_sympy(f.num).cofactors(to_sympy(f.den))
     return RatFunc(from_sympy(pn), from_sympy(pd))
 
 

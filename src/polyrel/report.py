@@ -273,6 +273,16 @@ def criterion_8_fourlog(seed: int, points: int = 20, n_max: int = 5) -> dict:
     return {"passed": passed, "details": details}
 
 
+def shared_multiplicity(block: FormalSum, multiplicity: int) -> bool:
+    """True iff every inversion class of the block has total coefficient
+    exactly ``multiplicity`` (an exact comparison: 5/2 is not 2)."""
+    mults: Dict[str, Fraction] = {}
+    for coeff, arg in block:
+        key = inversion_class_key(arg)
+        mults[key] = mults.get(key, Fraction(0)) + coeff
+    return set(mults.values()) == {multiplicity}
+
+
 def criterion_9_xi7(seed: int, points: int = 10) -> dict:
     details: Dict[str, object] = {}
     explicit = get_equation("xi7_explicit")
@@ -283,19 +293,12 @@ def criterion_9_xi7(seed: int, points: int = 10) -> dict:
     weights = check_xi7_weights()
     details["weight_balance"] = weights.passed
 
-    multiplicity_ok = True
-    for first, _, (a, b, c, d) in XI7_BLOCKS:
-        # every argument class inside the block occurs with one shared
-        # multiplicity, equal to the denominator of the first coefficient factor
-        block = FormalSum(_block_sum(a, b, c, d))
-        mults: Dict[str, Fraction] = {}
-        for coeff, arg in block:
-            key = inversion_class_key(arg)
-            mults[key] = mults.get(key, Fraction(0)) + coeff
-        multiplicity_ok = multiplicity_ok and {int(m) for m in mults.values()} == {
-            first.denominator
-        }
-    details["multiplicity_rule"] = multiplicity_ok
+    # every argument class inside a block occurs with one shared
+    # multiplicity, equal to the denominator of the first coefficient factor
+    details["multiplicity_rule"] = all(
+        shared_multiplicity(FormalSum(_block_sum(a, b, c, d)), first.denominator)
+        for first, _, (a, b, c, d) in XI7_BLOCKS
+    )
     sixty = check_xi7_explicit_vs_symmetric()
     details["sixty_identity"] = sixty.passed
 
@@ -333,7 +336,7 @@ def criterion_9_xi7(seed: int, points: int = 10) -> dict:
     passed = (
         term_count.passed
         and weights.passed
-        and multiplicity_ok
+        and details["multiplicity_rule"]
         and sixty.passed
         and kv.passed
         and kv_sym.passed

@@ -129,3 +129,15 @@ def test_f17_specialization_difference_is_equation():
     diff = at1.sum - at0.sum - FormalSum.single(RatFunc.from_value(1), net)
     assert kernel_test(diff, 3, trials=4, functionals=3, seed=9).passed
     assert verify_numeric_sum(diff, 3, points=3, policy=PrecisionPolicy(40), seed=9).passed
+
+
+def test_shared_multiplicity_compares_exact_fractions():
+    from polyrel.formal import FormalSum
+    from polyrel.ratfunc import RatFunc
+    from polyrel.report import shared_multiplicity
+
+    x, y = RatFunc.var("x"), RatFunc.var("y")
+    assert shared_multiplicity(FormalSum([(1, x), (1, 1 / x), (2, y)]), 2)
+    # the class {x, 1/x} has multiplicity 2 + 1/2, which truncates to 2
+    assert not shared_multiplicity(FormalSum([(2, x), (Fraction(1, 2), 1 / x), (2, y)]), 2)
+    assert not shared_multiplicity(FormalSum([(1, x), (2, y)]), 2)

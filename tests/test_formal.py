@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyrel import formal
 from polyrel.checks import _triple_product, group_generators
 
 from polyrel.formal import (
@@ -10,9 +11,10 @@ from polyrel.formal import (
     ClosureBoundExceeded,
     FormalSum,
     group_closure,
+    inversion_class_key,
     orbit,
 )
-from polyrel.ratfunc import RatFunc
+from polyrel.ratfunc import POLE, RatFunc
 
 x = RatFunc.var("x")
 y = RatFunc.var("y")
@@ -218,3 +220,131 @@ def test_non_unimodular_monomial_maps_are_not_flagged():
     collapse = Automorphism({"x": x * y, "y": x * y})
     f = ((x + 1) / (y + 1)).cancelled()
     assert collapse.apply(f).cancelled().serialize() == "(1)"
+
+
+# -- value-keyed dedup against the cancel-everything references ------------------
+
+
+def reference_closure(generators):
+    """Closure that cancels every composition and looks it up by key."""
+    variables = generators[0].variables
+    ident = Automorphism.identity(variables)
+    seen = {ident._key: ident}
+    frontier = []
+    for g in generators:
+        if g._key not in seen:
+            seen[g._key] = g
+            frontier.append(g)
+    while frontier:
+        new_frontier = []
+        for g in generators:
+            for h in frontier:
+                composed = g.compose(h)
+                if composed._key not in seen:
+                    seen[composed._key] = composed
+                    new_frontier.append(composed)
+        frontier = new_frontier
+    return sorted(seen.values(), key=lambda a: a._key)
+
+
+def reference_orbit(f, group, up_to_inversion=False):
+    """Orbit that cancels every image and keys it by its serialization."""
+    f = f.cancelled()
+    reps = {}
+    for sigma in group:
+        image = sigma.apply(f).cancelled()
+        key = inversion_class_key(image) if up_to_inversion else image.serialize()
+        reps.setdefault(key, image)
+    return [reps[k] for k in sorted(reps)]
+
+
+def _s3_generators():
+    z = RatFunc.var("z")
+    return [Automorphism({"z": 1 / z}), Automorphism({"z": 1 - z})]
+
+
+def _generators(name):
+    return _s3_generators() if name == "s3" else group_generators()[name]
+
+
+def _orbit_cases():
+    a1, a3 = RatFunc.var("a1"), RatFunc.var("a3")
+    t1, t2 = RatFunc.var("t1"), RatFunc.var("t2")
+    z = RatFunc.var("z")
+    return {
+        "alpha": [1 / a1, (1 - a1 + a1 * a3) / a3],
+        "t": [t1, t1 * t2],
+        "yz": [RatFunc.var("y1"), _triple_product()],
+        "s3": [-z / (1 - z + z * z), z * z * (1 - z) ** 2 / (1 - z + z * z) ** 3, z * z - 3],
+    }
+
+
+@pytest.mark.parametrize("name", ["alpha", "t", "yz", "s3"])
+def test_closure_matches_reference(name):
+    gens = _generators(name)
+    expected = [g._key for g in reference_closure(gens)]
+    assert len(expected) == {"alpha": 192, "t": 192, "yz": 96, "s3": 6}[name]
+    assert [g._key for g in formal._closure(gens, bound=512)] == expected
+    assert [g._key for g in group_closure(gens, bound=512)] == expected
+
+
+@pytest.mark.parametrize("up_to_inversion", [False, True])
+@pytest.mark.parametrize("name", ["alpha", "t", "yz", "s3"])
+def test_orbit_matches_reference(name, up_to_inversion):
+    group = group_closure(_generators(name), bound=512)
+    for f in _orbit_cases()[name]:
+        got = orbit(f, group, up_to_inversion=up_to_inversion)
+        ref = reference_orbit(f, group, up_to_inversion=up_to_inversion)
+        assert [g.serialize() for g in got] == [g.serialize() for g in ref]
+
+
+def _klein_group_at_probe():
+    """w -> ±w^±1 conjugated to w = z - r, for r the probe coordinate of z:
+    two of the four maps have a pole at the probe point, and the identity
+    and the reflection 2r - z both take the value r there."""
+    z = RatFunc.var("z")
+    r = formal._probe_point(["z"])["z"]
+    return r, [Automorphism({"z": r + 1 / (z - r)}), Automorphism({"z": 2 * r - z})]
+
+
+def test_closure_and_orbit_fall_back_at_poles():
+    r, gens = _klein_group_at_probe()
+    z = RatFunc.var("z")
+    assert gens[0].images["z"].evaluate({"z": r}) is POLE
+    group = formal._closure(gens, bound=16)
+    assert [g._key for g in group] == [g._key for g in reference_closure(gens)]
+    assert len(group) == 4
+    # f has a pole at the probe point itself, so even the identity falls back
+    for f in (z, 1 / (z - r), (z * z + 1) / (z - r + 1)):
+        for inv in (False, True):
+            got = orbit(f, group, up_to_inversion=inv)
+            ref = reference_orbit(f, group, up_to_inversion=inv)
+            assert [g.serialize() for g in got] == [g.serialize() for g in ref]
+    assert len(orbit(z, group)) == 4
+    # w -> 1/(1 - w), order 3: rho(p) has a value but rho^2 has a pole at p,
+    # so rho∘rho can only be found through the fallback
+    rho = Automorphism({"z": r + 1 / (1 - (z - r))})
+    assert rho.images["z"].evaluate({"z": r}) == r + 1
+    cyclic = formal._closure([rho], bound=16)
+    assert len(cyclic) == 3
+    assert [g._key for g in cyclic] == [g._key for g in reference_closure([rho])]
+
+
+def test_equal_values_at_the_probe_point_stay_distinct():
+    x, y = RatFunc.var("x"), RatFunc.var("y")
+    p = formal._probe_point(["x", "y"])
+    r, s = p["x"], p["y"]
+    flip_x = Automorphism({"x": 2 * r - x, "y": y})
+    flip_y = Automorphism({"x": x, "y": 2 * s - y})
+    # every element of this Klein group fixes the probe point
+    group = formal._closure([flip_x, flip_y], bound=16)
+    assert len(group) == 4
+    assert {tuple(g.images[v].evaluate(p) for v in ("x", "y")) for g in group} == {(r, s)}
+    assert [g._key for g in group] == [g._key for g in reference_closure([flip_x, flip_y])]
+    # x and 2r - x both take the value r there, as do y and 2s - y
+    orb = orbit(x * y, group)
+    assert len(orb) == 4
+    assert [g.serialize() for g in orb] == [
+        g.serialize() for g in reference_orbit(x * y, group)
+    ]
+    assert len(orbit(x, group)) == 2

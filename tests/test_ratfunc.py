@@ -291,3 +291,151 @@ def test_evaluate_edge_cases():
     assert ((x * x - 1) / (x - 1)).evaluate({"x": 1}) is INDETERMINATE
     assert ((x * x - 1) / (x - 1)).evaluate({"x": 0}) == 1
     assert (1 / x).evaluate({"x": 0}) is POLE
+
+
+# -- substitution and cancellation against their plain references ---------------
+
+
+def reference_substitute(f: RatFunc, binding) -> RatFunc:
+    """The per-product loop the one-table substitute replaces: every product
+    and sum aligns its operands' variable tables."""
+    images = {v: RatFunc.coerce(binding[v]) for v in f.vars}
+    maxexp = {v: max(f.num.degree_in(v), f.den.degree_in(v)) for v in f.vars}
+    num_pows, den_pows = {}, {}
+    for v in f.vars:
+        n_p = [MultiPoly.const(1)]
+        d_p = [MultiPoly.const(1)]
+        for _ in range(maxexp[v]):
+            n_p.append(n_p[-1] * images[v].num)
+            d_p.append(d_p[-1] * images[v].den)
+        num_pows[v] = n_p
+        den_pows[v] = d_p
+
+    def expand(p: MultiPoly) -> MultiPoly:
+        total = MultiPoly.zero()
+        for exp, c in p.terms.items():
+            term = MultiPoly.const(c)
+            for v, e in zip(p.vars, exp):
+                term = term * num_pows[v][e]
+                co = maxexp[v] - e
+                if co:
+                    term = term * den_pows[v][co]
+            total = total + term
+        return total
+
+    return RatFunc(expand(f.num), expand(f.den))
+
+
+def reference_sympy_cancel(f: RatFunc) -> RatFunc:
+    """The gcd over QQ, converting every coefficient through sympy.Rational."""
+    import sympy
+
+    syms = sympy.symbols(f.vars)
+    if not isinstance(syms, tuple):
+        syms = (syms,)
+
+    def to_sympy(p: MultiPoly):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+            *syms,
+            domain="QQ",
+        )
+
+    def from_sympy(sp) -> MultiPoly:
+        terms = {}
+        for exp, c in sp.as_dict().items():
+            q = sympy.Rational(c)
+            terms[tuple(int(e) for e in exp)] = Fraction(int(q.p), int(q.q))
+        return MultiPoly(sorted(f.vars), terms)
+
+    pn, pd = to_sympy(f.num), to_sympy(f.den)
+    g = pn.gcd(pd)
+    if not g.is_one:
+        pn, pd = pn.exquo(g), pd.exquo(g)
+    return RatFunc(from_sympy(pn), from_sympy(pd))
+
+
+def assert_same_representation(got: RatFunc, ref: RatFunc):
+    assert got.vars == ref.vars
+    for a, b in ((got.num, ref.num), (got.den, ref.den)):
+        assert a.vars == b.vars
+        assert a.terms == b.terms
+        assert list(a.terms) == list(b.terms)
+
+
+sub_names = ["a", "b", "x", "y"]
+small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def small_ratfunc(draw, names):
+    vs = sorted(draw(st.sets(st.sampled_from(names), max_size=3)))
+    exps = st.tuples(*[st.integers(0, 2) for _ in vs])
+    num = MultiPoly(vs, dict(draw(st.lists(st.tuples(exps, small_coeffs), max_size=3))))
+    den = MultiPoly(vs, dict(draw(st.lists(st.tuples(exps, small_coeffs), min_size=1, max_size=3))))
+    if den.is_zero():
+        den = MultiPoly.const(draw(st.integers(1, 3)), vs)
+    return RatFunc(num, den)
+
+
+@st.composite
+def substitution_case(draw):
+    f = draw(small_ratfunc(["x", "y"]))
+    binding = {}
+    for v in f.vars:
+        if draw(st.booleans()):
+            binding[v] = draw(small_coeffs)
+        else:
+            binding[v] = draw(small_ratfunc(sub_names))
+    return f, binding
+
+
+@given(substitution_case())
+@settings(max_examples=300, deadline=None)
+def test_substitute_matches_reference_loop(case):
+    f, binding = case
+    try:
+        ref = reference_substitute(f, binding)
+    except ZeroDenominator:
+        with pytest.raises(ZeroDenominator):
+            f.substitute(binding)
+        return
+    assert_same_representation(f.substitute(binding), ref)
+
+
+def test_substitute_matches_reference_on_symmetry_maps():
+    from polyrel.checks import ab_parametrization, group_generators
+
+    A, B = ab_parametrization()
+    binding = {f"y{i}": A[i] for i in (1, 2, 3)}
+    binding.update({f"z{i}": B[i] for i in (1, 2, 3)})
+    y1, y2, z3 = (RatFunc.var(v) for v in ("y1", "y2", "z3"))
+    for f in (y1, y1 * y2 / (1 - z3), (1 - y1 * z3) / (y2 + 2)):
+        sub = {v: binding[v] for v in f.vars}
+        assert_same_representation(f.substitute(sub), reference_substitute(f, sub))
+    for name in ("alpha", "t"):
+        gens = group_generators()[name]
+        for g in gens:
+            for h in gens:
+                for v in g.variables:
+                    f = h.images[v]
+                    sub = {w: g.images[w] for w in f.vars}
+                    assert_same_representation(f.substitute(sub), reference_substitute(f, sub))
+
+
+@given(st.lists(small_ratfunc(sub_names), min_size=2, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_sympy_cancel_matches_rational_path(fs):
+    from polyrel.ratfunc import _sympy_cancel
+
+    common = fs[-1]
+    if common.is_zero():
+        common = common + 1
+    f = RatFunc(fs[0].num * common.num, fs[0].den * common.num)
+    for g in fs[1:-1]:
+        f = f * g
+    if f.is_zero() or (f.num.is_constant() and f.den.is_constant()):
+        return
+    got, ref = _sympy_cancel(f), reference_sympy_cancel(f)
+    assert got.serialize() == ref.serialize()
+    assert_same_representation(got, ref)
