@@ -22,6 +22,7 @@ from .criterion import kernel_test
 from .formal import Automorphism, FormalSum, group_closure, inversion_class_key, orbit
 from .proofalgebra import report_json as proofalgebra_report
 from .ratfunc import INFINITY, RatFunc, cross_ratio
+from .tensor import bump
 from .verify import WOJTKOWIAK_TERMS, verify_numeric_sum
 
 __all__ = [
@@ -60,16 +61,13 @@ class CheckReport:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-def class_vector_with_reps(s: FormalSum) -> Dict[str, Tuple[Fraction, RatFunc]]:
-    """Inversion-class vector keeping one representative argument per class."""
-    out: Dict[str, Tuple[Fraction, RatFunc]] = {}
-    for c, a in s:
-        key = inversion_class_key(a)
-        if key in out:
-            out[key] = (out[key][0] + c, out[key][1])
-        else:
-            out[key] = (c, a)
-    return {k: v for k, v in out.items() if v[0] != 0}
+def class_vector_with_reps(s: FormalSum) -> Tuple[Dict[str, Fraction], Dict[str, RatFunc]]:
+    """The inversion-class vector of s (class key -> nonzero coefficient) and
+    the first argument of s seen in each class, cancelled classes included."""
+    reps: Dict[str, RatFunc] = {}
+    for _, a in s:
+        reps.setdefault(inversion_class_key(a), a)
+    return s.inversion_class_vector(), reps
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +204,14 @@ def check_34_from_wojtkowiak(kernel_seed: int = 40) -> CheckReport:
     x_part, info = _wojtkowiak_x_part()
     a, b, c, x = (RatFunc.var(n) for n in ("a", "b", "c", "x"))
     block = f17_sum(a, b, c, x)
-    v_block = class_vector_with_reps(block)
-    v_part = class_vector_with_reps(x_part)
+    v_block = block.inversion_class_vector()
+    v_part = x_part.inversion_class_vector()
     inter = set(v_part) & set(v_block)
 
     # one overall orientation on the directly shared classes
-    if inter and all(v_part[k][0] == -v_block[k][0] for k in inter):
+    if inter and all(v_part[k] == -v_block[k] for k in inter):
         orientation = -1
-    elif inter and all(v_part[k][0] == v_block[k][0] for k in inter):
+    elif inter and all(v_part[k] == v_block[k] for k in inter):
         orientation = 1
     else:
         info.update({"orientation": "inconsistent"})
@@ -223,22 +221,19 @@ def check_34_from_wojtkowiak(kernel_seed: int = 40) -> CheckReport:
     # decompose into full 3-term triples {g, 1/(1-g), 1-1/g} with one shared
     # coefficient per triple
     diff = x_part - (block if orientation == 1 else block.scale(-1))
-    residue = {
-        k: v
-        for k, v in class_vector_with_reps(diff).items()
-        if not v[1].is_constant()
-    }
+    coeffs, reps = class_vector_with_reps(diff)
+    residue = {k: c for k, c in coeffs.items() if not reps[k].is_constant()}
     matched_direct = len(inter)
     triples = 0
     broken = []
     while residue:
         key = min(residue)
-        coeff, g = residue[key]
+        coeff, g = residue[key], reps[key]
         pkeys = {inversion_class_key(1 / (1 - g)), inversion_class_key(1 - 1 / g)}
         if key in pkeys or len(pkeys) != 2:
             broken.append(key)
             break
-        if any(pk not in residue or residue[pk][0] != coeff for pk in pkeys):
+        if any(residue.get(pk) != coeff for pk in pkeys):
             broken.append(key)
             break
         for k in pkeys | {key}:
@@ -299,26 +294,18 @@ def check_22_to_34_substitution(perturb: bool = False) -> CheckReport:
 
     mapped = get_equation("goncharov22_sym").sum.substitute_arguments(images)
     block = f17_sum(a, b, c, t)
-    v_mapped = class_vector_with_reps(mapped)
-    v_block = class_vector_with_reps(block)
-    remainder: Dict[str, Tuple[Fraction, RatFunc]] = dict(v_mapped)
-    for k, (coeff, rep) in v_block.items():
-        if k in remainder:
-            new = remainder[k][0] - coeff
-            if new == 0:
-                del remainder[k]
-            else:
-                remainder[k] = (new, remainder[k][1])
-        else:
-            remainder[k] = (-coeff, rep)
+    remainder, reps = class_vector_with_reps(mapped)
+    v_block, block_reps = class_vector_with_reps(block)
+    bump(remainder, v_block, -1)
+    # a class of both keeps mapped's representative; either one serves, since
+    # depending on t and being constant hold for a class or for none of it
+    reps = {**block_reps, **reps}
 
-    t_dependent = [k for k, (_, rep) in remainder.items() if rep.depends_on("t")]
+    t_dependent = [k for k in remainder if reps[k].depends_on("t")]
     nonconstant_free = [
-        k
-        for k, (_, rep) in remainder.items()
-        if not rep.depends_on("t") and not rep.is_constant()
+        k for k in remainder if not reps[k].depends_on("t") and not reps[k].is_constant()
     ]
-    constants = [str(v[0]) for k, v in remainder.items() if v[1].is_constant()]
+    constants = [str(c) for k, c in remainder.items() if reps[k].is_constant()]
     passed = constraint_holds and not t_dependent and len(nonconstant_free) == 5
     details = {
         "constraint_product_is_one": constraint_holds,
@@ -540,7 +527,7 @@ def check_gamma21_identity(
     )
 
     diff = lhs - rhs
-    level_a = not class_vector_with_reps(diff)
+    level_a = not diff.inversion_class_vector()
 
     verdict_b = kernel_test(
         diff, 3, trials=kernel_trials, functionals=kernel_functionals, seed=seed

@@ -10,7 +10,16 @@ the wedge.  A true kernel element passes every pairing exactly; a non-member
 is caught with high probability (Schwartz-Zippel over the functional
 values), and every failure carries a reproducible witness.
 
-Each trial factors its specialized arguments once: a FactoredSum holds the
+The kernel test specializes on integers.  Once per call it clears every
+non-constant argument's numerator and denominator to integer coefficients;
+each draw then evaluates them against one power table per variable, shared
+by all arguments, and merges the arguments by their exact values into
+(coefficient, value) pairs, dropping coefficients that cancel.  That is the
+merge FormalSum.specialize followed by the FormalSum constructor performs,
+without building a constant RatFunc per argument, so the support, the
+functionals drawn on it and every witness are the same.
+
+Each trial factors its specialized values once: a FactoredSum holds the
 integer exponent vectors of x and 1 - x for every term, the coefficients
 cleared to integers over their common denominator, and the sorted prime
 support the random functionals are drawn on.  The pairings against that
@@ -23,10 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .exact import DomainError, SplitMix64, factor_rational, random_rational
-from .formal import FormalSum, SpecializeResult
+from .exact import DomainError, SplitMix64, factor_int, factor_rational, random_rational
+from .formal import FormalSum
+from .poly import power_table
+from .ratfunc import _common_denominator
 from .tensor import add_product, sym_power, wedge
 
 __all__ = [
@@ -89,6 +100,19 @@ def _constant_terms(s) -> List[Tuple[Fraction, Fraction]]:
     return out
 
 
+def _log_pair(x: Fraction) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """log_vector(x) and log_vector(1 - x) for a rational x other than 0 and 1.
+
+    With x = a/b in lowest terms, 1 - x = (b - a)/b is in lowest terms too,
+    so b is factored once for both and neither needs a Fraction.
+    """
+    a, b = x.numerator, x.denominator
+    fx, fw = factor_int(abs(a)), factor_int(abs(b - a))
+    for p, e in factor_int(b).items():
+        fx[p] = fw[p] = -e
+    return fx, fw
+
+
 class FactoredSum:
     """A sum of constant arguments in integer prime coordinates, factored once.
 
@@ -110,7 +134,7 @@ class FactoredSum:
                 raise DomainError("beta_pairing argument 0 is outside the domain")
             if x == 1:
                 continue
-            factored.append((c, factor_rational(x).factors, factor_rational(1 - x).factors))
+            factored.append((c, *_log_pair(x)))
         support = sorted({p for _, fx, fw in factored for p in (*fx, *fw)})
         index = {p: i for i, p in enumerate(support)}
         scale = lcm(*(c.denominator for c, _, _ in factored))
@@ -208,10 +232,87 @@ class Verdict:
 
 def _random_functional(support: Tuple[int, ...], rng: SplitMix64, height: int) -> DualFunctional:
     for _ in range(64):
-        values = {p: Fraction(rng.next_int(-height, height)) for p in support}
-        if any(v != 0 for v in values.values()):
+        values = {p: rng.next_int(-height, height) for p in support}
+        if any(values.values()):
             return DualFunctional(values)
     return DualFunctional({support[0]: Fraction(1)}) if support else DualFunctional({})
+
+
+def _integer_specializer(s: FormalSum) -> Tuple[Tuple[str, ...], Callable]:
+    """The specialization ``kernel_test`` draws, planned once for the sum ``s``.
+
+    Returns ``s.variables()`` and a function of a full binding of them.  The
+    function gives the value-merged (coefficient, value) pairs of the
+    specialized sum, or None when the binding is degenerate: some
+    non-constant argument is a pole, 0/0, 0 or 1 there (constant arguments
+    pass through as they are).  Arguments whose values coincide merge into
+    one pair and a coefficient that cancels drops out, as the FormalSum
+    constructor merges equal constants.
+
+    Each non-constant argument is held as its numerator and denominator
+    cleared to integers over one common denominator, with exponents over the
+    variables it has positive degree in.  Per binding, each variable v = a/b
+    gets one power table a^e b^(D-e) (``poly.power_table``), D its largest
+    degree anywhere in the sum, and every argument reads those tables.
+    Homogenizing to D multiplies an argument's numerator and denominator by
+    the same nonzero product of powers of the b's, so their ratio is its
+    value.
+    """
+    constants: Dict[Fraction, Fraction] = {}
+    args = []
+    degree: Dict[str, int] = {}
+    for c, a in s:
+        # the largest exponent of each of a's variables, num and den together
+        top = [max(column) for column in zip(*a.num.terms, *a.den.terms)]
+        live = [i for i, e in enumerate(top) if e]
+        if not live:
+            constants[a.constant_value()] = c  # s holds no two equal constants
+            continue
+        for i in live:
+            v = a.vars[i]
+            degree[v] = max(degree.get(v, 0), top[i])
+        scale = _common_denominator(a)
+        num, den = (
+            [
+                (q.numerator * (scale // q.denominator), tuple([exp[i] for i in live]))
+                for exp, q in p.terms.items()
+            ]
+            for p in (a.num, a.den)
+        )
+        args.append((c, [a.vars[i] for i in live], num, den))
+    variables = tuple(sorted(degree))
+    index = {v: k for k, v in enumerate(variables)}
+    planned = [(c, [index[v] for v in names], num, den) for c, names, num, den in args]
+
+    def value(terms, tables) -> int:
+        total = 0
+        for n, exp in terms:
+            for t, e in zip(tables, exp):
+                n *= t[e]
+            total += n
+        return total
+
+    def specialize(binding: Mapping[str, Fraction]):
+        tables = [power_table(binding[v], degree[v]) for v in variables]
+        merged = dict(constants)
+        for c, idx, num, den in planned:
+            arg_tables = [tables[k] for k in idx]
+            d = value(den, arg_tables)
+            if not d:
+                return None  # pole or 0/0
+            n = value(num, arg_tables)
+            if not n or n == d:
+                return None  # 0 or 1
+            q = Fraction(n, d)
+            prev = merged.get(q)
+            total = c if prev is None else prev + c
+            if total:
+                merged[q] = total
+            else:
+                del merged[q]
+        return [(c, q) for q, c in merged.items()]
+
+    return variables, specialize
 
 
 def kernel_test(
@@ -237,7 +338,7 @@ def kernel_test(
             f"kernel test needs trials >= 1 and functionals >= 1 (got {trials}, {functionals})"
         )
     root = SplitMix64(seed)
-    variables = s.variables()
+    variables, specialize = _integer_specializer(s)
     spec_height = specialization_height or height
     n_trials = trials if variables else 1
     meta = {
@@ -250,25 +351,16 @@ def kernel_test(
     }
     for r in range(n_trials):
         spec_rng = root.split("spec", r)
-        binding = None
-        specialized: SpecializeResult | None = None
-        if variables:
-            for _ in range(300):
-                binding = {
-                    v: random_rational(spec_height, spec_rng) for v in variables
-                }
-                specialized = s.specialize(binding)
-                if not specialized.degenerate:
-                    break
-            else:
-                raise DomainError(
-                    f"no non-degenerate specialization found after 300 tries (trial {r})"
-                )
-            spec_sum = specialized.sum
+        for _ in range(300):
+            binding = {v: random_rational(spec_height, spec_rng) for v in variables}
+            pairs = specialize(binding)
+            if pairs is not None:
+                break
         else:
-            spec_sum = s
-            binding = {}
-        factored = FactoredSum(spec_sum)
+            raise DomainError(
+                f"no non-degenerate specialization found after 300 tries (trial {r})"
+            )
+        factored = FactoredSum(pairs)
         support = factored.support
         for k in range(functionals):
             fun_rng = root.split("fun", r, k)

@@ -8,27 +8,28 @@ leading monomial and a reproducible serialization for every polynomial.
 Multiplication runs on integers: each operand is cleared to integer
 coefficients over the lcm of its denominators, and each exponent vector is
 packed into one int with a field per variable wide enough that no exponent
-sum can carry into the next field.  Products accumulate in the same loop
-order as the plain Fraction loop, removing a term whose sum cancels to zero
-and re-inserting it if it reappears, so the product's term insertion order
-is exactly the plain loop's.  `evaluate_in` sums in that order, so numeric
-values do not move in the last bits.  Each result coefficient becomes a
-Fraction once, at the end.
+sum can carry into the next field.  Products (`packed_product`, shared
+with `RatFunc.substitute`) accumulate in the same loop order as the plain
+Fraction loop, removing a term whose sum cancels to zero and re-inserting it
+if it reappears, so the product's term insertion order is exactly the plain
+loop's.  `evaluate_in` sums in that order, so numeric values do not move in
+the last bits.  Each result coefficient becomes a Fraction once, at the end.
 
 Exact evaluation at a rational point also runs on integers.
 `evaluate_ratio` clears the coefficients over their lcm, homogenizes each
 point value a/b up to its variable's degree, sums integer terms against
-power tables of a and b built once per call, and returns the value as an
-integer pair.  `evaluate` turns the pair into one Fraction, and
-`RatFunc.evaluate` decides poles and 0/0 on the integer numerators before
-building its single Fraction.
+power tables a^e b^(D-e) (`power_table`) built once per call, and returns
+the value as an integer pair.  `evaluate` turns the pair into one Fraction,
+and `RatFunc.evaluate` decides poles and 0/0 on the integer numerators
+before building its single Fraction.  The kernel test's specialization
+(`criterion`) reads the same power tables, one per variable and draw.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 __all__ = ["MultiPoly", "grlex_key"]
 
@@ -190,17 +191,7 @@ class MultiPoly:
         shifts = range(0, width * len(p.vars), width)
         den_p, pt = _packed_integer_terms(p, shifts)
         den_q, qt = _packed_integer_terms(q, shifts)
-        out: Dict[int, int] = {}
-        get = out.get
-        pop = out.pop
-        for k1, a1 in pt:
-            for k2, a2 in qt:
-                k = k1 + k2
-                s = get(k, 0) + a1 * a2
-                if s:
-                    out[k] = s
-                else:
-                    pop(k)
+        out = packed_product(pt, qt)
         den = den_p * den_q
         mask = (1 << width) - 1
         terms = {
@@ -263,17 +254,9 @@ class MultiPoly:
         tables = []
         base = 1
         for v, deg in zip(self.vars, degrees):
-            q = point[v]
-            if not isinstance(q, (int, Fraction)):
-                q = Fraction(q)
-            a, b = q.numerator, q.denominator
-            a_pows = [1]
-            b_pows = [1]
-            for _ in range(deg):
-                a_pows.append(a_pows[-1] * a)
-                b_pows.append(b_pows[-1] * b)
-            tables.append([a_pows[e] * b_pows[deg - e] for e in range(deg + 1)])
-            base *= b_pows[deg]
+            table = power_table(point[v], deg)
+            tables.append(table)
+            base *= table[0]
         total = 0
         for exp, c in terms.items():
             n = c.numerator * (scale // c.denominator)
@@ -354,6 +337,46 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_expr_string()!r})"
+
+
+def packed_product(a: Iterable[Tuple[int, int]], b: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """Product of two sequences of (packed exponent, int coefficient) pairs.
+
+    Terms accumulate in the plain loop order over a then b; a term whose sum
+    cancels to zero is removed and re-inserted if it reappears, so the
+    result's insertion order is the plain Fraction loop's.  ``b`` is read
+    once per term of ``a``, so it must be re-iterable.
+    """
+    out: Dict[int, int] = {}
+    get = out.get
+    pop = out.pop
+    for k1, a1 in a:
+        for k2, a2 in b:
+            k = k1 + k2
+            s = get(k, 0) + a1 * a2
+            if s:
+                out[k] = s
+            else:
+                pop(k)
+    return out
+
+
+def power_table(q, deg: int) -> List[int]:
+    """[a^e * b^(deg - e) for e = 0..deg], for q = a/b in lowest terms, b > 0.
+
+    Entry 0 is b^deg.  A polynomial of degree <= deg in one variable,
+    homogenized to deg, takes its value at q times b^deg by looking its
+    monomials up in this table.
+    """
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    a, b = q.numerator, q.denominator
+    a_pows = [1]
+    b_pows = [1]
+    for _ in range(deg):
+        a_pows.append(a_pows[-1] * a)
+        b_pows.append(b_pows[-1] * b)
+    return [a_pows[e] * b_pows[deg - e] for e in range(deg + 1)]
 
 
 def _max_exponent(p: MultiPoly) -> int:

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Dict, Mapping, Tuple, Union
 
 from .exact import DomainError
-from .poly import MultiPoly
+from .poly import MultiPoly, packed_product
 
 __all__ = [
     "POLE",
@@ -217,9 +217,10 @@ class RatFunc:
         numerator and denominator by one positive constant, which the
         constructor's normalization removes.  Exponent vectors are packed
         into one int, each field wide enough for the largest exponent any
-        product can reach.  Products and sums drop a term that cancels to
-        zero as ``MultiPoly.__mul__`` does, so the terms come out in the order
-        of the plain Fraction expansion.
+        product can reach.  Products go through ``poly.packed_product``, the
+        loop behind ``MultiPoly.__mul__``, and sums likewise drop a term that
+        cancels to zero, so the terms come out in the order of the plain
+        Fraction expansion.
         """
         missing = [v for v in self.vars if v not in binding]
         if missing:
@@ -249,8 +250,8 @@ class RatFunc:
             n, d = packed(image.num, cleared), packed(image.den, cleared)
             n_p, d_p = [None, n], [None, d]
             for _ in range(maxexp[v] - 1):
-                n_p.append(_packed_product(n_p[-1], n))
-                d_p.append(_packed_product(d_p[-1], d))
+                n_p.append(packed_product(n_p[-1], n).items())
+                d_p.append(packed_product(d_p[-1], d).items())
             pows[v] = (n_p, d_p)
         scale = _common_denominator(self)
         mask = (1 << width) - 1
@@ -264,9 +265,9 @@ class RatFunc:
                         n_p, d_p = pows[v]
                         co = maxexp[v] - e
                         if e:
-                            term = _packed_product(term, n_p[e])
+                            term = packed_product(term, n_p[e]).items()
                         if co:
-                            term = _packed_product(term, d_p[co])
+                            term = packed_product(term, d_p[co]).items()
                 for k, a in term:
                     a += total.get(k, 0)
                     if a:
@@ -341,23 +342,6 @@ class RatFunc:
 def _common_denominator(f: RatFunc) -> int:
     """The lcm of the denominators of f's coefficients, num and den together."""
     return lcm(*(c.denominator for p in (f.num, f.den) for c in p.terms.values()))
-
-
-def _packed_product(a: list, b: list) -> list:
-    """Product of two [(packed exponent, int)] lists, in MultiPoly.__mul__'s
-    loop order: a term that cancels to zero is removed and re-inserted if it
-    reappears."""
-    out: Dict[int, int] = {}
-    get = out.get
-    for k1, a1 in a:
-        for k2, a2 in b:
-            k = k1 + k2
-            s = get(k, 0) + a1 * a2
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return list(out.items())
 
 
 def _sympy_cancel(f: RatFunc) -> RatFunc:

@@ -28,7 +28,6 @@ from .checks import (
     check_xi7_explicit_vs_symmetric,
     check_xi7_term_count,
     check_xi7_weights,
-    class_vector_with_reps,
     group_generators,
     orbit_sizes,
 )
@@ -136,14 +135,14 @@ def _partition_16_6(s: FormalSum, group, x16: RatFunc, x6: RatFunc) -> bool:
     classes = {inversion_class_key(a) for _, a in s if not a.is_constant()}
     k16 = {inversion_class_key(g) for g in orb16}
     k6 = {inversion_class_key(g) for g in orb6}
-    v = class_vector_with_reps(s)
+    v = s.inversion_class_vector()
     return (
         len(orb16) == 16
         and len(orb6) == 6
         and (k16 | k6) == classes
         and not (k16 & k6)
-        and all(v[k][0] == 1 for k in k16)
-        and all(v[k][0] == -1 for k in k6)
+        and all(v[k] == 1 for k in k16)
+        and all(v[k] == -1 for k in k6)
     )
 
 

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyrel.catalog import equation_names, get_equation
 from polyrel.criterion import (
     DualFunctional,
     FactoredSum,
+    Verdict,
+    _integer_specializer,
+    _random_functional,
     beta_pairing,
     expand_tensor,
     kernel_test,
@@ -15,6 +19,7 @@ from polyrel.criterion import (
 )
 from polyrel.exact import DomainError, SplitMix64, random_rational
 from polyrel.formal import FormalSum
+from polyrel.poly import MultiPoly
 from polyrel.ratfunc import RatFunc
 
 
@@ -429,3 +434,176 @@ def test_kernel_golden_witness(name, spec_height, expected):
     verdict = kernel_test(s, m, trials=4, functionals=3, seed=0, specialization_height=spec_height)
     # key order too: the JSON report serializes dicts in insertion order
     assert json.dumps(verdict.to_json()) == json.dumps(expected)
+
+
+# -- the integer specialization against FormalSum.specialize ---------------------------
+
+def reference_kernel_test(
+    s, m, trials=10, functionals=5, height=40, seed=0, specialization_height=None, log=None
+):
+    """kernel_test as it ran before its integer specialization: each draw
+    goes through FormalSum.specialize and the FormalSum constructor's merge,
+    then FactoredSum.  ``log`` collects (binding, degenerate reason or None)
+    for every draw."""
+    root = SplitMix64(seed)
+    variables = s.variables()
+    spec_height = specialization_height or height
+    n_trials = trials if variables else 1
+    meta = {
+        "trials": n_trials,
+        "functionals": functionals,
+        "height": height,
+        "specialization_height": spec_height,
+        "seed": seed,
+        "weight": m,
+    }
+    for r in range(n_trials):
+        spec_rng = root.split("spec", r)
+        binding = {}
+        spec_sum = s
+        if variables:
+            for _ in range(300):
+                binding = {v: random_rational(spec_height, spec_rng) for v in variables}
+                specialized = s.specialize(binding)
+                if log is not None:
+                    reason = specialized.dropped[0][1] if specialized.degenerate else None
+                    log.append((binding, reason))
+                if not specialized.degenerate:
+                    break
+            else:
+                raise DomainError("no non-degenerate specialization")
+            spec_sum = specialized.sum
+        factored = FactoredSum(spec_sum)
+        for k in range(functionals):
+            fun_rng = root.split("fun", r, k)
+            theta = _random_functional(factored.support, fun_rng, height)
+            phi = _random_functional(factored.support, fun_rng, height)
+            psi = _random_functional(factored.support, fun_rng, height)
+            value = beta_pairing(factored, m, theta, phi, psi)
+            if value != 0:
+                witness = {
+                    "specialization": {v: str(q) for v, q in binding.items()},
+                    "theta": {p: str(c) for p, c in theta.values.items()},
+                    "phi": {p: str(c) for p, c in phi.values.items()},
+                    "psi": {p: str(c) for p, c in psi.values.items()},
+                    "value": str(value),
+                    "trial": r,
+                    "functional_index": k,
+                }
+                return Verdict("fail", witness, meta)
+    return Verdict("pass", None, meta)
+
+
+def reference_pairs(s, binding):
+    """The (coefficient, value) pairs FormalSum.specialize gives, or None."""
+    res = s.specialize(binding)
+    if res.degenerate:
+        return None
+    return sorted((c, a.constant_value()) for c, a in res.sum)
+
+
+def _symbolic_relations():
+    return [
+        n for n in equation_names()
+        if get_equation(n).is_equation and not get_equation(n).numeric_only
+    ]
+
+
+def test_symbolic_relations_listed():
+    names = _symbolic_relations()
+    assert {"five_term", "goncharov22", "relation34", "xi7_explicit", "xi7_symmetric"} <= set(names)
+    assert not any(n.startswith("fourlog") for n in names)
+
+
+@pytest.mark.parametrize("name", _symbolic_relations())
+@pytest.mark.parametrize("seed", [0, 3, 20260808])
+def test_kernel_matches_reference_on_catalog(name, seed):
+    eq = get_equation(name)
+    kwargs = dict(
+        trials=3, functionals=2, seed=seed,
+        specialization_height=7 if eq.weight >= 7 else None,
+    )
+    got = kernel_test(eq.sum, eq.weight, **kwargs).to_json()
+    assert json.dumps(got) == json.dumps(reference_kernel_test(eq.sum, eq.weight, **kwargs).to_json())
+
+
+@pytest.mark.parametrize("name, spec_height", [("xi7_explicit", 7), ("goncharov22", None)])
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_kernel_matches_reference_on_perturbed_controls(name, spec_height, seed):
+    s, m = _perturbed(name)
+    kwargs = dict(trials=4, functionals=3, seed=seed, specialization_height=spec_height)
+    got = kernel_test(s, m, **kwargs)
+    assert got.status == "fail"
+    assert json.dumps(got.to_json()) == json.dumps(reference_kernel_test(s, m, **kwargs).to_json())
+
+
+def test_coinciding_values_merge_and_cancel():
+    # x and y are distinct functions with equal values at x = y = 7/11; their
+    # coefficients cancel there, so 7 and 11 must leave the support
+    x, y = RatFunc.var("x"), RatFunc.var("y")
+    s = FormalSum([(1, x), (-1, y), (2, x * y), (3, RatFunc.from_value(2))])
+    variables, specialize = _integer_specializer(s)
+    assert variables == ("x", "y")
+    binding = {"x": Fraction(7, 11), "y": Fraction(7, 11)}
+    pairs = specialize(binding)
+    assert sorted(pairs) == reference_pairs(s, binding) == [(2, Fraction(49, 121)), (3, 2)]
+    assert FactoredSum(pairs).support == (2, 3, 7, 11)
+    # a coefficient that cancels takes its primes with it
+    s = FormalSum([(1, x), (-1, y), (3, RatFunc.from_value(2))])
+    pairs = _integer_specializer(s)[1](binding)
+    assert pairs == [(3, 2)]
+    assert FactoredSum(pairs).support == (2,)
+    # partial merges add up
+    s = FormalSum([(1, x), (Fraction(1, 2), y)])
+    assert _integer_specializer(s)[1](binding) == [(Fraction(3, 2), Fraction(7, 11))]
+
+
+def test_table_variable_of_degree_zero_is_skipped():
+    # s sits in a's variable table with degree 0: it is not a variable of the
+    # sum, the binding does not bind it, and the value is that of t
+    t = MultiPoly.var("t", ["s", "t"])
+    a = RatFunc(t * t, t + MultiPoly.const(1, ["s", "t"]))
+    assert a.vars == ("s", "t") and a.num.degree_in("s") == a.den.degree_in("s") == 0
+    f = FormalSum([(1, a), (2, RatFunc.var("t"))])
+    variables, specialize = _integer_specializer(f)
+    assert variables == f.variables() == ("t",)
+    binding = {"t": Fraction(-3, 5)}
+    assert sorted(specialize(binding)) == reference_pairs(f, binding)
+    for seed in (0, 1):
+        assert kernel_test(f, 3, trials=3, functionals=2, seed=seed).to_json() == (
+            reference_kernel_test(f, 3, trials=3, functionals=2, seed=seed).to_json()
+        )
+
+
+def _degenerate_argument(reason):
+    """An argument of t that degenerates by ``reason`` at one of the values a
+    height-2 draw takes (-2, -1, -1/2, 1/2 and 2)."""
+    t = RatFunc.var("t")
+    if reason == "pole":
+        return 1 / (t - 2)
+    if reason == "indeterminate":
+        return RatFunc((t * (t - 2)).num, (t - 2).num)  # t, uncancelled
+    return t + 1 if reason == "zero" else t + 2
+
+
+@pytest.mark.parametrize("reason", ["pole", "indeterminate", "zero", "one"])
+def test_degenerate_draws_match_reference(reason):
+    arg = _degenerate_argument(reason)
+    assert not arg.is_constant()
+    s = FormalSum([(1, arg), (Fraction(2, 3), RatFunc.var("u"))])
+    kwargs = dict(trials=3, functionals=2, specialization_height=2)
+    for seed in range(200):
+        log = []
+        ref = reference_kernel_test(s, 3, seed=seed, log=log, **kwargs)
+        if any(r == reason for _, r in log):
+            break
+    else:
+        pytest.fail(f"no draw degenerates by {reason}")
+    # the same draws are rejected, the same binding is kept
+    _, specialize = _integer_specializer(s)
+    assert [specialize(b) is None for b, _ in log] == [r is not None for _, r in log]
+    for b, r in log:
+        if r is None:
+            assert sorted(specialize(b)) == reference_pairs(s, b)
+    got = kernel_test(s, 3, seed=seed, **kwargs)
+    assert json.dumps(got.to_json()) == json.dumps(ref.to_json())
