@@ -6,6 +6,13 @@ rational functions; the weight-7 entries are assembled from power products
 of the irreducible factors t, 1-t, 1-t+t^2 (and the u-counterparts), which
 keeps them in reduced form by construction.
 
+Each distinct power product is built once per process and shared: the two
+weight-7 sums make 868 calls for 517 distinct products, and the 220
+arguments xi7_symmetric has in common with xi7_explicit are the same
+objects, which FormalSum merges without comparing them again.
+`_power_product` builds them on integers from cached one-variable parts, in
+the term order of the sequential product, so numeric values do not move.
+
 f17 is a building block (only differences of its specializations are
 functional equations) and carries is_equation=False; the weight-4 family is
 numeric-only (its arguments live in extension fields, so the rational
@@ -17,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from typing import Callable, Dict, List, Tuple
 
 from .exact import DomainError
@@ -369,23 +377,85 @@ def _irreducibles(var: str) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
     return z, one - z, one - z + z * z
 
 
+@lru_cache(maxsize=None)
+def _factor_power(idx: int, e: int) -> MultiPoly:
+    """The e-th power of the idx-th irreducible factor of one variable z."""
+    return _irreducibles("z")[idx] ** e
+
+
+@lru_cache(maxsize=None)
+def _one_variable_part(powers: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int], ...]:
+    """The product of the factor powers (idx, e) of one variable, as
+    (exponent, int) pairs.
+
+    Multiplied with ``MultiPoly`` in the order given, so the pairs come in
+    the term order of the sequential product; the factors have integer
+    coefficients, and so has their product.
+    """
+    part = MultiPoly.const(1, ["z"])
+    for idx, e in powers:
+        part = part * _factor_power(idx, e)
+    return tuple((exp, c.numerator) for (exp,), c in part.terms.items())
+
+
+def _outer_product(
+    sign: int, parts: List[Tuple[str, Tuple[Tuple[int, int], ...]]]
+) -> MultiPoly:
+    """sign * the product of one-variable parts over distinct variables.
+
+    No two products share an exponent vector, so the terms are the outer
+    product of the parts, first part outermost, and each coefficient becomes
+    a Fraction once.
+    """
+    vs = tuple(sorted(var for var, _ in parts))
+    slots = [vs.index(var) for var, _ in parts]
+    terms: Dict[Tuple[int, ...], Fraction] = {}
+    for combo in product(*(pairs for _, pairs in parts)):
+        exp = [0] * len(vs)
+        c = sign
+        for slot, (e, k) in zip(slots, combo):
+            exp[slot] = e
+            c *= k
+        terms[tuple(exp)] = Fraction(c)
+    return MultiPoly._trusted(vs, terms)
+
+
+#: (sign, ((variable, ((factor, exponent), ...)), ...)) -> power product
+_power_products: Dict[Tuple, RatFunc] = {}
+
+
 def _power_product(sign: int, factor_exps: Dict[str, Dict[int, int]]) -> RatFunc:
     """sign * prod over variables of t^e0 (1-t)^e1 (1-t+t^2)^e2.
 
     The factors are distinct irreducibles, so the result is reduced by
     construction and can be marked as its own cancelled form.
+
+    Each distinct (sign, exponents) is built once per process and handed out
+    as the same object.  A miss splits every variable's exponents into a
+    numerator part (positive powers) and a denominator part, each a
+    one-variable product cached as integer (exponent, coefficient) pairs,
+    and takes num and den as outer products of the parts, first variable
+    outermost.  That is the term order of multiplying the factor powers one
+    at a time, variable by variable: the variables are disjoint, so no two
+    products collide and the insertion order is the outer product of the
+    factors' orders.  ``evaluate_in`` sums in that order, so numeric values
+    are unchanged to the last bit.
     """
-    num = MultiPoly.const(Fraction(sign))
-    den = MultiPoly.const(Fraction(1))
-    for var, exps in factor_exps.items():
-        irr = _irreducibles(var)
-        for idx, e in exps.items():
-            if e > 0:
-                num = num * irr[idx] ** e
-            elif e < 0:
-                den = den * irr[idx] ** (-e)
-    rf = RatFunc(num, den)
-    rf._cancelled = rf
+    key = (sign, tuple((var, tuple(exps.items())) for var, exps in factor_exps.items()))
+    rf = _power_products.get(key)
+    if rf is None:
+        num_parts = []
+        den_parts = []
+        for var, exps in factor_exps.items():
+            up = tuple((idx, e) for idx, e in exps.items() if e > 0)
+            down = tuple((idx, -e) for idx, e in exps.items() if e < 0)
+            if up:
+                num_parts.append((var, _one_variable_part(up)))
+            if down:
+                den_parts.append((var, _one_variable_part(down)))
+        rf = RatFunc(_outer_product(sign, num_parts), _outer_product(1, den_parts))
+        rf._cancelled = rf
+        _power_products[key] = rf
     return rf
 
 
@@ -520,15 +590,6 @@ def phi_alpha(alpha: Tuple[int, int, int], var: str = "z") -> RatFunc:
     """The rational map z -> (-f1)^a1 f2^a2 f3^a3 as a reduced RatFunc."""
     exps, sign = _phi_exponents(alpha)
     return _power_product(sign, {var: exps})
-
-
-def _phi_ratio(alpha: Tuple[int, int, int], beta: Tuple[int, int, int]) -> RatFunc:
-    """phi_alpha(t) / phi_beta(u) as one reduced power product."""
-    a_exps, a_sign = _phi_exponents(alpha)
-    b_exps, b_sign = _phi_exponents(beta)
-    return _power_product(
-        a_sign * b_sign, {"t": a_exps, "u": {k: -e for k, e in b_exps.items()}}
-    )
 
 
 def _triple_slot(gamma: Tuple[int, int, int]) -> Tuple[int, int, int]:

@@ -140,20 +140,23 @@ class FormalSum:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Iterable[Tuple[Fraction, RatFunc]] = ()):
-        buckets: Dict[Tuple, List[Tuple[RatFunc, Fraction]]] = {}
+        # fingerprint -> [representative, accumulated coefficient] entries;
+        # a representative seen again (the same object) is merged by identity
+        buckets: Dict[Tuple, List[list]] = {}
+        by_id: Dict[int, list] = {}
         for coeff, arg in terms:
             c = Fraction(coeff)
             if c == 0:
                 continue
-            fp = _fingerprint(arg)
-            merged = False
-            for i, (rep, acc) in enumerate(buckets.get(fp, [])):
-                if rep.equivalent(arg):
-                    buckets[fp][i] = (rep, acc + c)
-                    merged = True
-                    break
-            if not merged:
-                buckets.setdefault(fp, []).append((arg, c))
+            entry = by_id.get(id(arg))
+            if entry is None:
+                bucket = buckets.setdefault(_fingerprint(arg), [])
+                entry = next((e for e in bucket if e[0].equivalent(arg)), None)
+                if entry is None:
+                    entry = [arg, Fraction(0)]
+                    bucket.append(entry)
+                    by_id[id(arg)] = entry
+            entry[1] += c
         collected = [
             (acc, rep)
             for entries in buckets.values()
@@ -186,8 +189,18 @@ class FormalSum:
         return self.scale(-1)
 
     def scale(self, c) -> "FormalSum":
+        """c times the sum.
+
+        For c != 0 the terms stay pairwise inequivalent and sorted by their
+        unchanged arguments, so they are rescaled in place of a rebuild.
+        """
         c = Fraction(c)
-        return FormalSum([(coeff * c, arg) for coeff, arg in self.terms])
+        if c == 0:
+            return FormalSum()
+        out = object.__new__(FormalSum)
+        out.terms = tuple((coeff * c, arg) for coeff, arg in self.terms)
+        out._hash = None
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms

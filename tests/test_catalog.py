@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyrel import catalog
 from polyrel.catalog import (
     XI7_BLOCKS,
     a_k_sets,
@@ -17,6 +18,7 @@ from polyrel.catalog import (
 from polyrel.criterion import kernel_test
 from polyrel.exact import DomainError
 from polyrel.formal import inversion_class_key
+from polyrel.poly import MultiPoly
 from polyrel.ratfunc import RatFunc
 
 
@@ -157,6 +159,98 @@ def test_phi_alpha_unit_exponents():
     assert phi_alpha((1, 0, 0)).equivalent(z / C)        # -f1
     assert phi_alpha((0, 1, 0)).equivalent((z - 1) / C)  # f2
     assert phi_alpha((0, 0, 1)).equivalent(z * (1 - z) / C)
+
+
+# -- power products: the memo against the sequential product ---------------------------
+
+def reference_power_product(sign, factor_exps):
+    """One MultiPoly multiplication per factor power, variable by variable."""
+    num = MultiPoly.const(Fraction(sign))
+    den = MultiPoly.const(Fraction(1))
+    for var, exps in factor_exps.items():
+        z = MultiPoly.var(var)
+        one = MultiPoly.const(1, [var])
+        irr = (z, one - z, one - z + z * z)
+        for idx, e in exps.items():
+            if e > 0:
+                num = num * irr[idx] ** e
+            elif e < 0:
+                den = den * irr[idx] ** (-e)
+    rf = RatFunc(num, den)
+    rf._cancelled = rf
+    return rf
+
+
+def _power_product_calls(monkeypatch, build):
+    """(sign, factor_exps, result) of every _power_product call ``build`` makes."""
+    calls = []
+    real = catalog._power_product
+
+    def record(sign, factor_exps):
+        rf = real(sign, factor_exps)
+        calls.append((sign, factor_exps, rf))
+        return rf
+
+    monkeypatch.setattr(catalog, "_power_product", record)
+    build()
+    return calls
+
+
+def _assert_match_reference(calls):
+    for sign, factor_exps, rf in calls:
+        ref = reference_power_product(sign, factor_exps)
+        assert rf.vars == ref.vars
+        # ordered term lists: evaluate_in sums in insertion order
+        assert list(rf.num.terms.items()) == list(ref.num.terms.items())
+        assert list(rf.den.terms.items()) == list(ref.den.terms.items())
+        assert rf._cancelled is rf
+
+
+def test_xi7_power_products_match_sequential_product(monkeypatch):
+    calls = _power_product_calls(
+        monkeypatch, lambda: (catalog.xi7_explicit(), catalog.xi7_symmetric())
+    )
+    assert len(calls) == 868
+    assert len({id(rf) for _, _, rf in calls}) == 517
+    _assert_match_reference(calls)
+
+
+def test_phi_alpha_power_products_match_sequential_product(monkeypatch):
+    def build():
+        sets = a_k_sets()
+        for k in (1, 2, 3):
+            for alpha in sets[f"A{k}"]:
+                for sa in s3_cosets(alpha):
+                    phi_alpha(sa)
+                    phi_alpha(sa, "u")
+
+    calls = _power_product_calls(monkeypatch, build)
+    assert len(calls) == 2 * 43
+    _assert_match_reference(calls)
+
+
+@pytest.mark.parametrize(
+    "sign, factor_exps",
+    [
+        (1, {"t": {0: 2, 1: 3, 2: -1}}),
+        (-1, {"t": {0: 2, 1: 3, 2: -1}}),  # same exponents, other sign
+        (-1, {"t": {1: 2, 2: 3}, "u": {0: -1, 1: -4}}),
+        (1, {"u": {1: 3, 2: -2}, "t": {1: -1, 2: 2}}),  # variables not sorted
+        (1, {"t": {1: -2}, "u": {2: 1}}),  # t only in the denominator
+        (-1, {"a": {1: 1, 2: 1}, "t": {1: 2}, "u": {2: -1}}),
+        (1, {"t": {}}),
+    ],
+)
+def test_power_product_matches_sequential_product(sign, factor_exps):
+    _assert_match_reference([(sign, factor_exps, catalog._power_product(sign, factor_exps))])
+
+
+def test_block_argument_is_built_once():
+    build = catalog._block_argument
+    assert build(1, -3, 2, -2, 3, 1) is build(1, -3, 2, -2, 3, 1)
+    explicit = {id(arg) for _, arg in catalog.xi7_explicit().sum}
+    symmetric = {id(arg) for _, arg in catalog.xi7_symmetric().sum}
+    assert len(explicit & symmetric) == 220
 
 
 # -- kernel soundness sweep (reduced parameters; acceptance runs full) ---------------

@@ -31,6 +31,76 @@ def test_scale():
     assert s.coefficient_of(x) == 2 and s.coefficient_of(y) == 2
 
 
+def reference_terms(terms):
+    """The constructor's canonical terms, every argument fingerprinted and compared."""
+    buckets = {}
+    for coeff, arg in terms:
+        c = Fraction(coeff)
+        if c == 0:
+            continue
+        fp = formal._fingerprint(arg)
+        merged = False
+        for i, (rep, acc) in enumerate(buckets.get(fp, [])):
+            if rep.equivalent(arg):
+                buckets[fp][i] = (rep, acc + c)
+                merged = True
+                break
+        if not merged:
+            buckets.setdefault(fp, []).append((arg, c))
+    collected = [
+        (acc, rep) for entries in buckets.values() for rep, acc in entries if acc != 0
+    ]
+    collected.sort(key=lambda t: t[1].serialize())
+    return tuple(collected)
+
+
+def _assert_same_terms(s, expected):
+    assert len(s.terms) == len(expected)
+    for (c, arg), (ec, earg) in zip(s.terms, expected):
+        assert c == ec and type(c) is Fraction
+        assert arg is earg
+
+
+_x_again = (x * y) / y  # another object for the function x
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(1, x), (2, y), (3, x)],
+        [(1, x), (-1, x), (2, y)],  # the repeated object cancels
+        [(1, x), (-1, x), (5, x)],  # cancels, then comes back
+        [(1, x), (1, _x_again), (1, _x_again), (1, x)],
+        [(1, _x_again), (1, x), (1, _x_again), (-2, x)],
+        [(Fraction(1, 2), one), (0, x), (Fraction(-1, 2), one), (3, x)],
+    ],
+    ids=["merge", "cancel", "cancel-reappear", "rep-first", "equivalent-first", "const"],
+)
+def test_repeated_object_merges_like_reference(terms):
+    _assert_same_terms(FormalSum(terms), reference_terms(terms))
+
+
+def test_xi7_block_table_merges_like_reference():
+    from polyrel.catalog import XI7_BLOCKS, _block_sum
+
+    terms = [
+        (first * second * k, arg)
+        for first, second, block in XI7_BLOCKS
+        for k, arg in _block_sum(*block)
+    ]
+    assert (len(terms), len({id(arg) for _, arg in terms})) == (432, 301)
+    _assert_same_terms(FormalSum(terms), reference_terms(terms))
+
+
+@pytest.mark.parametrize("c", [60, -1, Fraction(1, 7), 0])
+def test_scale_matches_constructor_on_catalog(c):
+    from polyrel.catalog import equation_names, get_equation
+
+    for name in equation_names():
+        s = get_equation(name).sum
+        _assert_same_terms(s.scale(c), FormalSum([(k * c, a) for k, a in s.terms]).terms)
+
+
 def test_merge_requires_function_equality_not_representation():
     unreduced = (x * y) / y  # same function as x, different representation
     s = FormalSum([(1, x), (1, unreduced)])
