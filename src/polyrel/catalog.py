@@ -378,12 +378,6 @@ def _irreducibles(var: str) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
 
 
 @lru_cache(maxsize=None)
-def _factor_power(idx: int, e: int) -> MultiPoly:
-    """The e-th power of the idx-th irreducible factor of one variable z."""
-    return _irreducibles("z")[idx] ** e
-
-
-@lru_cache(maxsize=None)
 def _one_variable_part(powers: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int], ...]:
     """The product of the factor powers (idx, e) of one variable, as
     (exponent, int) pairs.
@@ -392,9 +386,10 @@ def _one_variable_part(powers: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, 
     the term order of the sequential product; the factors have integer
     coefficients, and so has their product.
     """
+    irr = _irreducibles("z")
     part = MultiPoly.const(1, ["z"])
     for idx, e in powers:
-        part = part * _factor_power(idx, e)
+        part = part * irr[idx] ** e
     return tuple((exp, c.numerator) for (exp,), c in part.terms.items())
 
 
