@@ -17,7 +17,8 @@ of the Laurent ring Q[x^±1], whose units are the monomials.  A reduced p/q
 has coprime p and q in that ring, so their images are coprime there too: the
 only common factor the images can have as polynomials is a monomial.
 Applying such a map to a cancelled argument therefore strips the common
-monomial and is done; every other map or argument goes through sympy's gcd.
+monomial and is done; every other map or argument goes through the gcd in
+`RatFunc.cancelled` (ratfunc's heuristic gcd on integer coefficients).
 Closures are memoized by their generators, so the checks that share a group
 build it once per process.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .exact import DomainError, SplitMix64
@@ -229,9 +231,6 @@ class FormalSum:
             vs.update(v for v in arg.vars if arg.num.degree_in(v) or arg.den.degree_in(v))
         return tuple(sorted(vs))
 
-    def constant_part(self) -> "FormalSum":
-        return FormalSum([(c, a) for c, a in self.terms if a.is_constant()])
-
     def nonconstant_part(self) -> "FormalSum":
         return FormalSum([(c, a) for c, a in self.terms if not a.is_constant()])
 
@@ -240,12 +239,6 @@ class FormalSum:
             if a.equivalent(arg):
                 return c
         return Fraction(0)
-
-    def assert_integral(self) -> "FormalSum":
-        for c, _ in self.terms:
-            if c.denominator != 1:
-                raise AssertionError(f"non-integral coefficient {c}")
-        return self
 
     # -- argument maps -------------------------------------------------------------
 
@@ -367,8 +360,9 @@ class Automorphism:
 
     Images are stored gcd-cancelled so every automorphism has one canonical
     representation; equality and hashing use that form directly.
-    ``_monomial`` holds (c, m) per variable when every image is c·x^m and the
-    exponent matrix is unimodular (see the module docstring), else None.
+    ``_monomial`` holds (p, q, m) per variable when every image is (p/q)·x^m
+    and the exponent matrix is unimodular (see the module docstring), else
+    None.
     """
 
     __slots__ = ("variables", "images", "_key", "_monomial")
@@ -401,34 +395,44 @@ class Automorphism:
         """Image of a cancelled f under a unimodular monomial map, cancelled.
 
         Same variable table as ``f.substitute(...).cancelled()``: the union of
-        the images of the variables f depends on.
+        the images of the variables f depends on.  Each term is carried as an
+        integer numerator and denominator over an integer exponent row, and
+        both polynomials are cleared once by the lcm of the denominators, a
+        positive scale the constructor's normalization removes.
         """
         mono = self._monomial
         n = len(self.variables)
 
-        def image(p) -> List[Tuple[List[int], Fraction]]:
+        def image(p) -> List[Tuple[List[int], int, int]]:
             out = []
             for exp, c in p.terms.items():
+                a, b = c.numerator, c.denominator
                 m = [0] * n
                 for v, e in zip(p.vars, exp):
                     if e:
-                        cv, mv = mono[v]
-                        c = c * cv ** e
-                        m = [a + e * b for a, b in zip(m, mv)]
-                out.append((m, c))
+                        cn, cd, mv = mono[v]
+                        a *= cn ** e
+                        b *= cd ** e
+                        m = [x + e * y for x, y in zip(m, mv)]
+                out.append((m, a, b))
             return out
 
         num, den = image(f.num), image(f.den)
-        low = [min(col) for col in zip(*(m for m, _ in num + den))]
+        terms = num + den
+        low = [min(col) for col in zip(*(m for m, _, _ in terms))]
+        scale = lcm(*(b for _, _, b in terms))
         live = [v for v in f.vars if f.num.degree_in(v) or f.den.degree_in(v)]
         vs = tuple(sorted({w for v in live for w in self.images[v].vars}))
         pos = {v: i for i, v in enumerate(self.variables)}
         cols = [pos.get(w) for w in vs]
 
         def poly(terms) -> MultiPoly:
-            return MultiPoly(
+            return MultiPoly._trusted(
                 vs,
-                {tuple([0 if i is None else m[i] - low[i] for i in cols]): c for m, c in terms},
+                {
+                    tuple([0 if i is None else m[i] - low[i] for i in cols]): Fraction(a * (scale // b))
+                    for m, a, b in terms
+                },
             )
 
         out = RatFunc(poly(num), poly(den))
@@ -456,8 +460,9 @@ class Automorphism:
 
 def _unimodular_monomial_images(
     variables: Tuple[str, ...], images: Mapping[str, RatFunc]
-) -> "Dict[str, Tuple[Fraction, Tuple[int, ...]]] | None":
-    """{v: (c, m)} when each image is c·x^m with det(m rows) = ±1, else None."""
+) -> "Dict[str, Tuple[int, int, Tuple[int, ...]]] | None":
+    """{v: (p, q, m)} when each image is (p/q)·x^m, q > 0, with det(m rows) = ±1,
+    else None."""
     pos = {v: i for i, v in enumerate(variables)}
     out = {}
     for v in variables:
@@ -472,8 +477,9 @@ def _unimodular_monomial_images(
                 if w not in pos:
                     return None
                 m[pos[w]] = a - b
-        out[v] = (nc / dc, tuple(m))
-    if abs(_det([out[v][1] for v in variables])) != 1:
+        cv = nc / dc
+        out[v] = (cv.numerator, cv.denominator, tuple(m))
+    if abs(_det([out[v][2] for v in variables])) != 1:
         return None
     return out
 

@@ -109,9 +109,6 @@ class MultiPoly:
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
             return 0

@@ -6,13 +6,15 @@ cheap normalization (the denominator is made integral, coprime and with a
 positive leading coefficient in graded-lex order).  Equality of the functions
 they represent is decided by cross-multiplication (`equivalent`), never by
 reduction.  `cancelled()` produces the gcd-reduced canonical representative
-when a unique key is genuinely needed (group closures, class merging).
+when a unique key is genuinely needed (group closures, class merging).  The
+gcd is computed here, by a port of sympy's heuristic gcd on integer
+coefficients; sympy itself is imported only if the heuristic fails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, Mapping, Tuple, Union
 
 from .exact import DomainError
@@ -50,6 +52,7 @@ INDETERMINATE = _Tagged("Indeterminate")
 INFINITY = _Tagged("Infinity")
 
 Scalar = Union[int, Fraction]
+IntPoly = Dict[Tuple[int, ...], int]
 
 
 class RatFunc:
@@ -345,34 +348,201 @@ def _common_denominator(f: RatFunc) -> int:
 
 
 def _sympy_cancel(f: RatFunc) -> RatFunc:
-    """Divide num and den by their gcd: sympy's cofactors over ZZ.
+    """Divide num and den by their gcd over ZZ (the name the benchmark's span
+    table in perfbench/spans.py wraps).
 
     Both polynomials are cleared to integers over one common denominator,
-    which leaves the function unchanged; the constructor's normalization
-    then gives the canonical representative.
+    which leaves the function unchanged.  The cofactors come from
+    ``_heu_gcd``, a port of sympy's heuristic gcd (``dmp_zz_heu_gcd``); if it
+    fails at every evaluation point, sympy's ``cofactors`` over ZZ computes
+    them instead, imported only then.  The cofactor terms are inserted in
+    ascending lex order of their exponents, the order of sympy's
+    ``dmp_to_dict``, and the constructor's normalization then gives the
+    canonical representative.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989): evaluate f
+    and g at x_0 = ξ, take the gcd of the images, and read a candidate back
+    from the balanced base-ξ digits of the image gcd, or of one cofactor
+    image.  If ξ >= 2·min(‖f‖, ‖g‖) + 2 (max norms), a candidate that divides
+    both inputs exactly is their gcd.  The first ξ is sympy's
+    max(min(B, 99·isqrt(B)), 2·min(‖f‖/|lc f|, ‖g‖/|lc g|) + 4) with
+    B = 2·min(‖f‖, ‖g‖) + 29: B alone meets the condition whenever the smaller
+    norm is at most 4,850, and the second term keeps ξ above twice the Cauchy
+    root bound of one input.  Each retry raises ξ to 73794·ξ·isqrt(isqrt(ξ))
+    // 27011.
     """
+    scale = _common_denominator(f)
+    num, den = (
+        {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
+        for p in (f.num, f.den)
+    )
+    try:
+        _, pn, pd = _heu_gcd(num, den)
+    except _HeuristicGCDFailed:
+        pn, pd = _sympy_cofactors(f.vars, num, den)
+    return RatFunc(_lex_poly(f.vars, pn), _lex_poly(f.vars, pd))
+
+
+def _lex_poly(vs: Tuple[str, ...], p: IntPoly) -> MultiPoly:
+    return MultiPoly._trusted(vs, {e: Fraction(c) for e, c in sorted(p.items())})
+
+
+def _sympy_cofactors(vs: Tuple[str, ...], num: IntPoly, den: IntPoly) -> Tuple[IntPoly, IntPoly]:
+    """num / gcd and den / gcd by sympy's ``Poly.cofactors`` over ZZ."""
     import sympy
 
-    syms = sympy.symbols(f.vars)
+    syms = sympy.symbols(vs)
     if not isinstance(syms, tuple):
         syms = (syms,)
-    scale = _common_denominator(f)
+    pn, pd = (sympy.Poly.from_dict(p, *syms, domain="ZZ") for p in (num, den))
+    _, pn, pd = pn.cofactors(pd)
+    return tuple(
+        {tuple(map(int, e)): int(c) for e, c in sp.as_dict(native=True).items()}
+        for sp in (pn, pd)
+    )
 
-    def to_sympy(p: MultiPoly):
-        return sympy.Poly.from_dict(
-            {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()},
-            *syms,
-            domain="ZZ",
-        )
 
-    def from_sympy(sp) -> MultiPoly:
-        return MultiPoly(
-            f.vars,
-            {tuple(map(int, e)): int(c) for e, c in sp.as_dict(native=True).items()},
-        )
+# -- heuristic gcd over ZZ ----------------------------------------------------------
+#
+# Polynomials are {exponent tuple: nonzero int} dicts (IntPoly) over one
+# variable table; tuple order is lex order with the first variable most
+# significant.
 
-    _, pn, pd = to_sympy(f.num).cofactors(to_sympy(f.den))
-    return RatFunc(from_sympy(pn), from_sympy(pd))
+#: Evaluation points tried per level before giving up (sympy's HEU_GCD_MAX).
+_HEU_GCD_TRIES = 6
+
+
+class _HeuristicGCDFailed(ArithmeticError):
+    """No evaluation point gave a candidate that divides both inputs."""
+
+
+def _heu_gcd(f: IntPoly, g: IntPoly) -> Tuple[IntPoly, IntPoly, IntPoly]:
+    """(h, f / h, g / h) for h = gcd(f, g), f and g nonzero.
+
+    sympy's ``dmp_zz_heu_gcd`` on sparse dicts: the first variable is
+    evaluated at ξ and the gcd of the images is taken recursively, down to
+    integers.  A candidate is accepted through one of three exact divisions:
+    the interpolated gcd divides f and g, or the interpolated cofactor of f
+    (then of g) divides f (g) and the quotient divides the other input.
+    Kronecker images of several variables at once would not do: they do not
+    preserve coprimality.  Raises _HeuristicGCDFailed after
+    ``_HEU_GCD_TRIES`` points.
+    """
+    if () in f:
+        a, b = f[()], g[()]
+        c = gcd(a, b)
+        return {(): c}, {(): a // c}, {(): b // c}
+    cont = gcd(*f.values(), *g.values())
+    if cont != 1:
+        f = {e: c // cont for e, c in f.items()}
+        g = {e: c // cont for e, c in g.items()}
+    f_norm = max(map(abs, f.values()))
+    g_norm = max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    xi = max(
+        min(bound, 99 * isqrt(bound)),
+        2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4,
+    )
+    for _ in range(_HEU_GCD_TRIES):
+        ff, gg = _eval_first(f, xi), _eval_first(g, xi)
+        if ff and gg:
+            h, cff, cfg = _heu_gcd(ff, gg)
+            h = _primitive(_interpolate(h, xi))
+            q = _exact_quotient(f, h)
+            if q is not None:
+                r = _exact_quotient(g, h)
+                if r is not None:
+                    return _times(h, cont), q, r
+            cff = _interpolate(cff, xi)
+            h = _exact_quotient(f, cff)
+            if h is not None:
+                r = _exact_quotient(g, h)
+                if r is not None:
+                    return _times(h, cont), cff, r
+            cfg = _interpolate(cfg, xi)
+            h = _exact_quotient(g, cfg)
+            if h is not None:
+                q = _exact_quotient(f, h)
+                if q is not None:
+                    return _times(h, cont), q, cfg
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    raise _HeuristicGCDFailed("no evaluation point gave the gcd")
+
+
+def _eval_first(f: IntPoly, xi: int) -> IntPoly:
+    """f with its first variable set to xi, over the remaining variables."""
+    powers = [1]
+    for _ in range(max(e[0] for e in f)):
+        powers.append(powers[-1] * xi)
+    out: IntPoly = {}
+    for e, c in f.items():
+        k = e[1:]
+        out[k] = out.get(k, 0) + c * powers[e[0]]
+    return {k: c for k, c in out.items() if c}
+
+
+def _interpolate(h: IntPoly, xi: int) -> IntPoly:
+    """The polynomial in one more (first) variable whose coefficients are the
+    balanced base-xi digits of h's, with a positive lex leading coefficient."""
+    out: IntPoly = {}
+    half = xi // 2
+    k = 0
+    while h:
+        rest = {}
+        for e, c in h.items():
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(k,) + e] = d
+            c = (c - d) // xi
+            if c:
+                rest[e] = c
+        h = rest
+        k += 1
+    if out[max(out)] < 0:
+        return {e: -c for e, c in out.items()}
+    return out
+
+
+def _primitive(h: IntPoly) -> IntPoly:
+    c = gcd(*h.values())
+    return h if c == 1 else {e: a // c for e, a in h.items()}
+
+
+def _times(h: IntPoly, c: int) -> IntPoly:
+    return h if c == 1 else {e: a * c for e, a in h.items()}
+
+
+def _exact_quotient(f: IntPoly, h: IntPoly) -> "IntPoly | None":
+    """f / h if h divides f in Z[X], else None.
+
+    Long division by lex leading terms.  A quotient exponent outside the box
+    deg(f) - deg(h), variable by variable, proves h does not divide f, which
+    also bounds the loop.
+    """
+    lm = max(h)
+    lc = h[lm]
+    room = [max(a) - max(b) for a, b in zip(zip(*f), zip(*h))]
+    if min(room) < 0:
+        return None
+    q: IntPoly = {}
+    r = dict(f)
+    while r:
+        m = max(r)
+        a, rem = divmod(r[m], lc)
+        qm = tuple([i - j for i, j in zip(m, lm)])
+        if rem or any(d < 0 or d > top for d, top in zip(qm, room)):
+            return None
+        q[qm] = a
+        for e, b in h.items():
+            k = tuple([i + j for i, j in zip(qm, e)])
+            s = r.get(k, 0) - a * b
+            if s:
+                r[k] = s
+            else:
+                del r[k]
+    return q
 
 
 ProjPoint = Union[RatFunc, Scalar, _Tagged]

@@ -278,6 +278,20 @@ def test_monomial_apply_matches_sympy_cancel(name):
             assert fast.vars == slow.vars
 
 
+def test_monomial_apply_with_rational_coefficients():
+    # x -> (2/3)·y/x, y -> (-5/7)·y: exponent rows (-1, 1), (0, 1), det -1
+    sigma = Automorphism({"x": Fraction(2, 3) * y / x, "y": Fraction(-5, 7) * y})
+    assert sigma._monomial is not None
+    rng = random.Random("monomial-rational")
+    for _ in range(4):
+        f = _random_ratfunc(rng, ("x", "y")).cancelled()
+        fast = sigma.apply(f)
+        slow = f.substitute({v: sigma.images[v] for v in f.vars}).cancelled()
+        assert fast._cancelled is fast
+        assert fast.serialize() == slow.serialize()
+        assert fast.vars == slow.vars
+
+
 def test_non_unimodular_monomial_maps_are_not_flagged():
     assert Automorphism({"x": x * x})._monomial is None
     assert Automorphism({"x": x * y, "y": x * y})._monomial is None

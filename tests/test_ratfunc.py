@@ -423,19 +423,183 @@ def test_substitute_matches_reference_on_symmetry_maps():
                     assert_same_representation(f.substitute(sub), reference_substitute(f, sub))
 
 
-@given(st.lists(small_ratfunc(sub_names), min_size=2, max_size=3))
+wide_coeffs = st.one_of(
+    small_coeffs,
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=3),
+)
+
+
+@st.composite
+def gcd_case(draw):
+    """(p·c)/(q·c) over up to 4 variables, degree <= 4 in each, with
+    coefficients up to ±10^6: p, q and the common factor c have degree <= 2."""
+    vs = sorted(draw(st.sets(st.sampled_from(sub_names), max_size=4)))
+    exps = st.tuples(*[st.integers(0, 2) for _ in vs])
+
+    def poly(min_size):
+        return MultiPoly(vs, dict(draw(st.lists(st.tuples(exps, wide_coeffs), min_size=min_size, max_size=3))))
+
+    p, q, c = poly(0), poly(1), poly(1)
+    if q.is_zero():
+        q = MultiPoly.const(draw(st.integers(1, 3)), vs)
+    if c.is_zero():
+        c = MultiPoly.const(1, vs)
+    return RatFunc(p * c, q * c)
+
+
+def _nontrivial(f: RatFunc) -> bool:
+    return not (f.is_zero() or (f.num.is_constant() and f.den.is_constant()))
+
+
+@given(gcd_case())
 @settings(max_examples=200, deadline=None)
-def test_sympy_cancel_matches_rational_path(fs):
+def test_sympy_cancel_matches_rational_path(f):
     from polyrel.ratfunc import _sympy_cancel
 
-    common = fs[-1]
-    if common.is_zero():
-        common = common + 1
-    f = RatFunc(fs[0].num * common.num, fs[0].den * common.num)
-    for g in fs[1:-1]:
-        f = f * g
-    if f.is_zero() or (f.num.is_constant() and f.den.is_constant()):
+    if not _nontrivial(f):
         return
     got, ref = _sympy_cancel(f), reference_sympy_cancel(f)
     assert got.serialize() == ref.serialize()
     assert_same_representation(got, ref)
+
+
+t1, t2, t3 = (RatFunc.var(f"t{i}") for i in (1, 2, 3))
+
+# inputs the evaluation scheme has to get right: t3(1-t1) and t3-1 are coprime
+# but their images at t1 = t3 = ξ are not; (1-t1t2t3)^2 against
+# t2^2t3^2(1-t1)^2 needs the cofactor routes; 2x^2y^3 against 4x^3y - 6x^2y^2
+# needs a second ξ
+gcd_inputs = [
+    t3 * (1 - t1) / (t3 - 1),
+    (1 - t1 * t2 * t3) ** 2 / (t2 * t2 * t3 * t3 * (1 - t1) ** 2),
+    (t1 * t2 - 1) * (t1 + t3) / ((t1 * t2 - 1) * (t2 - t3) ** 2),
+    (x * x * y - 7 * y + 3) * (x + y) / ((x * x * y - 7 * y + 3) * (x - y)),
+    2 * x**2 * y**3 / (4 * x**3 * y - 6 * x**2 * y**2),
+]
+
+
+@pytest.mark.parametrize("f", gcd_inputs)
+def test_heuristic_gcd_matches_reference_without_fallback(f, monkeypatch):
+    from polyrel import ratfunc
+
+    def no_fallback(*args):
+        raise AssertionError("sympy fallback reached")
+
+    monkeypatch.setattr(ratfunc, "_sympy_cofactors", no_fallback)
+    assert_same_representation(ratfunc._sympy_cancel(f), reference_sympy_cancel(f))
+
+
+def test_second_evaluation_point_is_tried():
+    from polyrel import ratfunc
+
+    num, den = {(2, 3): 2}, {(3, 1): 4, (2, 2): -6}  # over (x, y)
+    assert ratfunc._heu_gcd(num, den) == ({(2, 1): 2}, {(0, 2): 1}, {(1, 0): 2, (0, 1): -3})
+    old = ratfunc._HEU_GCD_TRIES
+    try:
+        ratfunc._HEU_GCD_TRIES = 1
+        with pytest.raises(ratfunc._HeuristicGCDFailed):
+            ratfunc._heu_gcd(num, den)
+    finally:
+        ratfunc._HEU_GCD_TRIES = old
+
+
+_cyc = 1 + x + x * x
+
+
+@pytest.mark.parametrize(
+    "f, common",
+    [
+        (_cyc**6 / (_cyc**5 * (x - 1) ** 7), _cyc**5),  # accepted by f's cofactor
+        (_cyc**8 / (_cyc**4 * (x - 1) ** 3), _cyc**4),  # accepted by g's cofactor
+    ],
+    ids=["cff", "cfg"],
+)
+def test_cofactor_routes_accept_at_the_first_point(f, common):
+    # the gcd's coefficients are too wide for the first ξ's balanced digits,
+    # the cofactor's are not: one evaluation point must do
+    from polyrel import ratfunc
+
+    def ints(p: MultiPoly) -> dict:
+        return {e: int(c) for e, c in p.terms.items()}
+
+    old = ratfunc._HEU_GCD_TRIES
+    try:
+        ratfunc._HEU_GCD_TRIES = 1
+        h, cff, cfg = ratfunc._heu_gcd(ints(f.num), ints(f.den))
+    finally:
+        ratfunc._HEU_GCD_TRIES = old
+    assert h == ints(common.num)
+    assert_same_representation(ratfunc._sympy_cancel(f), reference_sympy_cancel(f))
+
+
+@given(gcd_case())
+@settings(max_examples=60, deadline=None)
+def test_sympy_fallback_matches_reference(f):
+    from polyrel import ratfunc
+
+    if not _nontrivial(f):
+        return
+    calls = []
+    fallback = ratfunc._sympy_cofactors
+
+    def counted(*args):
+        calls.append(args)
+        return fallback(*args)
+
+    old = ratfunc._HEU_GCD_TRIES
+    try:
+        ratfunc._HEU_GCD_TRIES = 0
+        ratfunc._sympy_cofactors = counted
+        got = ratfunc._sympy_cancel(f)
+    finally:
+        ratfunc._HEU_GCD_TRIES = old
+        ratfunc._sympy_cofactors = fallback
+    assert_same_representation(got, reference_sympy_cancel(f))
+    if len(f.num.terms) > 1 and len(f.den.terms) > 1:
+        assert calls  # neither side is a constant: the loop runs, and gives up
+
+
+def test_symmetry_criteria_never_reach_the_fallback(monkeypatch):
+    from polyrel import catalog, checks, formal, ratfunc, report
+
+    def no_fallback(*args):
+        raise AssertionError("sympy fallback reached")
+
+    cancels = []
+    cancel = ratfunc._sympy_cancel
+
+    def counted(f):
+        cancels.append(f)
+        return cancel(f)
+
+    # start from empty process caches so every cancel of the two criteria runs
+    monkeypatch.setattr(formal, "_closure_cache", {})
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setattr(ratfunc, "_sympy_cofactors", no_fallback)
+    monkeypatch.setattr(ratfunc, "_sympy_cancel", counted)
+    checks.gprime_orbits.cache_clear()
+    try:
+        assert report.criterion_3_symmetric_equivalences(0)["passed"]
+        assert report.criterion_4_q_equations(0)["passed"]
+    finally:
+        checks.gprime_orbits.cache_clear()
+    assert len(cancels) > 400
+
+
+def test_symmetry_criteria_do_not_import_sympy():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "from polyrel import report\n"
+        "assert report.criterion_3_symmetric_equivalences(0)['passed']\n"
+        "assert report.criterion_4_q_equations(0)['passed']\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
