@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Tuple
 
 from .exact import DomainError
 from .formal import FormalSum
-from .poly import MultiPoly
+from .poly import IntPoly, MultiPoly, cleared
 from .ratfunc import RatFunc
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "weight_wt",
     "s3_cosets",
     "XI7_BLOCKS",
-    "builders",
     "get_equation",
     "equation_names",
 ]
@@ -390,7 +389,8 @@ def _one_variable_part(powers: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, 
     part = MultiPoly.const(1, ["z"])
     for idx, e in powers:
         part = part * irr[idx] ** e
-    return tuple((exp, c.numerator) for (exp,), c in part.terms.items())
+    _, (terms,) = cleared(part)
+    return tuple((exp, c) for (exp,), c in terms.items())
 
 
 def _outer_product(
@@ -399,20 +399,19 @@ def _outer_product(
     """sign * the product of one-variable parts over distinct variables.
 
     No two products share an exponent vector, so the terms are the outer
-    product of the parts, first part outermost, and each coefficient becomes
-    a Fraction once.
+    product of the parts, first part outermost.
     """
     vs = tuple(sorted(var for var, _ in parts))
     slots = [vs.index(var) for var, _ in parts]
-    terms: Dict[Tuple[int, ...], Fraction] = {}
+    terms: IntPoly = {}
     for combo in product(*(pairs for _, pairs in parts)):
         exp = [0] * len(vs)
         c = sign
         for slot, (e, k) in zip(slots, combo):
             exp[slot] = e
             c *= k
-        terms[tuple(exp)] = Fraction(c)
-    return MultiPoly._trusted(vs, terms)
+        terms[tuple(exp)] = c
+    return MultiPoly.from_ints(vs, terms.items())
 
 
 #: (sign, ((variable, ((factor, exponent), ...)), ...)) -> power product
@@ -697,10 +696,6 @@ def get_equation(name: str) -> EquationSpec:
     if name not in _cache:
         _cache[name] = _BUILDERS[name]()
     return _cache[name]
-
-
-def builders() -> Dict[str, Callable[[], EquationSpec]]:
-    return dict(_BUILDERS)
 
 
 def equation_from_json(data: dict) -> EquationSpec:

@@ -74,6 +74,11 @@ def class_vector_with_reps(s: FormalSum) -> Tuple[Dict[str, Fraction], Dict[str,
 # Symmetry groups
 # ---------------------------------------------------------------------------
 
+def iota(x: RatFunc, y: RatFunc) -> RatFunc:
+    """(1 - x) / (1 - 1/y), the map behind the t-space involutions."""
+    return (1 - x) / (1 - 1 / y)
+
+
 def group_generators() -> Dict[str, List[Automorphism]]:
     """Generators of the three symmetry groups used by the catalog.
 
@@ -94,9 +99,6 @@ def group_generators() -> Dict[str, List[Automorphism]]:
     t4 = 1 / (t1 * t2 * t3)
     swap12 = Automorphism({"t1": t2, "t2": t1, "t3": t3})
     cycle4 = Automorphism({"t1": t2, "t2": t3, "t3": t4})
-
-    def iota(x: RatFunc, y: RatFunc) -> RatFunc:
-        return (1 - x) / (1 - 1 / y)
 
     # involution t_i -> iota(t_i, t_{i+2}), indices mod 4
     invol = Automorphism({"t1": iota(t1, t3), "t2": iota(t2, t4), "t3": iota(t3, t1)})
@@ -373,9 +375,6 @@ def check_Gprime_correspondence() -> CheckReport:
     # iota-induced involution acts like g on (B1, B2, B3, A1, A2, A3)
     t = {i: RatFunc.var(f"t{i}") for i in (1, 2, 3)}
     t4 = 1 / (t[1] * t[2] * t[3])
-
-    def iota(x, y):
-        return (1 - x) / (1 - 1 / y)
 
     tau = Automorphism(
         {"t1": iota(t4, t[1]), "t2": iota(t[3], t[2]), "t3": iota(t[2], t[3])}

@@ -121,28 +121,24 @@ def cmd_verify(args) -> int:
             seed=seed,
             specialization_height=7 if eq.weight >= 7 else None,
         )
-        report.checks.append(
-            {
-                "id": "symbolic",
-                "name": f"{eq.name} kernel test (weight {eq.weight})",
-                "passed": verdict.passed,
-                "details": verdict.to_json(),
-                "seconds": round(time.time() - t0, 3),
-            }
+        report.add(
+            "symbolic",
+            f"{eq.name} kernel test (weight {eq.weight})",
+            verdict.passed,
+            verdict.to_json(),
+            t0,
         )
     if args.mode in ("numeric", "both"):
         t0 = time.time()
         verdict = verify_numeric(
             eq, points=args.points, policy=_policy(args), seed=seed
         )
-        report.checks.append(
-            {
-                "id": "numeric",
-                "name": f"{eq.name} numeric vanishing at {args.points} points",
-                "passed": verdict.passed,
-                "details": verdict.to_json(),
-                "seconds": round(time.time() - t0, 3),
-            }
+        report.add(
+            "numeric",
+            f"{eq.name} numeric vanishing at {args.points} points",
+            verdict.passed,
+            verdict.to_json(),
+            t0,
         )
     report.policy = {"precision": args.precision}
     return _emit(args, report)
@@ -194,15 +190,7 @@ def cmd_check(args) -> int:
     rep = check()
     if name == "xi7-term-count":
         print(rep.details["count"])
-    report.checks.append(
-        {
-            "id": name,
-            "name": name,
-            "passed": rep.passed,
-            "details": rep.details,
-            "seconds": round(time.time() - t0, 3),
-        }
-    )
+    report.add(name, name, rep.passed, rep.details, t0)
     return _emit(args, report)
 
 

@@ -10,14 +10,17 @@ the wedge.  A true kernel element passes every pairing exactly; a non-member
 is caught with high probability (Schwartz-Zippel over the functional
 values), and every failure carries a reproducible witness.
 
-The kernel test specializes on integers.  Once per call it clears every
-non-constant argument's numerator and denominator to integer coefficients;
-each draw then evaluates them against one power table per variable, shared
-by all arguments, and merges the arguments by their exact values into
-(coefficient, value) pairs, dropping coefficients that cancel.  That is the
-merge FormalSum.specialize followed by the FormalSum constructor performs,
-without building a constant RatFunc per argument, so the support, the
-functionals drawn on it and every witness are the same.
+The kernel test specializes on poly's integer form.  Once per call it takes
+every non-constant argument's num and den as IntPolys (``RatFunc.cleared``);
+each draw then evaluates them with ``poly.int_value`` against one power
+table per variable, shared by all arguments, and merges the arguments by
+their exact values into (coefficient, value) pairs, dropping coefficients
+that cancel.  That is the merge FormalSum.specialize followed by the
+FormalSum constructor performs, without building a constant RatFunc per
+argument, so the support, the functionals drawn on it and every witness are
+the same.  The only other clearing here is of the functionals and of a
+specialized sum's coefficients (``DualFunctional.cleared``, ``FactoredSum``),
+vectors rather than polynomials.
 
 Each trial factors its specialized values once: a FactoredSum holds the
 integer exponent vectors of x and 1 - x for every term, the coefficients
@@ -36,8 +39,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .exact import DomainError, SplitMix64, factor_int, factor_rational, random_rational
 from .formal import FormalSum
-from .poly import power_table
-from .ratfunc import _common_denominator
+from .poly import int_value, power_table
 from .tensor import add_product, sym_power, wedge
 
 __all__ = [
@@ -249,11 +251,11 @@ def _integer_specializer(s: FormalSum) -> Tuple[Tuple[str, ...], Callable]:
     one pair and a coefficient that cancels drops out, as the FormalSum
     constructor merges equal constants.
 
-    Each non-constant argument is held as its numerator and denominator
-    cleared to integers over one common denominator, with exponents over the
-    variables it has positive degree in.  Per binding, each variable v = a/b
-    gets one power table a^e b^(D-e) (``poly.power_table``), D its largest
-    degree anywhere in the sum, and every argument reads those tables.
+    Each non-constant argument is held as ``a.cleared()``, with exponents
+    restricted to the variables it has positive degree in.  Per binding,
+    each variable v = a/b gets one power table a^e b^(D-e)
+    (``poly.power_table``), D its largest degree anywhere in the sum, and
+    every argument reads those tables through ``poly.int_value``.
     Homogenizing to D multiplies an argument's numerator and denominator by
     the same nonzero product of powers of the b's, so their ratio is its
     value.
@@ -271,36 +273,23 @@ def _integer_specializer(s: FormalSum) -> Tuple[Tuple[str, ...], Callable]:
         for i in live:
             v = a.vars[i]
             degree[v] = max(degree.get(v, 0), top[i])
-        scale = _common_denominator(a)
         num, den = (
-            [
-                (q.numerator * (scale // q.denominator), tuple([exp[i] for i in live]))
-                for exp, q in p.terms.items()
-            ]
-            for p in (a.num, a.den)
+            {tuple([exp[i] for i in live]): n for exp, n in p.items()} for p in a.cleared()
         )
         args.append((c, [a.vars[i] for i in live], num, den))
     variables = tuple(sorted(degree))
     index = {v: k for k, v in enumerate(variables)}
     planned = [(c, [index[v] for v in names], num, den) for c, names, num, den in args]
 
-    def value(terms, tables) -> int:
-        total = 0
-        for n, exp in terms:
-            for t, e in zip(tables, exp):
-                n *= t[e]
-            total += n
-        return total
-
     def specialize(binding: Mapping[str, Fraction]):
         tables = [power_table(binding[v], degree[v]) for v in variables]
         merged = dict(constants)
         for c, idx, num, den in planned:
             arg_tables = [tables[k] for k in idx]
-            d = value(den, arg_tables)
+            d = int_value(den, arg_tables)
             if not d:
                 return None  # pole or 0/0
-            n = value(num, arg_tables)
+            n = int_value(num, arg_tables)
             if not n or n == d:
                 return None  # 0 or 1
             q = Fraction(n, d)

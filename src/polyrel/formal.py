@@ -41,11 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .exact import DomainError, SplitMix64
-from .poly import MultiPoly
+from .poly import IntPoly, MultiPoly, _frac_str, power_table
 from .ratfunc import INDETERMINATE, POLE, RatFunc
 from .tensor import bump
 
@@ -174,10 +173,6 @@ class FormalSum:
     @staticmethod
     def single(arg: RatFunc, coeff=1) -> "FormalSum":
         return FormalSum([(Fraction(coeff), arg)])
-
-    @staticmethod
-    def of(*args: RatFunc) -> "FormalSum":
-        return FormalSum([(Fraction(1), a) for a in args])
 
     # -- linear structure -------------------------------------------------------
 
@@ -347,10 +342,6 @@ class FormalSum:
         return f"FormalSum({inner}{extra})"
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # Automorphisms, closure, orbits
 # ---------------------------------------------------------------------------
@@ -360,7 +351,7 @@ class Automorphism:
 
     Images are stored gcd-cancelled so every automorphism has one canonical
     representation; equality and hashing use that form directly.
-    ``_monomial`` holds (p, q, m) per variable when every image is (p/q)·x^m
+    ``_monomial`` holds (q, m) per variable when every image is q·x^m
     and the exponent matrix is unimodular (see the module docstring), else
     None.
     """
@@ -395,44 +386,45 @@ class Automorphism:
         """Image of a cancelled f under a unimodular monomial map, cancelled.
 
         Same variable table as ``f.substitute(...).cancelled()``: the union of
-        the images of the variables f depends on.  Each term is carried as an
-        integer numerator and denominator over an integer exponent row, and
-        both polynomials are cleared once by the lcm of the denominators, a
-        positive scale the constructor's normalization removes.
+        the images of the variables f depends on.  With v -> q_v·x^m_v and
+        D_v the degree of v in f, a term c·prod v^e_v of ``f.cleared()`` maps
+        to c·prod (a_v^e_v b_v^(D_v - e_v))·x^(sum e_v m_v), q_v = a_v/b_v,
+        read from ``power_table(q_v, D_v)``: the image times the positive
+        integer prod b_v^D_v, which the constructor's normalization removes.
+        The common monomial is then divided out.
         """
         mono = self._monomial
         n = len(self.variables)
+        num, den = f.cleared()
+        maps = []
+        vs = set()
+        for i, (v, d) in enumerate(zip(f.vars, map(max, zip(*num, *den)))):
+            if d:
+                q, mv = mono[v]
+                maps.append((i, power_table(q, d), mv))
+                vs.update(self.images[v].vars)
+        vs = tuple(sorted(vs))
 
-        def image(p) -> List[Tuple[List[int], int, int]]:
+        def image(p: IntPoly) -> List[Tuple[List[int], int]]:
             out = []
-            for exp, c in p.terms.items():
-                a, b = c.numerator, c.denominator
+            for exp, a in p.items():
                 m = [0] * n
-                for v, e in zip(p.vars, exp):
+                for i, table, mv in maps:
+                    e = exp[i]
+                    a *= table[e]
                     if e:
-                        cn, cd, mv = mono[v]
-                        a *= cn ** e
-                        b *= cd ** e
                         m = [x + e * y for x, y in zip(m, mv)]
-                out.append((m, a, b))
+                out.append((m, a))
             return out
 
-        num, den = image(f.num), image(f.den)
-        terms = num + den
-        low = [min(col) for col in zip(*(m for m, _, _ in terms))]
-        scale = lcm(*(b for _, _, b in terms))
-        live = [v for v in f.vars if f.num.degree_in(v) or f.den.degree_in(v)]
-        vs = tuple(sorted({w for v in live for w in self.images[v].vars}))
+        num, den = image(num), image(den)
+        low = [min(col) for col in zip(*(m for m, _ in num + den))]
         pos = {v: i for i, v in enumerate(self.variables)}
         cols = [pos.get(w) for w in vs]
 
         def poly(terms) -> MultiPoly:
-            return MultiPoly._trusted(
-                vs,
-                {
-                    tuple([0 if i is None else m[i] - low[i] for i in cols]): Fraction(a * (scale // b))
-                    for m, a, b in terms
-                },
+            return MultiPoly.from_ints(
+                vs, ((tuple([0 if i is None else m[i] - low[i] for i in cols]), a) for m, a in terms)
             )
 
         out = RatFunc(poly(num), poly(den))
@@ -460,9 +452,8 @@ class Automorphism:
 
 def _unimodular_monomial_images(
     variables: Tuple[str, ...], images: Mapping[str, RatFunc]
-) -> "Dict[str, Tuple[int, int, Tuple[int, ...]]] | None":
-    """{v: (p, q, m)} when each image is (p/q)·x^m, q > 0, with det(m rows) = ±1,
-    else None."""
+) -> "Dict[str, Tuple[Fraction, Tuple[int, ...]]] | None":
+    """{v: (q, m)} when each image is q·x^m with det(m rows) = ±1, else None."""
     pos = {v: i for i, v in enumerate(variables)}
     out = {}
     for v in variables:
@@ -477,9 +468,8 @@ def _unimodular_monomial_images(
                 if w not in pos:
                     return None
                 m[pos[w]] = a - b
-        cv = nc / dc
-        out[v] = (cv.numerator, cv.denominator, tuple(m))
-    if abs(_det([out[v][2] for v in variables])) != 1:
+        out[v] = (nc / dc, tuple(m))
+    if abs(_det([out[v][1] for v in variables])) != 1:
         return None
     return out
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, hypot, inf, log2
+from math import comb, factorial, hypot, inf, log2
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -378,21 +378,13 @@ def _li_continuation(m: int, z, ctx, policy):
     bern = ctx.mpc(0)
     for c in coeffs:
         bern = bern * u + policy.real(c)
-    a = -(twopij ** m) / policy.real(Fraction(_factorial(m))) * bern
+    a = -(twopij ** m) / policy.real(Fraction(factorial(m))) * bern
     if z.imag == 0 and z.real < 0:
         a = ctx.mpc(a.real)
     if z.imag < 0:
-        a -= twopij * ctx.log(z) ** (m - 1) / _factorial(m - 1)
+        a -= twopij * ctx.log(z) ** (m - 1) / factorial(m - 1)
     inner = li_m(m, 1 / z, policy)
     return (-1) ** (m + 1) * inner + a
-
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def li_m(m: int, z, policy: PrecisionPolicy):
@@ -458,7 +450,7 @@ def cl_m(m: int, z, policy: PrecisionPolicy):
         br = bernoulli(r)
         if br == 0:
             continue
-        coeff = policy.real(Fraction(2 ** r) * br / _factorial(r))
+        coeff = policy.real(Fraction(2 ** r) * br / factorial(r))
         weight = coeff * logabs ** r
         acc += weight * lis[m - r - 1]
     return acc.real if m % 2 == 1 else acc.imag

@@ -5,35 +5,43 @@ exponent vectors to nonzero Fraction coefficients.  The canonical term order
 is graded lexicographic over the sorted variable table, which fixes a unique
 leading monomial and a reproducible serialization for every polynomial.
 
-Multiplication runs on integers: each operand is cleared to integer
-coefficients over the lcm of its denominators, and each exponent vector is
-packed into one int with a field per variable wide enough that no exponent
-sum can carry into the next field.  Products (`packed_product`, shared
-with `RatFunc.substitute`) accumulate in the same loop order as the plain
-Fraction loop, removing a term whose sum cancels to zero and re-inserting it
-if it reappears, so the product's term insertion order is exactly the plain
-loop's.  `evaluate_in` sums in that order, so numeric values do not move in
-the last bits.  Each result coefficient becomes a Fraction once, at the end.
+Exact arithmetic runs on one integer form, defined here and nowhere else:
+an ``IntPoly`` maps exponent tuples to ints.  ``cleared`` is the way in: it
+takes one or more polynomials to their common denominator (the lcm of every
+coefficient's denominator) and their coefficients times it, in term order
+(``RatFunc.cleared`` does this for a num/den pair).  ``MultiPoly.from_ints``
+is the way back: an IntPoly over an integer denominator, in the IntPoly's
+insertion order.  Between the two, everything is integer:
 
-Exact evaluation at a rational point also runs on integers.
-`evaluate_ratio` clears the coefficients over their lcm, homogenizes each
-point value a/b up to its variable's degree, sums integer terms against
-power tables a^e b^(D-e) (`power_table`) built once per call, and returns
-the value as an integer pair.  `evaluate` turns the pair into one Fraction,
-and `RatFunc.evaluate` decides poles and 0/0 on the integer numerators
-before building its single Fraction.  The kernel test's specialization
-(`criterion`) reads the same power tables, one per variable and draw.
+* ``pack`` turns each exponent vector into one int with a field per
+  variable, wide enough that no exponent sum carries into the next field,
+  and ``unpack`` reverses it.  ``packed_product`` multiplies packed terms
+  in the plain Fraction loop's order, removing a term whose sum cancels to
+  zero and re-inserting it if it reappears, so a product's insertion order
+  is exactly the plain loop's.  ``MultiPoly.__mul__`` and
+  ``RatFunc.substitute`` both expand this way.
+* ``int_value`` sums integer terms against power tables a^e b^(D-e)
+  (``power_table``): a point value a/b homogenized to its variable's
+  degree D.  ``MultiPoly.evaluate_ratio`` and the kernel test's
+  specializer (``criterion``) both evaluate this way, and
+  ``RatFunc.evaluate`` decides poles and 0/0 on the integer values before
+  building its single Fraction.
+
+``evaluate_in`` sums in term insertion order, so keeping that order keeps
+numeric values to the last bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = ["MultiPoly", "grlex_key"]
 
 Exponent = Tuple[int, ...]
+#: The integer form: exponent vector -> nonzero int.
+IntPoly = Dict[Exponent, int]
 
 
 def grlex_key(exp: Exponent) -> Tuple[int, Exponent]:
@@ -73,6 +81,16 @@ class MultiPoly:
         p.terms = terms
         p._hash = None
         return p
+
+    @classmethod
+    def from_ints(
+        cls, vs: Tuple[str, ...], terms: Iterable[Tuple[Exponent, int]], den: int = 1
+    ) -> "MultiPoly":
+        """The polynomial with coefficients a / den over the sorted variables
+        ``vs``, from an IntPoly's (exponent, nonzero a) items in their order."""
+        if den == 1:
+            return cls._trusted(vs, {e: Fraction(a) for e, a in terms})
+        return cls._trusted(vs, {e: Fraction(a, den) for e, a in terms})
 
     # -- constructors ------------------------------------------------------
 
@@ -124,14 +142,8 @@ class MultiPoly:
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integral and coprime; 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm // gcd(den_lcm, c.denominator) * c.denominator
-        return Fraction(num_gcd, den_lcm)
+        d, (terms,) = cleared(self)
+        return Fraction(gcd(*terms.values()), d)
 
     def embed(self, variables: Iterable[str]) -> "MultiPoly":
         """Reinterpret over a superset of variables."""
@@ -186,16 +198,9 @@ class MultiPoly:
             return MultiPoly._trusted(p.vars, {})
         width = (_max_exponent(p) + _max_exponent(q)).bit_length() + 1
         shifts = range(0, width * len(p.vars), width)
-        den_p, pt = _packed_integer_terms(p, shifts)
-        den_q, qt = _packed_integer_terms(q, shifts)
-        out = packed_product(pt, qt)
-        den = den_p * den_q
-        mask = (1 << width) - 1
-        terms = {
-            tuple([(k >> sh) & mask for sh in shifts]): Fraction(a, den)
-            for k, a in out.items()
-        }
-        return MultiPoly._trusted(p.vars, terms)
+        den, (ip, iq) = cleared(p, q)
+        out = packed_product(pack(ip, shifts), pack(iq, shifts))
+        return MultiPoly.from_ints(p.vars, unpack(out, shifts, width), den * den)
 
     __rmul__ = __mul__
 
@@ -210,9 +215,6 @@ class MultiPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def scale(self, c) -> "MultiPoly":
-        return self * Fraction(c)
 
     def derivative(self, name: str) -> "MultiPoly":
         if name not in self.vars:
@@ -237,30 +239,20 @@ class MultiPoly:
         """Exact value at rational values as an integer pair (n, d), d > 0.
 
         For point values a_v/b_v in lowest terms and the degree D_v of each
-        variable, n is the sum of c' * prod a_v^e_v * b_v^(D_v - e_v) over the
-        terms and d is scale * prod b_v^D_v, where the c' are the
-        coefficients cleared to integers over their lcm ``scale``.  Power
-        tables are built once per call and no Fraction arithmetic happens.
+        variable, n is ``int_value`` of the cleared coefficients against the
+        power tables a_v^e * b_v^(D_v - e) and d is the common denominator
+        times prod b_v^D_v.  No Fraction arithmetic happens.
         """
-        terms = self.terms
-        scale = lcm(*(c.denominator for c in terms.values()))
+        scale, (terms,) = cleared(self)
         if terms:
             degrees = [max(column) for column in zip(*terms)]
         else:
             degrees = [0] * len(self.vars)
-        tables = []
+        tables = [power_table(point[v], deg) for v, deg in zip(self.vars, degrees)]
         base = 1
-        for v, deg in zip(self.vars, degrees):
-            table = power_table(point[v], deg)
-            tables.append(table)
+        for table in tables:
             base *= table[0]
-        total = 0
-        for exp, c in terms.items():
-            n = c.numerator * (scale // c.denominator)
-            for t, e in zip(tables, exp):
-                n *= t[e]
-            total += n
-        return total, scale * base
+        return int_value(terms, tables), scale * base
 
     def evaluate_in(self, point: Mapping[str, object], coerce: Callable) -> object:
         """Evaluation in an arbitrary coefficient domain.
@@ -336,6 +328,41 @@ class MultiPoly:
         return f"MultiPoly({self.to_expr_string()!r})"
 
 
+def cleared(*polys: MultiPoly) -> Tuple[int, List[IntPoly]]:
+    """(d, [d * p for p in polys]): d is the lcm of the denominators of every
+    coefficient of every p, and each d * p is an IntPoly in p's term order."""
+    d = lcm(*{c.denominator for p in polys for c in p.terms.values()})
+    if d == 1:
+        return 1, [{e: c.numerator for e, c in p.terms.items()} for p in polys]
+    return d, [
+        {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()} for p in polys
+    ]
+
+
+def pack(p: IntPoly, shifts: Sequence[int]) -> List[Tuple[int, int]]:
+    """[(packed exponent, coefficient)]: exponent i goes to bit ``shifts[i]``."""
+    return [(sum(e << sh for e, sh in zip(exp, shifts)), c) for exp, c in p.items()]
+
+
+def unpack(
+    packed: Mapping[int, int], shifts: Sequence[int], width: int
+) -> List[Tuple[Exponent, int]]:
+    """The IntPoly items whose exponent i is the ``width``-bit field at
+    ``shifts[i]`` of each packed key, in ``packed``'s order."""
+    mask = (1 << width) - 1
+    return [(tuple([(k >> sh) & mask for sh in shifts]), a) for k, a in packed.items()]
+
+
+def int_value(p: IntPoly, tables: List[List[int]]) -> int:
+    """The sum over the terms of c * prod tables[i][exponent i]."""
+    total = 0
+    for exp, n in p.items():
+        for t, e in zip(tables, exp):
+            n *= t[e]
+        total += n
+    return total
+
+
 def packed_product(a: Iterable[Tuple[int, int]], b: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     """Product of two sequences of (packed exponent, int coefficient) pairs.
 
@@ -368,27 +395,14 @@ def power_table(q, deg: int) -> List[int]:
     if not isinstance(q, (int, Fraction)):
         q = Fraction(q)
     a, b = q.numerator, q.denominator
-    a_pows = [1]
-    b_pows = [1]
+    table = [b ** deg]
     for _ in range(deg):
-        a_pows.append(a_pows[-1] * a)
-        b_pows.append(b_pows[-1] * b)
-    return [a_pows[e] * b_pows[deg - e] for e in range(deg + 1)]
+        table.append(table[-1] // b * a)
+    return table
 
 
 def _max_exponent(p: MultiPoly) -> int:
     return max(max(e, default=0) for e in p.terms)
-
-
-def _packed_integer_terms(p: MultiPoly, shifts: range) -> Tuple[int, list]:
-    """(lcm of the denominators, [(packed exponent, integer coefficient)])."""
-    den = 1
-    for c in p.terms.values():
-        den = den // gcd(den, c.denominator) * c.denominator
-    return den, [
-        (sum(e << sh for e, sh in zip(exp, shifts)), c.numerator * (den // c.denominator))
-        for exp, c in p.terms.items()
-    ]
 
 
 def _frac_str(c: Fraction) -> str:

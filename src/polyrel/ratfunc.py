@@ -6,19 +6,23 @@ cheap normalization (the denominator is made integral, coprime and with a
 positive leading coefficient in graded-lex order).  Equality of the functions
 they represent is decided by cross-multiplication (`equivalent`), never by
 reduction.  `cancelled()` produces the gcd-reduced canonical representative
-when a unique key is genuinely needed (group closures, class merging).  The
-gcd is computed here, by a port of sympy's heuristic gcd on integer
-coefficients; sympy itself is imported only if the heuristic fails.
+when a unique key is genuinely needed (group closures, class merging).
+
+Composition and the gcd run on poly's integer form: ``cleared()`` gives num
+and den as IntPolys over one common denominator, which leaves the function
+unchanged, and results come back through ``MultiPoly.from_ints``.  The gcd
+is a port of sympy's heuristic gcd on IntPolys; sympy itself is imported
+only if the heuristic fails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Dict, Mapping, Tuple, Union
+from math import gcd, isqrt
+from typing import Dict, List, Mapping, Tuple, Union
 
 from .exact import DomainError
-from .poly import MultiPoly, packed_product
+from .poly import IntPoly, MultiPoly, cleared, pack, packed_product, unpack
 
 __all__ = [
     "POLE",
@@ -52,7 +56,6 @@ INDETERMINATE = _Tagged("Indeterminate")
 INFINITY = _Tagged("Infinity")
 
 Scalar = Union[int, Fraction]
-IntPoly = Dict[Tuple[int, ...], int]
 
 
 class RatFunc:
@@ -111,6 +114,10 @@ class RatFunc:
 
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
+
+    def cleared(self) -> List[IntPoly]:
+        """[num, den] times the lcm of all their coefficient denominators."""
+        return cleared(self.num, self.den)[1]
 
     def depends_on(self, name: str) -> bool:
         """True iff the function genuinely varies with `name`.
@@ -214,56 +221,48 @@ class RatFunc:
         """Exact composition; every variable of self must be bound.
 
         The expansion runs on integers over one variable table, the union of
-        the tables of the images of the variables self depends on.  Each
-        image's num and den are cleared to integers over one common
-        denominator, and so are self's coefficients; that scales the result's
-        numerator and denominator by one positive constant, which the
-        constructor's normalization removes.  Exponent vectors are packed
-        into one int, each field wide enough for the largest exponent any
-        product can reach.  Products go through ``poly.packed_product``, the
-        loop behind ``MultiPoly.__mul__``, and sums likewise drop a term that
-        cancels to zero, so the terms come out in the order of the plain
-        Fraction expansion.
+        the tables of the images of the variables self depends on.  Self and
+        each image enter ``cleared``, which scales the result's numerator and
+        denominator by one positive constant that the constructor's
+        normalization removes.  Exponent vectors are packed (``poly.pack``),
+        each field wide enough for the largest exponent any product can
+        reach.  Products go through ``poly.packed_product``, the loop behind
+        ``MultiPoly.__mul__``, and sums likewise drop a term that cancels to
+        zero, so the terms come out in the order of the plain Fraction
+        expansion.
         """
         missing = [v for v in self.vars if v not in binding]
         if missing:
             raise DomainError(f"unbound variables in substitution: {missing}")
-        maxexp = {
-            v: max(self.num.degree_in(v), self.den.degree_in(v)) for v in self.vars
-        }
+        num, den = self.cleared()
+        maxexp = dict(zip(self.vars, map(max, zip(*num, *den))))
         images = {v: RatFunc.coerce(binding[v]) for v in self.vars if maxexp[v]}
         vs = tuple(sorted({w for image in images.values() for w in image.vars}))
         pos = {w: i for i, w in enumerate(vs)}
         top = [0] * len(vs)
+        cleared_images = {}
         for v, image in images.items():
-            for w in image.vars:
-                top[pos[w]] += maxexp[v] * max(image.num.degree_in(w), image.den.degree_in(w))
+            n, d = cleared_images[v] = image.cleared()
+            for w, e in zip(image.vars, map(max, zip(*n, *d))):
+                top[pos[w]] += maxexp[v] * e
         width = max(top, default=0).bit_length() + 1
-
-        def packed(p: MultiPoly, scale: int) -> list:
-            shifts = [pos[w] * width for w in p.vars]
-            return [
-                (sum(e << sh for e, sh in zip(exp, shifts)), c.numerator * (scale // c.denominator))
-                for exp, c in p.terms.items()
-            ]
 
         pows = {}
         for v, image in images.items():
-            cleared = _common_denominator(image)
-            n, d = packed(image.num, cleared), packed(image.den, cleared)
+            shifts = [pos[w] * width for w in image.vars]
+            n, d = (pack(p, shifts) for p in cleared_images[v])
             n_p, d_p = [None, n], [None, d]
             for _ in range(maxexp[v] - 1):
                 n_p.append(packed_product(n_p[-1], n).items())
                 d_p.append(packed_product(d_p[-1], d).items())
             pows[v] = (n_p, d_p)
-        scale = _common_denominator(self)
-        mask = (1 << width) - 1
+        shifts = range(0, width * len(vs), width)
 
-        def expand(p: MultiPoly) -> MultiPoly:
+        def expand(p: IntPoly) -> MultiPoly:
             total: Dict[int, int] = {}
-            for exp, c in p.terms.items():
-                term = [(0, c.numerator * (scale // c.denominator))]
-                for v, e in zip(p.vars, exp):
+            for exp, c in p.items():
+                term = [(0, c)]
+                for v, e in zip(self.vars, exp):
                     if v in pows:
                         n_p, d_p = pows[v]
                         co = maxexp[v] - e
@@ -277,16 +276,9 @@ class RatFunc:
                         total[k] = a
                     else:
                         del total[k]
-            return MultiPoly._trusted(
-                vs,
-                {
-                    tuple([(k >> (i * width)) & mask for i in range(len(vs))]): Fraction(a)
-                    for k, a in total.items()
-                },
-            )
+            return MultiPoly.from_ints(vs, unpack(total, shifts, width))
 
-        new_num = expand(self.num)
-        new_den = expand(self.den)
+        new_num, new_den = expand(num), expand(den)
         if new_den.is_zero():
             raise ZeroDenominator("substitution produced an identically-zero denominator")
         return RatFunc(new_num, new_den)
@@ -342,20 +334,15 @@ class RatFunc:
         return f"RatFunc({self.serialize()!r})"
 
 
-def _common_denominator(f: RatFunc) -> int:
-    """The lcm of the denominators of f's coefficients, num and den together."""
-    return lcm(*(c.denominator for p in (f.num, f.den) for c in p.terms.values()))
-
-
 def _sympy_cancel(f: RatFunc) -> RatFunc:
     """Divide num and den by their gcd over ZZ (the name the benchmark's span
     table in perfbench/spans.py wraps).
 
-    Both polynomials are cleared to integers over one common denominator,
-    which leaves the function unchanged.  The cofactors come from
-    ``_heu_gcd``, a port of sympy's heuristic gcd (``dmp_zz_heu_gcd``); if it
-    fails at every evaluation point, sympy's ``cofactors`` over ZZ computes
-    them instead, imported only then.  The cofactor terms are inserted in
+    Both polynomials enter as ``f.cleared()``, which leaves the function
+    unchanged.  The cofactors come from ``_heu_gcd``, a port of sympy's
+    heuristic gcd (``dmp_zz_heu_gcd``); if it fails at every evaluation
+    point, sympy's ``cofactors`` over ZZ computes them instead, imported only
+    then.  The cofactor terms go back through ``MultiPoly.from_ints`` in
     ascending lex order of their exponents, the order of sympy's
     ``dmp_to_dict``, and the constructor's normalization then gives the
     canonical representative.
@@ -371,20 +358,12 @@ def _sympy_cancel(f: RatFunc) -> RatFunc:
     root bound of one input.  Each retry raises ξ to 73794·ξ·isqrt(isqrt(ξ))
     // 27011.
     """
-    scale = _common_denominator(f)
-    num, den = (
-        {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
-        for p in (f.num, f.den)
-    )
+    num, den = f.cleared()
     try:
         _, pn, pd = _heu_gcd(num, den)
     except _HeuristicGCDFailed:
         pn, pd = _sympy_cofactors(f.vars, num, den)
-    return RatFunc(_lex_poly(f.vars, pn), _lex_poly(f.vars, pd))
-
-
-def _lex_poly(vs: Tuple[str, ...], p: IntPoly) -> MultiPoly:
-    return MultiPoly._trusted(vs, {e: Fraction(c) for e, c in sorted(p.items())})
+    return RatFunc(*(MultiPoly.from_ints(f.vars, sorted(p.items())) for p in (pn, pd)))
 
 
 def _sympy_cofactors(vs: Tuple[str, ...], num: IntPoly, den: IntPoly) -> Tuple[IntPoly, IntPoly]:
@@ -404,9 +383,8 @@ def _sympy_cofactors(vs: Tuple[str, ...], num: IntPoly, den: IntPoly) -> Tuple[I
 
 # -- heuristic gcd over ZZ ----------------------------------------------------------
 #
-# Polynomials are {exponent tuple: nonzero int} dicts (IntPoly) over one
-# variable table; tuple order is lex order with the first variable most
-# significant.
+# Polynomials are IntPolys over one variable table; tuple order is lex order
+# with the first variable most significant.
 
 #: Evaluation points tried per level before giving up (sympy's HEU_GCD_MAX).
 _HEU_GCD_TRIES = 6

@@ -1,9 +1,11 @@
 """Acceptance suite and machine-readable run reports.
 
 Each criterion function returns a dict with passed and details; _wrap adds
-id, name and seconds.  run_acceptance executes them in order (every
-criterion owns a pre-split seed) and assembles a RunReport whose JSON is
-byte-identical across runs with the same seed once timings are stripped.
+it to the report through RunReport.add, the one builder of a check entry
+(id, name, passed, details, seconds), which the CLI uses too.
+run_acceptance executes them in order (every criterion owns a pre-split
+seed) and assembles a RunReport whose JSON is byte-identical across runs
+with the same seed once timings are stripped.
 Claims that `polyrel check` also makes come from the same check functions.
 """
 
@@ -61,6 +63,21 @@ class RunReport:
     def all_passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
 
+    def add(
+        self, id_: str, name: str, passed, details: dict, start: float, expected_failure=False
+    ) -> None:
+        """Append a check entry; ``start`` is the time.time() its work began."""
+        entry = {
+            "id": id_,
+            "name": name,
+            "passed": bool(passed),
+            "details": details,
+            "seconds": round(time.time() - start, 3),
+        }
+        if expected_failure:
+            entry["expected_failure"] = True
+        self.checks.append(entry)
+
     def to_json(self) -> dict:
         return {
             "schema": REPORT_SCHEMA,
@@ -86,23 +103,16 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _wrap(id_: str, name: str, fn: Callable[[], dict]) -> dict:
+def _wrap(report: RunReport, id_: str, name: str, fn: Callable[[], dict]) -> None:
+    """Run one criterion into ``report``; an exception fails it with the error."""
     start = time.time()
     try:
         out = fn()
     except Exception as exc:  # pragma: no cover - surfaced to the report
         out = {"passed": False, "details": {"error": f"{type(exc).__name__}: {exc}"}}
-    out.setdefault("details", {})
-    entry = {
-        "id": id_,
-        "name": name,
-        "passed": bool(out["passed"]),
-        "details": out["details"],
-        "seconds": round(time.time() - start, 3),
-    }
-    if out.get("expected_failure"):
-        entry["expected_failure"] = True
-    return entry
+    report.add(
+        id_, name, out["passed"], out.get("details", {}), start, out.get("expected_failure")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +470,5 @@ def run_acceptance(seed: int = 0, only: List[str] | None = None) -> RunReport:
     report = RunReport(command="report --all", seed=seed)
     for cid, name, fn in CRITERIA:
         if only is None or cid in only:
-            report.checks.append(
-                _wrap(cid, name, lambda: fn(SplitMix64(seed).split("criterion", cid).seed))
-            )
+            _wrap(report, cid, name, lambda: fn(SplitMix64(seed).split("criterion", cid).seed))
     return report

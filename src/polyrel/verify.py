@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .catalog import EquationSpec, get_equation
 from .criterion import Verdict
@@ -77,9 +77,34 @@ def _evaluate_terms(s: FormalSum, binding: Dict[str, object], ctx):
     return out
 
 
-def _require_points(points: int):
+def _cl_vanishes(weight, points, policy, seed, label, tries, attempt, degenerate, meta) -> Verdict:
+    """CL_weight vanishes at ``points`` >= 1 samples to ``policy``'s tolerance.
+
+    Sample i is drawn from the stream ``SplitMix64(seed).split(*label, i)``
+    by up to ``tries`` calls of ``attempt(rng)``, which gives None on a
+    degenerate draw, else (terms, witness keys locating the sample); the
+    message ``degenerate.format(i=i)`` is raised when every try fails.  The
+    first sample at or above the tolerance fails the verdict; a pass records
+    the largest value seen.
+    """
     if points < 1:
         raise DomainError(f"numeric verification needs points >= 1 (got {points})")
+    root = SplitMix64(seed)
+    worst = policy.context.mpf(0)
+    for i in range(points):
+        rng = root.split(*label, i)
+        for _ in range(tries):
+            drawn = attempt(rng)
+            if drawn is not None:
+                break
+        else:
+            raise DomainError(degenerate.format(i=i))
+        terms, where = drawn
+        value = abs(cl_apply(weight, terms, policy))
+        worst = max(worst, value)
+        if value >= policy.tolerance:
+            return Verdict("fail", {**where, "value": float(value), "index": i}, meta)
+    return Verdict("pass", None, {**meta, "max_abs_value": float(worst)})
 
 
 def verify_numeric_sum(
@@ -90,47 +115,20 @@ def verify_numeric_sum(
     seed: int = 0,
 ) -> Verdict:
     """CL_weight vanishes on the sum at ``points`` >= 1 random complex samples."""
-    _require_points(points)
     policy = policy or PrecisionPolicy(50)
     ctx = policy.context
-    root = SplitMix64(seed)
     variables = s.variables()
-    tol = policy.tolerance
-    worst = ctx.mpf(0)
-    for i in range(points):
-        rng = root.split("pt", i)
-        terms = None
-        binding = {}
-        for _ in range(80):
-            binding = {v: sample_complex(rng, ctx) for v in variables}
-            terms = _evaluate_terms(s, binding, ctx)
-            if terms is not None:
-                break
+
+    def attempt(rng):
+        binding = {v: sample_complex(rng, ctx) for v in variables}
+        terms = _evaluate_terms(s, binding, ctx)
         if terms is None:
-            raise DomainError(f"persistent degeneracy while sampling point {i}")
-        value = abs(cl_apply(weight, terms, policy))
-        worst = max(worst, value)
-        if value >= tol:
-            witness = {
-                "point": {v: str(binding[v]) for v in variables},
-                "value": float(value),
-                "index": i,
-            }
-            return Verdict(
-                "fail",
-                witness,
-                {"points": points, "seed": seed, "precision": policy.working_digits},
-            )
-    return Verdict(
-        "pass",
-        None,
-        {
-            "points": points,
-            "seed": seed,
-            "precision": policy.working_digits,
-            "max_abs_value": float(worst),
-        },
-    )
+            return None
+        return terms, {"point": {v: str(binding[v]) for v in variables}}
+
+    meta = {"points": points, "seed": seed, "precision": policy.working_digits}
+    message = "persistent degeneracy while sampling point {i}"
+    return _cl_vanishes(weight, points, policy, seed, ("pt",), 80, attempt, message, meta)
 
 
 def verify_numeric(
@@ -166,6 +164,12 @@ def _univariate_coeffs(p: MultiPoly, var: str) -> List[Fraction]:
     return out
 
 
+def _phi_variable(phi: RatFunc) -> Tuple[str, int]:
+    """The variable of a one-variable map phi and its degree max(deg num, deg den)."""
+    var = next(v for v in phi.vars if phi.num.degree_in(v) or phi.den.degree_in(v))
+    return var, max(phi.num.degree_in(var), phi.den.degree_in(var))
+
+
 def preimages(phi: RatFunc, w, policy: PrecisionPolicy) -> List:
     """phi^(-1)(w) with multiplicity, including infinite preimages.
 
@@ -174,10 +178,9 @@ def preimages(phi: RatFunc, w, policy: PrecisionPolicy) -> List:
     missing preimages at infinity.
     """
     ctx = policy.context
-    var = next(v for v in phi.vars if phi.num.degree_in(v) or phi.den.degree_in(v))
+    var, deg = _phi_variable(phi)
     num_c = _univariate_coeffs(phi.num, var)
     den_c = _univariate_coeffs(phi.den, var)
-    deg = max(len(num_c), len(den_c)) - 1
     co = _coerce(ctx)
     if w is INFINITY:
         coeffs = [co(c) for c in den_c]
@@ -200,7 +203,7 @@ def phi_value(phi: RatFunc, x, policy: PrecisionPolicy):
     """Numeric value of a one-variable rational map (INFINITY at poles)."""
     ctx = policy.context
     if x is INFINITY:
-        var = next(v for v in phi.vars if phi.num.degree_in(v) or phi.den.degree_in(v))
+        var, _ = _phi_variable(phi)
         dn, dd = phi.num.degree_in(var), phi.den.degree_in(var)
         if dn > dd:
             return INFINITY
@@ -255,8 +258,7 @@ def verify_dilog_general(
     deg(phi) * CL_2(cr(phi(alpha), B, C, D))."""
     policy = policy or PrecisionPolicy(50)
     ctx = policy.context
-    var = next(v for v in phi.vars if phi.num.degree_in(v) or phi.den.degree_in(v))
-    deg = max(phi.num.degree_in(var), phi.den.degree_in(var))
+    _, deg = _phi_variable(phi)
     a_val = phi_value(phi, alpha, policy)
     betas = preimages(phi, B, policy)
     gammas = preimages(phi, C, policy)
@@ -266,15 +268,20 @@ def verify_dilog_general(
     for b, g, d in itertools.product(betas, gammas, deltas):
         total += cl_m(2, cr_num(ctx, alpha_v, b, g, d), policy)
     rhs = deg * cl_m(2, cr_num(ctx, a_val, _pt(B, policy), _pt(C, policy), _pt(D, policy)), policy)
-    err = abs(total - rhs)
-    meta = {"degree": deg, "precision": policy.working_digits, "error": float(err)}
-    if err < policy.tolerance:
-        return Verdict("pass", None, meta)
-    return Verdict("fail", {"error": float(err)}, meta)
+    return _error_verdict(abs(total - rhs), policy, degree=deg)
 
 
 def _pt(v, policy):
     return v if v is INFINITY else policy.complex(v)
+
+
+def _error_verdict(err, policy: PrecisionPolicy, **meta) -> Verdict:
+    """Pass iff the error ``err`` is below the tolerance; meta and a failing
+    witness record it."""
+    meta = {**meta, "precision": policy.working_digits, "error": float(err)}
+    if err < policy.tolerance:
+        return Verdict("pass", None, meta)
+    return Verdict("fail", {"error": float(err)}, meta)
 
 
 def verify_trilog_theorem(
@@ -288,8 +295,7 @@ def verify_trilog_theorem(
     """The alternating 16-fold combination over preimage families vanishes."""
     policy = policy or PrecisionPolicy(50)
     ctx = policy.context
-    var = next(v for v in phi.vars if phi.num.degree_in(v) or phi.den.degree_in(v))
-    deg = max(phi.num.degree_in(var), phi.den.degree_in(var))
+    _, deg = _phi_variable(phi)
     targets = (A_pts, B_pts, C_pts, D_pts)
     pre = [[preimages(phi, p, policy) for p in pts] for pts in targets]
     total = ctx.mpf(0)
@@ -300,10 +306,7 @@ def verify_trilog_theorem(
         images = (_pt(pts[i], policy) for pts, i in zip(targets, idx))
         inner -= deg * cl_m(3, cr_num(ctx, *images), policy)
         total += (-1) ** sum(idx) * inner
-    err = abs(total)
-    meta = {"degree": deg, "precision": policy.working_digits, "error": float(err)}
-    return Verdict("pass" if err < policy.tolerance else "fail",
-                   None if err < policy.tolerance else {"error": float(err)}, meta)
+    return _error_verdict(abs(total), policy, degree=deg)
 
 
 #: Wojtkowiak's combination for the trilogarithm of phi(x): beside
@@ -331,10 +334,7 @@ def verify_wojtkowiak(
                 total += sign * cl_m(3, cr_num(ctx, xv, *pts), policy)
         return total
 
-    err = abs(value(x1) - value(x2))
-    meta = {"precision": policy.working_digits, "error": float(err)}
-    return Verdict("pass" if err < policy.tolerance else "fail",
-                   None if err < policy.tolerance else {"error": float(err)}, meta)
+    return _error_verdict(abs(value(x1) - value(x2)), policy)
 
 
 def verify_fourlog_numeric(
@@ -345,56 +345,34 @@ def verify_fourlog_numeric(
 ) -> Verdict:
     """Bind the weight-4 template to the preimages of random (t, u) and test
     CL_4 vanishing at ``points`` >= 1 samples; the preimage map is z^(n-1)(z-1)."""
-    _require_points(points)
     policy = policy or PrecisionPolicy(60)
     ctx = policy.context
     eq = get_equation(f"fourlog_n{n}")
-    root = SplitMix64(seed)
-    tol = policy.tolerance
-    worst = ctx.mpf(0)
-    for i in range(points):
-        rng = root.split("4log", n, i)
-        terms = None
-        for _ in range(60):
-            tv = sample_complex(rng, ctx)
-            uv = sample_complex(rng, ctx)
-            # roots of z^n - z^(n-1) - t and of z^n - z^(n-1) - u
-            def rts(target):
-                coeffs = [ctx.mpc(0)] * (n + 1)
-                coeffs[0] = -target
-                coeffs[n - 1] = ctx.mpc(-1)
-                coeffs[n] = ctx.mpc(1)
-                return poly_roots(coeffs, policy)
 
-            xs, ys = rts(tv), rts(uv)
-            if any(abs(r) < 1e-6 or abs(r - 1) < 1e-6 for r in xs + ys):
-                continue
-            binding = {f"x{k+1}": xs[k] for k in range(n)}
-            binding.update({f"y{k+1}": ys[k] for k in range(n)})
-            terms = _evaluate_terms(eq.sum, binding, ctx)
-            if terms is not None:
-                break
+    def roots(target):
+        # the roots of z^n - z^(n-1) - target
+        coeffs = [ctx.mpc(0)] * (n + 1)
+        coeffs[0] = -target
+        coeffs[n - 1] = ctx.mpc(-1)
+        coeffs[n] = ctx.mpc(1)
+        return poly_roots(coeffs, policy)
+
+    def attempt(rng):
+        tv = sample_complex(rng, ctx)
+        uv = sample_complex(rng, ctx)
+        xs, ys = roots(tv), roots(uv)
+        if any(abs(r) < 1e-6 or abs(r - 1) < 1e-6 for r in xs + ys):
+            return None
+        binding = {f"x{k+1}": xs[k] for k in range(n)}
+        binding.update({f"y{k+1}": ys[k] for k in range(n)})
+        terms = _evaluate_terms(eq.sum, binding, ctx)
         if terms is None:
-            raise DomainError(f"persistent degeneracy in weight-4 sampling, n={n}")
-        value = abs(cl_apply(4, terms, policy))
-        worst = max(worst, value)
-        if value >= tol:
-            return Verdict(
-                "fail",
-                {"t": str(tv), "u": str(uv), "value": float(value), "index": i},
-                {"n": n, "points": points, "seed": seed, "precision": policy.working_digits},
-            )
-    return Verdict(
-        "pass",
-        None,
-        {
-            "n": n,
-            "points": points,
-            "seed": seed,
-            "precision": policy.working_digits,
-            "max_abs_value": float(worst),
-        },
-    )
+            return None
+        return terms, {"t": str(tv), "u": str(uv)}
+
+    meta = {"n": n, "points": points, "seed": seed, "precision": policy.working_digits}
+    message = f"persistent degeneracy in weight-4 sampling, n={n}"
+    return _cl_vanishes(4, points, policy, seed, ("4log", n), 60, attempt, message, meta)
 
 
 def random_phi(rng: SplitMix64, degree: int = 3, height: int = 5) -> RatFunc:

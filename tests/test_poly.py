@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyrel.poly import MultiPoly
+from polyrel.poly import MultiPoly, cleared, int_value, pack, power_table, unpack
 
 
 def reference_mul(p: MultiPoly, q: MultiPoly):
@@ -127,3 +128,67 @@ def test_evaluate_needs_every_variable():
     assert zero.evaluate({"x": 3, "y": 0}) == 0
     with pytest.raises(KeyError):
         zero.evaluate({"x": 3})
+
+
+# -- the integer form -----------------------------------------------------------
+
+
+@given(st.lists(polys(), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+@example([MultiPoly.zero(["x"])])
+def test_cleared_and_from_ints_round_trip(ps):
+    d, ints = cleared(*ps)
+    coefficients = [c for p in ps for c in p.terms.values()]
+    # d is the least positive integer that clears every coefficient
+    assert all((c * d).denominator == 1 for c in coefficients)
+    assert not any(all((c * k).denominator == 1 for c in coefficients) for k in range(1, d))
+    for p, ip in zip(ps, ints):
+        assert list(ip) == list(p.terms)
+        assert all(type(a) is int and Fraction(a, d) == c for a, c in zip(ip.values(), p.terms.values()))
+        back = MultiPoly.from_ints(p.vars, ip.items(), d)
+        assert back.terms == p.terms and list(back.terms) == list(p.terms)
+        assert all(type(c) is Fraction for c in back.terms.values())
+
+
+@given(polys())
+@settings(max_examples=200, deadline=None)
+def test_content_leaves_a_primitive_integer_polynomial(p):
+    c = p.content()
+    if p.is_zero():
+        assert c == 0
+        return
+    assert c > 0
+    primitive = [k / c for k in p.terms.values()]
+    assert all(k.denominator == 1 for k in primitive)
+    assert gcd(*(k.numerator for k in primitive)) == 1
+
+
+@given(polys())
+@settings(max_examples=200, deadline=None)
+def test_pack_unpack_round_trip(p):
+    _, (ip,) = cleared(p)
+    width = max((max(e, default=0) for e in ip), default=0).bit_length() + 1
+    shifts = range(0, width * len(p.vars), width)
+    packed = dict(pack(ip, shifts))
+    assert len(packed) == len(ip)
+    assert unpack(packed, shifts, width) == list(ip.items())
+
+
+@given(poly_and_point())
+@settings(max_examples=200, deadline=None)
+def test_int_value_is_the_homogenized_value(case):
+    p, point = case
+    d, (ip,) = cleared(p)
+    degrees = [max((e[i] for e in ip), default=0) for i in range(len(p.vars))]
+    tables = [power_table(point[v], deg) for v, deg in zip(p.vars, degrees)]
+    scale = Fraction(d)
+    for v, deg in zip(p.vars, degrees):
+        scale *= Fraction(point[v]).denominator ** deg
+    assert Fraction(int_value(ip, tables)) / scale == reference_evaluate(p, point)
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(5, 2), 4, -1])
+@pytest.mark.parametrize("deg", [0, 1, 2, 5])
+def test_power_table_entries(q, deg):
+    a, b = Fraction(q).numerator, Fraction(q).denominator
+    assert power_table(q, deg) == [a ** e * b ** (deg - e) for e in range(deg + 1)]

@@ -281,6 +281,17 @@ def test_evaluate_matches_reference_loop(case):
         assert type(got) is Fraction and got == ref
 
 
+@given(ratfunc_and_point())
+@settings(max_examples=100, deadline=None)
+def test_cleared_is_num_and_den_over_one_denominator(case):
+    f, _ = case
+    num, den = f.cleared()
+    assert list(num) == list(f.num.terms) and list(den) == list(f.den.terms)
+    assert all(type(a) is int for a in (*num.values(), *den.values()))
+    ratios = {Fraction(a) / c for p, q in ((num, f.num), (den, f.den)) for a, c in zip(p.values(), q.terms.values())}
+    assert len(ratios) == 1 and next(iter(ratios)) > 0
+
+
 def test_evaluate_edge_cases():
     assert RatFunc.from_value(0).evaluate({}) == 0
     assert RatFunc.from_value(Fraction(-5, 6)).evaluate({}) == Fraction(-5, 6)
