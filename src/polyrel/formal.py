@@ -6,10 +6,10 @@ arguments that are equal *as functions* (cross-multiplication equality,
 accelerated by evaluation fingerprints) and drops zero coefficients; constant
 arguments such as [1] are kept as constant RatFunc entries.
 
-Field automorphisms are stored by their images on the variables, composed
-exactly, and bred into finite groups / orbits by breadth-first closure.
-Automorphism images are kept gcd-cancelled: without cancellation the images
-of iterated compositions grow exponentially and closure cannot terminate.
+Field automorphisms are stored by their images on the variables, kept
+gcd-cancelled so that each has one canonical key.  Finite groups are closed
+through their permutation action on the orbit of the variables (below), and
+``compose`` composes two maps exactly.
 
 Most of the maps the catalog uses need no gcd at all.  When every image is
 c·x^m and the exponent matrix has determinant ±1, the map is an automorphism
@@ -22,19 +22,28 @@ monomial and is done; every other map or argument goes through the gcd in
 Closures are memoized by their generators, so the checks that share a group
 build it once per process.
 
-Closure and orbits cancel only what they keep.  Each call files the
-elements it keeps by their exact values at one fixed rational point p (the
-first fingerprint point).  The value of a composition g∘x at p is x's images
-at g(p), and that of an orbit image σ(x) is x at σ(p), so neither needs the
-composed function.  A value no kept element has proves the candidate new; a
-matching value is confirmed by cross-multiplication (``equivalent``, or
-``equivalent_up_to_inversion`` for orbits up to inversion, which file
-images under the pair {v, 1/v}), and a confirmed candidate is dropped
-uncancelled.  Every other candidate is cancelled and looked up by its
-canonical key as before: the new ones, those with no value at p (a pole or
-0/0 there), and those a monomial map yields already reduced, for which the
-index would cost more than it saves.  The point changes speed only, never a
-result.
+Closure and orbits cancel only what they keep.  A closure first builds the
+orbit O of the variables under the generators, breadth-first: each generator
+is applied once to each element of O, and the image is cancelled and filed
+by its serialization, which is canonical for cancelled forms.  This records
+each generator as a permutation of O's indices.  A group element is fixed by
+the indices of its images of the variables, and (g∘x)(v) = g(x(v)), so the
+closure is a breadth-first search over index tuples with no algebra at all;
+each element is then built from the cancelled members of O.  A variable's
+orbit has at most |G| elements, so an O larger than ``bound`` times the
+number of variables ends a generator of infinite order.
+
+An orbit files the images it keeps by their exact values at one fixed
+rational point p (the first fingerprint point).  The value of σ(x) at p is x
+at σ(p), so a candidate is looked up before it is cancelled.  A value no
+kept image has proves the candidate new; a matching value is confirmed by
+cross-multiplication (``equivalent``, or ``equivalent_up_to_inversion`` for
+orbits up to inversion, which file images under the pair {v, 1/v}), and a
+confirmed candidate is dropped uncancelled.  Every other candidate is
+cancelled and looked up by its canonical key: the new ones, those with no
+value at p (a pole or 0/0 there), and those a monomial map yields already
+reduced, for which the index would cost more than it saves.  The point
+changes speed only, never a result.
 """
 
 from __future__ import annotations
@@ -350,7 +359,7 @@ class Automorphism:
     """Field automorphism of Q(vars), given by its images on the variables.
 
     Images are stored gcd-cancelled so every automorphism has one canonical
-    representation; equality and hashing use that form directly.
+    key, their serializations; equality and hashing use that key.
     ``_monomial`` holds (q, m) per variable when every image is q·x^m
     and the exponent matrix is unimodular (see the module docstring), else
     None.
@@ -499,11 +508,13 @@ _closure_cache: Dict[Tuple, List[Automorphism]] = {}
 def group_closure(generators: Sequence[Automorphism], bound: int = 1024) -> List[Automorphism]:
     """Full closure of the generators under composition, including identity.
 
-    Breadth-first multiplication by the generators; raises
-    ClosureBoundExceeded if more than ``bound`` elements appear.  The result
-    is sorted by canonical image key, so its order is deterministic.  Results
-    are memoized per process by the generators' keys; each call gets its own
-    list.
+    Breadth-first search over the generators' permutations of the orbit of
+    the variables (see the module docstring); raises ClosureBoundExceeded if
+    more than ``bound`` elements appear, or more than ``bound`` orbit elements
+    per variable, and DomainError if the generators act on different variable
+    sets or an image leaves them.  The result is sorted by canonical image
+    key, so its order is deterministic.  Results are memoized per process by
+    the generators' keys; each call gets its own list.
     """
     if not generators:
         raise DomainError("need at least one generator")
@@ -530,55 +541,48 @@ def _values(images: Mapping[str, RatFunc], variables: Sequence[str], point) -> "
 
 
 def _probe_point(names: Iterable[str]) -> Dict[str, Fraction]:
-    """The fixed rational point the closure and orbit dedup evaluate at."""
+    """The fixed rational point the orbit dedup evaluates at."""
     return {v: _fp_value(v, 0) for v in names}
 
 
 def _closure(generators: Sequence[Automorphism], bound: int) -> List[Automorphism]:
     variables = generators[0].variables
-    ident = Automorphism.identity(variables)
-    seen: Dict[Tuple, Automorphism] = {ident._key: ident}
-    frontier = []
-    for g in generators:
-        if g._key not in seen:
-            seen[g._key] = g
-            frontier.append(g)
-    point = _probe_point(
-        set(variables).union(*(r.vars for g in generators for r in g.images.values()))
-    )
-    index: Dict[Tuple, List[Automorphism]] = {}
-    for x in seen.values():
-        _index(index, _values(x.images, variables, point), x)
-    # g(p) for each generator that needs a gcd to compose: g∘x has x's images
-    # at g(p) as its value at p
-    moved = []
-    for g in generators:
-        at = None if g._monomial is not None else _values(g.images, variables, point)
-        moved.append(None if at is None else {**point, **dict(zip(variables, at))})
+    if any(g.variables != variables for g in generators):
+        raise DomainError("automorphisms act on different variable sets")
+    # the orbit of the variables, each generator recorded as a map on its indices
+    members = [RatFunc.var(v).cancelled() for v in variables]
+    index = {f.serialize(): i for i, f in enumerate(members)}
+    perms: List[List[int]] = [[] for _ in generators]
+    for f in members:  # grows while it is read
+        for g, perm in zip(generators, perms):
+            image = g.apply(f).cancelled()
+            i = index.setdefault(image.serialize(), len(members))
+            if i == len(members):
+                members.append(image)
+                if len(members) > len(variables) * bound:
+                    raise ClosureBoundExceeded(
+                        f"orbit of the variables exceeded {len(variables)} x {bound} elements"
+                    )
+            perm.append(i)
+    # an element is the tuple of its images' indices, and (g∘x)(v) = g(x(v))
+    ident = tuple(range(len(variables)))
+    seen = {ident}
+    frontier = [ident]
     while frontier:
         new_frontier = []
-        for g, at in zip(generators, moved):
+        for perm in perms:
             for x in frontier:
-                value = None if at is None else _values(x.images, variables, at)
-                if value is not None and any(
-                    all(g.apply(x.images[v]).equivalent(y.images[v]) for v in variables)
-                    for y in index.get(value, ())
-                ):
-                    continue
-                composed = g.compose(x)
-                if composed._key in seen:
-                    continue
-                seen[composed._key] = composed
-                if value is None:
-                    value = _values(composed.images, variables, point)
-                _index(index, value, composed)
-                new_frontier.append(composed)
-                if len(seen) > bound:
-                    raise ClosureBoundExceeded(
-                        f"closure exceeded the bound of {bound} elements"
-                    )
+                y = tuple(perm[i] for i in x)
+                if y not in seen:
+                    seen.add(y)
+                    new_frontier.append(y)
+                    if len(seen) > bound:
+                        raise ClosureBoundExceeded(
+                            f"closure exceeded the bound of {bound} elements"
+                        )
         frontier = new_frontier
-    return sorted(seen.values(), key=lambda a: a._key)
+    group = [Automorphism(dict(zip(variables, (members[i] for i in x)))) for x in seen]
+    return sorted(group, key=lambda a: a._key)
 
 
 def _index(index: Dict, value, element) -> None:

@@ -432,3 +432,89 @@ def test_equal_values_at_the_probe_point_stay_distinct():
         g.serialize() for g in reference_orbit(x * y, group)
     ]
     assert len(orbit(x, group)) == 2
+
+
+# -- closure through the permutation action on the variables' orbit --------------
+
+
+def _count_applies(monkeypatch):
+    """A list that records every argument Automorphism.apply is called with."""
+    applied = []
+    apply = Automorphism.apply
+
+    def counted(sigma, f):
+        applied.append(f)
+        return apply(sigma, f)
+
+    monkeypatch.setattr(Automorphism, "apply", counted)
+    return applied
+
+
+@pytest.mark.parametrize("image", [RatFunc.var("z") + 1, 2 * RatFunc.var("z")])
+def test_infinite_order_generator_exceeds_the_orbit_bound(image, monkeypatch):
+    applied = _count_applies(monkeypatch)
+    with pytest.raises(ClosureBoundExceeded):
+        formal._closure([Automorphism({"z": image})], bound=8)
+    assert len(applied) == 8  # z, g(z), ..., g^7(z): the ninth orbit element stops it
+
+
+def test_generators_on_different_variable_sets_are_rejected():
+    with pytest.raises(formal.DomainError):
+        formal._closure([Automorphism({"x": y, "y": x}), Automorphism({"x": 1 - x})], bound=16)
+
+
+def test_image_outside_the_domain_is_rejected():
+    with pytest.raises(formal.DomainError):
+        formal._closure([Automorphism({"x": x * y})], bound=16)
+
+
+def test_mixed_monomial_and_gcd_generators_match_reference():
+    swap = Automorphism({"x": y, "y": x})
+    flip = Automorphism({"x": 1 - x, "y": y})
+    assert swap._monomial is not None and flip._monomial is None
+    group = formal._closure([swap, flip], bound=16)
+    assert len(group) == 8
+    assert [g._key for g in group] == [g._key for g in reference_closure([swap, flip])]
+
+
+@pytest.mark.parametrize("name, orbit_size", [("alpha", 32), ("t", 32), ("yz", 12)])
+def test_closure_applies_each_generator_once_per_orbit_element(name, orbit_size, monkeypatch):
+    gens = _generators(name)
+    applied = _count_applies(monkeypatch)
+
+    def no_compose(*args):
+        raise AssertionError("closure composed two automorphisms")
+
+    monkeypatch.setattr(Automorphism, "compose", no_compose)
+    formal._closure(gens, bound=512)
+    assert len(applied) == orbit_size * len(gens)
+    assert len({f.serialize() for f in applied}) == orbit_size
+
+
+@pytest.mark.parametrize("up_to_inversion", [False, True])
+@pytest.mark.parametrize("name", ["alpha", "t"])
+def test_criterion_3_orbits_serialize_as_over_the_reference_closure(name, up_to_inversion):
+    group = group_closure(_generators(name), bound=512)
+    ref_group = reference_closure(_generators(name))
+    for f in _orbit_cases()[name]:
+        got = orbit(f, group, up_to_inversion=up_to_inversion)
+        ref = reference_orbit(f, ref_group, up_to_inversion=up_to_inversion)
+        assert [g.serialize() for g in got] == [g.serialize() for g in ref]
+
+
+def test_gprime_orbits_serialize_as_over_the_reference_closure():
+    from polyrel.checks import ab_parametrization, gprime_orbits
+
+    _, *orbits, images_y1, images_prod = gprime_orbits()
+    ref_group = reference_closure(_generators("yz"))
+    A, B = ab_parametrization()
+    binding = {f"y{i}": A[i] for i in (1, 2, 3)}
+    binding.update({f"z{i}": B[i] for i in (1, 2, 3)})
+    for got, images, f in zip(orbits, (images_y1, images_prod), _orbit_cases()["yz"]):
+        ref = reference_orbit(f, ref_group)
+        assert [g.serialize() for g in got] == [g.serialize() for g in ref]
+        ref_images = [
+            g.substitute({v: binding[v] for v in g.vars if v in binding}).cancelled()
+            for g in ref
+        ]
+        assert [g.serialize() for g in images] == [g.serialize() for g in ref_images]

@@ -589,6 +589,8 @@ def test_sympy_fallback_matches_reference(f):
 
 
 def test_symmetry_criteria_never_reach_the_fallback(monkeypatch):
+    from test_formal import reference_closure
+
     from polyrel import catalog, checks, formal, ratfunc, report
 
     def no_fallback(*args):
@@ -610,6 +612,9 @@ def test_symmetry_criteria_never_reach_the_fallback(monkeypatch):
     try:
         assert report.criterion_3_symmetric_equivalences(0)["passed"]
         assert report.criterion_4_q_equations(0)["passed"]
+        # the closure no longer composes; composing keeps those cancels covered
+        for name in ("alpha", "t"):
+            assert len(reference_closure(checks.group_generators()[name])) == 192
     finally:
         checks.gprime_orbits.cache_clear()
     assert len(cancels) > 400
