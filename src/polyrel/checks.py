@@ -335,8 +335,9 @@ def gprime_orbits() -> Tuple[tuple, ...]:
     reduced: the checks read only their inversion classes and those of their
     squares, and a reduced image's square cancels far faster than a raw one's.
     """
-    gprime = tuple(group_closure(group_generators()["yz"], bound=256))
-    orbits = [tuple(orbit(x, gprime)) for x in (RatFunc.var("y1"), _triple_product())]
+    gens = group_generators()["yz"]
+    gprime = tuple(group_closure(gens, bound=256))
+    orbits = [tuple(orbit(x, gens)) for x in (RatFunc.var("y1"), _triple_product())]
     A, B = ab_parametrization()
     binding = {f"y{i}": A[i] for i in (1, 2, 3)}
     binding.update({f"z{i}": B[i] for i in (1, 2, 3)})
@@ -616,11 +617,11 @@ def orbit_sizes(gprime_report: CheckReport) -> Dict[str, int]:
     """The ORBIT_SIZES quantities, reusing the orbits that
     check_Gprime_correspondence measured."""
     d = gprime_report.details
-    gprime = gprime_orbits()[0]
+    orbit_y1 = gprime_orbits()[1]
     return {
         "y1_plain": d["orbit_y1"],
         "product_plain": d["orbit_product"],
-        "y1_up_to_inversion_yz": len(orbit(RatFunc.var("y1"), gprime, up_to_inversion=True)),
+        "y1_up_to_inversion_yz": len({inversion_class_key(f) for f in orbit_y1}),
         "y1_substituted_up_to_inversion": d["classes_up_to_inversion_short"],
         "product_substituted_up_to_inversion": d["classes_up_to_inversion_long"],
     }

@@ -22,28 +22,17 @@ monomial and is done; every other map or argument goes through the gcd in
 Closures are memoized by their generators, so the checks that share a group
 build it once per process.
 
-Closure and orbits cancel only what they keep.  A closure first builds the
-orbit O of the variables under the generators, breadth-first: each generator
-is applied once to each element of O, and the image is cancelled and filed
-by its serialization, which is canonical for cancelled forms.  This records
-each generator as a permutation of O's indices.  A group element is fixed by
-the indices of its images of the variables, and (g∘x)(v) = g(x(v)), so the
-closure is a breadth-first search over index tuples with no algebra at all;
-each element is then built from the cancelled members of O.  A variable's
-orbit has at most |G| elements, so an O larger than ``bound`` times the
-number of variables ends a generator of infinite order.
-
-An orbit files the images it keeps by their exact values at one fixed
-rational point p (the first fingerprint point).  The value of σ(x) at p is x
-at σ(p), so a candidate is looked up before it is cancelled.  A value no
-kept image has proves the candidate new; a matching value is confirmed by
-cross-multiplication (``equivalent``, or ``equivalent_up_to_inversion`` for
-orbits up to inversion, which file images under the pair {v, 1/v}), and a
-confirmed candidate is dropped uncancelled.  Every other candidate is
-cancelled and looked up by its canonical key: the new ones, those with no
-value at p (a pole or 0/0 there), and those a monomial map yields already
-reduced, for which the index would cost more than it saves.  The point
-changes speed only, never a result.
+Closures and orbits share one breadth-first search (``_orbit``): each
+generator is applied once to each element of the orbit found so far, and
+the image is cancelled and filed by its serialization, which is canonical
+for cancelled forms.  An orbit is that search from one argument.  A closure
+runs it from the variables and records each generator as a permutation of
+the indices of their orbit O.  A group element is fixed by the indices of
+its images of the variables, and (g∘x)(v) = g(x(v)), so the closure is a
+breadth-first search over index tuples with no algebra at all; each element
+is then built from the cancelled members of O.  A variable's orbit has at
+most |G| elements, so an O larger than ``bound`` times the number of
+variables ends a generator of infinite order.
 """
 
 from __future__ import annotations
@@ -504,17 +493,21 @@ def _det(rows: Sequence[Sequence[int]]) -> Fraction:
 
 _closure_cache: Dict[Tuple, List[Automorphism]] = {}
 
+#: Most elements an ``orbit`` may have: ``group_closure``'s default bound.
+_ORBIT_LIMIT = 1024
+
 
 def group_closure(generators: Sequence[Automorphism], bound: int = 1024) -> List[Automorphism]:
     """Full closure of the generators under composition, including identity.
 
     Breadth-first search over the generators' permutations of the orbit of
-    the variables (see the module docstring); raises ClosureBoundExceeded if
-    more than ``bound`` elements appear, or more than ``bound`` orbit elements
-    per variable, and DomainError if the generators act on different variable
-    sets or an image leaves them.  The result is sorted by canonical image
-    key, so its order is deterministic.  Results are memoized per process by
-    the generators' keys; each call gets its own list.
+    the variables (``_orbit``, see the module docstring); raises
+    ClosureBoundExceeded if more than ``bound`` elements appear, or more than
+    ``bound`` orbit elements per variable, and DomainError if the generators
+    act on different variable sets or an image leaves them.  The result is
+    sorted by canonical image key, so its order is deterministic.  Results
+    are memoized per process by the generators' keys; each call gets its own
+    list.
     """
     if not generators:
         raise DomainError("need at least one generator")
@@ -528,29 +521,17 @@ def group_closure(generators: Sequence[Automorphism], bound: int = 1024) -> List
     return list(group)
 
 
-def _values(images: Mapping[str, RatFunc], variables: Sequence[str], point) -> "Tuple | None":
-    """The exact values of the images of ``variables`` at ``point``, or None
-    when one of them has a pole or is 0/0 there."""
-    out = []
-    for v in variables:
-        value = images[v].evaluate(point)
-        if value is POLE or value is INDETERMINATE:
-            return None
-        out.append(value)
-    return tuple(out)
+def _orbit(
+    seeds: Sequence[RatFunc], generators: Sequence[Automorphism], limit: int
+) -> Tuple[List[RatFunc], List[List[int]]]:
+    """The orbit of the cancelled, pairwise distinct ``seeds`` under the
+    generators, breadth-first, and each generator as a map on its indices.
 
-
-def _probe_point(names: Iterable[str]) -> Dict[str, Fraction]:
-    """The fixed rational point the orbit dedup evaluates at."""
-    return {v: _fp_value(v, 0) for v in names}
-
-
-def _closure(generators: Sequence[Automorphism], bound: int) -> List[Automorphism]:
-    variables = generators[0].variables
-    if any(g.variables != variables for g in generators):
-        raise DomainError("automorphisms act on different variable sets")
-    # the orbit of the variables, each generator recorded as a map on its indices
-    members = [RatFunc.var(v).cancelled() for v in variables]
+    Each generator is applied once to each member, and the image is cancelled
+    and filed by its serialization.  Raises ClosureBoundExceeded when the
+    orbit grows past ``limit`` members.
+    """
+    members = list(seeds)
     index = {f.serialize(): i for i, f in enumerate(members)}
     perms: List[List[int]] = [[] for _ in generators]
     for f in members:  # grows while it is read
@@ -559,11 +540,19 @@ def _closure(generators: Sequence[Automorphism], bound: int) -> List[Automorphis
             i = index.setdefault(image.serialize(), len(members))
             if i == len(members):
                 members.append(image)
-                if len(members) > len(variables) * bound:
-                    raise ClosureBoundExceeded(
-                        f"orbit of the variables exceeded {len(variables)} x {bound} elements"
-                    )
+                if len(members) > limit:
+                    raise ClosureBoundExceeded(f"orbit exceeded {limit} elements")
             perm.append(i)
+    return members, perms
+
+
+def _closure(generators: Sequence[Automorphism], bound: int) -> List[Automorphism]:
+    variables = generators[0].variables
+    if any(g.variables != variables for g in generators):
+        raise DomainError("automorphisms act on different variable sets")
+    members, perms = _orbit(
+        [RatFunc.var(v).cancelled() for v in variables], generators, len(variables) * bound
+    )
     # an element is the tuple of its images' indices, and (g∘x)(v) = g(x(v))
     ident = tuple(range(len(variables)))
     seen = {ident}
@@ -585,55 +574,12 @@ def _closure(generators: Sequence[Automorphism], bound: int) -> List[Automorphis
     return sorted(group, key=lambda a: a._key)
 
 
-def _index(index: Dict, value, element) -> None:
-    """File ``element`` under its value at the probe point, if it has one."""
-    if value is not None:
-        index.setdefault(value, []).append(element)
+def orbit(x: RatFunc, generators: Sequence[Automorphism]) -> List[RatFunc]:
+    """Distinct images of x under the group the generators generate.
 
-
-def _class_value(value, up_to_inversion: bool):
-    """Index key of an orbit image with this value at the probe point: the
-    value, or the pair {v, 1/v} up to inversion; None where there is none."""
-    if value is POLE or value is INDETERMINATE:
-        return None
-    if not up_to_inversion:
-        return value
-    return None if value == 0 else frozenset((value, 1 / value))
-
-
-def orbit(
-    x: RatFunc,
-    group: Sequence[Automorphism],
-    up_to_inversion: bool = False,
-) -> List[RatFunc]:
-    """Distinct images of x under the group (optionally identifying [z]~[1/z]).
-
-    Returns cancelled representatives sorted by serialization; each is the
-    first image of its class in group order.
+    Any generating set serves, a whole group too.  Returns the cancelled
+    images sorted by serialization; raises ClosureBoundExceeded past
+    ``_ORBIT_LIMIT`` of them.
     """
-    x = x.cancelled()
-    point = _probe_point(
-        set(x.vars).union(*(r.vars for s in group for r in s.images.values()))
-    )
-    same = RatFunc.equivalent_up_to_inversion if up_to_inversion else RatFunc.equivalent
-    reps: Dict[str, RatFunc] = {}
-    index: Dict = {}
-    for sigma in group:
-        image = sigma.apply(x)
-        value = None
-        if image._cancelled is not image:
-            # the value of sigma(x) at p is x at sigma(p)
-            at = _values(sigma.images, sigma.variables, point)
-            if at is not None:
-                value = x.evaluate({**point, **dict(zip(sigma.variables, at))})
-                value = _class_value(value, up_to_inversion)
-            if value is not None and any(same(image, rep) for rep in index.get(value, ())):
-                continue
-            image = image.cancelled()
-        key = inversion_class_key(image) if up_to_inversion else image.serialize()
-        if key not in reps:
-            reps[key] = image
-            if value is None:
-                value = _class_value(image.evaluate(point), up_to_inversion)
-            _index(index, value, image)
-    return [reps[k] for k in sorted(reps)]
+    members, _ = _orbit([x.cancelled()], generators, _ORBIT_LIMIT)
+    return sorted(members, key=RatFunc.serialize)

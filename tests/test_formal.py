@@ -210,8 +210,9 @@ def test_orbit_s3_on_f_factors():
     orb_f = orbit(f, group)
     assert len(orb_f) == 1
     assert len(orb_f1) == 3
-    up_to_inv = orbit(f1, group, up_to_inversion=True)
-    assert len(up_to_inv) == 3
+    classes = {inversion_class_key(g) for g in orb_f1}
+    assert classes == {inversion_class_key(g) for g in reference_orbit(f1, group, True)}
+    assert len(classes) == 3
 
 
 def test_closure_cache_hands_out_fresh_lists():
@@ -306,7 +307,7 @@ def test_non_unimodular_monomial_maps_are_not_flagged():
     assert collapse.apply(f).cancelled().serialize() == "(1)"
 
 
-# -- value-keyed dedup against the cancel-everything references ------------------
+# -- against the cancel-everything references ------------------------------------
 
 
 def reference_closure(generators):
@@ -342,6 +343,15 @@ def reference_orbit(f, group, up_to_inversion=False):
     return [reps[k] for k in sorted(reps)]
 
 
+def assert_same_orbit(got, ref, up_to_inversion):
+    """``got`` is a plain orbit, ``ref`` a reference_orbit with the flag: up to
+    inversion they have the same classes, else they serialize alike."""
+    if up_to_inversion:
+        assert {inversion_class_key(g) for g in got} == {inversion_class_key(g) for g in ref}
+    else:
+        assert [g.serialize() for g in got] == [g.serialize() for g in ref]
+
+
 def _s3_generators():
     z = RatFunc.var("z")
     return [Automorphism({"z": 1 / z}), Automorphism({"z": 1 - z})]
@@ -375,19 +385,19 @@ def test_closure_matches_reference(name):
 @pytest.mark.parametrize("up_to_inversion", [False, True])
 @pytest.mark.parametrize("name", ["alpha", "t", "yz", "s3"])
 def test_orbit_matches_reference(name, up_to_inversion):
-    group = group_closure(_generators(name), bound=512)
+    gens = _generators(name)
+    group = group_closure(gens, bound=512)
     for f in _orbit_cases()[name]:
-        got = orbit(f, group, up_to_inversion=up_to_inversion)
         ref = reference_orbit(f, group, up_to_inversion=up_to_inversion)
-        assert [g.serialize() for g in got] == [g.serialize() for g in ref]
+        assert_same_orbit(orbit(f, gens), ref, up_to_inversion)
 
 
 def _klein_group_at_probe():
-    """w -> ±w^±1 conjugated to w = z - r, for r the probe coordinate of z:
-    two of the four maps have a pole at the probe point, and the identity
-    and the reflection 2r - z both take the value r there."""
+    """w -> ±w^±1 conjugated to w = z - r, for r = 3/19: two of the four maps
+    have a pole at z = r, and the identity and the reflection 2r - z both
+    take the value r there."""
     z = RatFunc.var("z")
-    r = formal._probe_point(["z"])["z"]
+    r = Fraction(3, 19)
     return r, [Automorphism({"z": r + 1 / (z - r)}), Automorphism({"z": 2 * r - z})]
 
 
@@ -398,15 +408,12 @@ def test_closure_and_orbit_fall_back_at_poles():
     group = formal._closure(gens, bound=16)
     assert [g._key for g in group] == [g._key for g in reference_closure(gens)]
     assert len(group) == 4
-    # f has a pole at the probe point itself, so even the identity falls back
+    # f has a pole at z = r itself
     for f in (z, 1 / (z - r), (z * z + 1) / (z - r + 1)):
         for inv in (False, True):
-            got = orbit(f, group, up_to_inversion=inv)
-            ref = reference_orbit(f, group, up_to_inversion=inv)
-            assert [g.serialize() for g in got] == [g.serialize() for g in ref]
+            assert_same_orbit(orbit(f, group), reference_orbit(f, group, inv), inv)
     assert len(orbit(z, group)) == 4
-    # w -> 1/(1 - w), order 3: rho(p) has a value but rho^2 has a pole at p,
-    # so rho∘rho can only be found through the fallback
+    # w -> 1/(1 - w), order 3: rho has a value at z = r but rho^2 a pole
     rho = Automorphism({"z": r + 1 / (1 - (z - r))})
     assert rho.images["z"].evaluate({"z": r}) == r + 1
     cyclic = formal._closure([rho], bound=16)
@@ -416,11 +423,11 @@ def test_closure_and_orbit_fall_back_at_poles():
 
 def test_equal_values_at_the_probe_point_stay_distinct():
     x, y = RatFunc.var("x"), RatFunc.var("y")
-    p = formal._probe_point(["x", "y"])
-    r, s = p["x"], p["y"]
+    r, s = Fraction(58, 15), Fraction(68, 111)
+    p = {"x": r, "y": s}
     flip_x = Automorphism({"x": 2 * r - x, "y": y})
     flip_y = Automorphism({"x": x, "y": 2 * s - y})
-    # every element of this Klein group fixes the probe point
+    # every element of this Klein group fixes the point p
     group = formal._closure([flip_x, flip_y], bound=16)
     assert len(group) == 4
     assert {tuple(g.images[v].evaluate(p) for v in ("x", "y")) for g in group} == {(r, s)}
@@ -491,15 +498,48 @@ def test_closure_applies_each_generator_once_per_orbit_element(name, orbit_size,
     assert len({f.serialize() for f in applied}) == orbit_size
 
 
+@pytest.mark.parametrize("name, applies", [("alpha", [96, 36]), ("t", [96, 36]), ("yz", [24, 64])])
+def test_orbit_applies_each_generator_once_per_orbit_element(name, applies, monkeypatch):
+    gens = _generators(name)
+    applied = _count_applies(monkeypatch)
+
+    def no_compose(*args):
+        raise AssertionError("orbit composed two automorphisms")
+
+    monkeypatch.setattr(Automorphism, "compose", no_compose)
+    counts = []
+    for f in _orbit_cases()[name]:
+        size = len(orbit(f, gens))
+        counts.append(len(applied))
+        assert counts[-1] == size * len(gens)
+        applied.clear()
+    assert counts == applies
+
+
+@pytest.mark.parametrize("name", ["alpha", "t", "yz", "s3"])
+def test_orbit_of_generators_matches_orbit_of_group(name):
+    gens = _generators(name)
+    group = group_closure(gens, bound=512)
+    for f in _orbit_cases()[name] + [RatFunc.from_value(Fraction(2, 3))]:
+        assert [g.serialize() for g in orbit(f, gens)] == [
+            g.serialize() for g in orbit(f, group)
+        ]
+
+
+def test_orbit_of_infinite_order_generator_exceeds_the_limit():
+    z = RatFunc.var("z")
+    with pytest.raises(ClosureBoundExceeded):
+        orbit(z, [Automorphism({"z": z + 1})])
+
+
 @pytest.mark.parametrize("up_to_inversion", [False, True])
 @pytest.mark.parametrize("name", ["alpha", "t"])
 def test_criterion_3_orbits_serialize_as_over_the_reference_closure(name, up_to_inversion):
-    group = group_closure(_generators(name), bound=512)
-    ref_group = reference_closure(_generators(name))
+    gens = _generators(name)
+    ref_group = reference_closure(gens)
     for f in _orbit_cases()[name]:
-        got = orbit(f, group, up_to_inversion=up_to_inversion)
         ref = reference_orbit(f, ref_group, up_to_inversion=up_to_inversion)
-        assert [g.serialize() for g in got] == [g.serialize() for g in ref]
+        assert_same_orbit(orbit(f, gens), ref, up_to_inversion)
 
 
 def test_gprime_orbits_serialize_as_over_the_reference_closure():
