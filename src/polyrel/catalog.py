@@ -9,7 +9,8 @@ keeps them in reduced form by construction.
 Each distinct power product is built once per process and shared: the two
 weight-7 sums make 868 calls for 517 distinct products, and the 220
 arguments xi7_symmetric has in common with xi7_explicit are the same
-objects, which FormalSum merges without comparing them again.
+objects, whose FormalSum merge key (the serialization of the cancelled form,
+which is the product itself) each object computes once.
 `_power_product` builds them on integers from cached one-variable parts, in
 the term order of the sequential product, so numeric values do not move.
 
@@ -345,15 +346,18 @@ def fourlog(n: int) -> EquationSpec:
     Y = ys[0]
     for g in ys[1:]:
         Y = Y * g
+    # (v, 1 - 1/v, 1 - v), built once per placeholder v
+    x_parts = [(xi, 1 - 1 / xi, 1 - xi) for xi in xs]
+    y_parts = [(yj, 1 - 1 / yj, 1 - yj) for yj in ys]
     terms: List[Tuple[Fraction, RatFunc]] = [(Fraction(n * (n - 2)), X / Y)]
-    for xi in xs:
-        for yj in ys:
-            terms.append((Fraction(-((n - 1) ** 2)), (1 - 1 / xi) / (1 - 1 / yj)))
-            terms.append((Fraction(n * n), (1 - xi) / (1 - yj)))
+    for xi, xi_inv, xi_one in x_parts:
+        for yj, yj_inv, yj_one in y_parts:
+            terms.append((Fraction(-((n - 1) ** 2)), xi_inv / yj_inv))
+            terms.append((Fraction(n * n), xi_one / yj_one))
             terms.append((Fraction(-(n * n * (n - 1) ** 2)), xi / yj))
-    for i in range(n):
-        terms.append((Fraction(n * (n - 1) ** 2), 1 - 1 / xs[i]))
-        terms.append((Fraction(-(n * (n - 1) ** 2)), 1 - 1 / ys[i]))
+    for (_, xi_inv, _), (_, yj_inv, _) in zip(x_parts, y_parts):
+        terms.append((Fraction(n * (n - 1) ** 2), xi_inv))
+        terms.append((Fraction(-(n * (n - 1) ** 2)), yj_inv))
     return EquationSpec(
         name=f"fourlog_n{n}",
         weight=4,

@@ -2,9 +2,9 @@
 
 A FormalSum is a finite Q-linear combination of RatFunc arguments, the
 working representation of elements of Z[F] / Q[F].  Canonicalization merges
-arguments that are equal *as functions* (cross-multiplication equality,
-accelerated by evaluation fingerprints) and drops zero coefficients; constant
-arguments such as [1] are kept as constant RatFunc entries.
+arguments that are equal *as functions*, keyed by the serialization of their
+cancelled form (which every RatFunc caches), and drops zero coefficients;
+constant arguments such as [1] are kept as constant RatFunc entries.
 
 Field automorphisms are stored by their images on the variables, kept
 gcd-cancelled so that each has one canonical key.  Finite groups are closed
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .exact import DomainError, SplitMix64
+from .exact import DomainError
 from .poly import IntPoly, MultiPoly, _frac_str, power_table
 from .ratfunc import INDETERMINATE, POLE, RatFunc
 from .tensor import bump
@@ -59,38 +59,6 @@ __all__ = [
 
 class ClosureBoundExceeded(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Evaluation fingerprints (bucketing helper for cross-multiplication equality)
-# ---------------------------------------------------------------------------
-
-_FP_POINTS = 2
-_fp_value_cache: Dict[Tuple[str, int], Fraction] = {}
-
-
-def _fp_value(var: str, k: int) -> Fraction:
-    key = (var, k)
-    v = _fp_value_cache.get(key)
-    if v is None:
-        rng = SplitMix64(0xF1A9).split(var, k)
-        v = Fraction(rng.next_int(2, 127), rng.next_int(3, 113))
-        _fp_value_cache[key] = v
-    return v
-
-
-def _fingerprint(f: RatFunc) -> Tuple:
-    out = []
-    for k in range(_FP_POINTS):
-        point = {v: _fp_value(v, k) for v in f.vars}
-        val = f.evaluate(point)
-        if val is INDETERMINATE:
-            # uncancelled common factor vanished at the probe point; fall back
-            # to the reduced form so equal functions share fingerprints
-            red = f.cancelled()
-            val = red.evaluate({v: _fp_value(v, k) for v in red.vars})
-        out.append("pole" if val is POLE else val)
-    return tuple(out)
 
 
 def inversion_class_key(f: RatFunc) -> str:
@@ -139,29 +107,21 @@ class FormalSum:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Iterable[Tuple[Fraction, RatFunc]] = ()):
-        # fingerprint -> [representative, accumulated coefficient] entries;
-        # a representative seen again (the same object) is merged by identity
-        buckets: Dict[Tuple, List[list]] = {}
-        by_id: Dict[int, list] = {}
+        # cancelled serialization -> [representative, accumulated coefficient];
+        # the first object seen for a function represents it, and the terms
+        # are sorted by the representatives' own serializations
+        merged: Dict[str, list] = {}
         for coeff, arg in terms:
             c = Fraction(coeff)
             if c == 0:
                 continue
-            entry = by_id.get(id(arg))
+            key = arg.cancelled().serialize()
+            entry = merged.get(key)
             if entry is None:
-                bucket = buckets.setdefault(_fingerprint(arg), [])
-                entry = next((e for e in bucket if e[0].equivalent(arg)), None)
-                if entry is None:
-                    entry = [arg, Fraction(0)]
-                    bucket.append(entry)
-                    by_id[id(arg)] = entry
-            entry[1] += c
-        collected = [
-            (acc, rep)
-            for entries in buckets.values()
-            for rep, acc in entries
-            if acc != 0
-        ]
+                merged[key] = [arg, c]
+            else:
+                entry[1] += c
+        collected = [(acc, rep) for rep, acc in merged.values() if acc != 0]
         collected.sort(key=lambda t: t[1].serialize())
         self.terms = tuple(collected)
         self._hash = None
@@ -228,8 +188,9 @@ class FormalSum:
         return FormalSum([(c, a) for c, a in self.terms if not a.is_constant()])
 
     def coefficient_of(self, arg: RatFunc) -> Fraction:
+        key = arg.cancelled().serialize()
         for c, a in self.terms:
-            if a.equivalent(arg):
+            if a.cancelled().serialize() == key:
                 return c
         return Fraction(0)
 

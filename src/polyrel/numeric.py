@@ -93,11 +93,14 @@ class PrecisionPolicy:
     @staticmethod
     def for_digits(digits: int) -> "PrecisionPolicy":
         """Policy for any working precision >= 10, scaling guard/slack down
-        so the invariant P > guard + slack always holds."""
+        so the invariant P > guard + slack always holds.
+
+        For P >= 10 the guard is at most P // 4, so the slack is at least 7;
+        below 10 digits the constructor raises.
+        """
         guard = min(10, max(2, digits // 4))
-        slack = min(15, max(1, digits - guard - 1, 1))
-        slack = min(slack, digits - guard - 1)
-        return PrecisionPolicy(digits, guard_digits=guard, t_slack=max(1, slack))
+        slack = min(15, digits - guard - 1)
+        return PrecisionPolicy(digits, guard_digits=guard, t_slack=slack)
 
     @property
     def context(self):

@@ -3,10 +3,12 @@
 A RatFunc is a pair of MultiPoly (num, den) over a shared variable set.  It
 is stored *unreduced*: no gcd cancellation happens during arithmetic, only a
 cheap normalization (the denominator is made integral, coprime and with a
-positive leading coefficient in graded-lex order).  Equality of the functions
-they represent is decided by cross-multiplication (`equivalent`), never by
-reduction.  `cancelled()` produces the gcd-reduced canonical representative
-when a unique key is genuinely needed (group closures, class merging).
+positive leading coefficient in graded-lex order).  `equivalent` decides
+equality of the functions by cross-multiplication.  `cancelled()` produces
+the gcd-reduced canonical representative, and its serialization is the one
+key by which the package identifies a function (FormalSum terms, group
+closures, orbits, inversion classes); each RatFunc caches its cancelled form
+and its serialization.
 
 Composition and the gcd run on poly's integer form: ``cleared()`` gives num
 and den as IntPolys over one common denominator, which leaves the function
@@ -61,7 +63,7 @@ Scalar = Union[int, Fraction]
 class RatFunc:
     """Quotient of two multivariate polynomials over Q."""
 
-    __slots__ = ("num", "den", "_cancelled", "_hash", "_class_key")
+    __slots__ = ("num", "den", "_cancelled", "_hash", "_class_key", "_serial")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         num, den = MultiPoly.align(num, den)
@@ -83,6 +85,7 @@ class RatFunc:
         self._cancelled = None
         self._hash = None
         self._class_key = None
+        self._serial = None
 
     # -- constructors --------------------------------------------------------
 
@@ -196,14 +199,6 @@ class RatFunc:
         """Equality as functions, by cross-multiplication."""
         other = RatFunc.coerce(other)
         return self.num * other.den == other.num * self.den
-
-    def equivalent_up_to_inversion(self, other: "RatFunc | Scalar") -> bool:
-        other = RatFunc.coerce(other)
-        if self.equivalent(other):
-            return True
-        if other.is_zero():
-            return self.is_zero()
-        return self.equivalent(other.inv())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
@@ -324,11 +319,17 @@ class RatFunc:
         return out
 
     def serialize(self) -> str:
-        """Expression-grammar string; canonical for canonical representations."""
-        num_s = self.num.to_expr_string()
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return f"({num_s})"
-        return f"({num_s})/({self.den.to_expr_string()})"
+        """Expression-grammar string; canonical for canonical representations.
+
+        Computed once per object.
+        """
+        if self._serial is None:
+            num_s = self.num.to_expr_string()
+            if self.den.is_constant() and self.den.constant_value() == 1:
+                self._serial = f"({num_s})"
+            else:
+                self._serial = f"({num_s})/({self.den.to_expr_string()})"
+        return self._serial
 
     def __repr__(self) -> str:
         return f"RatFunc({self.serialize()!r})"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyrel import catalog
+from polyrel import catalog, ratfunc
 from polyrel.catalog import (
     XI7_BLOCKS,
     a_k_sets,
@@ -251,6 +251,35 @@ def test_block_argument_is_built_once():
     explicit = {id(arg) for _, arg in catalog.xi7_explicit().sum}
     symmetric = {id(arg) for _, arg in catalog.xi7_symmetric().sum}
     assert len(explicit & symmetric) == 220
+
+
+def test_xi7_cold_build_serializes_each_argument_once(monkeypatch):
+    """Both weight-7 sums from cold caches: no gcd, since every argument is a
+    power product marked as its own cancelled form, and at most one
+    serialization (two ``to_expr_string`` calls) per distinct argument object,
+    since FormalSum's merge key and sort key are then the same cached string."""
+    catalog._cache.clear()
+    catalog._power_products.clear()
+    catalog._one_variable_part.cache_clear()
+    counts = {"cancel": 0, "expr": 0}
+    real_cancel = ratfunc._sympy_cancel
+    real_expr = MultiPoly.to_expr_string
+
+    def cancel(f):
+        counts["cancel"] += 1
+        return real_cancel(f)
+
+    def expr(self):
+        counts["expr"] += 1
+        return real_expr(self)
+
+    monkeypatch.setattr(ratfunc, "_sympy_cancel", cancel)
+    monkeypatch.setattr(MultiPoly, "to_expr_string", expr)
+    get_equation("xi7_explicit")
+    get_equation("xi7_symmetric")
+    assert len(catalog._power_products) == 517
+    assert counts["cancel"] == 0
+    assert counts["expr"] <= 2 * len(catalog._power_products)
 
 
 # -- kernel soundness sweep (reduced parameters; acceptance runs full) ---------------

@@ -32,24 +32,36 @@ def test_scale():
 
 
 def reference_terms(terms):
-    """The constructor's canonical terms, every argument fingerprinted and compared."""
-    buckets = {}
+    """The constructor's canonical terms by the definition: each argument is
+    compared with every representative so far by cross-multiplication, and
+    the first object seen for a function represents it.
+
+    Values at one rational point rule out most pairs first; equal functions
+    agree wherever both are defined, so this never separates them.
+    """
+    values = {}
+
+    def value(f):
+        if id(f) not in values:
+            v = f.evaluate({name: Fraction(sum(map(ord, name)) % 89 + 2, 97) for name in f.vars})
+            values[id(f)] = v if isinstance(v, Fraction) else None
+        return values[id(f)]
+
+    def same(f, g):
+        a, b = value(f), value(g)
+        return (a is None or b is None or a == b) and f.equivalent(g)
+
+    entries = []  # [representative, accumulated coefficient]
     for coeff, arg in terms:
         c = Fraction(coeff)
         if c == 0:
             continue
-        fp = formal._fingerprint(arg)
-        merged = False
-        for i, (rep, acc) in enumerate(buckets.get(fp, [])):
-            if rep.equivalent(arg):
-                buckets[fp][i] = (rep, acc + c)
-                merged = True
-                break
-        if not merged:
-            buckets.setdefault(fp, []).append((arg, c))
-    collected = [
-        (acc, rep) for entries in buckets.values() for rep, acc in entries if acc != 0
-    ]
+        entry = next((e for e in entries if same(e[0], arg)), None)
+        if entry is None:
+            entries.append([arg, c])
+        else:
+            entry[1] += c
+    collected = [(acc, rep) for rep, acc in entries if acc != 0]
     collected.sort(key=lambda t: t[1].serialize())
     return tuple(collected)
 
@@ -77,6 +89,38 @@ _x_again = (x * y) / y  # another object for the function x
     ids=["merge", "cancel", "cancel-reappear", "rep-first", "equivalent-first", "const"],
 )
 def test_repeated_object_merges_like_reference(terms):
+    _assert_same_terms(FormalSum(terms), reference_terms(terms))
+
+
+def _random_terms(seed):
+    """Terms over a small pool of functions of x, y and constants, with
+    unreduced copies (f*g)/g of pool members and zero coefficients mixed in."""
+    rng = random.Random(seed)
+
+    def poly():
+        p = RatFunc.from_value(rng.randint(1, 3))
+        for _ in range(rng.randint(0, 2)):
+            p = p + rng.choice([-1, 1, 2]) * rng.choice([x, y, x * y, x * x])
+        return p
+
+    pool = [poly() / poly() for _ in range(6)]
+    pool += [RatFunc.from_value(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(3)]
+    terms = []
+    for _ in range(40):
+        f = rng.choice(pool)
+        if rng.random() < 0.4:
+            g = poly()
+            f = (f * g) / g
+        terms.append((rng.choice([-2, -1, 0, 1, Fraction(1, 2), 3]), f))
+    return terms
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_sums_merge_like_reference(seed):
+    terms = _random_terms(seed)
+    args = [a for _, a in terms]
+    assert any(a.is_constant() for a in args)
+    assert any(a != b and a.equivalent(b) for a in args for b in args)  # unreduced copies
     _assert_same_terms(FormalSum(terms), reference_terms(terms))
 
 

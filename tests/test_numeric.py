@@ -254,6 +254,24 @@ def test_cl_two_routes_agree_on_annulus():
         assert abs(a - b) < POLICY.tolerance
 
 
+@pytest.mark.parametrize(
+    "digits, guard, slack",
+    [(10, 2, 7), (30, 7, 15), (50, 10, 15), (60, 10, 15), (200, 10, 15)],
+)
+def test_for_digits_pins_guard_and_slack(digits, guard, slack):
+    p = PrecisionPolicy.for_digits(digits)
+    assert (p.working_digits, p.guard_digits, p.t_slack) == (digits, guard, slack)
+
+
+def test_for_digits_keeps_precision_above_guard_plus_slack():
+    for digits in range(10, 401):
+        p = PrecisionPolicy.for_digits(digits)
+        assert p.working_digits > p.guard_digits + p.t_slack
+    for digits in range(10):
+        with pytest.raises(DomainError):
+            PrecisionPolicy.for_digits(digits)
+
+
 def test_precision_scaling():
     hi = PrecisionPolicy(70)
     z = 0.37 + 0.58j

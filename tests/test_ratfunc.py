@@ -91,7 +91,6 @@ def test_eval_indeterminate():
 def test_equivalent_cross_multiplication():
     assert (x / y).equivalent(x / y)
     assert not (x / y).equivalent(y / x)
-    assert (x / y).equivalent_up_to_inversion(y / x)
 
 
 def test_equivalent_from_spec_example():
