@@ -92,6 +92,12 @@ def _v(name: str) -> RatFunc:
     return RatFunc.var(name)
 
 
+def _reduced(rf: RatFunc) -> RatFunc:
+    """rf, reduced by construction, marked as its own cancelled form."""
+    rf._cancelled = rf
+    return rf
+
+
 ONE = RatFunc.from_value(1)
 
 
@@ -334,7 +340,10 @@ def fourlog(n: int) -> EquationSpec:
     """Template in root placeholders x_1..x_n, y_1..y_n of x^(n-1)(x-1) = t, u.
 
     Numeric verification binds the placeholders to the computed preimages;
-    the exact proof for each n is in proofalgebra.
+    the exact proof for each n is in proofalgebra.  Every argument is a
+    quotient of products of the distinct irreducibles x_i, x_i - 1, y_j,
+    y_j - 1, none on both sides, so each is reduced by construction and is
+    marked as its own cancelled form.
     """
     if n < 2:
         raise DomainError("fourlog needs n >= 2")
@@ -347,14 +356,14 @@ def fourlog(n: int) -> EquationSpec:
     for g in ys[1:]:
         Y = Y * g
     # (v, 1 - 1/v, 1 - v), built once per placeholder v
-    x_parts = [(xi, 1 - 1 / xi, 1 - xi) for xi in xs]
-    y_parts = [(yj, 1 - 1 / yj, 1 - yj) for yj in ys]
-    terms: List[Tuple[Fraction, RatFunc]] = [(Fraction(n * (n - 2)), X / Y)]
+    x_parts = [(xi, _reduced(1 - 1 / xi), 1 - xi) for xi in xs]
+    y_parts = [(yj, _reduced(1 - 1 / yj), 1 - yj) for yj in ys]
+    terms: List[Tuple[Fraction, RatFunc]] = [(Fraction(n * (n - 2)), _reduced(X / Y))]
     for xi, xi_inv, xi_one in x_parts:
         for yj, yj_inv, yj_one in y_parts:
-            terms.append((Fraction(-((n - 1) ** 2)), xi_inv / yj_inv))
-            terms.append((Fraction(n * n), xi_one / yj_one))
-            terms.append((Fraction(-(n * n * (n - 1) ** 2)), xi / yj))
+            terms.append((Fraction(-((n - 1) ** 2)), _reduced(xi_inv / yj_inv)))
+            terms.append((Fraction(n * n), _reduced(xi_one / yj_one)))
+            terms.append((Fraction(-(n * n * (n - 1) ** 2)), _reduced(xi / yj)))
     for (_, xi_inv, _), (_, yj_inv, _) in zip(x_parts, y_parts):
         terms.append((Fraction(n * (n - 1) ** 2), xi_inv))
         terms.append((Fraction(-(n * (n - 1) ** 2)), yj_inv))
@@ -451,8 +460,7 @@ def _power_product(sign: int, factor_exps: Dict[str, Dict[int, int]]) -> RatFunc
                 num_parts.append((var, _one_variable_part(up)))
             if down:
                 den_parts.append((var, _one_variable_part(down)))
-        rf = RatFunc(_outer_product(sign, num_parts), _outer_product(1, den_parts))
-        rf._cancelled = rf
+        rf = _reduced(RatFunc(_outer_product(sign, num_parts), _outer_product(1, den_parts)))
         _power_products[key] = rf
     return rf
 

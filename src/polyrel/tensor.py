@@ -9,13 +9,35 @@ the tuple names of the formal log symbols).  Every helper keeps the
 invariant that no stored coefficient is zero.  The loops run on plain dicts,
 without per-coordinate calls, because the weight-4 proof runs them about a
 million times.
+
+Packed keys.  Where the basis keys are small ints (basis indices below
+2**width), ``wedge``, ``sym`` and ``add_product`` take the width and store
+the key pair (a, b) as the single int a << width | b instead of a tuple;
+``unpack`` inverts it.  A product of two packed pieces
+is packed again at twice the width, so a Sym^2 (x) Lambda^2 coordinate is
+one int of 4 * width bits, which hashes and compares faster than a nested
+tuple.  The width must cover every index: 2**width > largest index.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-__all__ = ["bump", "lin", "vsum", "wedge", "sym", "sym_power", "add_product"]
+__all__ = [
+    "bump",
+    "lin",
+    "vsum",
+    "wedge",
+    "sym",
+    "sym_power",
+    "add_product",
+    "unpack",
+]
+
+
+def unpack(key: int, width: int) -> Tuple[int, int]:
+    """The key pair (a, b) packed as a << width | b."""
+    return key >> width, key & ((1 << width) - 1)
 
 
 def bump(acc: Dict, other: Dict, c=1) -> Dict:
@@ -42,14 +64,18 @@ def vsum(vs: Iterable[Dict]) -> Dict:
     return lin(*((1, v) for v in vs))
 
 
-def wedge(u: Dict, v: Dict) -> Dict:
-    """u ^ v: the coordinate of a ^ b sits on (a, b) when a < b, negated otherwise."""
+def wedge(u: Dict, v: Dict, width: int | None = None) -> Dict:
+    """u ^ v: the coordinate of a ^ b sits on (a, b) when a < b, negated otherwise.
+
+    With ``width`` the pair is packed (see the module docstring).
+    """
     out: Dict = {}
     for a, ca in u.items():
         for b, cb in v.items():
             if a == b:
                 continue
-            key, c = ((a, b), ca * cb) if a < b else ((b, a), -ca * cb)
+            lo, hi, c = (a, b, ca * cb) if a < b else (b, a, -ca * cb)
+            key = (lo, hi) if width is None else lo << width | hi
             c += out.get(key, 0)
             if c:
                 out[key] = c
@@ -58,12 +84,13 @@ def wedge(u: Dict, v: Dict) -> Dict:
     return out
 
 
-def sym(u: Dict, v: Dict) -> Dict:
-    """u.v in Sym^2, keyed by sorted pairs."""
+def sym(u: Dict, v: Dict, width: int | None = None) -> Dict:
+    """u.v in Sym^2, keyed by sorted pairs, packed with ``width``."""
     out: Dict = {}
     for a, ca in u.items():
         for b, cb in v.items():
-            key = (a, b) if a <= b else (b, a)
+            lo, hi = (a, b) if a <= b else (b, a)
+            key = (lo, hi) if width is None else lo << width | hi
             c = out.get(key, 0) + ca * cb
             if c:
                 out[key] = c
@@ -91,8 +118,24 @@ def sym_power(v: Dict, k: int) -> Dict:
     return out
 
 
-def add_product(acc: Dict, left: Dict, right: Dict, c=1) -> Dict:
-    """acc += c * left (x) right in place, keyed by (left key, right key); returns acc."""
+def add_product(acc: Dict, left: Dict, right: Dict, c=1, width: int | None = None) -> Dict:
+    """acc += c * left (x) right in place, keyed by (left key, right key); returns acc.
+
+    With ``width`` the right keys are ints below 2**width and the key is
+    packed; the loop is written out twice so neither pays for the other.
+    """
+    if width is not None:
+        for lk, lc in left.items():
+            f = c * lc
+            base = lk << width
+            for rk, rc in right.items():
+                key = base | rk
+                x = acc.get(key, 0) + f * rc
+                if x:
+                    acc[key] = x
+                else:
+                    acc.pop(key, None)
+        return acc
     for lk, lc in left.items():
         f = c * lc
         for rk, rc in right.items():

@@ -73,6 +73,17 @@ def test_fourlog_term_structure():
     assert len(eq3.sum) == 3 * 9 + 1 + 6
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_fourlog_arguments_are_marked_with_their_cancelled_form(n):
+    # the marked arguments skip the gcd, so each must already be the form
+    # the heuristic gcd returns, to the byte
+    terms = catalog.fourlog(n).sum.terms
+    assert len(terms) == 3 * n * n + 2 * n + (n > 2)
+    for _, arg in terms:
+        assert arg.cancelled() is arg
+        assert ratfunc._sympy_cancel(arg).serialize() == arg.serialize()
+
+
 # -- weight-7 entries -------------------------------------------------------------
 
 def test_xi7_class_count():

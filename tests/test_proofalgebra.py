@@ -14,6 +14,7 @@ from polyrel.proofalgebra import (
     verify_claim_and_theorem,
     verify_identities,
 )
+from polyrel.tensor import unpack
 
 
 def test_derived_symbols_n2():
@@ -84,18 +85,18 @@ def test_identities_pass(n):
 
 
 def test_identities_negative_control():
-    for n in (2, 4):
+    for n in (2, 4, 5):
         out = verify_identities(n, altered_eq15=True)
         assert [k for k, ok in out.items() if not ok] == ["eq15_distribution_scalars"]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_claim_and_theorem_pass(n):
     assert all(verify_claim_and_theorem(n).values())
 
 
 def test_theorem_negative_control():
-    for n in (2, 4):
+    for n in (2, 4, 5):
         out = verify_claim_and_theorem(n, perturb_coefficient=True)
         assert [k for k, ok in out.items() if not ok] == ["theorem_zero"]
 
@@ -314,3 +315,49 @@ def test_tensors_are_three_times_the_rational_reference(n):
             )
         for got, ref in zip(_t_terms(space, l, m), reference_t_terms(n, l, m)):
             assert_three_times(got, ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_all_equal_sym3_wedge_matches_the_rational_reference(n):
+    # the conversion merges the three equal products of S.S.S and s.s.s into one
+    space = LogSpace(n)
+    r = reference_basis(space)
+    for l, m in probe_cells(n):
+        S, s, z = space.S(), space.s(l, m), space.zeta(l, m)
+        rS, rs, rz = r["S"], r["s"](l, m), r["zeta"](l, m)
+        for key_space in (None, space):
+            for (a, b, c), (ra, rb, rc) in (
+                ((S, S, S), (rS, rS, rS)),
+                ((s, s, s), (rs, rs, rs)),
+                ((S, s, S), (rS, rs, rS)),
+            ):
+                assert_three_times(
+                    FormalTensor(key_space).add_sym3_wedge(a, b, c, z),
+                    reference_sym3_wedge(ra, rb, rc, rz),
+                )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_packed_keys_round_trip_the_largest_index(n):
+    space = LogSpace(n)
+    names = space.names
+    assert len(names) == 2 * n + (n - 1) ** 2 + 1
+    assert list(names) == sorted(names) and names[-1] == ("zeta", n - 1, n - 1)
+    top = len(names) - 1
+    assert 2 ** (space.width - 1) <= top < 2 ** space.width
+    last, below = {names[-1]: 1}, {names[-2]: 1}
+    t = FormalTensor(space).add_product(space.sym(last, last), space.wedge(last, below))
+    (key,) = t.terms
+    assert key < 2 ** (4 * space.width)
+    sk, wk = unpack(key, 2 * space.width)
+    assert unpack(sk, space.width) == (top, top) and unpack(wk, space.width) == (top - 1, top)
+    # the wedge's sign follows the name order, as in the unpacked tensor
+    assert t.coords == {((names[-1], names[-1]), (names[-2], names[-1])): -3}
+    assert t.coords == FormalTensor.product({(names[-1], names[-1]): 1}, {(names[-2], names[-1]): -1}).coords
+
+
+def test_tensors_over_different_spaces_do_not_add():
+    t = beta4_formal("x_l/y_m", 1, 2, 3)
+    assert t == beta4_formal("x_l/y_m", 1, 2, 3)
+    with pytest.raises(DomainError):
+        t.add(beta4_formal("x_l/y_m", 1, 2, 4))

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from polyrel.tensor import add_product, bump, lin, sym, sym_power, vsum, wedge
+from polyrel.tensor import add_product, bump, lin, sym, sym_power, unpack, vsum, wedge
 
 
 def test_sym_power_two_is_sym():
@@ -32,3 +32,19 @@ def test_wedge_and_products_keep_no_zero_coordinates():
     acc = add_product({}, {(2,): 1}, {(2, 3): 4}, 3)
     assert acc == {((2,), (2, 3)): 12}
     assert add_product(acc, {(2,): 2}, {(2, 3): 3}, -2) == {}
+
+
+def test_packed_pieces_match_tuple_keys():
+    width = 3
+    u, v = {5: 2, 1: -1, 7: 1}, {1: 3, 7: -2, 0: 1}
+
+    def pack(a, b, w=width):
+        return a << w | b
+
+    assert sym(u, v, width) == {pack(*k): c for k, c in sym(u, v).items()}
+    assert wedge(u, v, width) == {pack(*k): c for k, c in wedge(u, v).items()}
+    assert unpack(pack(7, 6), width) == (7, 6)
+    acc = add_product({}, sym(u, v, width), wedge(u, v, width), 3, 2 * width)
+    expected = add_product({}, sym(u, v), wedge(u, v), 3)
+    assert acc == {pack(pack(*a), pack(*b), 2 * width): c for (a, b), c in expected.items()}
+    assert add_product(acc, sym(u, v, width), wedge(u, v, width), -3, 2 * width) == {}
