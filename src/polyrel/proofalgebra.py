@@ -261,11 +261,6 @@ class FormalTensor:
         return FormalTensor().add_product(sym_part, wedge_part, c)
 
     @staticmethod
-    def sym2_wedge(a: Vec, b: Vec, c: Vec, d: Vec) -> "FormalTensor":
-        """a (sym) b (x) (c ^ d)."""
-        return FormalTensor().add_sym2_wedge(a, b, c, d)
-
-    @staticmethod
     def cube_wedge(a: Vec, b: Vec) -> "FormalTensor":
         """The mixed notation a^3 ^ b  :=  a (sym) a (x) (a ^ b)."""
         return FormalTensor().add_sym2_wedge(a, a, a, b)

@@ -13,26 +13,17 @@ million times.
 Packed keys.  Where the basis keys are small ints (basis indices below
 2**width), ``wedge``, ``sym`` and ``add_product`` take the width and store
 the key pair (a, b) as the single int a << width | b instead of a tuple;
-``unpack`` inverts it.  A product of two packed pieces
-is packed again at twice the width, so a Sym^2 (x) Lambda^2 coordinate is
-one int of 4 * width bits, which hashes and compares faster than a nested
-tuple.  The width must cover every index: 2**width > largest index.
+``unpack`` inverts it.  A product of two packed pieces is packed again at
+twice the width, so a Sym^2 (x) Lambda^2 coordinate is one int of
+4 * width bits, which hashes and compares faster than a nested tuple.  The
+width must cover every index: 2**width > largest index.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-__all__ = [
-    "bump",
-    "lin",
-    "vsum",
-    "wedge",
-    "sym",
-    "sym_power",
-    "add_product",
-    "unpack",
-]
+__all__ = ["bump", "lin", "vsum", "wedge", "sym", "sym_power", "add_product", "unpack"]
 
 
 def unpack(key: int, width: int) -> Tuple[int, int]:

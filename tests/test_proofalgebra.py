@@ -353,7 +353,8 @@ def test_packed_keys_round_trip_the_largest_index(n):
     assert unpack(sk, space.width) == (top, top) and unpack(wk, space.width) == (top - 1, top)
     # the wedge's sign follows the name order, as in the unpacked tensor
     assert t.coords == {((names[-1], names[-1]), (names[-2], names[-1])): -3}
-    assert t.coords == FormalTensor.product({(names[-1], names[-1]): 1}, {(names[-2], names[-1]): -1}).coords
+    named = FormalTensor.product({(names[-1], names[-1]): 1}, {(names[-2], names[-1]): -1})
+    assert t == named and t.coords == named.coords
 
 
 def test_tensors_over_different_spaces_do_not_add():
