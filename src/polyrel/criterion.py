@@ -10,31 +10,34 @@ the wedge.  A true kernel element passes every pairing exactly; a non-member
 is caught with high probability (Schwartz-Zippel over the functional
 values), and every failure carries a reproducible witness.
 
-The kernel test specializes on poly's integer form.  Once per call it takes
-every non-constant argument's num and den as IntPolys (``RatFunc.cleared``);
-each draw then evaluates them with ``poly.int_value`` against one power
-table per variable, shared by all arguments, and merges the arguments by
-their exact values into (coefficient, value) pairs, dropping coefficients
-that cancel.  That is the merge FormalSum.specialize followed by the
-FormalSum constructor performs, without building a constant RatFunc per
-argument, so the support, the functionals drawn on it and every witness are
-the same.  The only other clearing here is of the functionals and of a
-specialized sum's coefficients (``DualFunctional.cleared``, ``FactoredSum``),
-vectors rather than polynomials.
+The kernel test runs in Python ints from the rational draw to the pairing.
+Once per call it plans the sum: every non-constant argument's num and den,
+taken as IntPolys (``RatFunc.cleared``), is filed once per distinct
+polynomial (xi7_explicit's 602 are 267 distinct ones, xi7_symmetric's 872
+are 270).  Each draw then evaluates every distinct polynomial once with
+``poly.int_value`` against one power table per variable, and merges the
+arguments on their values as reduced (numerator, denominator) int pairs
+(a gcd, the sign kept on the numerator); constant arguments join under the
+same key and coefficients that cancel drop out.  That is the merge
+FormalSum.specialize followed by the FormalSum constructor performs, without
+building a RatFunc or a Fraction per argument, so the support, the
+functionals drawn on it and every witness are the same.
 
-Each trial factors its specialized values once: a FactoredSum holds the
-integer exponent vectors of x and 1 - x for every term, the coefficients
-cleared to integers over their common denominator, and the sorted prime
-support the random functionals are drawn on.  The pairings against that
-trial's functionals then run entirely in Python integers, with a single
-Fraction built for each pairing's value.
+Each trial factors its specialized values once: a FactoredSum, built from
+(coefficient, numerator, denominator) triples, factors each distinct
+integer among the |a|, b and |b - a| of its values x = a/b once (log x and
+log(1 - x) are differences of those vectors), clears the coefficients to
+integers over their common denominator, and holds the sorted prime support
+the random functionals are drawn on.  The functionals are drawn as ints and
+stay ints, so each pairing applies them once per distinct integer and runs
+entirely in Python integers, with a single Fraction built for its value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .exact import DomainError, SplitMix64, factor_int, factor_rational, random_rational
@@ -64,19 +67,29 @@ def log_vector(q: Fraction | int) -> Dict[int, int]:
 
 
 class DualFunctional:
-    """Rational linear functional on prime coordinates (0 on unseen primes)."""
+    """Rational linear functional on prime coordinates (0 on unseen primes).
+
+    Int values are kept as ints (the kernel test draws integer functionals);
+    any other value is held as a Fraction.  Both print alike, so a witness
+    reads the same either way.
+    """
 
     __slots__ = ("values",)
 
-    def __init__(self, values: Mapping[int, Fraction]):
-        self.values = {int(p): Fraction(v) for p, v in values.items() if v != 0}
+    def __init__(self, values: Mapping[int, Fraction | int]):
+        self.values = {
+            int(p): v if type(v) is int else Fraction(v) for p, v in values.items() if v != 0
+        }
 
     def cleared(self, support: Tuple[int, ...]) -> Tuple[int, List[int]]:
         """(d, [d * value(p) for p in support]) with d the lcm of the denominators."""
-        d = lcm(*(v.denominator for v in self.values.values()))
+        values = self.values
+        d = lcm(*(v.denominator for v in values.values()))
+        if d == 1:
+            return 1, [values.get(p, 0) for p in support]
         out = []
         for p in support:
-            v = self.values.get(p)
+            v = values.get(p)
             out.append(0 if v is None else v.numerator * (d // v.denominator))
         return d, out
 
@@ -88,65 +101,64 @@ class DualFunctional:
 # Pairing
 # ---------------------------------------------------------------------------
 
-def _constant_terms(s) -> List[Tuple[Fraction, Fraction]]:
-    """Normalize input to (coefficient, rational value) pairs."""
-    out = []
-    if isinstance(s, FormalSum):
-        for c, a in s:
-            if not a.is_constant():
-                raise DomainError("beta_pairing needs a specialized (constant) sum")
-            out.append((c, a.constant_value()))
-    else:
-        for c, v in s:
-            out.append((Fraction(c), Fraction(v)))
-    return out
+def _triples(s) -> List[Tuple[Fraction, int, int]]:
+    """Normalize input to (coefficient, numerator, denominator) triples.
 
-
-def _log_pair(x: Fraction) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """log_vector(x) and log_vector(1 - x) for a rational x other than 0 and 1.
-
-    With x = a/b in lowest terms, 1 - x = (b - a)/b is in lowest terms too,
-    so b is factored once for both and neither needs a Fraction.
+    ``s`` is a FormalSum over constants, (coefficient, rational) pairs or
+    triples already; each value is in lowest terms with a positive
+    denominator.
     """
-    a, b = x.numerator, x.denominator
-    fx, fw = factor_int(abs(a)), factor_int(abs(b - a))
-    for p, e in factor_int(b).items():
-        fx[p] = fw[p] = -e
-    return fx, fw
+    if isinstance(s, FormalSum):
+        if not all(a.is_constant() for _, a in s):
+            raise DomainError("beta_pairing needs a specialized (constant) sum")
+        s = [(c, a.constant_value()) for c, a in s]
+    out = []
+    for term in s:
+        if len(term) == 2:
+            c, v = term
+            q = Fraction(v)
+            term = (Fraction(c), q.numerator, q.denominator)
+        out.append(term)
+    return out
 
 
 class FactoredSum:
     """A sum of constant arguments in integer prime coordinates, factored once.
 
-    Built from a FormalSum over constants or from (coeff, rational) pairs.
-    ``support`` is the sorted tuple of primes dividing some x or 1 - x.  Each
-    term is (a, xv, wv): the coefficient cleared to the integer a over
-    ``scale``, the lcm of the coefficient denominators, and the exponent
-    vectors of x and 1 - x as tuples of (index into ``support``, exponent).
-    An argument 0 is a domain error; an argument 1 is skipped (1 - x = 0 has
-    no prime vector, so it pairs to zero by convention).
+    Built from a FormalSum over constants, from (coeff, rational) pairs or
+    from (coeff, numerator, denominator) triples (see ``_triples``).  With
+    x = a/b in lowest terms, 1 - x = (b - a)/b is in lowest terms too, so
+    log x = log|a| - log b and log(1 - x) = log|b - a| - log b.  Each
+    distinct positive integer among the |a|, b and |b - a| of the terms is
+    factored once: ``vectors`` holds its exponent vector as a tuple of (index
+    into ``support``, exponent), and ``support`` is the sorted tuple of
+    primes dividing some x or 1 - x.  Each term is (c, ia, ib, iw): the
+    coefficient cleared to the integer c over ``scale``, the lcm of the
+    coefficient denominators, and the indices into ``vectors`` of |a|, b and
+    |b - a|.  An argument 0 is a domain error; an argument 1 is skipped
+    (1 - x = 0 has no prime vector, so it pairs to zero by convention).
     """
 
-    __slots__ = ("terms", "scale", "support")
+    __slots__ = ("terms", "vectors", "scale", "support")
 
     def __init__(self, s):
-        factored = []
-        for c, x in _constant_terms(s):
-            if x == 0:
+        ids: Dict[int, int] = {}  # distinct integer -> index into vectors
+        slot = ids.setdefault
+        kept = []
+        for c, a, b in _triples(s):
+            if not a:
                 raise DomainError("beta_pairing argument 0 is outside the domain")
-            if x == 1:
+            if a == b:
                 continue
-            factored.append((c, *_log_pair(x)))
-        support = sorted({p for _, fx, fw in factored for p in (*fx, *fw)})
+            # left to right: each len(ids) counts the integers filed before it
+            kept.append((c, slot(abs(a), len(ids)), slot(b, len(ids)), slot(abs(b - a), len(ids))))
+        factors = [factor_int(n) for n in ids]
+        support = sorted({p for f in factors for p in f})
         index = {p: i for i, p in enumerate(support)}
-        scale = lcm(*(c.denominator for c, _, _ in factored))
+        scale = lcm(*(c.denominator for c, _, _, _ in kept))
+        self.vectors = tuple(tuple((index[p], e) for p, e in f.items()) for f in factors)
         self.terms = tuple(
-            (
-                c.numerator * (scale // c.denominator),
-                tuple((index[p], e) for p, e in fx.items()),
-                tuple((index[p], e) for p, e in fw.items()),
-            )
-            for c, fx, fw in factored
+            (c.numerator * (scale // c.denominator), ia, ib, iw) for c, ia, ib, iw in kept
         )
         self.scale = scale
         self.support = tuple(support)
@@ -155,16 +167,19 @@ class FactoredSum:
 def beta_pairing(s, m: int, theta: DualFunctional, phi: DualFunctional, psi: DualFunctional) -> Fraction:
     """Exact pairing of the weight-m tensor of ``s`` with theta^(m-2) (phi ^ psi).
 
-    ``s`` is a FormalSum over constants, (coeff, rational) pairs, or a
-    FactoredSum built from either (callers pairing one sum against many
-    functionals factor it once).  The result is sum_x coeff * theta(log
-    x)^(m-2) * (phi(log x) psi(log(1-x)) - phi(log(1-x)) psi(log x)).
-    Arguments equal to 1 contribute zero by convention (1-x = 0 has no prime
-    vector) and are skipped; an argument equal to 0 is a domain error.
+    ``s`` is a FormalSum over constants, (coeff, rational) pairs, (coeff,
+    numerator, denominator) triples, or a FactoredSum built from any of them
+    (callers pairing one sum against many functionals factor it once).  The
+    result is sum_x coeff * theta(log x)^(m-2) * (phi(log x) psi(log(1-x)) -
+    phi(log(1-x)) psi(log x)).  Arguments equal to 1 contribute zero by
+    convention (1-x = 0 has no prime vector) and are skipped; an argument
+    equal to 0 is a domain error.
 
     The sum runs in integers: each functional is cleared over the lcm of its
-    own denominators (d_theta, d_phi, d_psi), and the total is divided once
-    by scale * d_theta^(m-2) * d_phi * d_psi at the end.
+    own denominators (d_theta, d_phi, d_psi) and applied once to each of the
+    FactoredSum's distinct integers, a term reads log x and log(1 - x) as
+    differences of those values, and the total is divided once by
+    scale * d_theta^(m-2) * d_phi * d_psi at the end.
     """
     if m < 2:
         raise DomainError("beta pairing needs m >= 2")
@@ -172,21 +187,26 @@ def beta_pairing(s, m: int, theta: DualFunctional, phi: DualFunctional, psi: Dua
     dt, th = theta.cleared(fs.support)
     dp, ph = phi.cleared(fs.support)
     dq, ps = psi.cleared(fs.support)
+    tvals, pvals, qvals = [], [], []
+    for vec in fs.vectors:
+        t = p = q = 0
+        for i, e in vec:
+            t += th[i] * e
+            p += ph[i] * e
+            q += ps[i] * e
+        tvals.append(t)
+        pvals.append(p)
+        qvals.append(q)
     k = m - 2
     total = 0
-    for a, xv, wv in fs.terms:
-        tv = px = qx = 0
-        for i, e in xv:
-            tv += th[i] * e
-            px += ph[i] * e
-            qx += ps[i] * e
+    for c, ia, ib, iw in fs.terms:
+        tv = tvals[ia] - tvals[ib]
         if k and not tv:
             continue
-        pw = qw = 0
-        for i, e in wv:
-            pw += ph[i] * e
-            qw += ps[i] * e
-        total += a * tv ** k * (px * qw - pw * qx)
+        pb, qb = pvals[ib], qvals[ib]
+        px, qx = pvals[ia] - pb, qvals[ia] - qb
+        pw, qw = pvals[iw] - pb, qvals[iw] - qb
+        total += c * tv ** k * (px * qw - pw * qx)
     return Fraction(total, fs.scale * dt ** k * dp * dq)
 
 
@@ -202,11 +222,12 @@ def expand_tensor(s, m: int) -> Dict[Tuple, Fraction]:
     if m < 2:
         raise DomainError("tensor expansion needs m >= 2")
     out: Dict[Tuple, Fraction] = {}
-    for coeff, x in _constant_terms(s):
-        if x == 0:
+    for coeff, a, b in _triples(s):
+        if not a:
             raise DomainError("tensor expansion argument 0 is outside the domain")
-        if x == 1:
+        if a == b:
             continue
+        x = Fraction(a, b)
         v = log_vector(x)
         add_product(out, sym_power(v, m - 2), wedge(v, log_vector(1 - x)), coeff)
     return out
@@ -237,69 +258,77 @@ def _random_functional(support: Tuple[int, ...], rng: SplitMix64, height: int) -
         values = {p: rng.next_int(-height, height) for p in support}
         if any(values.values()):
             return DualFunctional(values)
-    return DualFunctional({support[0]: Fraction(1)}) if support else DualFunctional({})
+    return DualFunctional({support[0]: 1}) if support else DualFunctional({})
 
 
 def _integer_specializer(s: FormalSum) -> Tuple[Tuple[str, ...], Callable]:
     """The specialization ``kernel_test`` draws, planned once for the sum ``s``.
 
     Returns ``s.variables()`` and a function of a full binding of them.  The
-    function gives the value-merged (coefficient, value) pairs of the
-    specialized sum, or None when the binding is degenerate: some
+    function gives the value-merged (coefficient, numerator, denominator)
+    triples of the specialized sum, each value in lowest terms with a
+    positive denominator, or None when the binding is degenerate: some
     non-constant argument is a pole, 0/0, 0 or 1 there (constant arguments
     pass through as they are).  Arguments whose values coincide merge into
-    one pair and a coefficient that cancels drops out, as the FormalSum
+    one triple and a coefficient that cancels drops out, as the FormalSum
     constructor merges equal constants.
 
-    Each non-constant argument is held as ``a.cleared()``, with exponents
-    restricted to the variables it has positive degree in.  Per binding,
-    each variable v = a/b gets one power table a^e b^(D-e)
+    The num and den of each non-constant argument are taken as
+    ``a.cleared()``, with exponents restricted to the variables the argument
+    has positive degree in, and filed once per distinct (variables, IntPoly).
+    Per binding, each variable v = a/b gets one power table a^e b^(D-e)
     (``poly.power_table``), D its largest degree anywhere in the sum, and
-    every argument reads those tables through ``poly.int_value``.
+    each distinct polynomial is evaluated once through ``poly.int_value``.
     Homogenizing to D multiplies an argument's numerator and denominator by
     the same nonzero product of powers of the b's, so their ratio is its
-    value.
+    value; dividing both by their gcd, the sign moved to the numerator, gives
+    the merge key.
     """
-    constants: Dict[Fraction, Fraction] = {}
-    args = []
+    constants: Dict[Tuple[int, int], Fraction] = {}
+    slots: Dict[tuple, int] = {}  # (variables, frozen IntPoly) -> its index
+    args: List[Tuple[Fraction, int, int]] = []  # (coefficient, num index, den index)
     degree: Dict[str, int] = {}
     for c, a in s:
         # the largest exponent of each of a's variables, num and den together
         top = [max(column) for column in zip(*a.num.terms, *a.den.terms)]
         live = [i for i, e in enumerate(top) if e]
         if not live:
-            constants[a.constant_value()] = c  # s holds no two equal constants
+            q = a.constant_value()
+            constants[q.numerator, q.denominator] = c  # s holds no two equal constants
             continue
-        for i in live:
-            v = a.vars[i]
+        names = tuple(a.vars[i] for i in live)
+        for v, i in zip(names, live):
             degree[v] = max(degree.get(v, 0), top[i])
         num, den = (
-            {tuple([exp[i] for i in live]): n for exp, n in p.items()} for p in a.cleared()
+            (names, frozenset((tuple([exp[i] for i in live]), n) for exp, n in p.items()))
+            for p in a.cleared()
         )
-        args.append((c, [a.vars[i] for i in live], num, den))
+        args.append((c, slots.setdefault(num, len(slots)), slots.setdefault(den, len(slots))))
     variables = tuple(sorted(degree))
     index = {v: k for k, v in enumerate(variables)}
-    planned = [(c, [index[v] for v in names], num, den) for c, names, num, den in args]
+    # term order does not matter: int_value sums exactly
+    planned = [([index[v] for v in names], dict(terms)) for names, terms in slots]
 
     def specialize(binding: Mapping[str, Fraction]):
         tables = [power_table(binding[v], degree[v]) for v in variables]
+        values = [int_value(p, [tables[k] for k in idx]) for idx, p in planned]
         merged = dict(constants)
-        for c, idx, num, den in planned:
-            arg_tables = [tables[k] for k in idx]
-            d = int_value(den, arg_tables)
+        for c, i, j in args:
+            d = values[j]
             if not d:
                 return None  # pole or 0/0
-            n = int_value(num, arg_tables)
+            n = values[i]
             if not n or n == d:
                 return None  # 0 or 1
-            q = Fraction(n, d)
-            prev = merged.get(q)
+            g = gcd(n, d)
+            key = (n // g, d // g) if d > 0 else (-n // g, -d // g)
+            prev = merged.get(key)
             total = c if prev is None else prev + c
             if total:
-                merged[q] = total
+                merged[key] = total
             else:
-                del merged[q]
-        return [(c, q) for q, c in merged.items()]
+                del merged[key]
+        return [(c, n, d) for (n, d), c in merged.items()]
 
     return variables, specialize
 
@@ -342,14 +371,14 @@ def kernel_test(
         spec_rng = root.split("spec", r)
         for _ in range(300):
             binding = {v: random_rational(spec_height, spec_rng) for v in variables}
-            pairs = specialize(binding)
-            if pairs is not None:
+            triples = specialize(binding)
+            if triples is not None:
                 break
         else:
             raise DomainError(
                 f"no non-degenerate specialization found after 300 tries (trial {r})"
             )
-        factored = FactoredSum(pairs)
+        factored = FactoredSum(triples)
         support = factored.support
         for k in range(functionals):
             fun_rng = root.split("fun", r, k)

@@ -202,7 +202,7 @@ def factor_int(n: int) -> Dict[int, int]:
         p += wheel[i]
         i = (i + 1) % 8
     stack = [n] if n > 1 else []
-    rng = SplitMix64(0x5EED_FAC7).split(original & _MASK64)
+    rng = None  # built only when a composite cofactor needs Brent rho
     while stack:
         m = stack.pop()
         if m == 1:
@@ -210,6 +210,8 @@ def factor_int(n: int) -> Dict[int, int]:
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
+        if rng is None:
+            rng = SplitMix64(0x5EED_FAC7).split(original & _MASK64)
         d = _brent_rho(m, rng)
         stack.append(d)
         stack.append(m // d)

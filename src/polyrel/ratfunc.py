@@ -321,9 +321,21 @@ class RatFunc:
     def serialize(self) -> str:
         """Expression-grammar string; canonical for canonical representations.
 
-        Computed once per object.
+        Computed once per object, and shared with the cancelled form when
+        the gcd cancelled nothing (the same term maps over the same
+        variables serialize alike).
         """
         if self._serial is None:
+            c = self._cancelled
+            if (
+                c is not None
+                and c is not self
+                and c.vars == self.vars
+                and c.num.terms == self.num.terms
+                and c.den.terms == self.den.terms
+            ):
+                self._serial = c.serialize()
+                return self._serial
             num_s = self.num.to_expr_string()
             if self.den.is_constant() and self.den.constant_value() == 1:
                 self._serial = f"({num_s})"

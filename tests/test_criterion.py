@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from polyrel.criterion import (
     FactoredSum,
     Verdict,
     _integer_specializer,
-    _random_functional,
     beta_pairing,
     expand_tensor,
     kernel_test,
@@ -160,8 +160,9 @@ pairing_args = st.one_of(
     st.just(Fraction(1)),
     st.fractions(min_value=-9, max_value=9, max_denominator=8).filter(bool),
 )
-# integer values, thirds and other non-integer values
+# plain ints, integer Fractions, thirds and other non-integer values
 functional_values = st.one_of(
+    st.integers(-6, 6),
     st.integers(-6, 6).map(Fraction),
     st.integers(-9, 9).map(lambda k: Fraction(k, 3)),
     st.fractions(min_value=-3, max_value=3, max_denominator=5),
@@ -185,6 +186,8 @@ def pairing_cases(draw):
 def test_pairing_matches_reference_loop(case):
     terms, m, (theta, phi, psi) = case
     as_sum = FormalSum([(c, RatFunc.from_value(x)) for c, x in terms])
+    triples = [(c, x.numerator, x.denominator) for c, x in terms]
+    assert beta_pairing(triples, m, theta, phi, psi) == reference_pairing(terms, m, theta, phi, psi)
     for s in (terms, as_sum):
         ref = reference_pairing(s, m, theta, phi, psi)
         for given_s in (s, FactoredSum(s)):
@@ -209,13 +212,29 @@ def test_pairing_skips_theta_zero_terms_above_weight_two(m):
 
 
 def test_factored_sum_structure():
-    fs = FactoredSum([(Fraction(1, 2), Fraction(-3, 4)), (Fraction(2, 3), Fraction(1)), (Fraction(-5, 6), 9)])
+    pairs = [(Fraction(1, 2), Fraction(-3, 4)), (Fraction(2, 3), Fraction(1)), (Fraction(-5, 6), 9)]
+    fs = FactoredSum(pairs)
     assert fs.support == (2, 3, 7)
     assert fs.scale == 6
+    # x = -3/4 files |a| = 3, b = 4, |b - a| = 7; x = 9 files 9, 1, 8
+    assert fs.vectors == (((1, 1),), ((0, 2),), ((2, 1),), ((1, 2),), (), ((0, 3),))
+    assert fs.terms == ((3, 0, 1, 2), (-5, 3, 4, 5))
+
+    def log(i, j):
+        out = dict(fs.vectors[i])
+        for p, e in fs.vectors[j]:
+            out[p] = out.get(p, 0) - e
+        return out
+
     # x = -3/4: 3 / 2^2 and 1 - x = 7 / 2^2; x = 9: 3^2 and 1 - x = -8 = -2^3
-    assert fs.terms == (
-        (3, ((1, 1), (0, -2)), ((2, 1), (0, -2))),
-        (-5, ((1, 2),), ((0, 3),)),
+    assert [(c, log(ia, ib), log(iw, ib)) for c, ia, ib, iw in fs.terms] == [
+        (3, {1: 1, 0: -2}, {2: 1, 0: -2}),
+        (-5, {1: 2}, {0: 3}),
+    ]
+    # the same sum as (coefficient, numerator, denominator) triples
+    triples = FactoredSum([(c, Fraction(x).numerator, Fraction(x).denominator) for c, x in pairs])
+    assert (triples.terms, triples.vectors, triples.scale, triples.support) == (
+        fs.terms, fs.vectors, fs.scale, fs.support
     )
     with pytest.raises(DomainError, match="^beta_pairing argument 0 is outside the domain$"):
         FactoredSum([(Fraction(1), Fraction(0))])
@@ -438,13 +457,25 @@ def test_kernel_golden_witness(name, spec_height, expected):
 
 # -- the integer specialization against FormalSum.specialize ---------------------------
 
+def reference_functional(support, rng, height):
+    """_random_functional's draw as Fractions: the same stream, the same
+    retries, zero values left out."""
+    for _ in range(64):
+        values = {p: Fraction(rng.next_int(-height, height)) for p in support}
+        if any(values.values()):
+            return SimpleNamespace(values={p: v for p, v in values.items() if v})
+    return SimpleNamespace(values={support[0]: Fraction(1)} if support else {})
+
+
 def reference_kernel_test(
     s, m, trials=10, functionals=5, height=40, seed=0, specialization_height=None, log=None
 ):
-    """kernel_test as it ran before its integer specialization: each draw
-    goes through FormalSum.specialize and the FormalSum constructor's merge,
-    then FactoredSum.  ``log`` collects (binding, degenerate reason or None)
-    for every draw."""
+    """kernel_test on Fractions, sharing none of its specialization, factoring
+    or pairing code: each draw goes through FormalSum.specialize and the
+    FormalSum constructor's merge, the support comes from log_vector of x and
+    of 1 - x, the functionals hold Fractions and the pairing is
+    reference_pairing's loop.  ``log`` collects (binding, degenerate reason
+    or None) for every draw."""
     root = SplitMix64(seed)
     variables = s.variables()
     spec_height = specialization_height or height
@@ -473,13 +504,19 @@ def reference_kernel_test(
             else:
                 raise DomainError("no non-degenerate specialization")
             spec_sum = specialized.sum
-        factored = FactoredSum(spec_sum)
+        support = set()
+        for _, a in spec_sum:
+            x = a.constant_value()
+            if x != 1:
+                support.update(log_vector(x))
+                support.update(log_vector(1 - x))
+        support = tuple(sorted(support))
         for k in range(functionals):
             fun_rng = root.split("fun", r, k)
-            theta = _random_functional(factored.support, fun_rng, height)
-            phi = _random_functional(factored.support, fun_rng, height)
-            psi = _random_functional(factored.support, fun_rng, height)
-            value = beta_pairing(factored, m, theta, phi, psi)
+            theta = reference_functional(support, fun_rng, height)
+            phi = reference_functional(support, fun_rng, height)
+            psi = reference_functional(support, fun_rng, height)
+            value = reference_pairing(spec_sum, m, theta, phi, psi)
             if value != 0:
                 witness = {
                     "specialization": {v: str(q) for v, q in binding.items()},
@@ -494,12 +531,13 @@ def reference_kernel_test(
     return Verdict("pass", None, meta)
 
 
-def reference_pairs(s, binding):
-    """The (coefficient, value) pairs FormalSum.specialize gives, or None."""
+def reference_triples(s, binding):
+    """The (coefficient, numerator, denominator) triples FormalSum.specialize
+    gives, sorted, or None."""
     res = s.specialize(binding)
     if res.degenerate:
         return None
-    return sorted((c, a.constant_value()) for c, a in res.sum)
+    return sorted((c, q.numerator, q.denominator) for c, q in ((c, a.constant_value()) for c, a in res.sum))
 
 
 def _symbolic_relations():
@@ -545,17 +583,17 @@ def test_coinciding_values_merge_and_cancel():
     variables, specialize = _integer_specializer(s)
     assert variables == ("x", "y")
     binding = {"x": Fraction(7, 11), "y": Fraction(7, 11)}
-    pairs = specialize(binding)
-    assert sorted(pairs) == reference_pairs(s, binding) == [(2, Fraction(49, 121)), (3, 2)]
-    assert FactoredSum(pairs).support == (2, 3, 7, 11)
+    triples = specialize(binding)
+    assert sorted(triples) == reference_triples(s, binding) == [(2, 49, 121), (3, 2, 1)]
+    assert FactoredSum(triples).support == (2, 3, 7, 11)
     # a coefficient that cancels takes its primes with it
     s = FormalSum([(1, x), (-1, y), (3, RatFunc.from_value(2))])
-    pairs = _integer_specializer(s)[1](binding)
-    assert pairs == [(3, 2)]
-    assert FactoredSum(pairs).support == (2,)
+    triples = _integer_specializer(s)[1](binding)
+    assert triples == [(3, 2, 1)]
+    assert FactoredSum(triples).support == (2,)
     # partial merges add up
     s = FormalSum([(1, x), (Fraction(1, 2), y)])
-    assert _integer_specializer(s)[1](binding) == [(Fraction(3, 2), Fraction(7, 11))]
+    assert _integer_specializer(s)[1](binding) == [(Fraction(3, 2), 7, 11)]
 
 
 def test_table_variable_of_degree_zero_is_skipped():
@@ -568,7 +606,7 @@ def test_table_variable_of_degree_zero_is_skipped():
     variables, specialize = _integer_specializer(f)
     assert variables == f.variables() == ("t",)
     binding = {"t": Fraction(-3, 5)}
-    assert sorted(specialize(binding)) == reference_pairs(f, binding)
+    assert sorted(specialize(binding)) == reference_triples(f, binding)
     for seed in (0, 1):
         assert kernel_test(f, 3, trials=3, functionals=2, seed=seed).to_json() == (
             reference_kernel_test(f, 3, trials=3, functionals=2, seed=seed).to_json()
@@ -604,6 +642,62 @@ def test_degenerate_draws_match_reference(reason):
     assert [specialize(b) is None for b, _ in log] == [r is not None for _, r in log]
     for b, r in log:
         if r is None:
-            assert sorted(specialize(b)) == reference_pairs(s, b)
+            assert sorted(specialize(b)) == reference_triples(s, b)
     got = kernel_test(s, 3, seed=seed, **kwargs)
     assert json.dumps(got.to_json()) == json.dumps(ref.to_json())
+
+
+# small sums whose values coincide at height-2 draws (x and y take -2, -1,
+# -1/2, 1/2 or 2): x = y, x*y = x^2, 1/x = y, and constants that a draw of
+# x, 1 - x, x*y or x + 5 hits.  Twins enter with opposite coefficients, so
+# they cancel whenever their values meet; x + 5 and y + 5 bring primes (7,
+# 11) no other argument has, so a cancelled term that kept its primes would
+# move the functionals.
+_X, _Y = RatFunc.var("x"), RatFunc.var("y")
+_KERNEL_POOL = [
+    _X, _Y, _X * _Y, _X * _X, 1 / _X, 1 - _X, _X / _Y, _X + 1, _X + 5, _Y + 5,
+    (1 - _Y) / (1 - _X),
+] + [RatFunc.from_value(v) for v in (2, -1, Fraction(1, 2), -2, 3, 7, Fraction(11, 2), 1)]
+_KERNEL_TWINS = [
+    (_X, _Y),
+    (_X + 5, _Y + 5),
+    (_X * _X, _X * _Y),
+    (_X + 5, RatFunc.from_value(7)),
+    (1 - _X, RatFunc.from_value(3)),
+]
+
+
+@st.composite
+def small_kernel_sums(draw):
+    coeffs = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)])
+    terms = draw(st.lists(st.tuples(coeffs, st.sampled_from(_KERNEL_POOL)), max_size=5))
+    for a, b in draw(st.lists(st.sampled_from(_KERNEL_TWINS), max_size=2)):
+        c = draw(coeffs)
+        terms += [(c, a), (-c, b)]
+    return FormalSum(terms)
+
+
+def _kernel_json(run):
+    try:
+        return json.dumps(run().to_json())
+    except DomainError:
+        return "DomainError"
+
+
+@given(small_kernel_sums(), st.sampled_from([2, 3, 4]), st.integers(0, 2 ** 16))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference_on_small_sums(s, m, seed):
+    kwargs = dict(trials=3, functionals=2, seed=seed, specialization_height=2)
+    got = _kernel_json(lambda: kernel_test(s, m, **kwargs))
+    assert got == _kernel_json(lambda: reference_kernel_test(s, m, **kwargs))
+
+
+def test_dual_functional_keeps_int_values():
+    f = DualFunctional({2: 3, 3: Fraction(4), 5: 0, 7: Fraction(-1, 2)})
+    assert f.values == {2: 3, 3: 4, 7: Fraction(-1, 2)}
+    assert [type(v) for v in f.values.values()] == [int, Fraction, Fraction]
+    assert f.cleared((2, 3, 5, 7, 11)) == (2, [6, 8, 0, -1, 0])
+    ints = DualFunctional({2: 3, 5: -4})
+    d, values = ints.cleared((2, 3, 5))
+    assert (d, values) == (1, [3, 0, -4]) and all(type(v) is int for v in values)
+    assert {p: str(c) for p, c in f.values.items()} == {2: "3", 3: "4", 7: "-1/2"}

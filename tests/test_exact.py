@@ -51,6 +51,31 @@ def test_factor_int_large_prime_cofactor():
     assert factor_int(n) == {3: 1, 7: 1, 2 ** 61 - 1: 1}
 
 
+def test_factor_int_semiprime_above_trial_limit(monkeypatch):
+    # both primes exceed the 1e5 trial limit, so only Brent rho splits n;
+    # its generator is built on that path only
+    import polyrel.exact as exact
+
+    built = []
+
+    class Counting(exact.SplitMix64):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(exact, "SplitMix64", Counting)
+    n = 100003 * 100019
+    exact._factor_cache.pop(n, None)
+    assert factor_int(n) == {100003: 1, 100019: 1}  # cold cache
+    assert built
+    built.clear()
+    assert factor_int(n) == {100003: 1, 100019: 1}  # cached repeat
+    smooth = 2 ** 5 * 3 ** 4 * 99991  # 99991 < 1e5: trial division alone
+    exact._factor_cache.pop(smooth, None)
+    assert factor_int(smooth) == {2: 5, 3: 4, 99991: 1}
+    assert built == []
+
+
 def test_factor_int_returns_a_copy_of_the_cache():
     n = 2 ** 3 * 3 * 1000003
     first = factor_int(n)
