@@ -11,17 +11,18 @@ is caught with high probability (Schwartz-Zippel over the functional
 values), and every failure carries a reproducible witness.
 
 The kernel test runs in Python ints from the rational draw to the pairing.
-Once per call it plans the sum: every non-constant argument's num and den,
-taken as IntPolys (``RatFunc.cleared``), is filed once per distinct
-polynomial (xi7_explicit's 602 are 267 distinct ones, xi7_symmetric's 872
-are 270).  Each draw then evaluates every distinct polynomial once with
-``poly.int_value`` against one power table per variable, and merges the
-arguments on their values as reduced (numerator, denominator) int pairs
-(a gcd, the sign kept on the numerator); constant arguments join under the
-same key and coefficients that cancel drop out.  That is the merge
-FormalSum.specialize followed by the FormalSum constructor performs, without
-building a RatFunc or a Fraction per argument, so the support, the
-functionals drawn on it and every witness are the same.
+It evaluates the sum's ArgumentPlan (``FormalSum.plan``, built once per sum
+and shared with the numeric drivers), which files every non-constant
+argument's num and den once per distinct integer polynomial (xi7_explicit's
+602 are 267 distinct ones, xi7_symmetric's 872 are 270).  Each draw
+evaluates every monomial and then every distinct polynomial once, against
+one power table per variable, and merges the arguments on their values as
+reduced (numerator, denominator) int pairs (a gcd, the sign kept on the
+numerator); constant arguments join under the same key and coefficients
+that cancel drop out.  That is the merge FormalSum.specialize followed by
+the FormalSum constructor performs, without building a RatFunc or a
+Fraction per argument, so the support, the functionals drawn on it and
+every witness are the same.
 
 Each trial factors its specialized values once: a FactoredSum, built from
 (coefficient, numerator, denominator) triples, factors each distinct
@@ -42,7 +43,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .exact import DomainError, SplitMix64, factor_int, factor_rational, random_rational
 from .formal import FormalSum
-from .poly import int_value, power_table
+from .poly import power_table
 from .tensor import add_product, sym_power, wedge
 
 __all__ = [
@@ -262,7 +263,7 @@ def _random_functional(support: Tuple[int, ...], rng: SplitMix64, height: int) -
 
 
 def _integer_specializer(s: FormalSum) -> Tuple[Tuple[str, ...], Callable]:
-    """The specialization ``kernel_test`` draws, planned once for the sum ``s``.
+    """The specialization ``kernel_test`` draws, on the sum's ArgumentPlan.
 
     Returns ``s.variables()`` and a function of a full binding of them.  The
     function gives the value-merged (coefficient, numerator, denominator)
@@ -273,47 +274,30 @@ def _integer_specializer(s: FormalSum) -> Tuple[Tuple[str, ...], Callable]:
     one triple and a coefficient that cancels drops out, as the FormalSum
     constructor merges equal constants.
 
-    The num and den of each non-constant argument are taken as
-    ``a.cleared()``, with exponents restricted to the variables the argument
-    has positive degree in, and filed once per distinct (variables, IntPoly).
     Per binding, each variable v = a/b gets one power table a^e b^(D-e)
-    (``poly.power_table``), D its largest degree anywhere in the sum, and
-    each distinct polynomial is evaluated once through ``poly.int_value``.
-    Homogenizing to D multiplies an argument's numerator and denominator by
-    the same nonzero product of powers of the b's, so their ratio is its
-    value; dividing both by their gcd, the sign moved to the numerator, gives
-    the merge key.
+    (``poly.power_table``), D its largest degree in the sum, each of the
+    plan's monomials takes its product of table entries once, and each
+    distinct polynomial sums its coefficients against those
+    (``ArgumentPlan.values``).  Homogenizing every variable to its D
+    multiplies all values by the same nonzero product of powers of the b's,
+    so an argument's numerator over its denominator is its value; dividing
+    both by their gcd, the sign moved to the numerator, gives the merge key.
     """
-    constants: Dict[Tuple[int, int], Fraction] = {}
-    slots: Dict[tuple, int] = {}  # (variables, frozen IntPoly) -> its index
-    args: List[Tuple[Fraction, int, int]] = []  # (coefficient, num index, den index)
-    degree: Dict[str, int] = {}
-    for c, a in s:
-        # the largest exponent of each of a's variables, num and den together
-        top = [max(column) for column in zip(*a.num.terms, *a.den.terms)]
-        live = [i for i, e in enumerate(top) if e]
-        if not live:
-            q = a.constant_value()
-            constants[q.numerator, q.denominator] = c  # s holds no two equal constants
-            continue
-        names = tuple(a.vars[i] for i in live)
-        for v, i in zip(names, live):
-            degree[v] = max(degree.get(v, 0), top[i])
-        num, den = (
-            (names, frozenset((tuple([exp[i] for i in live]), n) for exp, n in p.items()))
-            for p in a.cleared()
-        )
-        args.append((c, slots.setdefault(num, len(slots)), slots.setdefault(den, len(slots))))
-    variables = tuple(sorted(degree))
-    index = {v: k for k, v in enumerate(variables)}
-    # term order does not matter: int_value sums exactly
-    planned = [([index[v] for v in names], dict(terms)) for names, terms in slots]
+    plan = s.plan()
+    variables = plan.variables
+    constants = {(q.numerator, q.denominator): c for c, q in plan.constants}
 
     def specialize(binding: Mapping[str, Fraction]):
-        tables = [power_table(binding[v], degree[v]) for v in variables]
-        values = [int_value(p, [tables[k] for k in idx]) for idx, p in planned]
+        tables = [power_table(binding[v], d) for v, d in zip(variables, plan.degrees)]
+        monomials = []
+        for exp in plan.monomials:
+            n = 1
+            for t, e in zip(tables, exp):
+                n *= t[e]
+            monomials.append(n)
+        values = plan.values(monomials)
         merged = dict(constants)
-        for c, i, j in args:
+        for c, i, j in plan.args:
             d = values[j]
             if not d:
                 return None  # pole or 0/0

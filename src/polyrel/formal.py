@@ -48,6 +48,7 @@ from .tensor import bump
 
 __all__ = [
     "FormalSum",
+    "ArgumentPlan",
     "Automorphism",
     "SpecializeResult",
     "group_closure",
@@ -101,10 +102,77 @@ class SpecializeResult:
         )
 
 
+class ArgumentPlan:
+    """The arguments of a sum as distinct integer polynomials, for evaluation
+    at points.
+
+    ``variables`` are the sum's variables, sorted, and ``degrees`` the
+    largest degree of each in any argument.  The num and den of every
+    non-constant argument, cleared to ints with exponents restricted to its
+    own variables (``RatFunc.live_cleared``, cached per argument), are filed
+    once per distinct polynomial: ``polys`` holds each as (monomial index,
+    int coefficient) pairs, indexing ``monomials``, the distinct exponent
+    vectors over ``variables``.  ``args`` holds (coefficient, num index, den
+    index) per non-constant argument and ``constants`` (coefficient,
+    Fraction) per constant one, each in sum order.
+
+    An evaluator computes each monomial once at a point and passes the
+    values to ``values``.  It may scale every monomial by one common nonzero
+    factor (the kernel test homogenizes rational points to integers): an
+    argument's num and den share that factor, so their quotient is its
+    value.
+    """
+
+    __slots__ = ("variables", "degrees", "monomials", "polys", "args", "constants")
+
+    def __init__(self, terms: Iterable[Tuple[Fraction, RatFunc]]):
+        constants = []
+        live = []
+        degree: Dict[str, int] = {}
+        for c, a in terms:
+            names, top, num, den = a.live_cleared()
+            if not names:
+                constants.append((c, a.constant_value()))
+                continue
+            for v, d in zip(names, top):
+                degree[v] = max(degree.get(v, 0), d)
+            live.append((c, names, num, den))
+        self.variables = tuple(sorted(degree))
+        self.degrees = tuple(degree[v] for v in self.variables)
+        index = {v: k for k, v in enumerate(self.variables)}
+        width = len(index)
+        monomials: Dict[Tuple[int, ...], int] = {}
+        slots: Dict[tuple, int] = {}  # (names, frozen IntPoly) -> index into polys
+        polys: List[Tuple[Tuple[int, int], ...]] = []
+
+        def slot(names, poly) -> int:
+            i = slots.get((names, poly))
+            if i is None:
+                place = [index[v] for v in names]
+                pairs = []
+                for exp, n in poly:
+                    full = [0] * width
+                    for k, e in zip(place, exp):
+                        full[k] = e
+                    pairs.append((monomials.setdefault(tuple(full), len(monomials)), n))
+                i = slots[names, poly] = len(polys)
+                polys.append(tuple(pairs))
+            return i
+
+        self.args = tuple((c, slot(names, num), slot(names, den)) for c, names, num, den in live)
+        self.monomials = tuple(monomials)
+        self.polys = tuple(polys)
+        self.constants = tuple(constants)
+
+    def values(self, monomial_values: Sequence) -> List:
+        """Each polynomial's sum of coefficient times monomial value."""
+        return [sum([n * monomial_values[k] for k, n in p]) for p in self.polys]
+
+
 class FormalSum:
     """Canonical Q-linear combination of RatFunc arguments."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_plan")
 
     def __init__(self, terms: Iterable[Tuple[Fraction, RatFunc]] = ()):
         # cancelled serialization -> [representative, accumulated coefficient];
@@ -125,6 +193,7 @@ class FormalSum:
         collected.sort(key=lambda t: t[1].serialize())
         self.terms = tuple(collected)
         self._hash = None
+        self._plan = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -155,6 +224,7 @@ class FormalSum:
         out = object.__new__(FormalSum)
         out.terms = tuple((coeff * c, arg) for coeff, arg in self.terms)
         out._hash = None
+        out._plan = None
         return out
 
     def is_zero(self) -> bool:
@@ -179,10 +249,14 @@ class FormalSum:
     # -- structure ---------------------------------------------------------------
 
     def variables(self) -> Tuple[str, ...]:
-        vs = set()
-        for _, arg in self.terms:
-            vs.update(v for v in arg.vars if arg.num.degree_in(v) or arg.den.degree_in(v))
-        return tuple(sorted(vs))
+        """The variables some argument has positive degree in, sorted."""
+        return self.plan().variables
+
+    def plan(self) -> ArgumentPlan:
+        """The sum's ArgumentPlan, built on first use and kept."""
+        if self._plan is None:
+            self._plan = ArgumentPlan(self.terms)
+        return self._plan
 
     def nonconstant_part(self) -> "FormalSum":
         return FormalSum([(c, a) for c, a in self.terms if not a.is_constant()])

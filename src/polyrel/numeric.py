@@ -13,19 +13,25 @@ relation CL_m(z) = (-1)^(m-1) CL_m(1/z) to |z| > 1 and by continuity to
 {0, 1, infinity}.
 
 Li_1(z), ..., Li_m(z) at one point come out of one fused kernel (_li_all)
-in Python-int fixed point at the context precision plus guard bits, with
-the number of terms fixed before summing:
+in Python-int fixed point at the context precision plus guard bits
+(``PrecisionPolicy.fixed_bits``), with the number of terms fixed before
+summing:
 
-* |z| <= 1/2: one pass over z^n, dividing the shared term by n once per
-  weight; N terms with 2|z|^N < 2^-bits.
+* |z| <= 1/2: the powers z^n, then one builtin pass per weight dividing
+  the previous weight's terms by n once more; N terms with
+  2|z|^N < 2^-bits.
 * 1/2 < |z| <= 2: with u = log(z)/2pi (|u| < 0.513), one sweep of u^k
   against the cached table zeta(j-k) (2pi)^k / k!, plus the distinguished
   log term at degree j-1 with one shared log(-log z); K terms with
   2^8 |u|^K / (1-|u|) < 2^-bits.
 
-CL_m takes all its weights from one kernel call at |z| <= 1.  li_m is a
-thin wrapper: the kernel for |z| <= 2, the inversion continuation formula
-beyond.
+CL_m runs in fixed point from its argument to its value: it folds |z| > 1
+to 1/z, takes from one kernel call only the parts it keeps (real for odd m,
+imaginary for even m) and log|z|, sums them with Bernoulli weights cached
+per (m, bits), and builds one mpf at the end.  li_m converts only the
+weight it returns: the power series relative to z, multiplied by z in
+floating point (full relative accuracy for tiny |z|), the expansion in
+log z up to |z| = 2, and the inversion continuation formula beyond.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, hypot, inf, log2
-from operator import mul
+from operator import floordiv, mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exact import DomainError
@@ -111,6 +117,12 @@ class PrecisionPolicy:
             ctx.dps = self.working_digits + self.guard_digits
             object.__setattr__(self, "_ctx", ctx)
         return self._ctx
+
+    @property
+    def fixed_bits(self) -> int:
+        """Bits of the Python-int fixed point the kernels run in: the context
+        precision plus _GUARD_BITS."""
+        return self.context.prec + _GUARD_BITS
 
     @property
     def tolerance(self):
@@ -213,9 +225,10 @@ def _harmonic(m: int) -> Fraction:
 # Li_1 .. Li_m: fused fixed-point kernel
 # ---------------------------------------------------------------------------
 
-# Fixed-point numbers are Python ints scaled by 2^wp, wp = ctx.prec + _GUARD_BITS;
-# the guard bits absorb the rounding of the truncated terms (about one ulp per
-# term and weight, so far below 2^36 ulps at any term count used here).
+# Fixed-point numbers are Python ints scaled by 2^wp, wp = policy.fixed_bits
+# (the context precision plus _GUARD_BITS); the guard bits absorb the rounding
+# of the truncated terms (about one ulp per term and weight, so far below
+# 2^36 ulps at any term count used here).
 _GUARD_BITS = 36
 # |e_(j,k)| <= zeta(2) * max_n (2pi)^n/n! < 2^8 for every table entry below.
 _COEFF_BITS = 8
@@ -239,7 +252,16 @@ def _log2_abs(re: int, im: int, wp: int) -> float:
     return log2(hypot(re >> shift, im >> shift)) + shift - wp
 
 
-def _to_mpc(re: int, im: int, wp: int, ctx):
+def to_fixed_pair(z, wp: int) -> Tuple[int, int]:
+    """(re, im) of an mpc as ints scaled by 2^wp, rounded toward -infinity."""
+    from mpmath.libmp import to_fixed
+
+    re, im = z._mpc_
+    return to_fixed(re, wp), to_fixed(im, wp)
+
+
+def from_fixed_pair(re: int, im: int, wp: int, ctx):
+    """The mpc of a fixed-point pair, rounded to the context precision."""
     from mpmath.libmp import from_man_exp
 
     prec = ctx.prec
@@ -248,29 +270,37 @@ def _to_mpc(re: int, im: int, wp: int, ctx):
     )
 
 
-def _li_power_series(m: int, z, ctx, wp: int) -> List:
-    """|z| <= 1/2: Li_j(z) = z * sum_{n>=1} z^(n-1)/n^j, all j in one pass.
+def _power_part(x: int, y: int, wp: int, count: int, part: int) -> List[int]:
+    """The real (``part`` 0) or imaginary (``part`` 1) parts of z^0, ...,
+    z^(count-1) in fixed point.
 
-    The sum is computed relative to z, so tiny |z| keeps full relative
-    accuracy; its tail after N terms is below |z|^N/(1-|z|) <= 2|z|^N.
+    Both parts satisfy s_n = 2 Re(z) s_(n-1) - |z|^2 s_(n-2), whose roots
+    are z and conj(z), so one part needs two products per power.  Used for
+    |z| <= 1/2 only: a rounding error reaches the power k steps later
+    multiplied by (z^(k+1) - conj(z)^(k+1)) / (z - conj(z)), at most
+    (k+1) |z|^k <= 1 in size.
     """
-    from mpmath.libmp import to_fixed
+    a, b = (1 << wp, x) if part == 0 else (0, y)
+    out = [a, b]
+    p, q = 2 * x, (x * x + y * y) >> wp
+    for _ in range(count - 2):
+        a, b = b, (p * b - q * a) >> wp
+        out.append(b)
+    return out[:count]
 
-    x, y = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
-    n_terms = _terms(wp, _log2_abs(x, y, wp), 1)
-    one = 1 << wp
-    sr = [one] * m
-    si = [0] * m
-    qr, qi = x, y  # z^(n-1)
-    for n in range(2, n_terms + 1):
-        tr, ti = qr, qi
-        for j in range(m):
-            tr //= n
-            ti //= n
-            sr[j] += tr
-            si[j] += ti
-        qr, qi = (qr * x - qi * y) >> wp, (qr * y + qi * x) >> wp
-    return [z * _to_mpc(sr[j], si[j], wp, ctx) for j in range(m)]
+
+def _power_sums(terms: List[int], m: int) -> List[int]:
+    """[sum_n terms[n-1] / n^j for j = 1..m] in fixed point.
+
+    Weight j divides weight j-1's terms by n once more, one builtin pass per
+    weight (single-digit divisors, CPython's fast path).
+    """
+    ns = range(1, len(terms) + 1)
+    out = []
+    for _ in range(m):
+        terms = list(map(floordiv, terms, ns))
+        out.append(sum(terms))
+    return out
 
 
 _log_tables: Dict[Tuple[int, int], Tuple] = {}
@@ -322,20 +352,24 @@ def _log_table(m: int, wp: int, policy: PrecisionPolicy) -> Tuple:
     return table
 
 
-def _li_log_series(m: int, z, ctx, policy: PrecisionPolicy, wp: int) -> List:
+def _li_log_series(
+    m: int, x: int, y: int, policy: PrecisionPolicy, wp: int
+) -> Tuple[List[Tuple[int, int]], int]:
     """1/2 < |z| <= 2: the expansion in u = w/2pi, w = log z (|u| < 0.513).
 
     Li_j(e^w) = sum_{k != j-1} e_(j,k) u^k
                 + w^(j-1)/(j-1)! (H_(j-1) - log(-w)),
     one sweep of u^k shared by every weight and one shared log(-w).  With
     |e_(j,k)| < 2^8 the tail after K terms is below 2^8 |u|^K / (1-|u|).
+    Returns the fixed-point Li_j(z) and log|z| = Re w.
     """
-    from mpmath.libmp import mpc_log, mpf_neg, pi_fixed, to_fixed
+    from mpmath.libmp import from_man_exp, mpc_log, mpf_neg, pi_fixed, to_fixed
 
-    w = mpc_log(z._mpc_, wp)
+    w = mpc_log((from_man_exp(x, -wp), from_man_exp(y, -wp)), wp)
     log_neg_w = mpc_log((mpf_neg(w[0]), mpf_neg(w[1])), wp)
     twopi = pi_fixed(wp) << 1
-    ur = (to_fixed(w[0], wp) << wp) // twopi
+    wr = to_fixed(w[0], wp)
+    ur = (wr << wp) // twopi
     ui = (to_fixed(w[1], wp) << wp) // twopi
     n_terms = max(_terms(wp, _log2_abs(ur, ui, wp), _COEFF_BITS + 2), m + 1)
     upr, upi = [1 << wp], [0]
@@ -355,22 +389,30 @@ def _li_log_series(m: int, z, ctx, policy: PrecisionPolicy, wp: int) -> List:
         ar, ai = upr[j - 1], upi[j - 1]
         sr += dist * ((ar * br - ai * bi) >> wp)
         si += dist * ((ar * bi + ai * br) >> wp)
-        out.append(_to_mpc(sr >> wp, si >> wp, wp, ctx))
-    return out
+        out.append((sr >> wp, si >> wp))
+    return out, wr
 
 
-def _li_all(m: int, z, policy: PrecisionPolicy) -> List:
-    """[Li_1(z), ..., Li_m(z)] for an mpc z with 0 < |z| <= 2, z != 1.
+def _li_all(m: int, x: int, y: int, policy: PrecisionPolicy, wp: int, part: int):
+    """(values, log_abs) for z = (x + iy) / 2^wp with 0 < |z| <= 2, z != 1.
 
-    Every weight comes out of one fixed-point pass at ctx.prec plus
-    _GUARD_BITS bits, with the term count fixed up front from |z| (|z| <= 1/2)
-    or from |log z / 2pi| (1/2 < |z| <= 2).
+    ``values[j-1]`` is the real (``part`` 0) or imaginary (``part`` 1) part
+    of Li_j(z) and ``log_abs`` is log|z|, all in fixed point at wp bits.
+    Every weight comes out of one pass, with the term count fixed up front:
+    for |z| <= 1/2 the power series sum_n z^n/n^j on that part of the powers
+    alone, and log|z| from one mpf_log; for 1/2 < |z| <= 2 the expansion in
+    log z, whose real part is log|z|.
     """
-    ctx = policy.context
-    wp = ctx.prec + _GUARD_BITS
-    if abs(z) <= 0.5:
-        return _li_power_series(m, z, ctx, wp)
-    return _li_log_series(m, z, ctx, policy, wp)
+    norm = x * x + y * y
+    if norm <= 1 << (2 * wp - 2):
+        from mpmath.libmp import from_man_exp, mpf_log, to_fixed
+
+        # 2|z|^N < 2^-wp bounds the tail after N terms, |z|^(N+1)/(1-|z|)
+        terms = _power_part(x, y, wp, _terms(wp, _log2_abs(x, y, wp), 1) + 1, part)[1:]
+        log_abs = to_fixed(mpf_log(from_man_exp(norm, -2 * wp), wp), wp) >> 1
+        return _power_sums(terms, m), log_abs
+    lis, log_abs = _li_log_series(m, x, y, policy, wp)
+    return [li[part] for li in lis], log_abs
 
 
 def _li_continuation(m: int, z, ctx, policy):
@@ -414,7 +456,16 @@ def li_m(m: int, z, policy: PrecisionPolicy):
             "Li_m is branch-ambiguous on (1, oo); evaluate CL_m instead"
         )
     if abs(z) <= 2:
-        return _li_all(m, z, policy)[m - 1]
+        wp = policy.fixed_bits
+        x, y = to_fixed_pair(z, wp)
+        if x * x + y * y > 1 << (2 * wp - 2):
+            return from_fixed_pair(*_li_log_series(m, x, y, policy, wp)[0][m - 1], wp, ctx)
+        # |z| <= 1/2: Li_m(z) / z = sum_n z^(n-1)/n^m, multiplied by z in
+        # floating point, so tiny |z| keeps full relative accuracy; the tail
+        # after N terms is below |z|^N/(1-|z|) <= 2|z|^N < 2^-wp
+        n = _terms(wp, _log2_abs(x, y, wp), 1)
+        re, im = (_power_sums(_power_part(x, y, wp, n, part), m)[-1] for part in (0, 1))
+        return z * from_fixed_pair(re, im, wp, ctx)
     return _li_continuation(m, z, ctx, policy)
 
 
@@ -422,15 +473,27 @@ def li_m(m: int, z, policy: PrecisionPolicy):
 # CL_m
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _cl_weights(m: int, wp: int) -> Tuple[Tuple[int, int], ...]:
+    """(r, 2^r B_r / r! in fixed point) for the r < m with B_r != 0."""
+    nonzero = [(r, bernoulli(r)) for r in range(m) if bernoulli(r)]
+    return tuple((r, (b.numerator << (wp + r)) // (b.denominator * factorial(r))) for r, b in nonzero)
+
+
 def cl_m(m: int, z, policy: PrecisionPolicy):
     """One-valued CL_m: total on P^1(C), real-valued, inversion-(anti)symmetric.
 
     Accepts complex values, rationals, INFINITY, and constant RatFuncs.
     Continuity values: 0 at 0 and infinity; zeta(m) at 1 for odd m, 0 for
-    even m.  |z| > 1 is folded to 1/z; for |z| <= 1 one fused _li_all call
-    gives Li_1(z)..Li_m(z) (power series for |z| <= 1/2, expansion in log z
-    beyond, both with term counts fixed in advance from |z|), which are
-    combined with the Bernoulli weights.
+    even m.  Everything after the conversion of z runs in Python-int fixed
+    point at ``policy.fixed_bits``: |z| > 1 is folded to 1/z, and one fused
+    _li_all call gives the real parts (odd m) or the imaginary parts (even
+    m) of Li_1(z)..Li_m(z) (power series for |z| <= 1/2, expansion in log z
+    beyond, both with term counts fixed in advance from |z|) and log|z|.
+    The Bernoulli weights, cached per (m, bits), combine them, and a single
+    mpf is built at the end.  Far from the unit circle the fixed point takes
+    as many more bits as |z| or |1/z| has leading zero bits, so the value
+    keeps its relative accuracy there too.
     """
     if m < 2:
         raise DomainError("cl_m needs m >= 2 (m = 1 is excluded)")
@@ -440,23 +503,33 @@ def cl_m(m: int, z, policy: PrecisionPolicy):
     z = policy.complex(z)
     if z == 0:
         return ctx.mpf(0)
-    if z == 1:
+    from mpmath.libmp import from_man_exp
+
+    # 2^(top-1) <= |z| < 2^(top+1/2)
+    top = max(p[2] + p[3] for p in z._mpc_ if p[1])
+    shift = max(abs(top) - 2, 0)
+    wp = policy.fixed_bits + shift
+    one = 1 << wp
+    x, y = to_fixed_pair(z, wp)
+    sign = 1
+    norm = x * x + y * y
+    if norm > one * one:
+        # CL_m(z) = (-1)^(m-1) CL_m(1/z), 1/z = conj(z) / |z|^2
+        x, y = (x << 2 * wp) // norm, (-y << 2 * wp) // norm
+        sign = (-1) ** (m - 1)
+    if x == one and not y:  # z = 1 to the working precision
         return +zeta_int(m, policy) if m % 2 == 1 else ctx.mpf(0)
-    a = abs(z)
-    if a > 1:
-        inner = cl_m(m, 1 / z, policy)
-        return inner if m % 2 == 1 else -inner
-    logabs = ctx.log(a)
-    lis = _li_all(m, z, policy)
-    acc = ctx.mpc(0)
-    for r in range(m):
-        br = bernoulli(r)
-        if br == 0:
-            continue
-        coeff = policy.real(Fraction(2 ** r) * br / factorial(r))
-        weight = coeff * logabs ** r
-        acc += weight * lis[m - r - 1]
-    return acc.real if m % 2 == 1 else acc.imag
+    # log|z| is real, so the part CL_m keeps of the sum is the weighted sum
+    # of that part of each Li_j: the real part for odd m, imaginary for even
+    values, log_abs = _li_all(m, x, y, policy, wp, 1 - m % 2)
+    total = 0
+    power, at = one, 0  # log^at |z|
+    for r, weight in _cl_weights(m, wp - shift):
+        while at < r:
+            power = power * log_abs >> wp
+            at += 1
+        total += ((weight << shift) * power >> wp) * values[m - r - 1]
+    return ctx.make_mpf(from_man_exp(sign * total, -2 * wp, ctx.prec, "n"))
 
 
 def cl_apply(m: int, terms, policy: PrecisionPolicy):

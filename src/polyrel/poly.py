@@ -22,10 +22,11 @@ insertion order.  Between the two, everything is integer:
   ``RatFunc.substitute`` both expand this way.
 * ``int_value`` sums integer terms against power tables a^e b^(D-e)
   (``power_table``): a point value a/b homogenized to its variable's
-  degree D.  ``MultiPoly.evaluate_ratio`` and the kernel test's
-  specializer (``criterion``) both evaluate this way, and
+  degree D.  ``MultiPoly.evaluate_ratio`` evaluates this way, and
   ``RatFunc.evaluate`` decides poles and 0/0 on the integer values before
-  building its single Fraction.
+  building its single Fraction; the kernel test's specializer
+  (``criterion``) multiplies the same tables into each monomial of a
+  sum's argument plan (``formal.ArgumentPlan``).
 
 ``evaluate_in`` sums in term insertion order, so keeping that order keeps
 numeric values to the last bit.

@@ -63,7 +63,7 @@ Scalar = Union[int, Fraction]
 class RatFunc:
     """Quotient of two multivariate polynomials over Q."""
 
-    __slots__ = ("num", "den", "_cancelled", "_hash", "_class_key", "_serial")
+    __slots__ = ("num", "den", "_cancelled", "_live", "_hash", "_class_key", "_serial")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         num, den = MultiPoly.align(num, den)
@@ -83,6 +83,7 @@ class RatFunc:
         self.num = num
         self.den = den
         self._cancelled = None
+        self._live = None
         self._hash = None
         self._class_key = None
         self._serial = None
@@ -121,6 +122,26 @@ class RatFunc:
     def cleared(self) -> List[IntPoly]:
         """[num, den] times the lcm of all their coefficient denominators."""
         return cleared(self.num, self.den)[1]
+
+    def live_cleared(self) -> Tuple[Tuple[str, ...], Tuple[int, ...], frozenset, frozenset]:
+        """(names, degrees, num, den), computed once per object.
+
+        ``names`` are the variables the function has positive degree in, in
+        table order, and ``degrees`` the largest exponent of each over num
+        and den together.  num and den are ``cleared()`` with exponents
+        restricted to ``names``, frozen as sets of (exponent, coefficient)
+        pairs so that equal polynomials compare equal.  A constant has no
+        names.
+        """
+        if self._live is None:
+            top = [max(column) for column in zip(*self.num.terms, *self.den.terms)]
+            live = [i for i, e in enumerate(top) if e]
+            num, den = (
+                frozenset((tuple([exp[i] for i in live]), n) for exp, n in p.items())
+                for p in self.cleared()
+            )
+            self._live = (tuple(self.vars[i] for i in live), tuple(top[i] for i in live), num, den)
+        return self._live
 
     def depends_on(self, name: str) -> bool:
         """True iff the function genuinely varies with `name`.

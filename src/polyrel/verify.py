@@ -5,6 +5,13 @@ a small disk around 1), resample on degeneracy, and test vanishing against
 the policy tolerance 10^(-P + slack).  Sampling is driven by split PRNG
 streams, one per sample index, so verdicts do not depend on evaluation
 order.
+
+A sum's arguments are evaluated through its ArgumentPlan
+(``FormalSum.plan``), the one the kernel test evaluates at rational points,
+in Python-int fixed point from the sampled point to CL_m: each monomial and
+each distinct polynomial once per point, one complex division per argument,
+and ``cl_m`` in fixed point on each value.  ``RatFunc.evaluate_in`` serves
+only the one-variable maps of the preimage families (``phi_value``).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from .catalog import EquationSpec, get_equation
 from .criterion import Verdict
 from .exact import DomainError, SplitMix64
 from .formal import FormalSum
-from .numeric import PrecisionPolicy, cl_apply, cl_m, poly_roots
+from .numeric import PrecisionPolicy, cl_apply, cl_m, from_fixed_pair, poly_roots, to_fixed_pair
 from .poly import MultiPoly
 from .ratfunc import INFINITY, RatFunc
 
@@ -59,21 +66,55 @@ def _coerce(ctx):
     return lambda fr: ctx.mpf(fr.numerator) / ctx.mpf(fr.denominator)
 
 
-def _evaluate_terms(s: FormalSum, binding: Dict[str, object], ctx):
-    """Evaluate every argument; None signals a degenerate draw."""
-    co = _coerce(ctx)
-    out = []
-    for c, a in s:
-        if a.is_constant():
-            out.append((c, a.constant_value()))
-            continue
-        val, ok = a.evaluate_in(binding, co)
-        if not ok:
+def _evaluate_terms(s: FormalSum, binding: Dict[str, object], policy: PrecisionPolicy):
+    """The terms of ``s`` at a complex point, from its ArgumentPlan; None
+    signals a degenerate draw.
+
+    Runs in Python-int fixed point at ``policy.fixed_bits``: the powers of
+    each variable, each of the plan's monomials once, each distinct
+    polynomial once (``ArgumentPlan.values``) and one complex division per
+    argument.  The draw is degenerate if some argument has a pole there or
+    a value x with |x| < 1e-8, |x| > 1e8 or |x - 1| < 1e-8.  Constant
+    arguments come first, as Fractions, then the others in sum order.
+    """
+    plan = s.plan()
+    ctx = policy.context
+    wp = policy.fixed_bits
+    one = 1 << wp
+    rows = []
+    for v, d in zip(plan.variables, plan.degrees):
+        x, y = to_fixed_pair(binding[v], wp)
+        row = [(one, 0), (x, y)]
+        for _ in range(d - 1):
+            a, b = row[-1]
+            row.append(((a * x - b * y) >> wp, (a * y + b * x) >> wp))
+        rows.append(row)
+    mono_r, mono_i = [], []
+    for exp in plan.monomials:
+        r, i = one, 0
+        for row, e in zip(rows, exp):
+            if e:
+                a, b = row[e]
+                r, i = (r * a - i * b) >> wp, (r * b + i * a) >> wp
+        mono_r.append(r)
+        mono_i.append(i)
+    val_r, val_i = plan.values(mono_r), plan.values(mono_i)
+    # |x|^2 against (1e-8)^2 and (1e8)^2, all scaled by 2^(2 wp)
+    small = math.ceil(Fraction(1e-8) ** 2 * 4**wp)
+    large = 10**16 << 2 * wp
+    out: List[Tuple[Fraction, object]] = list(plan.constants)
+    for c, i, j in plan.args:
+        dr, di = val_r[j], val_i[j]
+        den = dr * dr + di * di
+        if not den:
             return None
-        mag = abs(val)
-        if mag < 1e-8 or mag > 1e8 or abs(val - 1) < 1e-8:
+        nr, ni = val_r[i], val_i[i]
+        xr = ((nr * dr + ni * di) << wp) // den
+        xi = ((ni * dr - nr * di) << wp) // den
+        mag = xr * xr + xi * xi
+        if mag < small or mag > large or (xr - one) ** 2 + xi * xi < small:
             return None
-        out.append((c, val))
+        out.append((c, from_fixed_pair(xr, xi, wp, ctx)))
     return out
 
 
@@ -121,7 +162,7 @@ def verify_numeric_sum(
 
     def attempt(rng):
         binding = {v: sample_complex(rng, ctx) for v in variables}
-        terms = _evaluate_terms(s, binding, ctx)
+        terms = _evaluate_terms(s, binding, policy)
         if terms is None:
             return None
         return terms, {"point": {v: str(binding[v]) for v in variables}}
@@ -365,7 +406,7 @@ def verify_fourlog_numeric(
             return None
         binding = {f"x{k+1}": xs[k] for k in range(n)}
         binding.update({f"y{k+1}": ys[k] for k in range(n)})
-        terms = _evaluate_terms(eq.sum, binding, ctx)
+        terms = _evaluate_terms(eq.sum, binding, policy)
         if terms is None:
             return None
         return terms, {"t": str(tv), "u": str(uv)}

@@ -125,10 +125,13 @@ def test_li_against_mpmath(m):
 
 
 # Region boundaries of the fused kernel (|z| = 1/2, |z| = 2), the unit
-# circle, the neighbourhood of z = 1 and the negative real axis.
+# circle (where cl_m folds), the neighbourhood of z = 1 and the negative
+# real axis.
 _EDGE_POINTS = [
     cmath.rect(0.5 - 1e-12, 1.1),
     cmath.rect(0.5 + 1e-12, 1.1),
+    cmath.rect(1 - 1e-12, 0.7),
+    cmath.rect(1 + 1e-12, 0.7),
     0.5 - 1e-12,
     -0.5 - 1e-12,
     -1,
@@ -178,6 +181,19 @@ def test_li_and_cl_differential_against_mpmath(digits):
                 )
                 ref = acc.real if m % 2 else acc.imag
                 _assert_within(cl_m(m, z, policy), ref, digits, (m, z))
+
+
+@pytest.mark.parametrize("digits", [50, 60])
+def test_li_keeps_relative_accuracy_at_tiny_z(digits):
+    """The power series runs relative to z, so |z| = 1e-30 keeps relative
+    error <= 10^-P (the fixed point alone would give only about P - 30 digits)."""
+    policy = PrecisionPolicy(digits)
+    with mpmath.workdps(digits + 20):
+        for z in (cmath.rect(1e-30, 0.4), cmath.rect(1e-30, -2.9)):
+            for m in range(2, 8):
+                ref = mpmath.polylog(m, mpmath.mpc(z))
+                err = abs(mpmath.mpmathify(li_m(m, z, policy)) - ref)
+                assert err <= mpmath.mpf(10) ** -digits * abs(ref), (m, z)
 
 
 @pytest.mark.parametrize("digits", [50, 60])
@@ -349,3 +365,19 @@ def test_roots_rejects_degenerate_input():
         poly_roots([3], POLICY)
     with pytest.raises(DomainError):
         poly_roots([1, 0, 0], POLICY)  # zero leading coefficients stripped
+
+
+# -- numeric verdict margins --------------------------------------------------
+
+
+@pytest.mark.parametrize("name, points", [("xi7_explicit", 3), ("fourlog_n4", 2)])
+def test_numeric_verdicts_keep_fifteen_digits_of_margin(name, points):
+    """At P = 60 the weight-7 and weight-4 sums vanish at least 15 digits
+    below the tolerance 10^-45."""
+    from polyrel.catalog import get_equation
+    from polyrel.verify import verify_numeric
+
+    policy = PrecisionPolicy.for_digits(60)
+    verdict = verify_numeric(get_equation(name), points=points, policy=policy, seed=0)
+    assert verdict.passed
+    assert verdict.trials["max_abs_value"] <= float(policy.tolerance) * 1e-15

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from polyrel.catalog import get_equation
+from polyrel.catalog import equation_names, get_equation
 from polyrel.exact import DomainError, SplitMix64
-from polyrel.numeric import PrecisionPolicy
+from polyrel.numeric import PrecisionPolicy, poly_roots
 from polyrel.ratfunc import INFINITY, RatFunc
 from polyrel.verify import (
+    _evaluate_terms,
     cr_num,
     preimages,
     random_phi,
@@ -144,3 +145,79 @@ def test_numeric_verifiers_need_points(points):
 def test_random_phi_is_cubic_and_squarefree():
     phi = random_phi(SplitMix64(9))
     assert phi.num.degree_in("z") == 3
+
+
+def reference_terms(s, binding, ctx):
+    """The sum's terms at a complex point by ``RatFunc.evaluate_in``, one
+    argument at a time in mpmath, with the numeric drivers' degenerate rule
+    (pole, |x| < 1e-8, |x| > 1e8, |x - 1| < 1e-8); constants first."""
+    co = lambda q: ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+    constants, values = [], []
+    for c, a in s:
+        if a.is_constant():
+            constants.append((c, a.constant_value()))
+            continue
+        val, ok = a.evaluate_in(binding, co)
+        if not ok:
+            return None
+        mag = abs(val)
+        if mag < 1e-8 or mag > 1e8 or abs(val - 1) < 1e-8:
+            return None
+        values.append((c, val))
+    return constants + values
+
+
+def _plan_bindings(name, policy):
+    """Points the numeric drivers draw for a catalog sum: annulus samples for
+    rational sums (and each variable moved near 1, 0 and infinity, where
+    arguments degenerate), the roots of z^n - z^(n-1) - t and of
+    z^n - z^(n-1) - u for the weight-4 templates."""
+    ctx = policy.context
+    variables = get_equation(name).sum.variables()
+    rng = SplitMix64(7).split(name)
+    if name.startswith("fourlog_n"):
+        n = int(name.rsplit("n", 1)[1])
+        out = []
+        for _ in range(3):
+            binding = {}
+            for prefix in "xy":
+                target = sample_complex(rng, ctx)
+                coeffs = [-target] + [0] * (n - 2) + [-1, 1]
+                for k, r in enumerate(poly_roots(coeffs, policy)):
+                    binding[f"{prefix}{k + 1}"] = r
+            out.append(binding)
+        return out
+    out = [{v: sample_complex(rng, ctx) for v in variables} for _ in range(3)]
+    for v in variables:
+        for special in (1 + 1e-12j, 1e-10 + 1e-11j, 1e10 - 1e9j):
+            binding = {w: sample_complex(rng, ctx) for w in variables}
+            binding[v] = ctx.mpc(special)
+            out.append(binding)
+    return out
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_plan_evaluation_matches_evaluate_in(digits):
+    """The argument plan's fixed-point evaluation agrees with RatFunc.evaluate_in
+    on every catalog sum: the same degenerate draws, and values within
+    10^-(P+5) max(1, |x|)."""
+    policy = PrecisionPolicy.for_digits(digits)
+    ctx = policy.context
+    flags = set()
+    for name in equation_names():
+        s = get_equation(name).sum
+        for binding in _plan_bindings(name, policy):
+            got = _evaluate_terms(s, binding, policy)
+            ref = reference_terms(s, binding, ctx)
+            flags.add(ref is None)
+            assert (got is None) == (ref is None), (name, binding)
+            if ref is None:
+                continue
+            assert [c for c, _ in got] == [c for c, _ in ref]
+            for (_, x), (_, r) in zip(got, ref):
+                if isinstance(r, Fraction):
+                    assert x == r
+                else:
+                    bound = ctx.mpf(10) ** -(digits + 5) * max(1, abs(r))
+                    assert abs(x - r) <= bound, (name, x, r)
+    assert flags == {True, False}  # both kinds of draw were compared
