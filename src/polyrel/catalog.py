@@ -12,7 +12,11 @@ arguments xi7_symmetric has in common with xi7_explicit are the same
 objects, whose FormalSum merge key (the serialization of the cancelled form,
 which is the product itself) each object computes once.
 `_power_product` builds them on integers from cached one-variable parts, in
-the term order of the sequential product, so numeric values do not move.
+the term order of the sequential product.  No computed value depends on
+that order, since the kernel test and the numeric drivers sum the argument
+plan in integers; it keeps each product equal to the sequential one term
+for term (tests/test_catalog.py checks the ordered term lists) and fixes
+the order of ``RatFunc.evaluate_in``'s floating-point sum.
 
 f17 is a building block (only differences of its specializations are
 functional equations) and carries is_equation=False; the weight-4 family is
@@ -445,8 +449,9 @@ def _power_product(sign: int, factor_exps: Dict[str, Dict[int, int]]) -> RatFunc
     outermost.  That is the term order of multiplying the factor powers one
     at a time, variable by variable: the variables are disjoint, so no two
     products collide and the insertion order is the outer product of the
-    factors' orders.  ``evaluate_in`` sums in that order, so numeric values
-    are unchanged to the last bit.
+    factors' orders.  The order changes no verdict: the argument plan sums
+    in integers, and only ``evaluate_in`` (``phi_value`` and the tests'
+    reference) sums in it, in floating point.
     """
     key = (sign, tuple((var, tuple(exps.items())) for var, exps in factor_exps.items()))
     rf = _power_products.get(key)

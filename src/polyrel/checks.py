@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .catalog import XI7_BLOCKS, f17_sum, get_equation, weight_wt
 from .criterion import kernel_test
 from .formal import Automorphism, FormalSum, group_closure, inversion_class_key, orbit
+from .numeric import PrecisionPolicy
 from .proofalgebra import report_json as proofalgebra_report
 from .ratfunc import INFINITY, RatFunc, cross_ratio
 from .tensor import bump
@@ -193,7 +194,7 @@ def _wojtkowiak_x_part() -> Tuple[FormalSum, dict]:
     return x_part, info
 
 
-def check_34_from_wojtkowiak(kernel_seed: int = 40) -> CheckReport:
+def check_34_from_wojtkowiak() -> CheckReport:
     """Match the generic x-part of the specialization against the 17-term
     block, up to inversion of arguments and the 3-term relation.
 
@@ -242,7 +243,7 @@ def check_34_from_wojtkowiak(kernel_seed: int = 40) -> CheckReport:
             del residue[k]
         triples += 1
     via_three_term = sum(1 for k in v_block if k not in inter)
-    kernel = kernel_test(diff, 3, trials=4, functionals=3, seed=kernel_seed)
+    kernel = kernel_test(diff, 3, trials=4, functionals=3, seed=40)
 
     passed = (
         not broken
@@ -496,7 +497,6 @@ def check_gamma21_identity(
     kernel_trials: int = 6,
     kernel_functionals: int = 4,
     seed: int = 20,
-    numeric_policy=None,
     numeric_points: int = 3,
 ) -> CheckReport:
     """Compare the symmetrization of the two-instance combination with its
@@ -534,12 +534,8 @@ def check_gamma21_identity(
     )
     level_b = verdict_b.passed
 
-    if numeric_policy is None:
-        from .numeric import PrecisionPolicy
-
-        numeric_policy = PrecisionPolicy(40)
     verdict_c = verify_numeric_sum(
-        diff, 3, points=numeric_points, policy=numeric_policy, seed=seed
+        diff, 3, points=numeric_points, policy=PrecisionPolicy(40), seed=seed
     )
     level_c = verdict_c.passed
 

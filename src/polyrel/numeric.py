@@ -44,7 +44,7 @@ from operator import floordiv, mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exact import DomainError
-from .ratfunc import INFINITY, RatFunc
+from .ratfunc import INFINITY
 
 __all__ = [
     "PrecisionPolicy",
@@ -141,8 +141,6 @@ class PrecisionPolicy:
             return ctx.mpc(self.real(value))
         if isinstance(value, complex):
             return ctx.mpc(value.real, value.imag)
-        if isinstance(value, RatFunc):
-            return ctx.mpc(self.real(value.constant_value()))
         return ctx.mpc(value)
 
 
@@ -353,15 +351,17 @@ def _log_table(m: int, wp: int, policy: PrecisionPolicy) -> Tuple:
 
 
 def _li_log_series(
-    m: int, x: int, y: int, policy: PrecisionPolicy, wp: int
-) -> Tuple[List[Tuple[int, int]], int]:
+    m: int, x: int, y: int, policy: PrecisionPolicy, wp: int, part: int
+) -> Tuple[List[int], int]:
     """1/2 < |z| <= 2: the expansion in u = w/2pi, w = log z (|u| < 0.513).
 
     Li_j(e^w) = sum_{k != j-1} e_(j,k) u^k
                 + w^(j-1)/(j-1)! (H_(j-1) - log(-w)),
     one sweep of u^k shared by every weight and one shared log(-w).  With
     |e_(j,k)| < 2^8 the tail after K terms is below 2^8 |u|^K / (1-|u|).
-    Returns the fixed-point Li_j(z) and log|z| = Re w.
+    Returns the real (``part`` 0) or imaginary (``part`` 1) parts of
+    Li_1(z)..Li_m(z) and log|z| = Re w, in fixed point.  The sweep needs
+    both parts of each u^k; the sums take only the one asked for.
     """
     from mpmath.libmp import from_man_exp, mpc_log, mpf_neg, pi_fixed, to_fixed
 
@@ -378,18 +378,17 @@ def _li_log_series(
         upr.append((a * ur - b * ui) >> wp)
         upi.append((a * ui + b * ur) >> wp)
     log_r, log_i = to_fixed(log_neg_w[0], wp), to_fixed(log_neg_w[1], wp)
+    up = upi if part else upr
     out = []
     for j, (head, tail, dist) in enumerate(_log_table(m, wp, policy), start=1):
-        sr = sum(map(mul, head, upr)) + sum(map(mul, tail, upr[j + 1 :: 2]))
-        si = sum(map(mul, head, upi)) + sum(map(mul, tail, upi[j + 1 :: 2]))
+        total = sum(map(mul, head, up)) + sum(map(mul, tail, up[j + 1 :: 2]))
         # w^(j-1)/(j-1)! (H_(j-1) - log(-w)) = dist u^(j-1) (H_(j-1) - log(-w))
         h = _harmonic(j - 1)
         br = (h.numerator << wp) // h.denominator - log_r
         bi = -log_i
         ar, ai = upr[j - 1], upi[j - 1]
-        sr += dist * ((ar * br - ai * bi) >> wp)
-        si += dist * ((ar * bi + ai * br) >> wp)
-        out.append((sr >> wp, si >> wp))
+        total += dist * ((ar * bi + ai * br if part else ar * br - ai * bi) >> wp)
+        out.append(total >> wp)
     return out, wr
 
 
@@ -411,8 +410,7 @@ def _li_all(m: int, x: int, y: int, policy: PrecisionPolicy, wp: int, part: int)
         terms = _power_part(x, y, wp, _terms(wp, _log2_abs(x, y, wp), 1) + 1, part)[1:]
         log_abs = to_fixed(mpf_log(from_man_exp(norm, -2 * wp), wp), wp) >> 1
         return _power_sums(terms, m), log_abs
-    lis, log_abs = _li_log_series(m, x, y, policy, wp)
-    return [li[part] for li in lis], log_abs
+    return _li_log_series(m, x, y, policy, wp, part)
 
 
 def _li_continuation(m: int, z, ctx, policy):
@@ -459,7 +457,8 @@ def li_m(m: int, z, policy: PrecisionPolicy):
         wp = policy.fixed_bits
         x, y = to_fixed_pair(z, wp)
         if x * x + y * y > 1 << (2 * wp - 2):
-            return from_fixed_pair(*_li_log_series(m, x, y, policy, wp)[0][m - 1], wp, ctx)
+            re, im = (_li_log_series(m, x, y, policy, wp, part)[0][m - 1] for part in (0, 1))
+            return from_fixed_pair(re, im, wp, ctx)
         # |z| <= 1/2: Li_m(z) / z = sum_n z^(n-1)/n^m, multiplied by z in
         # floating point, so tiny |z| keeps full relative accuracy; the tail
         # after N terms is below |z|^N/(1-|z|) <= 2|z|^N < 2^-wp
@@ -483,7 +482,7 @@ def _cl_weights(m: int, wp: int) -> Tuple[Tuple[int, int], ...]:
 def cl_m(m: int, z, policy: PrecisionPolicy):
     """One-valued CL_m: total on P^1(C), real-valued, inversion-(anti)symmetric.
 
-    Accepts complex values, rationals, INFINITY, and constant RatFuncs.
+    Accepts complex values, rationals and INFINITY.
     Continuity values: 0 at 0 and infinity; zeta(m) at 1 for odd m, 0 for
     even m.  Everything after the conversion of z runs in Python-int fixed
     point at ``policy.fixed_bits``: |z| > 1 is folded to 1/z, and one fused
@@ -533,18 +532,12 @@ def cl_m(m: int, z, policy: PrecisionPolicy):
 
 
 def cl_apply(m: int, terms, policy: PrecisionPolicy):
-    """Linear extension: sum of coeff * CL_m(argument) over constant terms.
-
-    ``terms`` is a FormalSum over constants or an iterable of
-    (coefficient, value) pairs; values may be complex, Fraction, INFINITY.
+    """Linear extension: sum of coeff * CL_m(value) over (coefficient, value)
+    pairs; values may be complex, Fraction or INFINITY.
     """
     ctx = policy.context
     total = ctx.mpf(0)
     for coeff, value in terms:
-        if isinstance(value, RatFunc):
-            if not value.is_constant():
-                raise DomainError("cl_apply needs constant arguments")
-            value = value.constant_value()
         total += policy.real(Fraction(coeff)) * cl_m(m, value, policy)
     return total
 

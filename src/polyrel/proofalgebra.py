@@ -8,32 +8,33 @@ column (a fixed echelon basis), so reduction to canonical coordinates is a
 projection with integer coefficients.
 
 Tensors live in Sym^2(L) (x) Lambda^2(L), built from polyrel.tensor's sparse
-dicts and helpers; the mixed notation "A^3 ^ B" of the
-weight-4 calculus means A (sym) A (x) (A ^ B) and is provided both directly
-(cube_wedge) and through the symmetric-power expansion (sym3_wedge), whose
-agreement is itself a verified identity.
+dicts and helpers.  The mixed notation "A^3 ^ B" of the weight-4 calculus
+means A (sym) A (x) (A ^ B); it is built both directly (add_sym2_wedge) and
+through the symmetric-power expansion (add_sym3_wedge), whose agreement is
+itself a verified identity.
 
 All arithmetic is on Python ints.  Vectors in L and the degree-2 pieces
 (sym, wedge) hold their exact integer coordinates; a FormalTensor holds 3x
-its value.  The only non-integral step of the calculus is sym3_wedge's 1/3,
-so sym3_wedge stores the plain sum of its three products and every other
-product carries a factor of 3.  Every verdict here is an equality or a zero
-test, which a uniform factor leaves unchanged.
+its value.  The only non-integral step of the calculus is the Sym^3
+conversion's 1/3, so add_sym3_wedge stores the plain sum of its three
+products and every other product carries a factor of 3.  Every verdict here
+is an equality or a zero test, which a uniform factor leaves unchanged.
 
-Packed keys.  Vectors in L are keyed by basis names; a FormalTensor over a
-LogSpace keys each coordinate by one int instead of a nested name tuple.
-The space numbers its 2n + (n-1)^2 + 1 sorted basis names and packs a pair
-of indices into one int (see polyrel.tensor) with a field width taken from
-that count (3 bits at n = 2, 6 at n = 6 and 7, 7 at n = 8), so a coordinate
-(sym pair, wedge pair) is one int of four fields.  Index order is name
-order, so ``coords`` decodes to the same keys and signs a tensor without a
-space holds.
+Basis indices.  LogSpace(n) numbers its 2n + (n-1)^2 + 1 basis names in
+sorted order, and every key inside this module is such an index: a vector
+is a dict {index: coefficient}, a degree-2 piece keys the index pair packed
+into one int (see polyrel.tensor), and a FormalTensor keys each coordinate
+(sym pair, wedge pair) by one int of four fields.  The field width is taken
+from the number of names: 3 bits at n = 2, 6 at n = 6 and 7, 7 at n = 8.
+Index order is name order, so a wedge's sign is the one the names give.
+Names appear only where a tensor is read out: ``LogSpace.named``,
+``FormalTensor.coords`` and ``kinds_per_coord``.
 
 Building each product once.  Every image and T-term is accumulated in place
-with its coefficient.  sym3_wedge builds one product per distinct factor,
-so S.S.S (x) z is 3 SS (x) S^z.  A cell's T_1 multiplies S (sym) S, built
-once per space, by one combined wedge; its first two pieces go into the
-proof's aggregate as soon as they are built; and once T_1 is summed it
+with its coefficient.  add_sym3_wedge builds one product per distinct
+factor, so S.S.S (x) z is 3 SS (x) S^z.  A cell's T_1 multiplies S (sym) S,
+built once per space, by one combined wedge; its first two pieces go into
+the proof's aggregate as soon as they are built; and once T_1 is summed it
 becomes the cell's total, so the decomposition check is one dict comparison.
 
 Everything the per-n verification needs is assembled here: the formal
@@ -53,14 +54,13 @@ __all__ = [
     "LogSpace",
     "FormalTensor",
     "beta4_formal",
-    "derived_symbols",
     "verify_identities",
     "verify_claim_and_theorem",
     "ARG_KINDS",
 ]
 
 Name = Tuple
-Vec = Dict[Name, int]
+Vec = Dict[int, int]
 
 
 @lru_cache(maxsize=None)
@@ -78,10 +78,10 @@ def _basis(n: int) -> Tuple[Tuple[Name, ...], Dict[Name, int]]:
 class LogSpace:
     """Quotient space of formal log symbols for fixed n >= 2.
 
-    Vectors are dicts keyed by basis names.  ``sym`` and ``wedge`` build the
-    degree-2 pieces a tensor over this space multiplies: keyed by the pair
-    of basis indices packed into one int ``width`` bits a side, the indices
-    numbering the sorted names, so index order is name order.
+    Vectors are dicts keyed by basis indices, the positions of the sorted
+    basis names in ``names``.  ``sym`` and ``wedge`` build the degree-2
+    pieces a tensor over this space multiplies, keyed by the index pair
+    packed into one int ``width`` bits a side.
     """
 
     def __init__(self, n: int):
@@ -101,46 +101,46 @@ class LogSpace:
 
     def xi(self, i: int) -> Vec:
         self._check(i)
-        return {("xi", i): 1}
+        return {self.index["xi", i]: 1}
 
     def eta(self, j: int) -> Vec:
         self._check(j)
-        return {("eta", j): 1}
+        return {self.index["eta", j]: 1}
 
     def Z(self) -> Vec:
-        return {("Z",): 1}
+        return {self.index[("Z",)]: 1}
 
     def zeta(self, l: int, m: int) -> Vec:
         """Reduced coordinates of zeta_{lm}; the last row/column eliminate via
         the row/column relations, and the corner via both (consistently)."""
         self._check(l)
         self._check(m)
-        n = self.n
+        n, index = self.n, self.index
         if l < n and m < n:
-            return {("zeta", l, m): 1}
+            return {index["zeta", l, m]: 1}
         if l < n:  # m == n: row relation sum_j zeta_{lj} = Z
-            out = {("Z",): 1}
+            out = {index[("Z",)]: 1}
             for j in range(1, n):
-                out[("zeta", l, j)] = -1
+                out[index["zeta", l, j]] = -1
             return out
         if m < n:  # l == n: column relation sum_i zeta_{im} = Z
-            out = {("Z",): 1}
+            out = {index[("Z",)]: 1}
             for i in range(1, n):
-                out[("zeta", i, m)] = -1
+                out[index["zeta", i, m]] = -1
             return out
-        out = {("Z",): 2 - n}
+        out = {index[("Z",)]: 2 - n}
         for i in range(1, n):
             for j in range(1, n):
-                out[("zeta", i, j)] = 1
+                out[index["zeta", i, j]] = 1
         return out
 
     # derived symbols ----------------------------------------------------------
 
     def xi_sum(self) -> Vec:
-        return {("xi", i): 1 for i in range(1, self.n + 1)}
+        return {self.index["xi", i]: 1 for i in range(1, self.n + 1)}
 
     def eta_sum(self) -> Vec:
-        return {("eta", j): 1 for j in range(1, self.n + 1)}
+        return {self.index["eta", j]: 1 for j in range(1, self.n + 1)}
 
     def S(self) -> Vec:
         return lin((1, self.xi_sum()), (-1, self.eta_sum()))
@@ -154,17 +154,13 @@ class LogSpace:
 
     # packed degree-2 pieces ---------------------------------------------------
 
-    def _indexed(self, v: Vec) -> Dict[int, int]:
-        index = self.index
-        return {index[k]: c for k, c in v.items()}
-
     def sym(self, u: Vec, v: Vec) -> Dict[int, int]:
         """u (sym) v, packed."""
-        return sym(self._indexed(u), self._indexed(v), self.width)
+        return sym(u, v, self.width)
 
     def wedge(self, u: Vec, v: Vec) -> Dict[int, int]:
         """u ^ v, packed."""
-        return wedge(self._indexed(u), self._indexed(v), self.width)
+        return wedge(u, v, self.width)
 
     @cached_property
     def SS(self) -> Dict[int, int]:
@@ -187,48 +183,41 @@ class LogSpace:
 # ---------------------------------------------------------------------------
 
 class FormalTensor:
-    """Sparse element of Sym^2(L) (x) Lambda^2(L) with integer coordinates.
+    """Sparse element of Sym^2(L) (x) Lambda^2(L) over a LogSpace, with
+    integer coordinates.
 
-    Over a LogSpace, ``terms`` keys each coordinate by one packed int (the
-    sym pair's and the wedge pair's basis indices); without a space, the
-    default of the static constructors, by the nested name pairs.
-    ``coords`` reads both with the name keys.  The coordinates hold 3x the
-    tensor's value (see the module docstring).  The tensor is mutable
-    through its ``add`` methods and therefore unhashable.
+    ``terms`` keys each coordinate by one packed int (the sym pair's and the
+    wedge pair's basis indices); ``coords`` reads them with the name keys.
+    The coordinates hold 3x the tensor's value (see the module docstring).
+    The tensor is mutable through its ``add`` methods and therefore
+    unhashable.
     """
 
     __slots__ = ("space", "terms")
 
-    def __init__(self, space: LogSpace | None = None):
+    def __init__(self, space: LogSpace):
         self.space = space
-        self.terms: Dict = {}
+        self.terms: Dict[int, int] = {}
 
     @property
     def coords(self) -> Dict[Tuple, int]:
-        return self.terms if self.space is None else self.space.named(self.terms)
+        return self.space.named(self.terms)
 
     # in-place builders ---------------------------------------------------------
 
     def _add_stored(self, sym_part: Dict, wedge_part: Dict, k: int) -> "FormalTensor":
         """terms += k * sym_part (x) wedge_part, in stored (3x) units."""
-        width = None if self.space is None else 2 * self.space.width
-        add_product(self.terms, sym_part, wedge_part, k, width)
+        add_product(self.terms, sym_part, wedge_part, k, 2 * self.space.width)
         return self
-
-    def _pieces(self, a: Vec, b: Vec, c: Vec, d: Vec) -> Tuple[Dict, Dict]:
-        """a (sym) b and c ^ d, keyed as this tensor's pieces."""
-        if self.space is None:
-            return sym(a, b), wedge(c, d)
-        return self.space.sym(a, b), self.space.wedge(c, d)
 
     def add_product(self, sym_part: Dict, wedge_part: Dict, c: int = 1) -> "FormalTensor":
         """self += c * sym_part (x) wedge_part in place; returns self.  The
-        pieces are keyed as this tensor's (the space's sym and wedge)."""
+        pieces are the space's packed sym and wedge."""
         return self._add_stored(sym_part, wedge_part, 3 * c)
 
     def add_sym2_wedge(self, a: Vec, b: Vec, c: Vec, d: Vec, k: int = 1) -> "FormalTensor":
         """self += k * a (sym) b (x) (c ^ d) in place; returns self."""
-        return self.add_product(*self._pieces(a, b, c, d), k)
+        return self.add_product(self.space.sym(a, b), self.space.wedge(c, d), k)
 
     def add_sym3_wedge(self, a: Vec, b: Vec, c: Vec, d: Vec, k: int = 1) -> "FormalTensor":
         """self += k * (the Sym^3 monomial a.b.c (x) d, converted) in place.
@@ -238,43 +227,21 @@ class FormalTensor:
         The products of equal factors coincide, so each distinct factor z
         builds one product, the other two (sym) z ^ d, times its multiplicity.
         """
+        space = self.space
         factors = (a, b, c)
         for i, z in enumerate(factors):
             if z in factors[:i]:
                 continue
             x, y = factors[:i] + factors[i + 1 :]
-            self._add_stored(*self._pieces(x, y, z, d), k * factors.count(z))
+            self._add_stored(space.sym(x, y), space.wedge(z, d), k * factors.count(z))
         return self
 
     def add(self, other: "FormalTensor", c: int = 1) -> "FormalTensor":
         """self += c * other in place; returns self."""
         if other.space != self.space:
-            raise DomainError("cannot add tensors keyed over different spaces")
+            raise DomainError("cannot add tensors over different spaces")
         bump(self.terms, other.terms, c)
         return self
-
-    # constructors of tensors keyed by names --------------------------------------
-
-    @staticmethod
-    def product(sym_part: Dict, wedge_part: Dict, c: int = 1) -> "FormalTensor":
-        """c * sym_part (x) wedge_part."""
-        return FormalTensor().add_product(sym_part, wedge_part, c)
-
-    @staticmethod
-    def cube_wedge(a: Vec, b: Vec) -> "FormalTensor":
-        """The mixed notation a^3 ^ b  :=  a (sym) a (x) (a ^ b)."""
-        return FormalTensor().add_sym2_wedge(a, a, a, b)
-
-    @staticmethod
-    def sym3_wedge(a: Vec, b: Vec, c: Vec, d: Vec) -> "FormalTensor":
-        """Image of the Sym^3 monomial a.b.c (x) d (see ``add_sym3_wedge``)."""
-        return FormalTensor().add_sym3_wedge(a, b, c, d)
-
-    def __add__(self, other: "FormalTensor") -> "FormalTensor":
-        return FormalTensor(self.space).add(self).add(other)
-
-    def __sub__(self, other: "FormalTensor") -> "FormalTensor":
-        return FormalTensor(self.space).add(self).add(other, -1)
 
     def scale(self, c) -> "FormalTensor":
         return FormalTensor(self.space).add(self, c)
@@ -285,9 +252,7 @@ class FormalTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalTensor):
             return NotImplemented
-        if self.space == other.space:
-            return self.terms == other.terms
-        return self.coords == other.coords
+        return self.space == other.space and self.terms == other.terms
 
     def kinds_per_coord(self) -> List[Tuple[str, ...]]:
         out = []
@@ -361,18 +326,6 @@ def beta4_formal(
     v, w = _beta4_pair(space, kind, l, m)
     out = FormalTensor(space) if into is None else into
     return out.add_sym2_wedge(v, v, v, w, c)
-
-
-def derived_symbols(n: int) -> dict:
-    """The shorthand vectors: xi, eta, S, s_{lm} and Z, in quotient coordinates."""
-    space = LogSpace(n)
-    return {
-        "xi": space.xi_sum(),
-        "eta": space.eta_sum(),
-        "S": space.S(),
-        "s": {(l, m): space.s(l, m) for l in range(1, n + 1) for m in range(1, n + 1)},
-        "Z": space.Z(),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +503,8 @@ def verify_claim_and_theorem(n: int, perturb_coefficient: bool = False) -> Dict[
         S, S, S, Z, -nn2
     )
 
-    s_zeta = vsum(wedge(space.s(l, m), space.zeta(l, m)) for l, m in cells)
-    report["s_wedge_zeta_aggregates"] = s_zeta == wedge(S, Z)
+    s_zeta = vsum(space.wedge(space.s(l, m), space.zeta(l, m)) for l, m in cells)
+    report["s_wedge_zeta_aggregates"] = s_zeta == space.wedge(S, Z)
 
     one_var = FormalTensor(space)
     for i in range(1, n + 1):

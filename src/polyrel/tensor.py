@@ -2,17 +2,16 @@
 
 A tensor is a plain dict from basis keys to nonzero exact coefficients (int
 or Fraction); a missing key has coefficient zero, so the empty dict is the
-zero tensor and equality is dict equality.  The symbol criterion
-(criterion.expand_tensor) and the weight-4 proof algebra both compute in this
-representation.  Basis keys only need to be mutually comparable (primes, or
-the tuple names of the formal log symbols).  Every helper keeps the
-invariant that no stored coefficient is zero.  The loops run on plain dicts,
-without per-coordinate calls, because the weight-4 proof runs them about a
-million times.
+zero tensor and equality is dict equality.  Basis keys only need to be
+mutually comparable.  Every helper keeps the invariant that no stored
+coefficient is zero.  The loops run on plain dicts, without per-coordinate
+calls, because the weight-4 proof runs them about a million times.
 
-Packed keys.  Where the basis keys are small ints (basis indices below
-2**width), ``wedge``, ``sym`` and ``add_product`` take the width and store
-the key pair (a, b) as the single int a << width | b instead of a tuple;
+Two key forms.  Without a width, a pair of keys (a, b) is stored as the
+tuple (a, b); only the symbol criterion (criterion.expand_tensor) uses this
+form, on primes.  With ``width`` the keys are small ints (basis indices
+below 2**width, as in proofalgebra), and ``wedge``, ``sym`` and
+``add_product`` store the pair as the single int a << width | b;
 ``unpack`` inverts it.  A product of two packed pieces is packed again at
 twice the width, so a Sym^2 (x) Lambda^2 coordinate is one int of
 4 * width bits, which hashes and compares faster than a nested tuple.  The

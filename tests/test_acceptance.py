@@ -62,13 +62,13 @@ def announce(num, label, outcome):
 
 
 def test_criterion_01_five_term_numeric():
-    out = criterion_1_five_term(SEED, points=100)
+    out = criterion_1_five_term(SEED)
     assert_golden(1, out)
     assert announce(1, "five-term: 100 points, P=50, |CL_2| < 1e-35", out["passed"]), out["details"]
 
 
 def test_criterion_02_goncharov22():
-    out = criterion_2_goncharov22(SEED, points=50)
+    out = criterion_2_goncharov22(SEED)
     assert_golden(2, out)
     assert announce(2, "22-term: kernel 10x5 exact zeros + 50 numeric triples", out["passed"]), out["details"]
 
@@ -88,7 +88,7 @@ def test_criterion_04_q_equations():
 
 
 def test_criterion_05_relation34():
-    out = criterion_5_relation34(SEED, points=30)
+    out = criterion_5_relation34(SEED)
     assert_golden(5, out)
     assert announce(
         5, "34-term: kernel + 30 numeric points + both structural checks", out["passed"]
@@ -128,7 +128,7 @@ def test_criterion_07_preimage_families():
 
 
 def test_criterion_08_fourlog():
-    out = criterion_8_fourlog(SEED, points=20)
+    out = criterion_8_fourlog(SEED)
     assert_golden(8, out)
     assert announce(
         8, "weight-4: 20 points x n=2..5 at 1e-40 + exact model n=2..6", out["passed"]
@@ -136,7 +136,7 @@ def test_criterion_08_fourlog():
 
 
 def test_criterion_09_xi7():
-    out = criterion_9_xi7(SEED, points=10)
+    out = criterion_9_xi7(SEED)
     assert_golden(9, out)
     assert announce(
         9, "weight-7: 274 classes, weights, 60-identity, kernel 8x3, 10 numeric points", out["passed"]
@@ -144,7 +144,7 @@ def test_criterion_09_xi7():
 
 
 def test_criterion_10_invariant_suites():
-    out = criterion_10_invariants(SEED, points=50)
+    out = criterion_10_invariants(SEED)
     assert_golden(10, out)
     assert announce(
         10, "inversion/conjugation/distribution m=2..7 at 50 points + exact pairing laws", out["passed"]

@@ -211,7 +211,8 @@ def _assert_match_reference(calls):
     for sign, factor_exps, rf in calls:
         ref = reference_power_product(sign, factor_exps)
         assert rf.vars == ref.vars
-        # ordered term lists: evaluate_in sums in insertion order
+        # ordered term lists: the build is the sequential product term for
+        # term, the order evaluate_in's floating-point sum runs in
         assert list(rf.num.terms.items()) == list(ref.num.terms.items())
         assert list(rf.den.terms.items()) == list(ref.den.terms.items())
         assert rf._cancelled is rf
