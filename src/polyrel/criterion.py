@@ -256,7 +256,7 @@ class Verdict:
 
 def _random_functional(support: Tuple[int, ...], rng: SplitMix64, height: int) -> DualFunctional:
     for _ in range(64):
-        values = {p: rng.next_int(-height, height) for p in support}
+        values = dict(zip(support, rng.ints(-height, height, len(support))))
         if any(values.values()):
             return DualFunctional(values)
     return DualFunctional({support[0]: 1}) if support else DualFunctional({})

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet, Iterable, List
 
 __all__ = [
     "DomainError",
@@ -86,6 +86,26 @@ class SplitMix64:
     def next_int(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
         return lo + self.next_below(hi - lo + 1)
+
+    def ints(self, lo: int, hi: int, count: int) -> List[int]:
+        """``[self.next_int(lo, hi) for _ in range(count)]``: the same draws
+        and end state, with the rejection limit computed once and the mix
+        inlined."""
+        n = hi - lo + 1
+        if n <= 0:
+            raise ValueError("ints needs lo <= hi")
+        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
+        state = self._state
+        out: List[int] = []
+        while len(out) < count:
+            state = (state + _GOLDEN) & _MASK64
+            z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                out.append(lo + z % n)
+        self._state = state
+        return out
 
     def next_unit(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""

@@ -23,7 +23,11 @@ summing:
 * 1/2 < |z| <= 2: with u = log(z)/2pi (|u| < 0.513), one sweep of u^k
   against the cached table zeta(j-k) (2pi)^k / k!, plus the distinguished
   log term at degree j-1 with one shared log(-log z); K terms with
-  2^8 |u|^K / (1-|u|) < 2^-bits.
+  2^8 |u|^K / (1-|u|) < 2^-bits.  The table is built in Python ints too,
+  from one zeta evaluator: Borwein's series in fixed point at the same
+  width (``_zeta_fixed``, within one unit of 2^-bits), so the guard bits
+  hold in the table as well.  ``zeta_int`` rounds that value to the
+  context precision.
 
 CL_m runs in fixed point from its argument to its value: it folds |z| > 1
 to 1/z, takes from one kernel call only the parts it keeps (real for odd m,
@@ -31,7 +35,8 @@ imaginary for even m) and log|z|, sums them with Bernoulli weights cached
 per (m, bits), and builds one mpf at the end.  li_m converts only the
 weight it returns: the power series relative to z, multiplied by z in
 floating point (full relative accuracy for tiny |z|), the expansion in
-log z up to |z| = 2, and the inversion continuation formula beyond.
+log z up to |z| = 2 (both parts of weight m from one sweep), and the
+inversion continuation formula beyond.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, hypot, inf, log2
 from operator import floordiv, mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exact import DomainError
 from .ratfunc import INFINITY
@@ -170,48 +175,76 @@ def bernoulli_poly_coeffs(m: int) -> Tuple[Fraction, ...]:
     return tuple(comb(m, k) * bernoulli(k) for k in range(m + 1))
 
 
-_zeta_cache: Dict[Tuple[int, int], object] = {}
+# log2(3 + sqrt 8): Borwein's series for zeta(k), k >= 2, summed to n terms is
+# off by at most 2 (3 + sqrt 8)^-n / (Gamma(k) (1 - 2^(1-k))) <= 4 (3 + sqrt 8)^-n.
+_LOG2_BORWEIN = log2(3 + 8 ** 0.5)
 
 
-def zeta_int(k: int, policy: PrecisionPolicy):
-    """zeta(k) for integer k >= 2, via Borwein's accelerated alternating series.
+@lru_cache(maxsize=None)
+def _borwein_weights(wp: int) -> Tuple[int, Tuple[int, ...]]:
+    """(guard, c) for zeta in fixed point at wp bits: c_j = (d_n - d_j) / d_n
+    for j < n, scaled by 2^(wp + guard).
 
-    eta(s) = sum (-1)^(n-1) n^-s is evaluated with the Chebyshev-weighted
-    partial sums (error ~ (3+sqrt(8))^-n), then zeta(s) = eta(s)/(1-2^(1-s)).
+    d_j = n sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!) (exact integers), with
+    n the first term count where
+    (3 + sqrt 8)^-n < 2^-(wp+8).  The guard, n.bit_length() + 4 bits,
+    absorbs the floor of each of the n terms.
     """
-    if k < 2:
-        raise DomainError("zeta_int needs k >= 2")
-    ctx = policy.context
-    key = (k, ctx.dps)
-    cached = _zeta_cache.get(key)
-    if cached is not None:
-        return cached
-    n = int(1.32 * ctx.dps) + 6
-    # d_j = n * sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!), exact integers
-    d = [0] * (n + 1)
-    acc = 0
-    num = 1  # (n+i-1)! / (n-i)! / (2i)! * 4^i, maintained incrementally
+    n = int((wp + 8) / _LOG2_BORWEIN) + 1
+    guard = n.bit_length() + 4
+    d, acc, num = [], 0, 1  # num = n (n+i-1)! 4^i / ((n-i)! (2i)!)
     for i in range(n + 1):
-        if i == 0:
-            num = 1
-        else:
-            num = num * (n + i - 1) * (n - i + 1) * 4
-            num //= (2 * i) * (2 * i - 1)
+        if i:
+            num = num * (n + i - 1) * (n - i + 1) * 4 // ((2 * i) * (2 * i - 1))
         acc += num
-        d[i] = n * acc
-    # |d_j - d_n| <= d_n, so terms with (j+1)^-k < 2^-(prec+10) cannot move
-    # the sum; for large k (the log-expansion table) only a few terms remain
-    bits = ctx.prec + 10
+        d.append(acc)
+    dn = d[n]
+    return guard, tuple(((dn - dj) << (wp + guard)) // dn for dj in d[:n])
+
+
+# (k, wp) -> zeta(k) in fixed point at wp bits
+_zeta_cache: Dict[Tuple[int, int], int] = {}
+
+
+def _zeta_fixed(k: int, wp: int) -> int:
+    """zeta(k) for integer k >= 2 as an int scaled by 2^wp, within one unit.
+
+    Borwein's accelerated alternating series (Borwein 2000, algorithm 2):
+    eta(k) = sum_j (-1)^j c_j / (j+1)^k with the cached weights
+    c_j = (d_n - d_j) / d_n, then zeta(k) = eta(k) / (1 - 2^(1-k)), summed in
+    Python ints at wp + guard bits and rounded to wp.  0 <= c_j <= 1
+    decreases, so for large k (the log-expansion table) the series stops at
+    the first term below 2^-(wp+guard), as an alternating tail allows.
+    """
+    key = (k, wp)
+    value = _zeta_cache.get(key)
+    if value is not None:
+        return value
+    guard, weights = _borwein_weights(wp)
+    bits = wp + guard
+    n = len(weights)
     terms = n if k * log2(n) <= bits else int(2 ** (bits / k)) + 1
-    total = ctx.mpf(0)
-    for j in range(terms):
-        term = ctx.mpf(d[j] - d[n]) / ctx.mpf((j + 1) ** k)
-        total += term if j % 2 == 0 else -term
-    eta = -total / ctx.mpf(d[n])
-    value = eta / (1 - ctx.mpf(2) ** (1 - k))
+    eta = sum(weights[j] // (j + 1) ** k for j in range(0, terms, 2)) - sum(
+        weights[j] // (j + 1) ** k for j in range(1, terms, 2)
+    )
+    value = ((eta << (k - 1)) // ((1 << (k - 1)) - 1) + (1 << (guard - 1))) >> guard
     if len(_zeta_cache) < 10_000:
         _zeta_cache[key] = value
     return value
+
+
+def zeta_int(k: int, policy: PrecisionPolicy):
+    """zeta(k) for integer k >= 2: the fixed-point value at
+    ``policy.fixed_bits`` (``_zeta_fixed``, cached per k and width) rounded
+    to the context precision.
+    """
+    if k < 2:
+        raise DomainError("zeta_int needs k >= 2")
+    from mpmath.libmp import from_man_exp
+
+    ctx = policy.context
+    wp = policy.fixed_bits
+    return ctx.make_mpf(from_man_exp(_zeta_fixed(k, wp), -wp, ctx.prec, "n"))
 
 
 @lru_cache(maxsize=None)
@@ -225,8 +258,9 @@ def _harmonic(m: int) -> Fraction:
 
 # Fixed-point numbers are Python ints scaled by 2^wp, wp = policy.fixed_bits
 # (the context precision plus _GUARD_BITS); the guard bits absorb the rounding
-# of the truncated terms (about one ulp per term and weight, so far below
-# 2^36 ulps at any term count used here).
+# of the truncated terms (about one ulp per term and weight) and of the
+# log-expansion table (a few ulps per entry, zeta included), so far below
+# 2^36 ulps at any term count used here.
 _GUARD_BITS = 36
 # |e_(j,k)| <= zeta(2) * max_n (2pi)^n/n! < 2^8 for every table entry below.
 _COEFF_BITS = 8
@@ -304,7 +338,7 @@ def _power_sums(terms: List[int], m: int) -> List[int]:
 _log_tables: Dict[Tuple[int, int], Tuple] = {}
 
 
-def _log_table(m: int, wp: int, policy: PrecisionPolicy) -> Tuple:
+def _log_table(m: int, wp: int) -> Tuple:
     """Rows j = 1..m of e_(j,k) = zeta(j-k) (2pi)^k / k! in fixed point.
 
     Row j is (head, tail, dist): head holds k = 0..j with k = j-1 set to 0
@@ -312,35 +346,36 @@ def _log_table(m: int, wp: int, policy: PrecisionPolicy) -> Tuple:
     k = j+1, j+3, ... (zeta vanishes at negative even integers), and dist is
     (2pi)^(j-1)/(j-1)!.  zeta at 1-2p comes from the functional equation
     zeta(1-2p) = (-1)^p 2 (2p-1)! zeta(2p) / (2pi)^(2p), which turns the
-    tail entries into (-1)^p 2 zeta(2p) (2pi)^(j-1) (2p-1)!/k!.
-    Built on first use for each (m, wp), for every |u| <= _U_MAX.
+    tail entries into (-1)^p 2 zeta(2p) (2pi)^(j-1) (2p-1)!/k!.  Every zeta
+    value is ``_zeta_fixed``'s at wp bits, so the whole table is built in
+    Python ints and each entry is within a few units of 2^-wp, well inside
+    the guard bits.  Built on first use for each (m, wp), for every
+    |u| <= _U_MAX.
     """
     key = (m, wp)
     table = _log_tables.get(key)
     if table is not None:
         return table
-    from mpmath.libmp import pi_fixed, to_fixed
+    from mpmath.libmp import pi_fixed
 
     k_max = _terms(wp, log2(_U_MAX), _COEFF_BITS + 2)
-    one = 1 << wp
-    twopi = pi_fixed(wp) << 1
-
-    def zeta_fixed(s: int) -> int:
-        return to_fixed(zeta_int(s, policy)._mpf_, wp)
-
-    # scaled[k] = (2pi)^k / k!
-    scaled = [one]
+    # scaled[k] = (2pi)^k / k!, built 8 bits wider: the powers carry pi's
+    # last-unit error up to k (2pi)^(k-1) / k! < 2^7 times
+    wb = wp + 8
+    twopi = pi_fixed(wb) << 1
+    scaled = [1 << wb]
     for k in range(1, max(k_max, m + 1)):
-        scaled.append(scaled[-1] * twopi // (k << wp))
+        scaled.append(scaled[-1] * twopi // (k << wb))
+    scaled = [s >> 8 for s in scaled]
     rows = []
     for j in range(1, m + 1):
-        head = [zeta_fixed(j - k) * scaled[k] >> wp for k in range(j - 1)]
+        head = [_zeta_fixed(j - k, wp) * scaled[k] >> wp for k in range(j - 1)]
         head += [0, -scaled[j] // 2]  # degree j-1; zeta(0) = -1/2
         tail = []
         for k in range(j + 1, k_max, 2):
             p = (k - j + 1) // 2
             # (2pi)^(j-1) (2p-1)!/k! = scaled[j-1] / (k C(k-1, j-1))
-            entry = (2 * zeta_fixed(2 * p) * scaled[j - 1] >> wp) // (
+            entry = (2 * _zeta_fixed(2 * p, wp) * scaled[j - 1] >> wp) // (
                 k * comb(k - 1, j - 1)
             )
             tail.append(-entry if p % 2 else entry)
@@ -350,18 +385,16 @@ def _log_table(m: int, wp: int, policy: PrecisionPolicy) -> Tuple:
     return table
 
 
-def _li_log_series(
-    m: int, x: int, y: int, policy: PrecisionPolicy, wp: int, part: int
-) -> Tuple[List[int], int]:
+def _li_log_series(m: int, x: int, y: int, wp: int) -> Tuple[Callable[[int, int], int], int]:
     """1/2 < |z| <= 2: the expansion in u = w/2pi, w = log z (|u| < 0.513).
 
     Li_j(e^w) = sum_{k != j-1} e_(j,k) u^k
                 + w^(j-1)/(j-1)! (H_(j-1) - log(-w)),
-    one sweep of u^k shared by every weight and one shared log(-w).  With
-    |e_(j,k)| < 2^8 the tail after K terms is below 2^8 |u|^K / (1-|u|).
-    Returns the real (``part`` 0) or imaginary (``part`` 1) parts of
-    Li_1(z)..Li_m(z) and log|z| = Re w, in fixed point.  The sweep needs
-    both parts of each u^k; the sums take only the one asked for.
+    one sweep of u^k and one log(-w) shared by every weight and both parts.
+    With |e_(j,k)| < 2^8 the tail after K terms is below 2^8 |u|^K / (1-|u|).
+    Returns (weight, log|z|) in fixed point: ``weight(j, part)`` sums the
+    real (``part`` 0) or imaginary (``part`` 1) part of Li_j(z), j <= m,
+    against the sweep, and log|z| = Re w.
     """
     from mpmath.libmp import from_man_exp, mpc_log, mpf_neg, pi_fixed, to_fixed
 
@@ -378,9 +411,11 @@ def _li_log_series(
         upr.append((a * ur - b * ui) >> wp)
         upi.append((a * ui + b * ur) >> wp)
     log_r, log_i = to_fixed(log_neg_w[0], wp), to_fixed(log_neg_w[1], wp)
-    up = upi if part else upr
-    out = []
-    for j, (head, tail, dist) in enumerate(_log_table(m, wp, policy), start=1):
+    table = _log_table(m, wp)
+
+    def weight(j: int, part: int) -> int:
+        head, tail, dist = table[j - 1]
+        up = upi if part else upr
         total = sum(map(mul, head, up)) + sum(map(mul, tail, up[j + 1 :: 2]))
         # w^(j-1)/(j-1)! (H_(j-1) - log(-w)) = dist u^(j-1) (H_(j-1) - log(-w))
         h = _harmonic(j - 1)
@@ -388,11 +423,12 @@ def _li_log_series(
         bi = -log_i
         ar, ai = upr[j - 1], upi[j - 1]
         total += dist * ((ar * bi + ai * br if part else ar * br - ai * bi) >> wp)
-        out.append(total >> wp)
-    return out, wr
+        return total >> wp
+
+    return weight, wr
 
 
-def _li_all(m: int, x: int, y: int, policy: PrecisionPolicy, wp: int, part: int):
+def _li_all(m: int, x: int, y: int, wp: int, part: int):
     """(values, log_abs) for z = (x + iy) / 2^wp with 0 < |z| <= 2, z != 1.
 
     ``values[j-1]`` is the real (``part`` 0) or imaginary (``part`` 1) part
@@ -410,7 +446,8 @@ def _li_all(m: int, x: int, y: int, policy: PrecisionPolicy, wp: int, part: int)
         terms = _power_part(x, y, wp, _terms(wp, _log2_abs(x, y, wp), 1) + 1, part)[1:]
         log_abs = to_fixed(mpf_log(from_man_exp(norm, -2 * wp), wp), wp) >> 1
         return _power_sums(terms, m), log_abs
-    return _li_log_series(m, x, y, policy, wp, part)
+    weight, log_abs = _li_log_series(m, x, y, wp)
+    return [weight(j, part) for j in range(1, m + 1)], log_abs
 
 
 def _li_continuation(m: int, z, ctx, policy):
@@ -457,8 +494,8 @@ def li_m(m: int, z, policy: PrecisionPolicy):
         wp = policy.fixed_bits
         x, y = to_fixed_pair(z, wp)
         if x * x + y * y > 1 << (2 * wp - 2):
-            re, im = (_li_log_series(m, x, y, policy, wp, part)[0][m - 1] for part in (0, 1))
-            return from_fixed_pair(re, im, wp, ctx)
+            weight = _li_log_series(m, x, y, wp)[0]
+            return from_fixed_pair(weight(m, 0), weight(m, 1), wp, ctx)
         # |z| <= 1/2: Li_m(z) / z = sum_n z^(n-1)/n^m, multiplied by z in
         # floating point, so tiny |z| keeps full relative accuracy; the tail
         # after N terms is below |z|^N/(1-|z|) <= 2|z|^N < 2^-wp
@@ -517,10 +554,10 @@ def cl_m(m: int, z, policy: PrecisionPolicy):
         x, y = (x << 2 * wp) // norm, (-y << 2 * wp) // norm
         sign = (-1) ** (m - 1)
     if x == one and not y:  # z = 1 to the working precision
-        return +zeta_int(m, policy) if m % 2 == 1 else ctx.mpf(0)
+        return zeta_int(m, policy) if m % 2 == 1 else ctx.mpf(0)
     # log|z| is real, so the part CL_m keeps of the sum is the weighted sum
     # of that part of each Li_j: the real part for odd m, imaginary for even
-    values, log_abs = _li_all(m, x, y, policy, wp, 1 - m % 2)
+    values, log_abs = _li_all(m, x, y, wp, 1 - m % 2)
     total = 0
     power, at = one, 0  # log^at |z|
     for r, weight in _cl_weights(m, wp - shift):

@@ -149,3 +149,19 @@ def test_split_streams_are_independent_of_parent_state():
 def test_split_streams_differ_by_tag():
     parent = SplitMix64(42)
     assert parent.split("a").next_u64() != parent.split("b").next_u64()
+
+
+def _draws_used(rng: SplitMix64) -> int:
+    """How many u64 draws the stream has consumed since its seed."""
+    return (rng._state - rng.seed) * pow(0x9E3779B97F4A7C15, -1, 1 << 64) % (1 << 64)
+
+
+@pytest.mark.parametrize("lo, hi", [(-3, 3), (0, 0), (-(10 ** 6), 10 ** 6), (0, 1 << 63)])
+def test_ints_matches_next_int_draws(lo, hi):
+    a, b = SplitMix64(77), SplitMix64(77)
+    assert a.ints(lo, hi, 40) == [b.next_int(lo, hi) for _ in range(40)]
+    assert a._state == b._state
+    assert a.ints(lo, hi, 0) == [] and a._state == b._state
+    if hi - lo + 1 > 1 << 63:
+        # the rejection limit is 2^63 + 1 there, so about half the u64s are redrawn
+        assert _draws_used(a) > 50

@@ -1,9 +1,11 @@
 import cmath
 from fractions import Fraction
+from math import log2
 
 import mpmath
 import pytest
 
+from polyrel import numeric
 from polyrel.exact import DomainError, SplitMix64
 from polyrel.numeric import (
     BranchAmbiguityError,
@@ -75,6 +77,49 @@ def test_zeta_matches_mpmath_oracle():
 def test_zeta_domain():
     with pytest.raises(DomainError):
         zeta_int(1, POLICY)
+
+
+def _table_zetas(policy):
+    """(wp, every k whose zeta(k) the log-expansion table at policy's width uses)."""
+    wp = policy.fixed_bits
+    return wp, range(2, numeric._terms(wp, log2(numeric._U_MAX), numeric._COEFF_BITS + 2))
+
+
+@pytest.mark.parametrize("digits", [30, 50, 60, 120])
+def test_zeta_fixed_within_two_units_of_mpmath(digits):
+    """The fixed-point zeta is within 2 units of 2^-wp for every k the table
+    uses, against mpmath 64 bits wider, and zeta_int is its rounding to the
+    context precision (within one unit in its last place, 2^(1-prec) for
+    1 < zeta(k) < 2)."""
+    policy = PrecisionPolicy.for_digits(digits)
+    prec = policy.context.prec
+    wp, ks = _table_zetas(policy)
+    with mpmath.workprec(wp + 64):
+        for k in ks:
+            ref = mpmath.zeta(k)
+            assert abs(numeric._zeta_fixed(k, wp) - ref * 2 ** wp) <= 2, k
+            assert abs(mpmath.mpf(zeta_int(k, policy)) - ref) * 2 ** (prec - 1) <= 1, k
+
+
+@pytest.mark.parametrize("digits", [30, 60, 120])
+def test_log_table_entries_match_mpmath(digits):
+    """Every entry of _log_table(7, wp) against e_(j,k) = zeta(j-k) (2pi)^k / k!
+    from mpmath 64 bits wider, dist against (2pi)^(j-1) / (j-1)!.  zeta's unit
+    times (2pi)^k / k! <= 86 bounds the error, far inside the guard bits."""
+    wp = PrecisionPolicy.for_digits(digits).fixed_bits
+    table = numeric._log_table(7, wp)
+    with mpmath.workprec(wp + 64):
+        one, twopi = mpmath.mpf(2) ** wp, 2 * mpmath.pi
+
+        def e(j, k):
+            return mpmath.zeta(j - k) * twopi ** k / mpmath.factorial(k) * one
+
+        for j, (head, tail, dist) in enumerate(table, start=1):
+            assert head[j - 1] == 0
+            pairs = [(e(j, k), v) for k, v in enumerate(head) if k != j - 1]
+            pairs += [(e(j, j + 1 + 2 * i), v) for i, v in enumerate(tail)]
+            pairs.append((twopi ** (j - 1) / mpmath.factorial(j - 1) * one, dist))
+            assert max(abs(v - ref) for ref, v in pairs) <= 2 ** 7, j
 
 
 # -- Li -------------------------------------------------------------------------
@@ -206,6 +251,21 @@ def test_li_continuation_across_negative_axis(digits):
             for m in range(2, 8):
                 ref = mpmath.polylog(m, mpmath.mpc(z))
                 _assert_within(li_m(m, z, policy), ref, digits, (m, z))
+
+
+def test_li_log_series_parts_match_single_part_sums():
+    """li_m's 1/2 < |z| <= 2 branch sums both parts of weight m from one
+    sweep; the result is bit-identical to the real and imaginary parts that
+    _li_all computes in two separate calls."""
+    rng = SplitMix64(2020)
+    wp = POLICY.fixed_bits
+    for _ in range(50):
+        z = cmath.rect(0.5 + 1.5 * rng.next_unit() + 1e-9, 6.283 * rng.next_unit() + 1e-3)
+        x, y = numeric.to_fixed_pair(POLICY.complex(z), wp)
+        for m in range(2, 8):
+            re, im = (numeric._li_all(m, x, y, wp, part)[0][m - 1] for part in (0, 1))
+            expected = numeric.from_fixed_pair(re, im, wp, CTX)
+            assert li_m(m, z, POLICY) == expected, (m, z)
 
 
 # -- CL ---------------------------------------------------------------------------
