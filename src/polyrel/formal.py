@@ -501,29 +501,31 @@ def _unimodular_monomial_images(
                 if w not in pos:
                     return None
                 m[pos[w]] = a - b
-        out[v] = (nc / dc, tuple(m))
+        out[v] = (Fraction(nc, dc), tuple(m))
     if abs(_det([out[v][1] for v in variables])) != 1:
         return None
     return out
 
 
-def _det(rows: Sequence[Sequence[int]]) -> Fraction:
-    """Determinant of a square integer matrix by Gaussian elimination."""
-    m = [[Fraction(a) for a in r] for r in rows]
-    det = Fraction(1)
-    for i in range(len(m)):
-        piv = next((r for r in range(i, len(m)) if m[r][i]), None)
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination, whose
+    divisions by the previous pivot are exact (every entry is a minor)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        for r in range(i + 1, len(m)):
-            f = m[r][i] / m[i][i]
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[i])]
-    return det
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        row, p = m[k], m[k][k]
+        for i in range(k + 1, n):
+            a = m[i][k]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], row)]
+        prev = p
+    return sign * m[-1][-1] if n else 1
 
 
 _closure_cache: Dict[Tuple, List[Automorphism]] = {}

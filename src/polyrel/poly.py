@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over the rationals.
 
 A polynomial carries a sorted tuple of variable names and a sparse map from
-exponent vectors to nonzero Fraction coefficients.  The canonical term order
-is graded lexicographic over the sorted variable table, which fixes a unique
-leading monomial and a reproducible serialization for every polynomial.
+exponent vectors to nonzero coefficients: a Python int when integral, else
+a Fraction with denominator > 1, so integral algebra builds no Fraction.
+The canonical term order is graded lexicographic over the sorted variable
+table, which fixes a unique leading monomial and a reproducible
+serialization for every polynomial.
 
 Exact arithmetic runs on one integer form, defined here and nowhere else:
 an ``IntPoly`` maps exponent tuples to ints.  ``cleared`` is the way in: it
@@ -11,7 +13,8 @@ takes one or more polynomials to their common denominator (the lcm of every
 coefficient's denominator) and their coefficients times it, in term order
 (``RatFunc.cleared`` does this for a num/den pair).  ``MultiPoly.from_ints``
 is the way back: an IntPoly over an integer denominator, in the IntPoly's
-insertion order.  Between the two, everything is integer:
+insertion order; for an integral polynomial both copy the term map.
+Between the two, everything is integer:
 
 * ``pack`` turns each exponent vector into one int with a field per
   variable, wide enough that no exponent sum carries into the next field,
@@ -39,13 +42,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 __all__ = ["MultiPoly", "grlex_key"]
 
 Exponent = Tuple[int, ...]
 #: The integer form: exponent vector -> nonzero int.
 IntPoly = Dict[Exponent, int]
+#: A coefficient: an int when integral, else a Fraction with denominator > 1.
+Coeff = Union[int, Fraction]
 
 
 def grlex_key(exp: Exponent) -> Tuple[int, Exponent]:
@@ -54,7 +59,7 @@ def grlex_key(exp: Exponent) -> Tuple[int, Exponent]:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial with Fraction coefficients.
+    """Immutable sparse polynomial with ``Coeff`` coefficients.
 
     Zero coefficients are never stored; the zero polynomial has an empty term
     map.  Variables are kept sorted, so two polynomials over the same
@@ -63,7 +68,7 @@ class MultiPoly:
 
     __slots__ = ("vars", "terms", "_hash")
 
-    def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Fraction]):
+    def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Coeff]):
         vs = tuple(variables)
         if list(vs) != sorted(vs):
             raise ValueError("variables must be sorted")
@@ -72,14 +77,14 @@ class MultiPoly:
             if len(exp) != len(vs):
                 raise ValueError("exponent arity mismatch")
             if c != 0:
-                cleaned[tuple(exp)] = Fraction(c)
+                cleaned[tuple(exp)] = _coeff(c)
         self.vars = vs
         self.terms = cleaned
         self._hash = None
 
     @classmethod
-    def _trusted(cls, vs: Tuple[str, ...], terms: Dict[Exponent, Fraction]) -> "MultiPoly":
-        """Wrap sorted variables and nonzero Fraction terms without re-checking."""
+    def _trusted(cls, vs: Tuple[str, ...], terms: Dict[Exponent, Coeff]) -> "MultiPoly":
+        """Wrap sorted variables and nonzero canonical terms without re-checking."""
         p = object.__new__(cls)
         p.vars = vs
         p.terms = terms
@@ -91,10 +96,13 @@ class MultiPoly:
         cls, vs: Tuple[str, ...], terms: Iterable[Tuple[Exponent, int]], den: int = 1
     ) -> "MultiPoly":
         """The polynomial with coefficients a / den over the sorted variables
-        ``vs``, from an IntPoly's (exponent, nonzero a) items in their order."""
+        ``vs``, from an IntPoly's (exponent, nonzero a) items in their order;
+        ``den`` is a nonzero int, and a / den is an int wherever it divides a."""
         if den == 1:
-            return cls._trusted(vs, {e: Fraction(a) for e, a in terms})
-        return cls._trusted(vs, {e: Fraction(a, den) for e, a in terms})
+            return cls._trusted(vs, dict(terms))
+        return cls._trusted(
+            vs, {e: a // den if a % den == 0 else Fraction(a, den) for e, a in terms}
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -105,7 +113,7 @@ class MultiPoly:
     @staticmethod
     def const(value, variables: Iterable[str] = ()) -> "MultiPoly":
         vs = sorted(variables)
-        c = Fraction(value)
+        c = _coeff(value)
         if c == 0:
             return MultiPoly(vs, {})
         return MultiPoly(vs, {(0,) * len(vs): c})
@@ -114,7 +122,7 @@ class MultiPoly:
     def var(name: str, variables: Iterable[str] | None = None) -> "MultiPoly":
         vs = sorted(set(variables) | {name}) if variables else [name]
         exp = tuple(1 if v == name else 0 for v in vs)
-        return MultiPoly(vs, {exp: Fraction(1)})
+        return MultiPoly(vs, {exp: 1})
 
     # -- structure ---------------------------------------------------------
 
@@ -129,7 +137,7 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
@@ -137,7 +145,7 @@ class MultiPoly:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
-    def leading(self) -> Tuple[Exponent, Fraction]:
+    def leading(self) -> Tuple[Exponent, Coeff]:
         """Leading (exponent, coefficient) in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -157,7 +165,7 @@ class MultiPoly:
         if not set(self.vars) <= set(vs):
             raise ValueError("embedding must not drop variables")
         pos = [vs.index(v) for v in self.vars]
-        terms: Dict[Exponent, Fraction] = {}
+        terms: Dict[Exponent, Coeff] = {}
         for exp, c in self.terms.items():
             new = [0] * len(vs)
             for p, e in zip(pos, exp):
@@ -178,11 +186,11 @@ class MultiPoly:
         p, q = MultiPoly.align(self, other)
         out = dict(p.terms)
         for exp, c in q.terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c
             if s == 0:
                 out.pop(exp, None)
             else:
-                out[exp] = s
+                out[exp] = _coeff(s)
         return MultiPoly._trusted(p.vars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -193,10 +201,10 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coeff(other)
             if c == 0:
                 return MultiPoly._trusted(self.vars, {})
-            return MultiPoly._trusted(self.vars, {e: k * c for e, k in self.terms.items()})
+            return MultiPoly._trusted(self.vars, {e: _coeff(k * c) for e, k in self.terms.items()})
         p, q = MultiPoly.align(self, other)
         if not p.terms or not q.terms:
             return MultiPoly._trusted(p.vars, {})
@@ -224,7 +232,7 @@ class MultiPoly:
         if name not in self.vars:
             return MultiPoly(self.vars, {})
         i = self.vars.index(name)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Coeff] = {}
         for exp, c in self.terms.items():
             if exp[i] == 0:
                 continue
@@ -261,7 +269,7 @@ class MultiPoly:
     def evaluate_in(self, point: Mapping[str, object], coerce: Callable) -> object:
         """Evaluation in an arbitrary coefficient domain.
 
-        ``coerce`` maps a Fraction into the target domain; point values must
+        ``coerce`` maps a coefficient into the target domain; point values must
         already live there.  Used for arbitrary-precision complex evaluation.
         """
         vals = [point[v] for v in self.vars]
@@ -337,7 +345,7 @@ def cleared(*polys: MultiPoly) -> Tuple[int, List[IntPoly]]:
     coefficient of every p, and each d * p is an IntPoly in p's term order."""
     d = lcm(*{c.denominator for p in polys for c in p.terms.values()})
     if d == 1:
-        return 1, [{e: c.numerator for e, c in p.terms.items()} for p in polys]
+        return 1, [dict(p.terms) for p in polys]
     return d, [
         {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()} for p in polys
     ]
@@ -409,5 +417,11 @@ def _max_exponent(p: MultiPoly) -> int:
     return max(max(e, default=0) for e in p.terms)
 
 
-def _frac_str(c: Fraction) -> str:
+def _coeff(c) -> Coeff:
+    """The rational c as a coefficient: an int when integral, else a Fraction."""
+    c = c if type(c) is int else Fraction(c)
+    return c if c.denominator != 1 else c.numerator
+
+
+def _frac_str(c: Coeff) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"

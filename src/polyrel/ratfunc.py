@@ -2,8 +2,9 @@
 
 A RatFunc is a pair of MultiPoly (num, den) over a shared variable set.  It
 is stored *unreduced*: no gcd cancellation happens during arithmetic, only a
-cheap normalization (the denominator is made integral, coprime and with a
-positive leading coefficient in graded-lex order).  `equivalent` decides
+cheap normalization on the integer side (``cleared()`` num and den, divided
+by the content of den's ints signed by its graded-lex leading coefficient,
+so den is integral, primitive and leads positive).  `equivalent` decides
 equality of the functions by cross-multiplication.  `cancelled()` produces
 the gcd-reduced canonical representative, and its serialization is the one
 key by which the package identifies a function (FormalSum terms, group
@@ -73,13 +74,13 @@ class RatFunc:
             num = MultiPoly.zero(den.vars)
             den = MultiPoly.const(1, den.vars)
         else:
-            c = den.content()
-            if c != 1:
-                num = num * (1 / c)
-                den = den * (1 / c)
+            scale, (n, d) = cleared(num, den)
+            g = gcd(*d.values())
             if den.leading()[1] < 0:
-                num = -num
-                den = -den
+                g = -g
+            if scale != 1 or g != 1:
+                num = MultiPoly.from_ints(num.vars, n.items(), g)
+                den = MultiPoly.from_ints(den.vars, [(e, a // g) for e, a in d.items()])
         self.num = num
         self.den = den
         self._cancelled = None
@@ -92,7 +93,7 @@ class RatFunc:
 
     @staticmethod
     def from_value(value: Scalar, variables=()) -> "RatFunc":
-        return RatFunc(MultiPoly.const(Fraction(value), variables), MultiPoly.const(1, variables))
+        return RatFunc(MultiPoly.const(value, variables), MultiPoly.const(1, variables))
 
     @staticmethod
     def var(name: str) -> "RatFunc":

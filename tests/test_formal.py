@@ -337,6 +337,44 @@ def test_monomial_apply_with_rational_coefficients():
         assert fast.vars == slow.vars
 
 
+@pytest.mark.parametrize(
+    "images",
+    # x -> (2/3)·y^-1: a rational scalar on a negative exponent
+    [{"x": y, "y": 3 ** 40 * x}, {"x": 2 / (3 * y), "y": x}],
+    ids=["large-integral-scalar", "rational-scalar"],
+)
+def test_monomial_apply_keeps_scalars_exact(images):
+    # q = nc/dc on the int coefficients 3^40 and 1 would be a float, which
+    # loses 3^40; the scalar must stay an exact Fraction
+    sigma = Automorphism(images)
+    assert sigma._monomial is not None
+    assert all(type(q) is Fraction for q, _ in sigma._monomial.values())
+    rng = random.Random("monomial-scalar")
+    for _ in range(4):
+        f = _random_ratfunc(rng, ("x", "y")).cancelled()
+        fast = sigma.apply(f)
+        slow = f.substitute(sigma.images).cancelled()
+        assert fast == slow
+        assert fast.serialize() == slow.serialize()
+
+
+def test_det_matches_sympy():
+    import sympy
+
+    rng = random.Random("det")
+    for n in range(1, 7):
+        for _ in range(30):
+            # mostly zeros, so that pivots vanish and rows swap
+            entries = [0, 0, 0, 1, -1, rng.randint(-9, 9)]
+            m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                m[-1] = list(m[0])  # singular
+            det = formal._det(m)
+            assert type(det) is int
+            assert det == sympy.Matrix(m).det()
+    assert formal._det([]) == 1
+
+
 def test_non_unimodular_monomial_maps_are_not_flagged():
     assert Automorphism({"x": x * x})._monomial is None
     assert Automorphism({"x": x * y, "y": x * y})._monomial is None

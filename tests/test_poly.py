@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrel.poly import MultiPoly, cleared, int_value, pack, power_table, unpack
+from polyrel.ratfunc import RatFunc, ZeroDenominator
 
 
 def reference_mul(p: MultiPoly, q: MultiPoly):
@@ -34,6 +35,13 @@ def polys(draw):
     return MultiPoly(vs, dict(pairs))
 
 
+def assert_canonical(p: MultiPoly):
+    """Every coefficient is a nonzero int, or a Fraction with denominator > 1."""
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
 def _poly_1d(coefficients):
     """Univariate polynomial in x with terms inserted in the given order."""
     return MultiPoly(["x"], {(e,): Fraction(c) for e, c in coefficients})
@@ -51,7 +59,7 @@ def test_mul_matches_reference_loop(p, q):
     assert got.vars == vs
     assert got.terms == ref
     assert list(got.terms) == list(ref)
-    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert_canonical(got)
 
 
 @given(polys(), st.one_of(st.integers(-4, 4), coeffs))
@@ -147,7 +155,7 @@ def test_cleared_and_from_ints_round_trip(ps):
         assert all(type(a) is int and Fraction(a, d) == c for a, c in zip(ip.values(), p.terms.values()))
         back = MultiPoly.from_ints(p.vars, ip.items(), d)
         assert back.terms == p.terms and list(back.terms) == list(p.terms)
-        assert all(type(c) is Fraction for c in back.terms.values())
+        assert_canonical(back)
 
 
 @given(polys())
@@ -192,3 +200,52 @@ def test_int_value_is_the_homogenized_value(case):
 def test_power_table_entries(q, deg):
     a, b = Fraction(q).numerator, Fraction(q).denominator
     assert power_table(q, deg) == [a ** e * b ** (deg - e) for e in range(deg + 1)]
+
+
+# -- the coefficient form: int when integral, else a proper Fraction -------------
+
+
+@given(
+    polys(),
+    polys(),
+    st.one_of(st.integers(-4, 4), coeffs),
+    st.lists(coeffs, min_size=6, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+# halves that sum, and scale, to integers
+@example(
+    MultiPoly(["x"], {(1,): Fraction(1, 2)}),
+    MultiPoly(["x"], {(1,): Fraction(1, 2), (0,): 2}),
+    Fraction(2),
+    [Fraction(1, 2)] * 6,
+)
+def test_coefficients_are_ints_or_proper_fractions(p, q, c, ab):
+    results = [p + q, p - q, -p, p * q, p * c, c * p]
+    results += [p.derivative(v) for v in p.vars]
+    d, (ip,) = cleared(p)
+    results += [MultiPoly.from_ints(p.vars, ip.items(), den) for den in (1, d, 6)]
+    if not q.is_zero():
+        f = RatFunc(p, q)
+        results += [f.num, f.den, f.cancelled().num, f.cancelled().den]
+        # x -> a0*y + b0, y -> a1*z + b1, z -> a2*x + b2
+        binding = {v: RatFunc.var(w) * a + b for v, w, a, b in zip("xyz", "yzx", ab, ab[3:])}
+        try:
+            g = f.substitute(binding)
+            results += [g.num, g.den, g.cancelled().num, g.cancelled().den]
+        except ZeroDenominator:  # the images send den to zero
+            pass
+    for r in results:
+        assert_canonical(r)
+
+
+def test_constant_values_stay_fractions():
+    for p in (MultiPoly.zero(), MultiPoly.const(3), MultiPoly.const(Fraction(6, 2), ["x"])):
+        assert type(p.constant_value()) is Fraction
+        assert type(p.content()) is Fraction
+    assert MultiPoly.const(Fraction(6, 2)).terms == {(): 3}
+    assert type(MultiPoly.const(Fraction(6, 2)).terms[()]) is int
+    f = RatFunc(MultiPoly.const(6, ["x"]), MultiPoly.const(3, ["x"]))
+    assert type(f.constant_value()) is Fraction and f.constant_value() == 2
+    assert type(f.cancelled().constant_value()) is Fraction
+    assert type(RatFunc.from_value(4).constant_value()) is Fraction
+    assert type(MultiPoly.var("x").evaluate({"x": 2})) is Fraction
