@@ -249,19 +249,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-cl", help="evaluate the one-valued CL_m")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--z", required=True, help="complex literal a+bi")
+    p.add_argument("--z", required=True, help="complex literal a+bi, e.g. --z=-0.25+0.5i")
     p.add_argument("--precision", type=int, default=50)
     p.set_defaults(func=cmd_eval_cl)
 
     p = sub.add_parser("eval-li", help="evaluate the principal-branch Li_m")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--z", required=True, help="complex literal a+bi")
+    p.add_argument("--z", required=True, help="complex literal a+bi, e.g. --z=-0.25+0.5i")
     p.add_argument("--precision", type=int, default=50)
     p.set_defaults(func=cmd_eval_li)
 
     p = sub.add_parser("roots", help="roots of a polynomial (ascending coefficients)")
     p.add_argument(
-        "--coefficients", required=True, help="comma-separated, e.g. '-1,0,1' for x^2-1"
+        "--coefficients",
+        required=True,
+        help="comma-separated, e.g. --coefficients=-1,0,1 for x^2-1 (a leading minus needs the =)",
     )
     p.add_argument("--precision", type=int, default=50)
     p.set_defaults(func=cmd_roots)

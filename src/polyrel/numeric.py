@@ -29,6 +29,11 @@ summing:
   hold in the table as well.  ``zeta_int`` rounds that value to the
   context precision.
 
+The logarithms the kernel needs (log z and log(-log z) for the expansion,
+log|z| for the power series) come from one fixed-point complex log,
+``_log_fixed``: square-root argument reduction with ``math.isqrt`` and one
+atanh series, within one unit of 2^-bits, with no mpmath call.
+
 CL_m runs in fixed point from its argument to its value: it folds |z| > 1
 to 1/z, takes from one kernel call only the parts it keeps (real for odd m,
 imaginary for even m) and log|z|, sums them with Bernoulli weights cached
@@ -41,12 +46,13 @@ inversion continuation formula beyond.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, hypot, inf, log2
+from math import comb, factorial, hypot, inf, isqrt, log2
 from operator import floordiv, mul
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import DomainError
 from .ratfunc import INFINITY
@@ -284,6 +290,88 @@ def _log2_abs(re: int, im: int, wp: int) -> float:
     return log2(hypot(re >> shift, im >> shift)) + shift - wp
 
 
+def _atanh_sum(sr: int, si: int, wp: int) -> Tuple[int, int]:
+    """sum_n s^(2n+1)/(2n+1) = atanh(s) for complex s = (sr + i si)/2^wp,
+    |s| < 1/2, with the term count N fixed from |s|: the tail after N terms
+    is below (4/3)|s|^(2N+1) < 2|s|^(2N) < 2^-wp.  Each power and quotient
+    is floored, under 2 units per term and part, so the sum is within 2N
+    units per part."""
+    count = _terms(wp, 2 * _log2_abs(sr, si, wp), 1)
+    qr, qi = (sr * sr - si * si) >> wp, (2 * sr * si) >> wp
+    pr, pi = accr, acci = sr, si
+    for n in range(3, 2 * count, 2):
+        pr, pi = (pr * qr - pi * qi) >> wp, (pr * qi + pi * qr) >> wp
+        accr += pr // n
+        acci += pi // n
+    return accr, acci
+
+
+@lru_cache(maxsize=None)
+def _ln2_fixed(wp: int) -> int:
+    """log 2 = 2 atanh(1/3) as an int scaled by 2^wp, within one unit: summed
+    at wp + guard bits, where the guard absorbs one floor per term."""
+    guard = wp.bit_length() + 2
+    s = (1 << (wp + guard)) // 3
+    return ((2 * _atanh_sum(s, 0, wp + guard)[0] >> (guard - 1)) + 1) >> 1
+
+
+def _log_fixed(x: int, y: int, wp: int) -> Tuple[int, int]:
+    """Principal log((x + iy) / 2^wp) as (re, im) in fixed point at wp bits,
+    imaginary part in (-pi, pi]; z = 0 raises DomainError.
+
+    Square-root argument reduction (Brent and Zimmermann, Modern Computer
+    Arithmetic, 2010, ch. 4), in Python ints at W = wp + k + 16 bits with
+    k = max(2, isqrt(wp / 8)), which balances the roots against the terms:
+
+    1. z = 2^e z' with 1/2 <= |z'|^2 < 2, e from the bit length of |z|^2;
+    2. k principal square roots z_j = sqrt(z_(j-1)) with ``math.isqrt``;
+    3. log z_k = 2 atanh(s), s = (z_k - 1)/(z_k + 1), |s| < 3.3 / 2^(k+1),
+       summed by ``_atanh_sum``;
+    4. log z = 2^k log z_k + e log 2, ``_ln2_fixed`` cached per width.
+
+    Counted error, in units of 2^-W: at most 2 from shifting z' into W bits
+    (|z'| >= 1/sqrt 2), at most 5 in log z_j from the floors of root j, which
+    the reconstruction multiplies by 2^j (10 * 2^k over all roots), 3 from
+    the floored quotient s and 4N from a series of N terms, which it
+    multiplies by 2^k, and |e| from log 2.  In units of 2^-wp that is at most
+    1/2 (the final rounding to nearest) + 2^-16 (4N + 13) + (|e| + 2)
+    2^-(k+16): below 0.6 units for any N < 1000 and |e| < 2^(k+12).  The
+    imaginary part keeps the sign of y (+-1 where it would round to 0, an
+    error below one unit), so it is 0 only on the real axis: a log taken of
+    -log z stays on z's side of the cut.
+    """
+    if not x and not y:
+        raise DomainError("log is undefined at z = 0")
+    k = max(2, isqrt(wp >> 3))
+    guard = k + 16
+    width = wp + guard
+    e = ((x * x + y * y).bit_length() - 2 * wp) >> 1
+    shift = guard - e
+    a, b = (x << shift, y << shift) if shift >= 0 else (x >> -shift, y >> -shift)
+    for _ in range(k):
+        # sqrt(a + ib) = c + id with c = sqrt((|z| + a)/2), d = b / 2c, or
+        # for a < 0 the same with the roles of c and d swapped
+        r = isqrt(a * a + b * b) if b else abs(a)
+        if a >= 0:
+            c = isqrt((r + a) << (width - 1))
+            a, b = c, (b << (width - 1)) // c
+        else:
+            d = isqrt((r - a) << (width - 1))
+            d = -d if b < 0 else d
+            a, b = (b << (width - 1)) // d, d
+    one = 1 << width
+    den = (a + one) ** 2 + b * b
+    sr, si = _atanh_sum(
+        ((a * a + b * b - one * one) << width) // den, (b * one << (width + 1)) // den, width
+    )
+    half = 1 << (guard - 1)
+    re = ((sr << (k + 1)) + e * _ln2_fixed(width) + half) >> guard
+    im = ((si << (k + 1)) + half) >> guard
+    if y and not im:
+        im = 1 if y > 0 else -1
+    return re, im
+
+
 def to_fixed_pair(z, wp: int) -> Tuple[int, int]:
     """(re, im) of an mpc as ints scaled by 2^wp, rounded toward -infinity."""
     from mpmath.libmp import to_fixed
@@ -391,26 +479,26 @@ def _li_log_series(m: int, x: int, y: int, wp: int) -> Tuple[Callable[[int, int]
     Li_j(e^w) = sum_{k != j-1} e_(j,k) u^k
                 + w^(j-1)/(j-1)! (H_(j-1) - log(-w)),
     one sweep of u^k and one log(-w) shared by every weight and both parts.
+    w and log(-w) both come from ``_log_fixed``; w is never 0 there, since
+    z != 1 lies at least one unit from 1 and the log keeps that unit.
     With |e_(j,k)| < 2^8 the tail after K terms is below 2^8 |u|^K / (1-|u|).
     Returns (weight, log|z|) in fixed point: ``weight(j, part)`` sums the
     real (``part`` 0) or imaginary (``part`` 1) part of Li_j(z), j <= m,
     against the sweep, and log|z| = Re w.
     """
-    from mpmath.libmp import from_man_exp, mpc_log, mpf_neg, pi_fixed, to_fixed
+    from mpmath.libmp import pi_fixed
 
-    w = mpc_log((from_man_exp(x, -wp), from_man_exp(y, -wp)), wp)
-    log_neg_w = mpc_log((mpf_neg(w[0]), mpf_neg(w[1])), wp)
+    wr, wi = _log_fixed(x, y, wp)
+    log_r, log_i = _log_fixed(-wr, -wi, wp)
     twopi = pi_fixed(wp) << 1
-    wr = to_fixed(w[0], wp)
     ur = (wr << wp) // twopi
-    ui = (to_fixed(w[1], wp) << wp) // twopi
+    ui = (wi << wp) // twopi
     n_terms = max(_terms(wp, _log2_abs(ur, ui, wp), _COEFF_BITS + 2), m + 1)
     upr, upi = [1 << wp], [0]
     for _ in range(n_terms - 1):
         a, b = upr[-1], upi[-1]
         upr.append((a * ur - b * ui) >> wp)
         upi.append((a * ui + b * ur) >> wp)
-    log_r, log_i = to_fixed(log_neg_w[0], wp), to_fixed(log_neg_w[1], wp)
     table = _log_table(m, wp)
 
     def weight(j: int, part: int) -> int:
@@ -435,17 +523,17 @@ def _li_all(m: int, x: int, y: int, wp: int, part: int):
     of Li_j(z) and ``log_abs`` is log|z|, all in fixed point at wp bits.
     Every weight comes out of one pass, with the term count fixed up front:
     for |z| <= 1/2 the power series sum_n z^n/n^j on that part of the powers
-    alone, and log|z| from one mpf_log; for 1/2 < |z| <= 2 the expansion in
-    log z, whose real part is log|z|.
+    alone, and log|z| as the real ``_log_fixed`` of |z| = isqrt(x^2 + y^2)
+    (cl_m's shift keeps |z| 2^wp >= 2^(policy.fixed_bits - 3), so the floor
+    moves log|z| by at most 2^(3 - policy.fixed_bits), while the Li_j it
+    multiplies are O(|z|)); for 1/2 < |z| <= 2 the expansion in log z,
+    whose real part is log|z|.
     """
     norm = x * x + y * y
     if norm <= 1 << (2 * wp - 2):
-        from mpmath.libmp import from_man_exp, mpf_log, to_fixed
-
         # 2|z|^N < 2^-wp bounds the tail after N terms, |z|^(N+1)/(1-|z|)
         terms = _power_part(x, y, wp, _terms(wp, _log2_abs(x, y, wp), 1) + 1, part)[1:]
-        log_abs = to_fixed(mpf_log(from_man_exp(norm, -2 * wp), wp), wp) >> 1
-        return _power_sums(terms, m), log_abs
+        return _power_sums(terms, m), _log_fixed(isqrt(norm), 0, wp)[0]
     weight, log_abs = _li_log_series(m, x, y, wp)
     return [weight(j, part) for j in range(1, m + 1)], log_abs
 
@@ -583,13 +671,51 @@ def cl_apply(m: int, terms, policy: PrecisionPolicy):
 # Polynomial roots
 # ---------------------------------------------------------------------------
 
+# Durand-Kerner sweeps in floats before giving up on seeds
+_FLOAT_SWEEPS = 100
+
+
+def _float_roots(descending: Sequence) -> Optional[List[complex]]:
+    """Durand-Kerner in Python complex floats, with mpmath's start
+    (0.4 + 0.9i)^k and its in-place update, until a sweep moves no root by
+    more than 2^-40 of the largest root.
+
+    None when a coefficient is not finite or the leading one is 0 as a
+    float, or when no sweep of the first _FLOAT_SWEEPS passes that test
+    (a NaN step never does): a multiple root converges only linearly and
+    stalls at float rounding, so it keeps mpmath's own start.
+    """
+    coeffs = [complex(c) for c in descending]
+    if not coeffs[0] or not all(map(cmath.isfinite, coeffs)):
+        return None
+    monic = [c / coeffs[0] for c in coeffs]
+    roots = [(0.4 + 0.9j) ** k for k in range(len(coeffs) - 1)]
+    for _ in range(_FLOAT_SWEEPS):
+        step = 0.0
+        for i, p in enumerate(roots):
+            x = 0j
+            for c in monic:
+                x = x * p + c
+            for j, q in enumerate(roots):
+                if j != i and p != q:  # mpmath skips a zero difference too
+                    x /= p - q
+            roots[i] = p - x
+            step = max(step, abs(x))
+        if step <= 2.0 ** -40 * max(map(abs, roots)):
+            return roots
+    return None
+
+
 def poly_roots(coefficients: Sequence, policy: PrecisionPolicy) -> List:
     """All complex roots (with multiplicity) of sum coefficients[i] * x^i.
 
-    Simultaneous iteration (mpmath's Durand-Kerner engine at doubled
-    precision) followed by a per-root Newton polish; near-coincident roots
-    are clustered at tolerance 10^(-P/2) and replaced by their centroid.
-    Roots come back sorted by (re, im).
+    Durand-Kerner in complex floats (``_float_roots``) seeds mpmath's
+    Durand-Kerner engine, which finishes at doubled precision with its own
+    convergence test against the context's eps (from its default start
+    where there are no seeds); then a per-root Newton polish.
+    Near-coincident roots are clustered at tolerance 10^(-P/2) and replaced
+    by their centroid, and every root must leave a residual within the
+    tolerance.  Roots come back sorted by (re, im).
     """
     import mpmath
 
@@ -601,9 +727,14 @@ def poly_roots(coefficients: Sequence, policy: PrecisionPolicy) -> List:
         raise DomainError("poly_roots needs degree >= 1 with nonzero leading coefficient")
     deg = len(coeffs) - 1
     descending = list(reversed(coeffs))
+    seeds = _float_roots(descending)
     try:
         roots, err = ctx.polyroots(
-            descending, maxsteps=200, extraprec=ctx.prec, error=True
+            descending,
+            maxsteps=200,
+            extraprec=ctx.prec,
+            error=True,
+            roots_init=seeds and [ctx.mpc(r) for r in seeds],
         )
     except mpmath.libmp.NoConvergence as exc:  # pragma: no cover - defensive
         raise RootFindingError(f"root iteration failed to converge: {exc}") from exc
@@ -649,7 +780,7 @@ def poly_roots(coefficients: Sequence, policy: PrecisionPolicy) -> List:
     for x in {(c.real, c.imag) for c in clustered}:
         val, _ = horner(ctx.mpc(*x))
         bound = residual_tol * max(ctx.mpf(1), abs(ctx.mpc(*x))) ** deg
-        if abs(val) > bound:
+        if not abs(val) <= bound:  # a NaN residual fails too
             raise RootFindingError(
                 f"root {x} has residual {abs(val)} above tolerance {bound}"
             )

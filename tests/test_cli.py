@@ -64,6 +64,20 @@ def test_eval_li_branch_error_is_usage():
     assert "branch" in err.lower() or "error" in err.lower()
 
 
+def test_leading_minus_values_take_the_equals_form():
+    """A value that starts with a minus is passed as --z=... or
+    --coefficients=..., as the README and the help text write it; with a
+    space argparse reads it as an option and exits with usage error 2."""
+    code, out, _ = run_cli("eval-li", "--m", "3", "--z=-0.25+0.5i")
+    assert code == 0
+    assert out.strip().startswith("(-0.2677022065122821962498")
+    code, out, _ = run_cli("roots", "--coefficients=-1,0,1")
+    assert code == 0
+    assert out.split() == ["(-1.0", "+", "0.0j)", "(1.0", "+", "0.0j)"]
+    code, _, err = run_cli("eval-li", "--m", "3", "--z", "-0.25+0.5i")
+    assert code == 2 and "expected one argument" in err
+
+
 def test_verify_five_term_exit_zero():
     code, out, _ = run_cli(
         "verify", "--equation", "five_term", "--mode", "both", "--seed", "7",

@@ -197,6 +197,16 @@ def _assert_within(mine, ref, digits, where):
     assert abs(mpmath.mpmathify(mine) - ref) < bound, where
 
 
+def _cl_oracle(m, lis, logabs):
+    """CL_m from mpmath's Li_1..Li_7 values at z and log|z|."""
+    acc = sum(
+        mpmath.mpf(2) ** r * mpmath.bernoulli(r) / mpmath.factorial(r)
+        * logabs ** r * lis[m - r - 1]
+        for r in range(m)
+    )
+    return acc.real if m % 2 else acc.imag
+
+
 @pytest.mark.parametrize("digits", [50, 60])
 def test_li_and_cl_differential_against_mpmath(digits):
     """li_m (m = 1..7) and cl_m (m = 2..7) against mpmath's polylog 20 digits higher.
@@ -214,13 +224,7 @@ def test_li_and_cl_differential_against_mpmath(digits):
                 _assert_within(li_m(m, z, policy), lis[m - 1], digits, (m, z))
             logabs = mpmath.log(abs(zz))
             for m in range(2, 8):
-                acc = sum(
-                    mpmath.mpf(2) ** r * mpmath.bernoulli(r) / mpmath.factorial(r)
-                    * logabs ** r * lis[m - r - 1]
-                    for r in range(m)
-                )
-                ref = acc.real if m % 2 else acc.imag
-                _assert_within(cl_m(m, z, policy), ref, digits, (m, z))
+                _assert_within(cl_m(m, z, policy), _cl_oracle(m, lis, logabs), digits, (m, z))
 
 
 @pytest.mark.parametrize("digits", [50, 60])
@@ -261,6 +265,112 @@ def test_li_log_series_parts_match_single_part_sums():
             re, im = (numeric._li_all(m, x, y, wp, part)[0][m - 1] for part in (0, 1))
             expected = numeric.from_fixed_pair(re, im, wp, CTX)
             assert li_m(m, z, POLICY) == expected, (m, z)
+
+
+# -- fixed-point log --------------------------------------------------------------
+
+_LOG_DIGITS = [30, 50, 60, 120]
+
+
+def _log_error_units(x, y, wp):
+    """(|re - ref|, |im - ref|) of _log_fixed in units of 2^-wp, against
+    mpmath's mpc_log 64 bits wider."""
+    from mpmath.libmp import from_man_exp, mpc_log, to_fixed
+
+    re, im = numeric._log_fixed(x, y, wp)
+    ref = mpc_log((from_man_exp(x, -wp), from_man_exp(y, -wp)), wp + 64)
+    return tuple(
+        abs((mine << 64) - to_fixed(part, wp + 64)) / 2.0**64
+        for mine, part in ((re, ref[0]), (im, ref[1]))
+    )
+
+
+def _assert_log_bound(x, y, wp):
+    """The docstring's bound: 0.6 units, or one unit where the imaginary
+    part is set to +-1 to keep the sign of y."""
+    err_re, err_im = _log_error_units(x, y, wp)
+    im = numeric._log_fixed(x, y, wp)[1]
+    assert err_re < 0.6 and err_im < (1 if abs(im) == 1 else 0.6), (x, y, wp)
+
+
+@pytest.mark.parametrize("digits", _LOG_DIGITS)
+def test_log_fixed_matches_mpmath(digits):
+    """2,000 seeded points per width, |z| from one unit (2^-300 where the
+    width reaches it) to 2^300, every argument, some on the axes."""
+    import random
+
+    wp = PrecisionPolicy.for_digits(digits).fixed_bits
+    rng = random.Random(7000 + digits)
+    for i in range(2000):
+        bits = max(wp + rng.randint(-300, 300), 1)
+        x = rng.randint(-(1 << bits), 1 << bits)
+        y = 0 if i % 10 == 0 else rng.randint(-(1 << bits), 1 << bits)
+        if i % 10 == 5:
+            x = 0
+        if x or y:
+            _assert_log_bound(x, y, wp)
+
+
+@pytest.mark.parametrize("digits", _LOG_DIGITS)
+def test_log_fixed_edge_cases(digits):
+    wp = PrecisionPolicy.for_digits(digits).fixed_bits
+    one = 1 << wp
+    points = [
+        (-one, 0), (-3 * one, 0), (-1, 0),  # the negative axis: +pi
+        (-one, 1), (-one, -1), (-3 * one, 1), (-3 * one, -1),  # just off it
+        (one, 0), (0, one), (0, -one),  # |z| = 1
+    ] + [(one + dx, dy) for dx in (-1, 1) for dy in (-1, 0, 1)]  # one unit from 1
+    for x, y in points:
+        _assert_log_bound(x, y, wp)
+    pi = numeric._log_fixed(-one, 0, wp)[1]
+    assert pi > 0 and numeric._log_fixed(-one, 1, wp)[1] == pi - 1
+    assert numeric._log_fixed(-one, -1, wp)[1] == -(pi - 1)
+    assert numeric._log_fixed(one, 0, wp) == (0, 0)
+    # one unit from 1 the log is one unit, never 0: log(-log z) exists
+    for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1), (-1, -1)):
+        assert numeric._log_fixed(one + dx, dy, wp) == (dx, dy)
+    with pytest.raises(DomainError):
+        numeric._log_fixed(0, 0, wp)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 60])
+def test_li_and_cl_one_unit_from_one(digits):
+    """At z one unit of the kernel's width from 1, and at 1.5 one unit above
+    or below the cut, li_m and cl_m match mpmath's polylog and keep the
+    principal branch (the sign of Im z)."""
+    policy = PrecisionPolicy.for_digits(digits)
+    ctx = policy.context
+    unit = ctx.ldexp(1, -policy.fixed_bits)
+    points = [ctx.mpc(1 + dx * unit, dy * unit) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    points = [z for z in points if z != 1] + [ctx.mpc(1.5, unit), ctx.mpc(1.5, -unit)]
+    with mpmath.workdps(digits + 20):
+        for z in points:
+            zz = mpmath.mpc(z)
+            lis = [mpmath.polylog(j, zz) for j in range(1, 8)]
+            logabs = mpmath.log(abs(zz))
+            for m in range(2, 8):
+                if z.imag or z.real < 1:
+                    _assert_within(li_m(m, z, policy), lis[m - 1], digits, (m, z))
+                _assert_within(cl_m(m, z, policy), _cl_oracle(m, lis, logabs), digits, (m, z))
+    for sign in (1, -1):
+        im = li_m(2, ctx.mpc(1.5, sign * unit), policy).imag
+        assert abs(im - sign * ctx.pi * ctx.log(1.5)) < policy.tolerance
+
+
+def test_kernel_takes_no_mpmath_log(monkeypatch):
+    """cl_m's kernel (_li_all, both branches) and li_m up to |z| = 2 run
+    without mpmath's logs."""
+    import mpmath.libmp
+
+    points = (0.3 + 0.1j, 0.9 - 0.4j, -1, 1.7j)
+    expected = [f(4, z, POLICY) for f in (cl_m, li_m) for z in points]
+
+    def forbidden(*args):
+        raise AssertionError("mpmath log called")
+
+    monkeypatch.setattr(mpmath.libmp, "mpc_log", forbidden)
+    monkeypatch.setattr(mpmath.libmp, "mpf_log", forbidden)
+    assert [f(4, z, POLICY) for f in (cl_m, li_m) for z in points] == expected
 
 
 # -- CL ---------------------------------------------------------------------------
@@ -398,6 +508,43 @@ def test_roots_multiplicity():
     assert len(roots) == 2
     assert roots[0] == roots[1]
     assert close(roots[0], CTX.mpc(2), 20)
+
+
+def test_roots_triple_root_keeps_mpmath_start():
+    """(x-1)^3: float Durand-Kerner stalls on the triple root, so it gives no
+    seeds and mpmath iterates from its own start, which converges at P = 15."""
+    assert numeric._float_roots([1, -3, 3, -1]) is None
+    policy = PrecisionPolicy.for_digits(15)
+    roots = poly_roots([-1, 3, -3, 1], policy)
+    assert len(roots) == 3 and roots[0] == roots[1] == roots[2]
+    assert abs(roots[0] - 1) < 1e-5
+
+
+def test_roots_beyond_float_range_raise():
+    """x^2 + 10^400: 10^400 is inf as a float, so there are no seeds (a float
+    iteration would hand mpmath NaN), and the iteration fails as before."""
+    coeffs = [CTX.mpf(10) ** 400, 0, 1]
+    assert numeric._float_roots([POLICY.complex(c) for c in reversed(coeffs)]) is None
+    with pytest.raises(numeric.RootFindingError):
+        poly_roots(coeffs, POLICY)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_roots_of_fourlog_polynomials_match_mpmath(n):
+    """z^n - z^(n-1) - t at 30 seeded t: the float-seeded roots match
+    mpmath's polyroots 20 digits higher from its own start, within
+    2^-prec |root| scaled by 4 (each part is rounded to prec bits)."""
+    rng = SplitMix64(4400 + n)
+    for _ in range(30):
+        t = complex(rng.next_int(-300, 300) / 100, rng.next_int(-300, 300) / 100)
+        coeffs = [-t] + [0] * (n - 2) + [-1, 1]
+        assert numeric._float_roots([POLICY.complex(c) for c in reversed(coeffs)])
+        roots = poly_roots(coeffs, POLICY)
+        with mpmath.workdps(CTX.dps + 20):
+            refs = mpmath.polyroots([1, -1] + [0] * (n - 2) + [-mpmath.mpc(t)], maxsteps=200)
+            for r in map(mpmath.mpmathify, roots):
+                bound = mpmath.ldexp(max(1, abs(r)), 2 - CTX.prec)
+                assert min(abs(r - ref) for ref in refs) < bound, (n, t)
 
 
 def test_roots_sum_product_invariant():
