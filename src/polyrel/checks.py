@@ -493,12 +493,7 @@ def check_q_equations() -> CheckReport:
 # 21-term symmetrization identity (three-level)
 # ---------------------------------------------------------------------------
 
-def check_gamma21_identity(
-    kernel_trials: int = 6,
-    kernel_functionals: int = 4,
-    seed: int = 20,
-    numeric_points: int = 3,
-) -> CheckReport:
+def check_gamma21_identity(seed: int = 20) -> CheckReport:
     """Compare the symmetrization of the two-instance combination with its
     displayed 21-argument form at three levels of equality.
 
@@ -522,21 +517,15 @@ def check_gamma21_identity(
     rhs_classes = rhs.count_distinct_up_to_inversion()
     coeffs_ok = all(c in (1, -1, 2, -2) for c, _ in rhs)
 
-    lhs_kernel = kernel_test(
-        lhs, 3, trials=kernel_trials, functionals=kernel_functionals, seed=seed
-    )
+    lhs_kernel = kernel_test(lhs, 3, trials=6, functionals=4, seed=seed)
 
     diff = lhs - rhs
     level_a = not diff.inversion_class_vector()
 
-    verdict_b = kernel_test(
-        diff, 3, trials=kernel_trials, functionals=kernel_functionals, seed=seed
-    )
+    verdict_b = kernel_test(diff, 3, trials=6, functionals=4, seed=seed)
     level_b = verdict_b.passed
 
-    verdict_c = verify_numeric_sum(
-        diff, 3, points=numeric_points, policy=PrecisionPolicy(40), seed=seed
-    )
+    verdict_c = verify_numeric_sum(diff, 3, points=3, policy=PrecisionPolicy(40), seed=seed)
     level_c = verdict_c.passed
 
     if level_a:

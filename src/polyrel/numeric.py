@@ -29,19 +29,14 @@ summing:
   hold in the table as well.  ``zeta_int`` rounds that value to the
   context precision.
 
-The logarithms the kernel needs (log z and log(-log z) for the expansion,
-log|z| for the power series) come from one fixed-point complex log,
-``_log_fixed``: square-root argument reduction with ``math.isqrt`` and one
-atanh series, within one unit of 2^-bits, with no mpmath call.
+The logarithms (log z and log(-log z) for the expansion, log|z| for the
+power series, log(1-z) for Li_1, log(-z) for the inversion) come from one
+fixed-point complex log, ``_log_fixed``, with no mpmath call.
 
-CL_m runs in fixed point from its argument to its value: it folds |z| > 1
-to 1/z, takes from one kernel call only the parts it keeps (real for odd m,
-imaginary for even m) and log|z|, sums them with Bernoulli weights cached
-per (m, bits), and builds one mpf at the end.  li_m converts only the
-weight it returns: the power series relative to z, multiplied by z in
-floating point (full relative accuracy for tiny |z|), the expansion in
-log z up to |z| = 2 (both parts of weight m from one sweep), and the
-inversion continuation formula beyond.
+li_m and CL_m share one conversion of the argument (``_fixed_argument``,
+extra bits far from the unit circle) and run in fixed point to one mpc or
+mpf: CL_m folds |z| > 1 to 1/z and sums the parts it keeps of one kernel
+call with cached Bernoulli weights; li_m folds |z| > 2 by inversion.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ __all__ = [
     "PoleError",
     "RootFindingError",
     "bernoulli",
-    "bernoulli_poly_coeffs",
     "zeta_int",
     "li_m",
     "cl_m",
@@ -173,12 +167,6 @@ def bernoulli(r: int) -> Fraction:
             acc += comb(n + 1, j) * _bernoulli_cache[j]
         _bernoulli_cache.append(-acc / (n + 1))
     return _bernoulli_cache[r]
-
-
-@lru_cache(maxsize=None)
-def bernoulli_poly_coeffs(m: int) -> Tuple[Fraction, ...]:
-    """Coefficients of the Bernoulli polynomial B_m(x), highest degree first."""
-    return tuple(comb(m, k) * bernoulli(k) for k in range(m + 1))
 
 
 # log2(3 + sqrt 8): Borwein's series for zeta(k), k >= 2, summed to n terms is
@@ -390,32 +378,26 @@ def from_fixed_pair(re: int, im: int, wp: int, ctx):
     )
 
 
-def _power_part(x: int, y: int, wp: int, count: int, part: int) -> List[int]:
-    """The real (``part`` 0) or imaginary (``part`` 1) parts of z^0, ...,
-    z^(count-1) in fixed point.
+def _power_series(x: int, y: int, wp: int, m: int, part: int) -> List[int]:
+    """|z| <= 1/2: the real (``part`` 0) or imaginary (``part`` 1) parts of
+    Li_j(z) = sum_n z^n / n^j for j = 1..m in fixed point, N terms with
+    2|z|^N < 2^-wp, which bounds the tail |z|^(N+1)/(1-|z|).
 
-    Both parts satisfy s_n = 2 Re(z) s_(n-1) - |z|^2 s_(n-2), whose roots
-    are z and conj(z), so one part needs two products per power.  Used for
-    |z| <= 1/2 only: a rounding error reaches the power k steps later
-    multiplied by (z^(k+1) - conj(z)^(k+1)) / (z - conj(z)), at most
-    (k+1) |z|^k <= 1 in size.
+    That part of z^n satisfies s_n = 2 Re(z) s_(n-1) - |z|^2 s_(n-2), whose
+    roots are z and conj(z), so it needs two products per power; a rounding
+    error reaches the power k steps later multiplied by
+    (z^(k+1) - conj(z)^(k+1)) / (z - conj(z)), at most (k+1) |z|^k <= 1 in
+    size.  Weight j divides weight j-1's terms by n once more, one builtin
+    pass per weight (single-digit divisors, CPython's fast path).
     """
+    count = _terms(wp, _log2_abs(x, y, wp), 1)
     a, b = (1 << wp, x) if part == 0 else (0, y)
-    out = [a, b]
+    terms = [b]
     p, q = 2 * x, (x * x + y * y) >> wp
-    for _ in range(count - 2):
+    for _ in range(count - 1):
         a, b = b, (p * b - q * a) >> wp
-        out.append(b)
-    return out[:count]
-
-
-def _power_sums(terms: List[int], m: int) -> List[int]:
-    """[sum_n terms[n-1] / n^j for j = 1..m] in fixed point.
-
-    Weight j divides weight j-1's terms by n once more, one builtin pass per
-    weight (single-digit divisors, CPython's fast path).
-    """
-    ns = range(1, len(terms) + 1)
+        terms.append(b)
+    ns = range(1, count + 1)
     out = []
     for _ in range(m):
         terms = list(map(floordiv, terms, ns))
@@ -524,35 +506,49 @@ def _li_all(m: int, x: int, y: int, wp: int, part: int):
     Every weight comes out of one pass, with the term count fixed up front:
     for |z| <= 1/2 the power series sum_n z^n/n^j on that part of the powers
     alone, and log|z| as the real ``_log_fixed`` of |z| = isqrt(x^2 + y^2)
-    (cl_m's shift keeps |z| 2^wp >= 2^(policy.fixed_bits - 3), so the floor
+    (``_fixed_argument`` keeps |z| 2^wp >= 2^(policy.fixed_bits - 3), so the floor
     moves log|z| by at most 2^(3 - policy.fixed_bits), while the Li_j it
     multiplies are O(|z|)); for 1/2 < |z| <= 2 the expansion in log z,
     whose real part is log|z|.
     """
     norm = x * x + y * y
     if norm <= 1 << (2 * wp - 2):
-        # 2|z|^N < 2^-wp bounds the tail after N terms, |z|^(N+1)/(1-|z|)
-        terms = _power_part(x, y, wp, _terms(wp, _log2_abs(x, y, wp), 1) + 1, part)[1:]
-        return _power_sums(terms, m), _log_fixed(isqrt(norm), 0, wp)[0]
+        return _power_series(x, y, wp, m, part), _log_fixed(isqrt(norm), 0, wp)[0]
     weight, log_abs = _li_log_series(m, x, y, wp)
     return [weight(j, part) for j in range(1, m + 1)], log_abs
 
 
-def _li_continuation(m: int, z, ctx, policy):
-    """Inversion continuation for |z| > 2 (principal branch off [1, oo))."""
-    twopij = 2j * ctx.pi
-    u = ctx.log(z) / twopij
-    coeffs = bernoulli_poly_coeffs(m)
-    bern = ctx.mpc(0)
-    for c in coeffs:
-        bern = bern * u + policy.real(c)
-    a = -(twopij ** m) / policy.real(Fraction(factorial(m))) * bern
-    if z.imag == 0 and z.real < 0:
-        a = ctx.mpc(a.real)
-    if z.imag < 0:
-        a -= twopij * ctx.log(z) ** (m - 1) / factorial(m - 1)
-    inner = li_m(m, 1 / z, policy)
-    return (-1) ** (m + 1) * inner + a
+@lru_cache(maxsize=None)
+def _li_inversion_weights(m: int, wp: int) -> Tuple[int, ...]:
+    """c_0, ..., c_m in fixed point, c_k = (2^(1-k) - 1) B_k (2 pi i)^k / (k! (m-k)!).
+
+    Every c_k is real: 0 at odd k, and (2 pi i)^k = (-1)^(k/2) (2pi)^k at
+    even k, built 8 bits wider to absorb pi's last-unit error in the power.
+    """
+    from mpmath.libmp import pi_fixed
+
+    wb = wp + 8
+    twopi = pi_fixed(wb) << 1
+    out = []
+    for k in range(m + 1):
+        q = (Fraction(2, 1 << k) - 1) * bernoulli(k) / (factorial(k) * factorial(m - k))
+        out.append((-1) ** (k // 2) * (q.numerator * (twopi**k << wb >> k * wb) // q.denominator >> 8))
+    return tuple(out)
+
+
+def _fixed_argument(z, policy: PrecisionPolicy) -> Tuple[int, int, int]:
+    """(x, y, wp): the mpc z as x + iy scaled by 2^wp, rounded toward -oo.
+
+    wp is ``policy.fixed_bits`` plus as many bits as |z| or |1/z| has leading
+    zero bits, so z, and 1/z after an inversion fold, keep their relative
+    accuracy far from the unit circle.  A non-finite z raises DomainError.
+    """
+    if not policy.context.isfinite(z):
+        raise DomainError(f"polylogarithms need a finite argument, got {z}")
+    # 2^(top-1) <= |z| < 2^(top+1/2)
+    top = max((p[2] + p[3] for p in z._mpc_ if p[1]), default=0)
+    wp = policy.fixed_bits + max(abs(top) - 2, 0)
+    return (*to_fixed_pair(z, wp), wp)
 
 
 def li_m(m: int, z, policy: PrecisionPolicy):
@@ -560,37 +556,46 @@ def li_m(m: int, z, policy: PrecisionPolicy):
 
     m = 1 is -log(1-z) (pole at z = 1); for m >= 2 the point z = 1 itself
     gives zeta(m), while real z > 1 raises BranchAmbiguityError (use CL_m,
-    which is one-valued, on the cut).
+    which is one-valued, on the cut).  A non-finite z raises DomainError.
+
+    In fixed point from ``_fixed_argument`` on: m = 1 is one ``_log_fixed``;
+    for m >= 2, |z| <= 1/2 is the power series, 1/2 < |z| <= 2 the expansion
+    in log z, and |z| > 2 folds to 1/z by Li_m(z) = (-1)^(m-1) Li_m(1/z)
+    - sum_k c_k L^(m-k), L = log(-z), c_k from ``_li_inversion_weights``.
     """
     if m < 1:
         raise DomainError("li_m needs m >= 1")
     ctx = policy.context
     z = policy.complex(z)
-    if m == 1:
-        if z == 1:
-            raise PoleError("Li_1 has a pole at z = 1")
-        return -ctx.log(1 - z)
-    if z == 0:
-        return ctx.mpc(0)
+    x, y, wp = _fixed_argument(z, policy)
     if z == 1:
+        if m == 1:
+            raise PoleError("Li_1 has a pole at z = 1")
         return ctx.mpc(zeta_int(m, policy))
-    if z.imag == 0 and z.real > 1:
-        raise BranchAmbiguityError(
-            "Li_m is branch-ambiguous on (1, oo); evaluate CL_m instead"
-        )
-    if abs(z) <= 2:
-        wp = policy.fixed_bits
-        x, y = to_fixed_pair(z, wp)
-        if x * x + y * y > 1 << (2 * wp - 2):
-            weight = _li_log_series(m, x, y, wp)[0]
-            return from_fixed_pair(weight(m, 0), weight(m, 1), wp, ctx)
-        # |z| <= 1/2: Li_m(z) / z = sum_n z^(n-1)/n^m, multiplied by z in
-        # floating point, so tiny |z| keeps full relative accuracy; the tail
-        # after N terms is below |z|^N/(1-|z|) <= 2|z|^N < 2^-wp
-        n = _terms(wp, _log2_abs(x, y, wp), 1)
-        re, im = (_power_sums(_power_part(x, y, wp, n, part), m)[-1] for part in (0, 1))
-        return z * from_fixed_pair(re, im, wp, ctx)
-    return _li_continuation(m, z, ctx, policy)
+    if m > 1 and z.imag == 0 and z.real > 1:
+        raise BranchAmbiguityError("Li_m is branch-ambiguous on (1, oo); evaluate CL_m instead")
+    if not y and z.imag > 0:
+        y = 1  # the floor sends 0 < Im z < 2^-wp to 0; the branch needs its sign
+    one = 1 << wp
+    if m == 1:
+        re, im = _log_fixed(one - x, -y, wp)
+        return from_fixed_pair(-re, -im, wp, ctx)
+    norm = x * x + y * y
+    fold = norm > one * one << 2  # |z| > 2
+    if fold:
+        lr, li = _log_fixed(-x, -y, wp)
+        x, y = (x << 2 * wp) // norm, (-y << 2 * wp) // norm
+    elif norm > one * one >> 2:
+        weight = _li_log_series(m, x, y, wp)[0]
+        return from_fixed_pair(weight(m, 0), weight(m, 1), wp, ctx)
+    re, im = (_power_series(x, y, wp, m, part)[-1] for part in (0, 1))  # |z| <= 1/2
+    if fold:
+        ar = ai = 0  # sum_k c_k L^(m-k) by Horner's rule, L^m first
+        for c in _li_inversion_weights(m, wp):
+            ar, ai = ((ar * lr - ai * li) >> wp) + c, (ar * li + ai * lr) >> wp
+        sign = (-1) ** (m - 1)
+        re, im = sign * re - ar, sign * im - ai
+    return from_fixed_pair(re, im, wp, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -609,15 +614,13 @@ def cl_m(m: int, z, policy: PrecisionPolicy):
 
     Accepts complex values, rationals and INFINITY.
     Continuity values: 0 at 0 and infinity; zeta(m) at 1 for odd m, 0 for
-    even m.  Everything after the conversion of z runs in Python-int fixed
-    point at ``policy.fixed_bits``: |z| > 1 is folded to 1/z, and one fused
+    even m.  Everything after ``_fixed_argument`` runs in Python-int fixed
+    point at its width: |z| > 1 is folded to 1/z, and one fused
     _li_all call gives the real parts (odd m) or the imaginary parts (even
     m) of Li_1(z)..Li_m(z) (power series for |z| <= 1/2, expansion in log z
     beyond, both with term counts fixed in advance from |z|) and log|z|.
     The Bernoulli weights, cached per (m, bits), combine them, and a single
-    mpf is built at the end.  Far from the unit circle the fixed point takes
-    as many more bits as |z| or |1/z| has leading zero bits, so the value
-    keeps its relative accuracy there too.
+    mpf is built at the end.
     """
     if m < 2:
         raise DomainError("cl_m needs m >= 2 (m = 1 is excluded)")
@@ -629,12 +632,9 @@ def cl_m(m: int, z, policy: PrecisionPolicy):
         return ctx.mpf(0)
     from mpmath.libmp import from_man_exp
 
-    # 2^(top-1) <= |z| < 2^(top+1/2)
-    top = max(p[2] + p[3] for p in z._mpc_ if p[1])
-    shift = max(abs(top) - 2, 0)
-    wp = policy.fixed_bits + shift
+    x, y, wp = _fixed_argument(z, policy)
+    shift = wp - policy.fixed_bits
     one = 1 << wp
-    x, y = to_fixed_pair(z, wp)
     sign = 1
     norm = x * x + y * y
     if norm > one * one:

@@ -41,7 +41,7 @@ plain loop's term for term, which the tests check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 __all__ = ["MultiPoly", "grlex_key"]
@@ -151,11 +151,6 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self.terms, key=grlex_key)
         return exp, self.terms[exp]
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integral and coprime; 0 for zero."""
-        d, (terms,) = cleared(self)
-        return Fraction(gcd(*terms.values()), d)
 
     def embed(self, variables: Iterable[str]) -> "MultiPoly":
         """Reinterpret over a superset of variables."""

@@ -101,7 +101,7 @@ def test_ab_parametrization_constraint():
 
 
 def test_gamma21_report_structure():
-    rep = check_gamma21_identity(kernel_trials=3, kernel_functionals=3, numeric_points=2)
+    rep = check_gamma21_identity()
     d = rep.details
     assert d["rhs_nonconstant_classes"] == 21
     assert d["rhs_coefficients_in_pm1_pm2"]

@@ -64,6 +64,13 @@ def test_eval_li_branch_error_is_usage():
     assert "branch" in err.lower() or "error" in err.lower()
 
 
+@pytest.mark.parametrize("command, m, z", [("eval-cl", "3", "1e400"), ("eval-li", "2", "-1e400")])
+def test_non_finite_argument_is_usage_error(command, m, z):
+    code, _, err = run_cli(command, "--m", m, f"--z={z}")
+    assert code == 2
+    assert "finite" in err
+
+
 def test_leading_minus_values_take_the_equals_form():
     """A value that starts with a minus is passed as --z=... or
     --coefficients=..., as the README and the help text write it; with a

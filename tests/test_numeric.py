@@ -188,6 +188,23 @@ _EDGE_POINTS = [
     -0.75,
     -1.5,
     -3.0,
+    # far from the unit circle, where the conversion takes extra bits and
+    # li_m and cl_m fold to 1/z
+    cmath.rect(1e20, 0.3),
+    cmath.rect(1e20, -2.0),
+    -1e20,
+    cmath.rect(1e-20, 2.5),
+    -1e-20,
+    cmath.rect(1e40, 1.1),
+    -1e40,
+    cmath.rect(1e-40, -0.7),
+    -1e-40,
+    # an imaginary part below the fixed point's unit still picks the side
+    # of the cut (1, oo), or of the negative axis where li_m folds
+    3 + 1e-100j,
+    3 - 1e-100j,
+    -3 + 1e-100j,
+    -3 - 1e-100j,
 ]
 
 
@@ -229,8 +246,9 @@ def test_li_and_cl_differential_against_mpmath(digits):
 
 @pytest.mark.parametrize("digits", [50, 60])
 def test_li_keeps_relative_accuracy_at_tiny_z(digits):
-    """The power series runs relative to z, so |z| = 1e-30 keeps relative
-    error <= 10^-P (the fixed point alone would give only about P - 30 digits)."""
+    """The conversion takes as many extra bits as |z| has leading zero bits,
+    so |z| = 1e-30 keeps relative error <= 10^-P (the fixed point at the
+    policy's width alone would give only about P - 30 digits)."""
     policy = PrecisionPolicy(digits)
     with mpmath.workdps(digits + 20):
         for z in (cmath.rect(1e-30, 0.4), cmath.rect(1e-30, -2.9)):
@@ -358,19 +376,40 @@ def test_li_and_cl_one_unit_from_one(digits):
 
 
 def test_kernel_takes_no_mpmath_log(monkeypatch):
-    """cl_m's kernel (_li_all, both branches) and li_m up to |z| = 2 run
-    without mpmath's logs."""
+    """cl_m (both kernel branches, and the fold) and li_m (m = 1, and every
+    region up to the inversion beyond |z| = 2) run without mpmath's logs,
+    whether reached through mpmath.libmp or through the policy's context."""
     import mpmath.libmp
 
-    points = (0.3 + 0.1j, 0.9 - 0.4j, -1, 1.7j)
-    expected = [f(4, z, POLICY) for f in (cl_m, li_m) for z in points]
+    points = (0.3 + 0.1j, 1e-30j, 0.9 - 0.4j, -1, 1.7j, -3 + 0.5j, 1e20 + 1j, -1e40)
+    calls = [(cl_m, 4), (li_m, 1), (li_m, 4), (li_m, 7)]
+    expected = [f(m, z, POLICY) for f, m in calls for z in points]
 
     def forbidden(*args):
         raise AssertionError("mpmath log called")
 
     monkeypatch.setattr(mpmath.libmp, "mpc_log", forbidden)
     monkeypatch.setattr(mpmath.libmp, "mpf_log", forbidden)
-    assert [f(4, z, POLICY) for f in (cl_m, li_m) for z in points] == expected
+    monkeypatch.setattr(POLICY.context, "log", forbidden)
+    assert [f(m, z, POLICY) for f, m in calls for z in points] == expected
+
+
+@pytest.mark.parametrize(
+    "f, m, z",
+    [
+        (cl_m, 3, complex(float("inf"), 1)),
+        (cl_m, 3, complex(1, float("nan"))),
+        (cl_m, 3, float("nan")),
+        (li_m, 3, float("nan")),
+        (li_m, 2, -1e400),
+        (li_m, 2, 1e400j),
+        (li_m, 1, 1e400j),
+    ],
+)
+def test_non_finite_arguments_raise_domain_error(f, m, z):
+    """cl_m's point at infinity is INFINITY; an inf or nan part is not a point."""
+    with pytest.raises(DomainError, match="finite"):
+        f(m, z, POLICY)
 
 
 # -- CL ---------------------------------------------------------------------------
