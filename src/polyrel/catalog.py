@@ -27,7 +27,7 @@ proofalgebra).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -67,16 +67,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EquationSpec:
-    """A cataloged equation: weight, variables, formal sum, constraints."""
+    """A cataloged equation: weight, formal sum, constraints."""
 
     name: str
     weight: int
-    variables: Tuple[str, ...]
     sum: FormalSum
     constraints: str = ""
     reference: str = ""
     is_equation: bool = True
     numeric_only: bool = False
+
+    @property
+    def variables(self) -> Tuple[str, ...]:
+        """The sum's variables, sorted (``FormalSum.variables``)."""
+        return self.sum.variables()
 
     def to_json(self) -> dict:
         return {
@@ -123,7 +127,6 @@ def five_term() -> EquationSpec:
     return EquationSpec(
         name="five_term",
         weight=2,
-        variables=("x", "y"),
         sum=s,
         constraints="x, y, xy distinct from 0 and 1",
         reference="five-term dilogarithm relation (Abel, Spence)",
@@ -136,7 +139,6 @@ def three_term() -> EquationSpec:
     return EquationSpec(
         name="three_term",
         weight=3,
-        variables=("x",),
         sum=s,
         constraints="x not in {0, 1}",
         reference="three-term trilogarithm relation",
@@ -179,7 +181,6 @@ def goncharov22() -> EquationSpec:
     return EquationSpec(
         name="goncharov22",
         weight=3,
-        variables=("a1", "a2", "a3"),
         sum=s,
         constraints="all arguments distinct from 0, 1, infinity",
         reference="22-term trilogarithm relation (Goncharov)",
@@ -208,7 +209,6 @@ def goncharov22_sym() -> EquationSpec:
     return EquationSpec(
         name="goncharov22_sym",
         weight=3,
-        variables=("t1", "t2", "t3"),
         sum=FormalSum(terms),
         constraints="t1 t2 t3 t4 = 1; all arguments distinct from 0, 1, infinity",
         reference="22-term relation, four-variable symmetric presentation",
@@ -252,7 +252,6 @@ def f17() -> EquationSpec:
     return EquationSpec(
         name="f17",
         weight=3,
-        variables=("a", "b", "c", "t"),
         sum=s,
         constraints="building block: only differences in t are functional equations",
         reference="17-term block of the 34-term relation",
@@ -266,7 +265,6 @@ def relation34() -> EquationSpec:
     return EquationSpec(
         name="relation34",
         weight=3,
-        variables=("a", "b", "c", "t", "u"),
         sum=s,
         constraints="all arguments distinct from 0, 1, infinity",
         reference="34-term trilogarithm relation",
@@ -285,7 +283,6 @@ def gamma21() -> EquationSpec:
     return EquationSpec(
         name="gamma21",
         weight=3,
-        variables=("x", "y", "z"),
         sum=s,
         constraints="all arguments distinct from 0, 1, infinity",
         reference="sum of two 22-term instances with one shared variable",
@@ -325,7 +322,6 @@ def gamma21_symmetrized() -> EquationSpec:
     return EquationSpec(
         name="gamma21_symmetrized",
         weight=3,
-        variables=("x1", "x2", "z1"),
         sum=FormalSum(terms),
         constraints="all arguments distinct from 0, 1, infinity",
         reference="21-argument symmetrized form with coefficients in {+-1, +-2}",
@@ -374,8 +370,6 @@ def fourlog(n: int) -> EquationSpec:
     return EquationSpec(
         name=f"fourlog_n{n}",
         weight=4,
-        variables=tuple(f"x{i}" for i in range(1, n + 1))
-        + tuple(f"y{i}" for i in range(1, n + 1)),
         sum=FormalSum(terms),
         constraints="placeholders bound to the preimage sets of t and u",
         reference="two-variable 4-logarithm family",
@@ -548,7 +542,6 @@ def xi7_explicit() -> EquationSpec:
     return EquationSpec(
         name="xi7_explicit",
         weight=7,
-        variables=("t", "u"),
         sum=FormalSum(terms),
         constraints=_XI7_CONSTRAINT,
         reference="two-variable 7-logarithm equation, explicit block table",
@@ -670,7 +663,6 @@ def xi7_symmetric() -> EquationSpec:
     return EquationSpec(
         name="xi7_symmetric",
         weight=7,
-        variables=("t", "u"),
         sum=FormalSum(scaled),
         constraints=_XI7_CONSTRAINT,
         reference="7-logarithm equation, exponent-family symmetric form",
@@ -726,7 +718,6 @@ def equation_from_json(data: dict) -> EquationSpec:
     return EquationSpec(
         name=data["name"],
         weight=int(data["weight"]),
-        variables=tuple(data["variables"]),
         sum=FormalSum(terms),
         constraints=data.get("constraints", ""),
         reference=data.get("reference", ""),

@@ -166,12 +166,13 @@ def cmd_roots(args) -> int:
     coeffs = []
     for chunk in args.coefficients.split(","):
         chunk = chunk.strip()
-        if "/" in chunk:
-            coeffs.append(Fraction(chunk))
-        elif "i" in chunk or "j" in chunk:
+        if "i" in chunk or "j" in chunk:
             coeffs.append(parse_complex_literal(chunk.replace("j", "i")))
-        else:
+            continue
+        try:
             coeffs.append(Fraction(chunk))
+        except ZeroDivisionError:  # Fraction("1/0")
+            raise DomainError(f"coefficient {chunk!r} has a zero denominator") from None
     roots = poly_roots(coeffs, policy)
     ctx = policy.context
     for r in roots:

@@ -2,8 +2,9 @@
 
 Grammar: identifiers, integer literals, rational literals ``p/q`` (which are
 just exact division), the operators ``+ - * / ^`` and parentheses.  ``^``
-takes integer exponents only (optionally signed) and whitespace is
-insignificant.  Parsing yields an exact RatFunc.
+takes integer exponents only (optionally signed), at most
+``ratfunc.EXPONENT_LIMIT`` in size, and whitespace is insignificant.
+Parsing yields an exact RatFunc.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Tuple[str, str]], exponent_limit: int):
+    def __init__(self, tokens: List[Tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
-        self.limit = exponent_limit
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -102,7 +102,7 @@ class _Parser:
             self.take()
             exp = self.parse_exponent()
             try:
-                return base.pow_int(exp, self.limit)
+                return base.pow_int(exp)
             except DomainError as exc:
                 raise ParseError(str(exc)) from exc
         return base
@@ -131,12 +131,12 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}")
 
 
-def parse_expression(text: str, exponent_limit: int = 64) -> RatFunc:
+def parse_expression(text: str) -> RatFunc:
     """Parse an expression-grammar string into an exact RatFunc."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    parser = _Parser(tokens, exponent_limit)
+    parser = _Parser(tokens)
     value = parser.parse_expr()
     if parser.pos != len(tokens):
         raise ParseError(f"trailing input from token {parser.pos}")

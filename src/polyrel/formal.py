@@ -19,8 +19,6 @@ only common factor the images can have as polynomials is a monomial.
 Applying such a map to a cancelled argument therefore strips the common
 monomial and is done; every other map or argument goes through the gcd in
 `RatFunc.cancelled` (ratfunc's heuristic gcd on integer coefficients).
-Closures are memoized by their generators, so the checks that share a group
-build it once per process.
 
 Closures and orbits share one breadth-first search (``_orbit``): each
 generator is applied once to each element of the orbit found so far, and
@@ -29,17 +27,18 @@ for cancelled forms.  An orbit is that search from one argument.  A closure
 runs it from the variables and records each generator as a permutation of
 the indices of their orbit O.  A group element is fixed by the indices of
 its images of the variables, and (g∘x)(v) = g(x(v)), so the closure is a
-breadth-first search over index tuples with no algebra at all; each element
-is then built from the cancelled members of O.  A variable's orbit has at
-most |G| elements, so an O larger than ``bound`` times the number of
-variables ends a generator of infinite order.
+breadth-first search over index tuples with no algebra at all.
+``group_order`` counts those tuples; ``group_closure`` builds each element
+from the cancelled members of O.  A variable's orbit has at most |G|
+elements, so an O larger than ``bound`` times the number of variables ends a
+generator of infinite order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from .exact import DomainError
 from .poly import IntPoly, MultiPoly, _frac_str, power_table
@@ -52,6 +51,7 @@ __all__ = [
     "Automorphism",
     "SpecializeResult",
     "group_closure",
+    "group_order",
     "orbit",
     "inversion_class_key",
     "ClosureBoundExceeded",
@@ -528,9 +528,8 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-_closure_cache: Dict[Tuple, List[Automorphism]] = {}
-
-#: Most elements an ``orbit`` may have: ``group_closure``'s default bound.
+#: Most elements an ``orbit`` or a ``group_order`` group may have:
+#: ``group_closure``'s default bound.
 _ORBIT_LIMIT = 1024
 
 
@@ -542,20 +541,18 @@ def group_closure(generators: Sequence[Automorphism], bound: int = 1024) -> List
     ClosureBoundExceeded if more than ``bound`` elements appear, or more than
     ``bound`` orbit elements per variable, and DomainError if the generators
     act on different variable sets or an image leaves them.  The result is
-    sorted by canonical image key, so its order is deterministic.  Results
-    are memoized per process by the generators' keys; each call gets its own
-    list.
+    sorted by canonical image key, so its order is deterministic.
     """
-    if not generators:
-        raise DomainError("need at least one generator")
-    cache_key = tuple((g.variables, g._key) for g in generators)
-    group = _closure_cache.get(cache_key)
-    if group is None:
-        group = _closure(generators, bound)
-        _closure_cache[cache_key] = group
-    if len(group) > bound:
-        raise ClosureBoundExceeded(f"closure exceeded the bound of {bound} elements")
-    return list(group)
+    variables, members, elements = _closure(generators, bound)
+    group = [Automorphism(dict(zip(variables, (members[i] for i in x)))) for x in elements]
+    return sorted(group, key=lambda a: a._key)
+
+
+def group_order(generators: Sequence[Automorphism]) -> int:
+    """Number of elements of the group the generators generate: the length
+    of ``group_closure(generators)``, from the same search, with no element
+    built.  Raises as ``group_closure`` does at its default bound."""
+    return len(_closure(generators, _ORBIT_LIMIT)[2])
 
 
 def _orbit(
@@ -583,7 +580,14 @@ def _orbit(
     return members, perms
 
 
-def _closure(generators: Sequence[Automorphism], bound: int) -> List[Automorphism]:
+def _closure(
+    generators: Sequence[Automorphism], bound: int
+) -> Tuple[Tuple[str, ...], List[RatFunc], Set[Tuple[int, ...]]]:
+    """The variables, their orbit O under the generators, and the group's
+    elements as tuples of the indices in O of their images of the
+    variables."""
+    if not generators:
+        raise DomainError("need at least one generator")
     variables = generators[0].variables
     if any(g.variables != variables for g in generators):
         raise DomainError("automorphisms act on different variable sets")
@@ -607,8 +611,7 @@ def _closure(generators: Sequence[Automorphism], bound: int) -> List[Automorphis
                             f"closure exceeded the bound of {bound} elements"
                         )
         frontier = new_frontier
-    group = [Automorphism(dict(zip(variables, (members[i] for i in x)))) for x in seen]
-    return sorted(group, key=lambda a: a._key)
+    return variables, members, seen
 
 
 def orbit(x: RatFunc, generators: Sequence[Automorphism]) -> List[RatFunc]:

@@ -715,12 +715,16 @@ def poly_roots(coefficients: Sequence, policy: PrecisionPolicy) -> List:
     where there are no seeds); then a per-root Newton polish.
     Near-coincident roots are clustered at tolerance 10^(-P/2) and replaced
     by their centroid, and every root must leave a residual within the
-    tolerance.  Roots come back sorted by (re, im).
+    tolerance.  Roots come back sorted by (re, im).  A non-finite
+    coefficient raises DomainError.
     """
     import mpmath
 
     ctx = policy.context
     coeffs = [policy.complex(c) for c in coefficients]
+    bad = [c for c in coeffs if not ctx.isfinite(c)]
+    if bad:
+        raise DomainError(f"poly_roots needs finite coefficients, got {bad[0]}")
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) < 2:
@@ -736,7 +740,7 @@ def poly_roots(coefficients: Sequence, policy: PrecisionPolicy) -> List:
             error=True,
             roots_init=seeds and [ctx.mpc(r) for r in seeds],
         )
-    except mpmath.libmp.NoConvergence as exc:  # pragma: no cover - defensive
+    except mpmath.libmp.NoConvergence as exc:  # e.g. a triple root
         raise RootFindingError(f"root iteration failed to converge: {exc}") from exc
 
     def horner(x):

@@ -58,6 +58,9 @@ INDETERMINATE = _Tagged("Indeterminate")
 #: The point at infinity of P^1 (a tagged value, never a sentinel number).
 INFINITY = _Tagged("Infinity")
 
+#: Largest |n| ``RatFunc.pow_int`` (and so the expression grammar's ``^``) takes.
+EXPONENT_LIMIT = 64
+
 Scalar = Union[int, Fraction]
 
 
@@ -193,12 +196,12 @@ class RatFunc:
             raise ZeroDenominator("inverse of the zero function")
         return self._keep_reduced(RatFunc(self.den, self.num))
 
-    def pow_int(self, n: int, limit: int = 64) -> "RatFunc":
-        """Integer power, expanded eagerly; |n| capped to guard against blowup."""
-        if abs(n) > limit:
-            raise DomainError(f"exponent {n} exceeds the configured limit {limit}")
+    def pow_int(self, n: int) -> "RatFunc":
+        """Integer power, expanded eagerly; |n| <= ``EXPONENT_LIMIT`` guards against blowup."""
+        if abs(n) > EXPONENT_LIMIT:
+            raise DomainError(f"exponent {n} exceeds the limit {EXPONENT_LIMIT}")
         if n < 0:
-            return self.inv().pow_int(-n, limit)
+            return self.inv().pow_int(-n)
         return self._keep_reduced(RatFunc(self.num ** n, self.den ** n))
 
     def _keep_reduced(self, out: "RatFunc") -> "RatFunc":

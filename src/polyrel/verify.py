@@ -62,10 +62,6 @@ def sample_complex(rng: SplitMix64, ctx):
         return ctx.mpc(z.real, z.imag)
 
 
-def _coerce(ctx):
-    return lambda fr: ctx.mpf(fr.numerator) / ctx.mpf(fr.denominator)
-
-
 def _evaluate_terms(s: FormalSum, binding: Dict[str, object], policy: PrecisionPolicy):
     """The terms of ``s`` at a complex point, from its ArgumentPlan; None
     signals a degenerate draw.
@@ -222,7 +218,7 @@ def preimages(phi: RatFunc, w, policy: PrecisionPolicy) -> List:
     var, deg = _phi_variable(phi)
     num_c = _univariate_coeffs(phi.num, var)
     den_c = _univariate_coeffs(phi.den, var)
-    co = _coerce(ctx)
+    co = policy.real
     if w is INFINITY:
         coeffs = [co(c) for c in den_c]
     else:
@@ -252,10 +248,9 @@ def phi_value(phi: RatFunc, x, policy: PrecisionPolicy):
             return ctx.mpc(0)
         num_c = _univariate_coeffs(phi.num, var)
         den_c = _univariate_coeffs(phi.den, var)
-        co = _coerce(ctx)
-        return co(num_c[-1]) / co(den_c[-1])
+        return policy.real(num_c[-1]) / policy.real(den_c[-1])
     binding = {v: policy.complex(x) for v in phi.vars}
-    val, ok = phi.evaluate_in(binding, _coerce(ctx))
+    val, ok = phi.evaluate_in(binding, policy.real)
     return val if ok else INFINITY
 
 
@@ -389,19 +384,13 @@ def verify_fourlog_numeric(
     policy = policy or PrecisionPolicy(60)
     ctx = policy.context
     eq = get_equation(f"fourlog_n{n}")
-
-    def roots(target):
-        # the roots of z^n - z^(n-1) - target
-        coeffs = [ctx.mpc(0)] * (n + 1)
-        coeffs[0] = -target
-        coeffs[n - 1] = ctx.mpc(-1)
-        coeffs[n] = ctx.mpc(1)
-        return poly_roots(coeffs, policy)
+    z = RatFunc.var("z")
+    phi = z ** (n - 1) * (z - 1)
 
     def attempt(rng):
         tv = sample_complex(rng, ctx)
         uv = sample_complex(rng, ctx)
-        xs, ys = roots(tv), roots(uv)
+        xs, ys = preimages(phi, tv, policy), preimages(phi, uv, policy)
         if any(abs(r) < 1e-6 or abs(r - 1) < 1e-6 for r in xs + ys):
             return None
         binding = {f"x{k+1}": xs[k] for k in range(n)}
@@ -416,13 +405,18 @@ def verify_fourlog_numeric(
     return _cl_vanishes(4, points, policy, seed, ("4log", n), 60, attempt, message, meta)
 
 
-def random_phi(rng: SplitMix64, degree: int = 3, height: int = 5) -> RatFunc:
-    """Random squarefree polynomial map with small rational coefficients."""
+#: Degree and coefficient height of ``random_phi``'s maps.
+_PHI_DEGREE, _PHI_HEIGHT = 3, 5
+
+
+def random_phi(rng: SplitMix64) -> RatFunc:
+    """Random squarefree monic polynomial map of degree ``_PHI_DEGREE`` with
+    rational coefficients of height at most ``_PHI_HEIGHT``."""
     from .exact import random_rational
 
     z = RatFunc.var("z")
     while True:
-        coeffs = [random_rational(height, rng) for _ in range(degree)] + [Fraction(1)]
+        coeffs = [random_rational(_PHI_HEIGHT, rng) for _ in range(_PHI_DEGREE)] + [Fraction(1)]
         phi = RatFunc.from_value(0)
         power = RatFunc.from_value(1)
         for c in coeffs:

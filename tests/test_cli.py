@@ -71,6 +71,13 @@ def test_non_finite_argument_is_usage_error(command, m, z):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("coefficients, message", [("1/0,1", "zero denominator"), ("1e400i,1", "finite")])
+def test_roots_bad_coefficients_are_usage_errors(coefficients, message):
+    code, out, err = run_cli("roots", f"--coefficients={coefficients}")
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_leading_minus_values_take_the_equals_form():
     """A value that starts with a minus is passed as --z=... or
     --coefficients=..., as the README and the help text write it; with a

@@ -568,6 +568,12 @@ def test_roots_beyond_float_range_raise():
         poly_roots(coeffs, POLICY)
 
 
+@pytest.mark.parametrize("bad", [complex(0, float("inf")), float("nan"), CTX.mpf("-inf")])
+def test_roots_of_non_finite_coefficients_raise_domain_error(bad):
+    with pytest.raises(DomainError, match="finite"):
+        poly_roots([bad, 1], POLICY)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_roots_of_fourlog_polynomials_match_mpmath(n):
     """z^n - z^(n-1) - t at 30 seeded t: the float-seeded roots match

@@ -590,7 +590,7 @@ def test_sympy_fallback_matches_reference(f):
 def test_symmetry_criteria_never_reach_the_fallback(monkeypatch):
     from test_formal import reference_closure
 
-    from polyrel import catalog, checks, formal, ratfunc, report
+    from polyrel import catalog, checks, ratfunc, report
 
     def no_fallback(*args):
         raise AssertionError("sympy fallback reached")
@@ -603,7 +603,6 @@ def test_symmetry_criteria_never_reach_the_fallback(monkeypatch):
         return cancel(f)
 
     # start from empty process caches so every cancel of the two criteria runs
-    monkeypatch.setattr(formal, "_closure_cache", {})
     monkeypatch.setattr(catalog, "_cache", {})
     monkeypatch.setattr(ratfunc, "_sympy_cofactors", no_fallback)
     monkeypatch.setattr(ratfunc, "_sympy_cancel", counted)
