@@ -229,6 +229,17 @@ def test_closure_bound_enforced():
             group_closure([inv, flip], bound=bound)
 
 
+def test_closure_cache_hit_rechecks_bound():
+    # Each call honours its own bound, whatever earlier calls with the same
+    # generators returned.
+    inv = Automorphism({"z": 1 / RatFunc.var("z")})
+    flip = Automorphism({"z": 1 - RatFunc.var("z")})
+    assert len(group_closure([inv, flip], bound=6)) == 6
+    with pytest.raises(ClosureBoundExceeded):
+        group_closure([inv, flip], bound=5)
+    assert len(group_closure([inv, flip], bound=6)) == 6
+
+
 def test_closure_is_composition_closed():
     inv = Automorphism({"z": 1 / RatFunc.var("z")})
     flip = Automorphism({"z": 1 - RatFunc.var("z")})
