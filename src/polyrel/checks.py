@@ -15,7 +15,8 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .catalog import XI7_BLOCKS, f17_sum, get_equation, weight_wt
 from .criterion import kernel_test
@@ -80,8 +81,10 @@ def iota(x: RatFunc, y: RatFunc) -> RatFunc:
     return (1 - x) / (1 - 1 / y)
 
 
-def group_generators() -> Dict[str, List[Automorphism]]:
-    """Generators of the three symmetry groups used by the catalog.
+@functools.cache
+def group_generators() -> Mapping[str, Tuple[Automorphism, ...]]:
+    """Generators of the three symmetry groups used by the catalog, built
+    once per process and shared read-only (a mapping proxy of tuples):
 
     * alpha-space: the two involutions and the index shift acting on the
       original 22-term variables (closure order 192);
@@ -126,11 +129,13 @@ def group_generators() -> Dict[str, List[Automorphism]]:
             "z3": zs[1],
         }
     )
-    return {
-        "alpha": [pi1, pi2, shift],
-        "t": [swap12, cycle4, invol],
-        "yz": [g, h],
-    }
+    return MappingProxyType(
+        {
+            "alpha": (pi1, pi2, shift),
+            "t": (swap12, cycle4, invol),
+            "yz": (g, h),
+        }
+    )
 
 
 def ab_parametrization() -> Tuple[Dict[int, RatFunc], Dict[int, RatFunc]]:

@@ -12,14 +12,15 @@ real part for odd m, imaginary part for even m, extended by the inversion
 relation CL_m(z) = (-1)^(m-1) CL_m(1/z) to |z| > 1 and by continuity to
 {0, 1, infinity}.
 
-Li_1(z), ..., Li_m(z) at one point come out of one fused kernel (_li_all)
-in Python-int fixed point at the context precision plus guard bits
-(``PrecisionPolicy.fixed_bits``), with the number of terms fixed before
-summing:
+The weights of Li_j(z) at one point that a caller reads come out of one
+fused kernel (_li_all) in Python-int fixed point at the context precision
+plus guard bits (``PrecisionPolicy.fixed_bits``), with the number of terms
+fixed before summing.  CL_m reads only the weights m - r with B_r != 0
+(m = 7: 7, 6, 5, 3, 1), and the kernel computes no other:
 
-* |z| <= 1/2: the powers z^n, then one builtin pass per weight dividing
-  the previous weight's terms by n once more; N terms with
-  2|z|^N < 2^-bits.
+* |z| <= 1/2: the powers z^n, then one builtin pass per weight read,
+  jumping from weight j to weight j + k by one floor division by n^k
+  (bit-identical to k divisions by n); N terms with 2|z|^N < 2^-bits.
 * 1/2 < |z| <= 2: with u = log(z)/2pi (|u| < 0.513), one sweep of u^k
   against the cached table zeta(j-k) (2pi)^k / k!, plus the distinguished
   log term at degree j-1 with one shared log(-log z); K terms with
@@ -33,10 +34,15 @@ The logarithms (log z and log(-log z) for the expansion, log|z| for the
 power series, log(1-z) for Li_1, log(-z) for the inversion) come from one
 fixed-point complex log, ``_log_fixed``, with no mpmath call.
 
-li_m and CL_m share one conversion of the argument (``_fixed_argument``,
-extra bits far from the unit circle) and run in fixed point to one mpc or
-mpf: CL_m folds |z| > 1 to 1/z and sums the parts it keeps of one kernel
-call with cached Bernoulli weights; li_m folds |z| > 2 by inversion.
+An argument enters fixed point once, at the width ``fixed_width`` gives it
+(extra bits far from the unit circle): ``_fixed_argument`` converts an mpc,
+and a caller that already holds the argument in fixed point (the numeric
+verifier's argument plan) hands over the pair (x, y, wp) itself.  li_m folds
+|z| > 2 by inversion and rounds once to an mpc.  CL_m's integer core
+(``_cl_fixed``) folds |z| > 1 to 1/z and sums the parts it keeps of one
+kernel call with cached Bernoulli weights; ``cl_m`` rounds that once to an
+mpf, and ``cl_apply`` sums c * core over a whole linear combination in ints
+and rounds the sum once.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, hypot, inf, isqrt, log2
+from math import comb, factorial, hypot, inf, isqrt, lcm, log2
 from operator import floordiv, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -378,17 +384,34 @@ def from_fixed_pair(re: int, im: int, wp: int, ctx):
     )
 
 
-def _power_series(x: int, y: int, wp: int, m: int, part: int) -> List[int]:
+# k -> (1^k, 2^k, ...), replaced by a longer tuple when a call needs more
+_powers_of_n: Dict[int, Tuple[int, ...]] = {}
+
+
+def _powers(k: int, count: int) -> Tuple[int, ...]:
+    """n^k for n = 1.. (at least ``count`` of them), cached per k; a cache
+    entry is only ever replaced whole, so concurrent callers see a complete
+    tuple."""
+    powers = _powers_of_n.get(k, ())
+    if len(powers) < count:
+        powers = _powers_of_n[k] = tuple(n**k for n in range(1, count + 1))
+    return powers
+
+
+def _power_series(x: int, y: int, wp: int, weights: Sequence[int], part: int) -> List[int]:
     """|z| <= 1/2: the real (``part`` 0) or imaginary (``part`` 1) parts of
-    Li_j(z) = sum_n z^n / n^j for j = 1..m in fixed point, N terms with
-    2|z|^N < 2^-wp, which bounds the tail |z|^(N+1)/(1-|z|).
+    Li_j(z) = sum_n z^n / n^j for each j of the increasing ``weights``, in
+    fixed point, N terms with 2|z|^N < 2^-wp, which bounds the tail
+    |z|^(N+1)/(1-|z|).
 
     That part of z^n satisfies s_n = 2 Re(z) s_(n-1) - |z|^2 s_(n-2), whose
     roots are z and conj(z), so it needs two products per power; a rounding
     error reaches the power k steps later multiplied by
     (z^(k+1) - conj(z)^(k+1)) / (z - conj(z)), at most (k+1) |z|^k <= 1 in
-    size.  Weight j divides weight j-1's terms by n once more, one builtin
-    pass per weight (single-digit divisors, CPython's fast path).
+    size.  From weight j the next weight j + k divides weight j's terms by
+    n^k, one builtin pass per weight returned.  Since floor(floor(a/b)/c) =
+    floor(a/(bc)) for b, c > 0, every value is bit-identical to the chain
+    that divides by n once per weight.
     """
     count = _terms(wp, _log2_abs(x, y, wp), 1)
     a, b = (1 << wp, x) if part == 0 else (0, y)
@@ -397,11 +420,11 @@ def _power_series(x: int, y: int, wp: int, m: int, part: int) -> List[int]:
     for _ in range(count - 1):
         a, b = b, (p * b - q * a) >> wp
         terms.append(b)
-    ns = range(1, count + 1)
-    out = []
-    for _ in range(m):
-        terms = list(map(floordiv, terms, ns))
+    out, at = [], 0
+    for j in weights:
+        terms = list(map(floordiv, terms, _powers(j - at, count)))
         out.append(sum(terms))
+        at = j
     return out
 
 
@@ -498,24 +521,35 @@ def _li_log_series(m: int, x: int, y: int, wp: int) -> Tuple[Callable[[int, int]
     return weight, wr
 
 
-def _li_all(m: int, x: int, y: int, wp: int, part: int):
+@lru_cache(maxsize=None)
+def _cl_li_weights(m: int) -> Tuple[int, ...]:
+    """The weights m - r with B_r != 0, r < m, increasing: the Li_j that
+    CL_m reads (m = 7: 1, 3, 5, 6, 7; m = 4: 2, 3, 4)."""
+    return tuple(sorted(m - r for r in range(m) if bernoulli(r)))
+
+
+def _li_all(m: int, x: int, y: int, wp: int, part: int) -> Tuple[Dict[int, int], int]:
     """(values, log_abs) for z = (x + iy) / 2^wp with 0 < |z| <= 2, z != 1.
 
-    ``values[j-1]`` is the real (``part`` 0) or imaginary (``part`` 1) part
-    of Li_j(z) and ``log_abs`` is log|z|, all in fixed point at wp bits.
-    Every weight comes out of one pass, with the term count fixed up front:
-    for |z| <= 1/2 the power series sum_n z^n/n^j on that part of the powers
+    ``values`` maps each weight j of ``_cl_li_weights(m)``, and no other, to
+    the real (``part`` 0) or imaginary (``part`` 1) part of Li_j(z);
+    ``log_abs`` is log|z|, all in fixed point at wp bits.  Every weight
+    comes out of one pass, with the term count fixed up front: for
+    |z| <= 1/2 the power series sum_n z^n/n^j on that part of the powers
     alone, and log|z| as the real ``_log_fixed`` of |z| = isqrt(x^2 + y^2)
-    (``_fixed_argument`` keeps |z| 2^wp >= 2^(policy.fixed_bits - 3), so the floor
-    moves log|z| by at most 2^(3 - policy.fixed_bits), while the Li_j it
-    multiplies are O(|z|)); for 1/2 < |z| <= 2 the expansion in log z,
-    whose real part is log|z|.
+    (``fixed_width`` keeps |z| 2^wp >= 2^(policy.fixed_bits - 3), so the
+    floor moves log|z| by at most 2^(3 - policy.fixed_bits), while the Li_j
+    it multiplies are O(|z|)); for 1/2 < |z| <= 2 the expansion in log z,
+    whose real part is log|z|.  Each value is bit-identical to the one the
+    full chain of weights 1..m gives.
     """
+    weights = _cl_li_weights(m)
     norm = x * x + y * y
     if norm <= 1 << (2 * wp - 2):
-        return _power_series(x, y, wp, m, part), _log_fixed(isqrt(norm), 0, wp)[0]
+        values = _power_series(x, y, wp, weights, part)
+        return dict(zip(weights, values)), _log_fixed(isqrt(norm), 0, wp)[0]
     weight, log_abs = _li_log_series(m, x, y, wp)
-    return [weight(j, part) for j in range(1, m + 1)], log_abs
+    return {j: weight(j, part) for j in weights}, log_abs
 
 
 @lru_cache(maxsize=None)
@@ -536,18 +570,24 @@ def _li_inversion_weights(m: int, wp: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _fixed_argument(z, policy: PrecisionPolicy) -> Tuple[int, int, int]:
-    """(x, y, wp): the mpc z as x + iy scaled by 2^wp, rounded toward -oo.
+def fixed_width(top: int, policy: PrecisionPolicy) -> int:
+    """The fixed-point width for an argument z with 2^(top-1) <= |z| <
+    2^(top+1/2), top the larger bit position of its parts:
+    ``policy.fixed_bits`` plus as many bits as |z| or |1/z| has leading zero
+    bits, so z, and 1/z after an inversion fold, keep their relative accuracy
+    far from the unit circle."""
+    return policy.fixed_bits + max(abs(top) - 2, 0)
 
-    wp is ``policy.fixed_bits`` plus as many bits as |z| or |1/z| has leading
-    zero bits, so z, and 1/z after an inversion fold, keep their relative
-    accuracy far from the unit circle.  A non-finite z raises DomainError.
+
+def _fixed_argument(z, policy: PrecisionPolicy) -> Tuple[int, int, int]:
+    """(x, y, wp): the mpc z as x + iy scaled by 2^wp, rounded toward -oo,
+    at the width ``fixed_width`` gives it.  A non-finite z raises
+    DomainError.
     """
     if not policy.context.isfinite(z):
         raise DomainError(f"polylogarithms need a finite argument, got {z}")
-    # 2^(top-1) <= |z| < 2^(top+1/2)
     top = max((p[2] + p[3] for p in z._mpc_ if p[1]), default=0)
-    wp = policy.fixed_bits + max(abs(top) - 2, 0)
+    wp = fixed_width(top, policy)
     return (*to_fixed_pair(z, wp), wp)
 
 
@@ -588,7 +628,7 @@ def li_m(m: int, z, policy: PrecisionPolicy):
     elif norm > one * one >> 2:
         weight = _li_log_series(m, x, y, wp)[0]
         return from_fixed_pair(weight(m, 0), weight(m, 1), wp, ctx)
-    re, im = (_power_series(x, y, wp, m, part)[-1] for part in (0, 1))  # |z| <= 1/2
+    re, im = (_power_series(x, y, wp, (m,), part)[0] for part in (0, 1))  # |z| <= 1/2
     if fold:
         ar = ai = 0  # sum_k c_k L^(m-k) by Horner's rule, L^m first
         for c in _li_inversion_weights(m, wp):
@@ -609,31 +649,32 @@ def _cl_weights(m: int, wp: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((r, (b.numerator << (wp + r)) // (b.denominator * factorial(r))) for r, b in nonzero)
 
 
-def cl_m(m: int, z, policy: PrecisionPolicy):
-    """One-valued CL_m: total on P^1(C), real-valued, inversion-(anti)symmetric.
+def _cl_fixed(m: int, value, policy: PrecisionPolicy) -> Tuple[int, int]:
+    """CL_m(value) as an int t and a scale s, the value t / 2^s: CL_m's
+    integer core, before any rounding to the context precision.
 
-    Accepts complex values, rationals and INFINITY.
-    Continuity values: 0 at 0 and infinity; zeta(m) at 1 for odd m, 0 for
-    even m.  Everything after ``_fixed_argument`` runs in Python-int fixed
-    point at its width: |z| > 1 is folded to 1/z, and one fused
-    _li_all call gives the real parts (odd m) or the imaginary parts (even
-    m) of Li_1(z)..Li_m(z) (power series for |z| <= 1/2, expansion in log z
-    beyond, both with term counts fixed in advance from |z|) and log|z|.
-    The Bernoulli weights, cached per (m, bits), combine them, and a single
-    mpf is built at the end.
+    ``value`` is complex (an mpc included), a Fraction, INFINITY, or a
+    fixed-point pair (x, y, wp) standing for (x + iy) / 2^wp, with wp at
+    least ``policy.fixed_bits``.  Continuity values: 0 at 0 and infinity;
+    zeta(m) at 1 (``_zeta_fixed`` at ``policy.fixed_bits``) for odd m, 0 for
+    even m.  Any other value enters fixed point once (``_fixed_argument``)
+    and runs in Python ints from there: |z| > 1 is folded to 1/z, and one
+    fused _li_all call gives the real parts (odd m) or the imaginary parts
+    (even m) of the Li_j(z) CL_m reads, and log|z|.  The Bernoulli weights,
+    cached per (m, bits), combine them at scale s = 2 wp.
     """
     if m < 2:
         raise DomainError("cl_m needs m >= 2 (m = 1 is excluded)")
-    ctx = policy.context
-    if z is INFINITY:
-        return ctx.mpf(0)
-    z = policy.complex(z)
-    if z == 0:
-        return ctx.mpf(0)
-    from mpmath.libmp import from_man_exp
-
-    x, y, wp = _fixed_argument(z, policy)
-    shift = wp - policy.fixed_bits
+    if value is INFINITY:
+        return 0, 0
+    if isinstance(value, tuple):
+        x, y, wp = value
+    else:
+        x, y, wp = _fixed_argument(policy.complex(value), policy)
+    if not x and not y:
+        return 0, 0
+    base = policy.fixed_bits
+    shift = wp - base
     one = 1 << wp
     sign = 1
     norm = x * x + y * y
@@ -642,29 +683,57 @@ def cl_m(m: int, z, policy: PrecisionPolicy):
         x, y = (x << 2 * wp) // norm, (-y << 2 * wp) // norm
         sign = (-1) ** (m - 1)
     if x == one and not y:  # z = 1 to the working precision
-        return zeta_int(m, policy) if m % 2 == 1 else ctx.mpf(0)
+        return (_zeta_fixed(m, base), base) if m % 2 else (0, 0)
     # log|z| is real, so the part CL_m keeps of the sum is the weighted sum
     # of that part of each Li_j: the real part for odd m, imaginary for even
     values, log_abs = _li_all(m, x, y, wp, 1 - m % 2)
     total = 0
     power, at = one, 0  # log^at |z|
-    for r, weight in _cl_weights(m, wp - shift):
+    for r, weight in _cl_weights(m, base):
         while at < r:
             power = power * log_abs >> wp
             at += 1
-        total += ((weight << shift) * power >> wp) * values[m - r - 1]
-    return ctx.make_mpf(from_man_exp(sign * total, -2 * wp, ctx.prec, "n"))
+        total += ((weight << shift) * power >> wp) * values[m - r]
+    return sign * total, 2 * wp
+
+
+def cl_m(m: int, z, policy: PrecisionPolicy):
+    """One-valued CL_m: total on P^1(C), real-valued, inversion-(anti)symmetric.
+
+    Accepts the values ``_cl_fixed`` does (complex, Fraction, INFINITY or a
+    fixed-point pair) and rounds its integer core once to an mpf at the
+    context precision.
+    """
+    from mpmath.libmp import from_man_exp
+
+    ctx = policy.context
+    total, scale = _cl_fixed(m, z, policy)
+    return ctx.make_mpf(from_man_exp(total, -scale, ctx.prec, "n"))
 
 
 def cl_apply(m: int, terms, policy: PrecisionPolicy):
     """Linear extension: sum of coeff * CL_m(value) over (coefficient, value)
-    pairs; values may be complex, Fraction or INFINITY.
+    pairs, values as ``_cl_fixed`` takes them (complex, Fraction, INFINITY
+    or a fixed-point pair), rational coefficients.
+
+    The sum is exact in ints from the kernel on: with L the lcm of the
+    coefficients' denominators, each c * L * core is shifted to the widest
+    scale of the terms, and the total over L is rounded once to the context
+    precision.  So the error is counted per term: each core is within
+    2^_GUARD_BITS units of 2^-``policy.fixed_bits``, that is 2^-prec for
+    the context's prec bits, of CL_m at the argument it was handed (the
+    budget the guard bits hold), and the sum is within 2^-prec sum |c| of
+    sum c CL_m(value), plus the one final rounding, at most half an ulp of
+    the result.
     """
+    from mpmath.libmp import from_int, from_man_exp, mpf_div
+
     ctx = policy.context
-    total = ctx.mpf(0)
-    for coeff, value in terms:
-        total += policy.real(Fraction(coeff)) * cl_m(m, value, policy)
-    return total
+    parts = [(Fraction(c), *_cl_fixed(m, value, policy)) for c, value in terms]
+    den = lcm(*(c.denominator for c, _, _ in parts))
+    scale = max((s for _, _, s in parts), default=0)
+    total = sum(c.numerator * (den // c.denominator) * t << (scale - s) for c, t, s in parts)
+    return ctx.make_mpf(mpf_div(from_man_exp(total, -scale), from_int(den), ctx.prec, "n"))
 
 
 # ---------------------------------------------------------------------------

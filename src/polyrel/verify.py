@@ -8,10 +8,12 @@ order.
 
 A sum's arguments are evaluated through its ArgumentPlan
 (``FormalSum.plan``), the one the kernel test evaluates at rational points,
-in Python-int fixed point from the sampled point to CL_m: each monomial and
-each distinct polynomial once per point, one complex division per argument,
-and ``cl_m`` in fixed point on each value.  ``RatFunc.evaluate_in`` serves
-only the one-variable maps of the preimage families (``phi_value``).
+in Python-int fixed point from the sampled point to the sum: each monomial
+and each distinct polynomial once per point, one complex division per
+argument into the fixed-point pair CL_m's kernel takes, and ``cl_apply``
+summing the weighted kernel values in ints and rounding the sum once.
+``RatFunc.evaluate_in`` serves only the one-variable maps of the preimage
+families (``phi_value``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .catalog import EquationSpec, get_equation
 from .criterion import Verdict
 from .exact import DomainError, SplitMix64
 from .formal import FormalSum
-from .numeric import PrecisionPolicy, cl_apply, cl_m, from_fixed_pair, poly_roots, to_fixed_pair
+from .numeric import PrecisionPolicy, cl_apply, cl_m, fixed_width, poly_roots, to_fixed_pair
 from .poly import MultiPoly
 from .ratfunc import INFINITY, RatFunc
 
@@ -70,11 +72,15 @@ def _evaluate_terms(s: FormalSum, binding: Dict[str, object], policy: PrecisionP
     each variable, each of the plan's monomials once, each distinct
     polynomial once (``ArgumentPlan.values``) and one complex division per
     argument.  The draw is degenerate if some argument has a pole there or
-    a value x with |x| < 1e-8, |x| > 1e8 or |x - 1| < 1e-8.  Constant
-    arguments come first, as Fractions, then the others in sum order.
+    a value x with |x| < 1e-8, |x| > 1e8 or |x - 1| < 1e-8, decided at
+    ``policy.fixed_bits``.  Constant arguments come first, as Fractions,
+    then the others in sum order, each as the fixed-point pair (x, y, wp)
+    that ``cl_apply`` takes, x + iy = floor of the quotient times 2^wp: an
+    argument far from the unit circle is divided again at the wider width
+    ``numeric.fixed_width`` gives it, the rule an mpc argument meets in
+    ``numeric._fixed_argument``.
     """
     plan = s.plan()
-    ctx = policy.context
     wp = policy.fixed_bits
     one = 1 << wp
     rows = []
@@ -105,12 +111,15 @@ def _evaluate_terms(s: FormalSum, binding: Dict[str, object], policy: PrecisionP
         if not den:
             return None
         nr, ni = val_r[i], val_i[i]
-        xr = ((nr * dr + ni * di) << wp) // den
-        xi = ((ni * dr - nr * di) << wp) // den
+        qr, qi = nr * dr + ni * di, ni * dr - nr * di  # x = q / den
+        xr, xi = (qr << wp) // den, (qi << wp) // den
         mag = xr * xr + xi * xi
         if mag < small or mag > large or (xr - one) ** 2 + xi * xi < small:
             return None
-        out.append((c, from_fixed_pair(xr, xi, wp, ctx)))
+        width = fixed_width(max(abs(xr).bit_length(), abs(xi).bit_length()) - wp, policy)
+        if width > wp:
+            xr, xi = (qr << width) // den, (qi << width) // den
+        out.append((c, (xr, xi, width)))
     return out
 
 

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from polyrel.catalog import get_equation
 from polyrel.checks import (
     ab_parametrization,
@@ -22,6 +24,15 @@ def test_group_orders():
     gens = group_generators()
     assert len(group_closure(gens["yz"], bound=256)) == 96
     assert len(group_closure(gens["alpha"], bound=512)) == 192
+
+
+def test_group_generators_are_built_once_and_shared_read_only():
+    gens = group_generators()
+    assert group_generators() is gens
+    assert {k: len(v) for k, v in gens.items()} == {"alpha": 3, "t": 3, "yz": 2}
+    assert all(isinstance(v, tuple) for v in gens.values())
+    with pytest.raises(TypeError):
+        gens["yz"] = ()
 
 
 def test_wojtkowiak_34_match():

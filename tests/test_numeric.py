@@ -1,6 +1,6 @@
 import cmath
 from fractions import Fraction
-from math import log2
+from math import factorial, isqrt, log2
 
 import mpmath
 import pytest
@@ -280,9 +280,176 @@ def test_li_log_series_parts_match_single_part_sums():
         z = cmath.rect(0.51 + 1.48 * rng.next_unit(), 0.001 + 6.28 * rng.next_unit())
         x, y = numeric.to_fixed_pair(POLICY.complex(z), wp)
         for m in range(2, 8):
-            re, im = (numeric._li_all(m, x, y, wp, part)[0][m - 1] for part in (0, 1))
+            re, im = (numeric._li_all(m, x, y, wp, part)[0][m] for part in (0, 1))
             expected = numeric.from_fixed_pair(re, im, wp, CTX)
             assert li_m(m, z, POLICY) == expected, (m, z)
+
+
+# -- needed weights, and bit identity with the full chain ---------------------------
+
+
+def _full_power_chain(x, y, wp, m, part):
+    """Li_1..Li_m by the power series on that part of z^n, dividing every
+    weight's terms by n once more: the chain the needed-weights kernel
+    shortens."""
+    count = numeric._terms(wp, numeric._log2_abs(x, y, wp), 1)
+    a, b = (1 << wp, x) if part == 0 else (0, y)
+    terms = [b]
+    p, q = 2 * x, (x * x + y * y) >> wp
+    for _ in range(count - 1):
+        a, b = b, (p * b - q * a) >> wp
+        terms.append(b)
+    out = []
+    for _ in range(m):
+        terms = [t // n for n, t in enumerate(terms, 1)]
+        out.append(sum(terms))
+    return out
+
+
+def _full_chain(m, x, y, wp, part):
+    """(Li_1..Li_m, log|z|) for 0 < |z| <= 2 with every weight computed."""
+    norm = x * x + y * y
+    if norm <= 1 << (2 * wp - 2):
+        return _full_power_chain(x, y, wp, m, part), numeric._log_fixed(isqrt(norm), 0, wp)[0]
+    weight, log_abs = numeric._li_log_series(m, x, y, wp)
+    return [weight(j, part) for j in range(1, m + 1)], log_abs
+
+
+def _seeded_grid(seed, count):
+    """Points on every scale the kernel meets: far inside and outside the
+    unit circle (extra bits, inversion fold), both kernel regions, the
+    negative real axis and z = 1."""
+    rng = SplitMix64(seed)
+    points = [complex(1), -1, -0.3, 1e-25j, -1e25, cmath.rect(1 - 1e-12, 0.4)]
+    for _ in range(count):
+        radius = 10 ** (-8 + 16 * rng.next_unit()) if rng.next_unit() < 0.3 else 0.05 + 4 * rng.next_unit()
+        points.append(cmath.rect(radius, cmath.pi * (2 * rng.next_unit() - 1)))
+    return points
+
+
+@pytest.mark.parametrize("digits", [30, 60, 120])
+def test_li_all_needed_weights_match_the_full_chain(digits):
+    """_li_all returns exactly the weights m - r with B_r != 0, each
+    bit-identical to the chain that computes every weight, in both kernel
+    regions, for m = 2..8."""
+    policy = PrecisionPolicy.for_digits(digits)
+    wp = policy.fixed_bits
+    rng = SplitMix64(digits)
+    regions = set()
+    for _ in range(40):
+        z = cmath.rect(0.02 + 1.97 * rng.next_unit(), cmath.pi * (2 * rng.next_unit() - 1))
+        x, y = numeric.to_fixed_pair(policy.complex(z), wp)
+        regions.add(abs(z) <= 0.5)
+        for m in range(2, 9):
+            needed = {m - r for r in range(m) if bernoulli(r)}
+            for part in (0, 1):
+                values, log_abs = numeric._li_all(m, x, y, wp, part)
+                full, full_log_abs = _full_chain(m, x, y, wp, part)
+                assert set(values) == needed
+                assert log_abs == full_log_abs
+                assert all(values[j] == full[j - 1] for j in needed), (m, z, part)
+    assert regions == {True, False}
+    assert numeric._cl_li_weights(7) == (1, 3, 5, 6, 7)
+    assert numeric._cl_li_weights(4) == (2, 3, 4)
+
+
+def _full_chain_cl(m, z, policy):
+    """CL_m(z) as the full chain gives it: every weight of Li_j computed,
+    the Bernoulli combination summed at the argument's width and rounded
+    once."""
+    from mpmath.libmp import from_man_exp
+
+    ctx = policy.context
+    z = policy.complex(z)
+    if z == 0:
+        return ctx.mpf(0)
+    x, y, wp = numeric._fixed_argument(z, policy)
+    base = policy.fixed_bits
+    one = 1 << wp
+    sign = 1
+    norm = x * x + y * y
+    if norm > one * one:
+        x, y = (x << 2 * wp) // norm, (-y << 2 * wp) // norm
+        sign = (-1) ** (m - 1)
+    if x == one and not y:
+        return zeta_int(m, policy) if m % 2 else ctx.mpf(0)
+    values, log_abs = _full_chain(m, x, y, wp, 1 - m % 2)
+    total, power = 0, one
+    for r in range(m):
+        if r:
+            power = power * log_abs >> wp
+        b = bernoulli(r)
+        if b:
+            weight = (b.numerator << (base + r)) // (b.denominator * factorial(r))
+            total += ((weight << (wp - base)) * power >> wp) * values[m - r - 1]
+    return ctx.make_mpf(from_man_exp(sign * total, -2 * wp, ctx.prec, "n"))
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_cl_and_li_are_bit_identical_to_the_full_chain(digits, monkeypatch):
+    """cl_m (m = 2..8) on a seeded grid equals the full chain's value bit for
+    bit, and so does li_m (m = 1..8) against its own code run on the full
+    power chain, which divides by n once per weight."""
+    policy = PrecisionPolicy.for_digits(digits)
+    points = _seeded_grid(20260808 + digits, 200)
+    got_cl = [cl_m(m, z, policy) for z in points for m in range(2, 9)]
+    assert got_cl == [_full_chain_cl(m, z, policy) for z in points for m in range(2, 9)]
+
+    def li_all_points():
+        return [
+            li_m(m, z, policy)
+            for z in points
+            for m in range(1, 9)
+            if z != 1 and not (m > 1 and z.imag == 0 and z.real > 1)
+        ]
+
+    got_li = li_all_points()
+    monkeypatch.setattr(
+        numeric,
+        "_power_series",
+        lambda x, y, wp, weights, part: [_full_power_chain(x, y, wp, max(weights), part)[j - 1] for j in weights],
+    )
+    assert got_li == li_all_points()
+    assert len(got_cl) + len(got_li) > 2900
+
+
+@pytest.mark.parametrize("m, digits", [(2, 40), (3, 50), (4, 60), (7, 60)])
+def test_cl_apply_differential_against_mpmath(m, digits):
+    """A nonzero random combination of CL_m values (complex, Fraction,
+    INFINITY and fixed-point-pair arguments) against mpmath's polylog 25
+    digits higher, within cl_apply's stated bound: 2^-prec per unit of
+    coefficient, plus half an ulp of the result."""
+    policy = PrecisionPolicy(digits)
+    ctx = policy.context
+    rng = SplitMix64(1000 * m + digits)
+    terms = []
+    for _ in range(12):
+        coeff = Fraction(rng.next_int(-9, 9) or 1, rng.next_int(1, 7))
+        z = cmath.rect(10 ** (-1.5 + 3 * rng.next_unit()), cmath.pi * (2 * rng.next_unit() - 1))
+        terms.append((coeff, ctx.mpc(z)))
+    wp = policy.fixed_bits + 5
+    terms += [
+        (Fraction(3, 7), Fraction(-2, 3)),
+        (Fraction(-5, 2), INFINITY),
+        (Fraction(1, 3), (3 << (wp - 2), -(5 << (wp - 3)), wp)),  # 3/4 - 5i/8
+    ]
+    got = cl_apply(m, terms, policy)
+    with mpmath.workdps(digits + 25):
+        ref = mpmath.mpf(0)
+        for c, value in terms:
+            if value is INFINITY:
+                continue
+            if isinstance(value, tuple):
+                zz = mpmath.mpc(mpmath.ldexp(value[0], -value[2]), mpmath.ldexp(value[1], -value[2]))
+            else:
+                zz = mpmath.mpc(policy.complex(value))
+            lis = [mpmath.polylog(j, zz) for j in range(1, m + 1)]
+            term = _cl_oracle(m, lis, mpmath.log(abs(zz)))
+            ref += mpmath.mpf(c.numerator) / c.denominator * term
+        assert abs(ref) > 1e-3  # a sum that does not vanish
+        unit = mpmath.ldexp(1, -ctx.prec)
+        bound = unit * sum(abs(c) for c, _ in terms) + unit * abs(ref)
+        assert abs(mpmath.mpf(got) - ref) <= bound
 
 
 # -- fixed-point log --------------------------------------------------------------
@@ -628,3 +795,15 @@ def test_numeric_verdicts_keep_fifteen_digits_of_margin(name, points):
     verdict = verify_numeric(get_equation(name), points=points, policy=policy, seed=0)
     assert verdict.passed
     assert verdict.trials["max_abs_value"] <= float(policy.tolerance) * 1e-15
+
+
+def test_xi7_sum_keeps_twenty_five_digits_of_margin():
+    """Summed in ints and rounded once, the weight-7 sum vanishes at P = 60
+    at least 25 digits below the tolerance 10^-45 (about 30 at seed 0)."""
+    from polyrel.catalog import get_equation
+    from polyrel.verify import verify_numeric
+
+    policy = PrecisionPolicy.for_digits(60)
+    verdict = verify_numeric(get_equation("xi7_explicit"), points=3, policy=policy, seed=0)
+    assert verdict.passed
+    assert verdict.trials["max_abs_value"] <= float(policy.tolerance) * 1e-25

@@ -4,7 +4,7 @@ import pytest
 
 from polyrel.catalog import equation_names, get_equation
 from polyrel.exact import DomainError, SplitMix64
-from polyrel.numeric import PrecisionPolicy, poly_roots
+from polyrel.numeric import PrecisionPolicy, fixed_width, from_fixed_pair, poly_roots
 from polyrel.ratfunc import INFINITY, RatFunc
 from polyrel.verify import (
     _evaluate_terms,
@@ -199,8 +199,8 @@ def _plan_bindings(name, policy):
 @pytest.mark.parametrize("digits", [30, 60])
 def test_plan_evaluation_matches_evaluate_in(digits):
     """The argument plan's fixed-point evaluation agrees with RatFunc.evaluate_in
-    on every catalog sum: the same degenerate draws, and values within
-    10^-(P+5) max(1, |x|)."""
+    on every catalog sum: the same degenerate draws, and values (fixed-point
+    pairs, converted by from_fixed_pair) within 10^-(P+5) max(1, |x|)."""
     policy = PrecisionPolicy.for_digits(digits)
     ctx = policy.context
     flags = set()
@@ -218,6 +218,28 @@ def test_plan_evaluation_matches_evaluate_in(digits):
                 if isinstance(r, Fraction):
                     assert x == r
                 else:
+                    x = from_fixed_pair(*x, ctx)
                     bound = ctx.mpf(10) ** -(digits + 5) * max(1, abs(r))
                     assert abs(x - r) <= bound, (name, x, r)
     assert flags == {True, False}  # both kinds of draw were compared
+
+
+def test_plan_pairs_take_the_shared_width_rule():
+    """Every non-constant argument reaches the kernel as a fixed-point pair
+    whose width is numeric.fixed_width of its own top bit, the rule an mpc
+    argument meets in _fixed_argument; arguments far from the unit circle
+    take extra bits."""
+    policy = PrecisionPolicy.for_digits(30)
+    widths = set()
+    for name in ("xi7_explicit", "goncharov22", "fourlog_n3"):
+        s = get_equation(name).sum
+        for binding in _plan_bindings(name, policy):
+            terms = _evaluate_terms(s, binding, policy)
+            for _, value in terms or ():
+                if isinstance(value, Fraction):
+                    continue
+                x, y, wp = value
+                top = max(abs(x).bit_length(), abs(y).bit_length()) - wp
+                assert wp == fixed_width(top, policy), (name, value)
+                widths.add(wp > policy.fixed_bits)
+    assert widths == {True, False}
