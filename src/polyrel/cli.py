@@ -20,7 +20,7 @@ from .catalog import equation_names, get_equation
 from .checks import check_names, find_check
 from .criterion import kernel_test
 from .exact import DomainError
-from .numeric import PrecisionPolicy, cl_m, li_m, poly_roots
+from .numeric import PrecisionPolicy, cl_m, from_fixed_pair, li_m, poly_roots
 from .report import RunReport, run_acceptance
 from .verify import verify_numeric
 
@@ -176,7 +176,7 @@ def cmd_roots(args) -> int:
     roots = poly_roots(coeffs, policy)
     ctx = policy.context
     for r in roots:
-        print(ctx.nstr(r, args.precision))
+        print(ctx.nstr(from_fixed_pair(*r.pair, ctx), args.precision))
     return 0
 
 

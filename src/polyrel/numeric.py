@@ -1,4 +1,4 @@
-"""Arbitrary-precision numerics: Li_m, the one-valued CL_m, zeta, roots.
+"""Arbitrary-precision numerics: Li_m, the one-valued CL_m, zeta, certified roots.
 
 Everything here takes an explicit PrecisionPolicy; the policy owns a private
 mpmath context (its working precision in decimal digits plus guard digits),
@@ -43,17 +43,26 @@ verifier's argument plan) hands over the pair (x, y, wp) itself.  li_m folds
 kernel call with cached Bernoulli weights; ``cl_m`` rounds that once to an
 mpf, and ``cl_apply`` sums c * core over a whole linear combination in ints
 and rounds the sum once.
+
+Polynomial roots (``poly_roots``) are proved, not estimated: float
+Durand-Kerner seeds Weierstrass sweeps in Gaussian-int fixed point at
+``policy.fixed_bits`` plus guard bits, and one Weierstrass-Gerschgorin
+certificate, computed exactly on the coefficients as given, encloses every
+root or cluster of roots in a disk and counts its multiplicity.  Each root
+comes back as a fixed-point pair with its radius (``Root``), which the
+numeric verifier's argument plan takes as it is.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, hypot, inf, isqrt, lcm, log2
 from operator import floordiv, mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import DomainError
 from .ratfunc import INFINITY
@@ -69,6 +78,8 @@ __all__ = [
     "cl_m",
     "cl_apply",
     "poly_roots",
+    "Root",
+    "exact_complex",
 ]
 
 
@@ -742,17 +753,62 @@ def cl_apply(m: int, terms, policy: PrecisionPolicy):
 
 # Durand-Kerner sweeps in floats before giving up on seeds
 _FLOAT_SWEEPS = 100
+# bits the fixed-point root sweeps carry beyond policy.fixed_bits
+_ROOT_GUARD_BITS = 8
+# a sweep that moves no root by more than this many units ends the iteration
+_ROOT_STEP_UNITS = 16
+
+
+class Root(NamedTuple):
+    """A certified root (x + iy) / 2^wp: the polynomial has a root (a k-fold
+    cluster: k roots) within radius / 2^wp of it."""
+
+    x: int
+    y: int
+    wp: int
+    radius: int
+
+    @property
+    def pair(self) -> Tuple[int, int, int]:
+        return self.x, self.y, self.wp
+
+    def __sub__(self, other):
+        """The difference to a number, an mpc in ``other``'s context
+        (mpmath's global one for a plain number)."""
+        import mpmath
+
+        return from_fixed_pair(*self.pair, getattr(other, "context", mpmath.mp)) - other
+
+
+def exact_complex(value) -> Tuple[Fraction, Fraction]:
+    """A number's exact value as a Gaussian rational (re, im): an int,
+    Fraction, float, complex, mpf or mpc (its binary value), or a pair of
+    rationals.  A non-finite value raises DomainError."""
+    from mpmath.libmp import from_float, fzero, to_rational
+
+    if isinstance(value, tuple):
+        return Fraction(value[0]), Fraction(value[1])
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value), Fraction(0)
+    if hasattr(value, "_mpc_") or hasattr(value, "_mpf_"):
+        parts = getattr(value, "_mpc_", None) or (value._mpf_, fzero)
+    else:
+        z = complex(value)
+        parts = from_float(z.real), from_float(z.imag)
+    if any(not man and exp for _, man, exp, _ in parts):  # inf and nan
+        raise DomainError(f"poly_roots needs finite coefficients, got {value}")
+    return tuple(Fraction(*to_rational(p)) for p in parts)
 
 
 def _float_roots(descending: Sequence) -> Optional[List[complex]]:
-    """Durand-Kerner in Python complex floats, with mpmath's start
-    (0.4 + 0.9i)^k and its in-place update, until a sweep moves no root by
+    """Durand-Kerner in Python complex floats, with the start
+    (0.4 + 0.9i)^k and an in-place update, until a sweep moves no root by
     more than 2^-40 of the largest root.
 
     None when a coefficient is not finite or the leading one is 0 as a
     float, or when no sweep of the first _FLOAT_SWEEPS passes that test
     (a NaN step never does): a multiple root converges only linearly and
-    stalls at float rounding, so it keeps mpmath's own start.
+    stalls at float rounding, so it keeps the plain start.
     """
     coeffs = [complex(c) for c in descending]
     if not coeffs[0] or not all(map(cmath.isfinite, coeffs)):
@@ -766,7 +822,7 @@ def _float_roots(descending: Sequence) -> Optional[List[complex]]:
             for c in monic:
                 x = x * p + c
             for j, q in enumerate(roots):
-                if j != i and p != q:  # mpmath skips a zero difference too
+                if j != i and p != q:
                     x /= p - q
             roots[i] = p - x
             step = max(step, abs(x))
@@ -775,87 +831,135 @@ def _float_roots(descending: Sequence) -> Optional[List[complex]]:
     return None
 
 
-def poly_roots(coefficients: Sequence, policy: PrecisionPolicy) -> List:
-    """All complex roots (with multiplicity) of sum coefficients[i] * x^i.
+# a Gaussian int a + ib as the pair (a, b)
+Gaussian = Tuple[int, int]
 
-    Durand-Kerner in complex floats (``_float_roots``) seeds mpmath's
-    Durand-Kerner engine, which finishes at doubled precision with its own
-    convergence test against the context's eps (from its default start
-    where there are no seeds); then a per-root Newton polish.
-    Near-coincident roots are clustered at tolerance 10^(-P/2) and replaced
-    by their centroid, and every root must leave a residual within the
-    tolerance.  Roots come back sorted by (re, im).  A non-finite
-    coefficient raises DomainError.
+
+def _weierstrass_sweeps(monic: Sequence[Gaussian], z: List[Gaussian], wp: int) -> None:
+    """Weierstrass (Durand-Kerner) sweeps on the approximations ``z`` in
+    place, in Gaussian-int fixed point at wp bits: z_i -= p(z_i) / prod_(j
+    != i) (z_i - z_j) for the monic p whose lower coefficients, descending,
+    are ``monic``, each new z_i used at once.  A zero difference or product
+    skips its factor or root.  Stops after the first sweep whose steps are
+    all at most _ROOT_STEP_UNITS units in both parts, or after wp sweeps: a
+    simple root converges quadratically, a k-fold one linearly (by
+    (k - 1)/k a sweep) to within about 2^(-wp/k) of it.
     """
-    import mpmath
+    one = 1 << wp
+    for _ in range(wp):
+        step = 0
+        for i, (x, y) in enumerate(z):
+            pr, pi = one, 0
+            for cr, ci in monic:
+                pr, pi = ((pr * x - pi * y) >> wp) + cr, ((pr * y + pi * x) >> wp) + ci
+            qr, qi = one, 0
+            for u, v in z:
+                if u != x or v != y:
+                    dr, di = x - u, y - v
+                    qr, qi = (qr * dr - qi * di) >> wp, (qr * di + qi * dr) >> wp
+            den = qr * qr + qi * qi
+            if den:
+                sr, si = ((pr * qr + pi * qi) << wp) // den, ((pi * qr - pr * qi) << wp) // den
+                z[i] = x - sr, y - si
+                step = max(step, abs(sr), abs(si))
+        if step <= _ROOT_STEP_UNITS:
+            return
 
-    ctx = policy.context
-    coeffs = [policy.complex(c) for c in coefficients]
-    bad = [c for c in coeffs if not ctx.isfinite(c)]
-    if bad:
-        raise DomainError(f"poly_roots needs finite coefficients, got {bad[0]}")
-    while coeffs and coeffs[-1] == 0:
+
+def _ceil_sqrt(n: int) -> int:
+    r = isqrt(n)
+    return r + (r * r < n)
+
+
+def _certify(
+    a: Sequence[Gaussian], z: Sequence[Gaussian], wp: int, policy: PrecisionPolicy
+) -> List[Root]:
+    """The roots of p = sum a[i] x^i (Gaussian-int coefficients), certified
+    from the approximations z_j = (x + iy) / 2^wp, at ``policy.fixed_bits``.
+
+    W_j = p(z_j) / (a_n prod_(k != j) (z_j - z_k)) is computed exactly.
+    p / a_n is the characteristic polynomial of diag(z) - W 1^T, so by
+    Gerschgorin's theorem on its rows the roots lie in the disks
+    D(z_j - W_j, (n-1)|W_j|), k in each connected component of k disks
+    (Carstensen, Numer. Math. 1991).  Each disk is put on the grid of 2^-wp
+    (its center moved by under a unit per part, its radius rounded up plus
+    2, so it contains the exact disk), which keeps those counts.  A component of k disks comes back as its centroid k times, with
+    a radius over the whole component, if that is at most
+    2^(-prec/k) max(1, |centroid|) for the context's prec bits; coincident
+    approximations, or a wider component, raise RootFindingError.
+    """
+    n, ctx = len(z), policy.context
+    disks = []
+    for j, (x, y) in enumerate(z):
+        pr, pi = a[n]  # 2^(wp n) p(z_j), by Horner's rule
+        for i in range(n - 1, -1, -1):
+            shift = wp * (n - i)
+            pr, pi = pr * x - pi * y + (a[i][0] << shift), pr * y + pi * x + (a[i][1] << shift)
+        mr, mi = a[n]  # 2^(wp (n-1)) a_n prod_(k != j) (z_j - z_k), so 2^wp W_j = P / M
+        for u, v in z[:j] + z[j + 1 :]:
+            mr, mi = mr * (x - u) - mi * (y - v), mr * (y - v) + mi * (x - u)
+        norm = mr * mr + mi * mi
+        if not norm:
+            raise RootFindingError(f"coincident approximations at {from_fixed_pair(x, y, wp, ctx)}")
+        radius = _ceil_sqrt(-(-((n - 1) ** 2) * (pr * pr + pi * pi) // norm)) + 2
+        disks.append((x - (pr * mr + pi * mi) // norm, y - (pi * mr - pr * mi) // norm, radius))
+    label = list(range(n))  # connected components, one label each
+    for i, j in itertools.combinations(range(n), 2):
+        (xi, yi, ri), (xj, yj, rj) = disks[i], disks[j]
+        if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ri + rj) ** 2:
+            label = [label[i] if c == label[j] else c for c in label]
+    bits, shift = policy.fixed_bits, wp - policy.fixed_bits
+    roots = []
+    for c in set(label):
+        members = [d for d, l in zip(disks, label) if l == c]
+        k = len(members)
+        cx, cy = sum(d[0] for d in members) // k, sum(d[1] for d in members) // k
+        spread = max(_ceil_sqrt((cx - x) ** 2 + (cy - y) ** 2) + r for x, y, r in members)
+        radius = -(-spread >> shift) + 1  # plus the rounding to nearest below
+        x, y = (cx >> (shift - 1)) + 1 >> 1, (cy >> (shift - 1)) + 1 >> 1
+        if log2(radius) > bits - ctx.prec / k + max(0.0, _log2_abs(x, y, bits)):
+            raise RootFindingError(
+                f"no certified cluster of {k} roots near {from_fixed_pair(x, y, bits, ctx)}: "
+                f"radius 2^{log2(radius) - bits:.1f}"
+            )
+        roots += [Root(x, y, bits, radius)] * k
+    return sorted(roots)
+
+
+def poly_roots(coefficients: Sequence, policy: PrecisionPolicy) -> List[Root]:
+    """All complex roots (with multiplicity) of sum coefficients[i] * x^i,
+    certified, as ``Root`` pairs at ``policy.fixed_bits`` sorted by (re, im).
+
+    The coefficients count at their exact values (``exact_complex``; a
+    non-finite one raises DomainError), so each enclosure holds for the
+    polynomial as given.  ``_float_roots`` (or its start (0.4 + 0.9i)^k
+    where it gives no seeds) seeds ``_weierstrass_sweeps`` at
+    ``policy.fixed_bits`` plus _ROOT_GUARD_BITS, and ``_certify`` alone
+    decides success: a k-fold cluster comes back as its centroid k times, or
+    RootFindingError names it.  The grid is absolute, so roots much closer
+    together than 2^-fixed_bits form one cluster.
+    """
+    coeffs = [exact_complex(c) for c in coefficients]
+    while coeffs and coeffs[-1] == (0, 0):
         coeffs.pop()
     if len(coeffs) < 2:
         raise DomainError("poly_roots needs degree >= 1 with nonzero leading coefficient")
-    deg = len(coeffs) - 1
-    descending = list(reversed(coeffs))
-    seeds = _float_roots(descending)
+    wp = policy.fixed_bits + _ROOT_GUARD_BITS
+    den = lcm(*(c.denominator for pair in coeffs for c in pair))
+    a = [(int(re * den), int(im * den)) for re, im in coeffs]
+    ar, ai = a[-1]
+    norm = ar * ar + ai * ai
+    # b / a_n = b conj(a_n) / |a_n|^2 at wp bits, for the lower coefficients b, descending
+    monic = [
+        ((br * ar + bi * ai << wp) // norm, (bi * ar - br * ai << wp) // norm) for br, bi in a[-2::-1]
+    ]
     try:
-        roots, err = ctx.polyroots(
-            descending,
-            maxsteps=200,
-            extraprec=ctx.prec,
-            error=True,
-            roots_init=seeds and [ctx.mpc(r) for r in seeds],
-        )
-    except mpmath.libmp.NoConvergence as exc:  # e.g. a triple root
-        raise RootFindingError(f"root iteration failed to converge: {exc}") from exc
-
-    def horner(x):
-        val = ctx.mpc(0)
-        dval = ctx.mpc(0)
-        for c in descending:
-            dval = dval * x + val
-            val = val * x + c
-        return val, dval
-
-    cluster_tol = ctx.mpf(10) ** (-policy.working_digits // 2)
-    polished = []
-    for r in roots:
-        x = ctx.mpc(r)
-        for _ in range(4):
-            val, dval = horner(x)
-            if abs(dval) < cluster_tol:
-                break
-            step = val / dval
-            x -= step
-            if abs(step) < ctx.mpf(10) ** (-ctx.dps):
-                break
-        polished.append(x)
-
-    polished.sort(key=lambda c: (c.real, c.imag))
-    clustered: List = []
-    i = 0
-    while i < len(polished):
-        j = i + 1
-        while j < len(polished) and abs(polished[j] - polished[i]) < cluster_tol:
-            j += 1
-        group = polished[i:j]
-        centroid = sum(group, ctx.mpc(0)) / len(group)
-        clustered.extend([centroid] * len(group))
-        i = j
-
-    scale = max(abs(c) for c in coeffs)
-    residual_tol = (
-        ctx.mpf(10) ** (-policy.working_digits + policy.guard_digits) * scale
-    )
-    for x in {(c.real, c.imag) for c in clustered}:
-        val, _ = horner(ctx.mpc(*x))
-        bound = residual_tol * max(ctx.mpf(1), abs(ctx.mpc(*x))) ** deg
-        if not abs(val) <= bound:  # a NaN residual fails too
-            raise RootFindingError(
-                f"root {x} has residual {abs(val)} above tolerance {bound}"
-            )
-    clustered.sort(key=lambda c: (c.real, c.imag))
-    return clustered
+        seeds = _float_roots([complex(re / den, im / den) for re, im in a[::-1]])
+    except OverflowError:
+        seeds = None
+    z = [
+        tuple((num << wp) // d for num, d in (s.real.as_integer_ratio(), s.imag.as_integer_ratio()))
+        for s in seeds or [(0.4 + 0.9j) ** k for k in range(len(a) - 1)]
+    ]
+    _weierstrass_sweeps(monic, z, wp)
+    return _certify(a, z, wp, policy)

@@ -27,9 +27,18 @@ from .catalog import EquationSpec, get_equation
 from .criterion import Verdict
 from .exact import DomainError, SplitMix64
 from .formal import FormalSum
-from .numeric import PrecisionPolicy, cl_apply, cl_m, fixed_width, poly_roots, to_fixed_pair
+from .numeric import (
+    PrecisionPolicy,
+    cl_apply,
+    cl_m,
+    exact_complex,
+    fixed_width,
+    from_fixed_pair,
+    poly_roots,
+    to_fixed_pair,
+)
 from .poly import MultiPoly
-from .ratfunc import INFINITY, RatFunc
+from .ratfunc import INFINITY, RatFunc, _heu_gcd
 
 __all__ = [
     "sample_complex",
@@ -68,24 +77,31 @@ def _evaluate_terms(s: FormalSum, binding: Dict[str, object], policy: PrecisionP
     """The terms of ``s`` at a complex point, from its ArgumentPlan; None
     signals a degenerate draw.
 
-    Runs in Python-int fixed point at ``policy.fixed_bits``: the powers of
-    each variable, each of the plan's monomials once, each distinct
-    polynomial once (``ArgumentPlan.values``) and one complex division per
-    argument.  The draw is degenerate if some argument has a pole there or
-    a value x with |x| < 1e-8, |x| > 1e8 or |x - 1| < 1e-8, decided at
-    ``policy.fixed_bits``.  Constant arguments come first, as Fractions,
-    then the others in sum order, each as the fixed-point pair (x, y, wp)
-    that ``cl_apply`` takes, x + iy = floor of the quotient times 2^wp: an
-    argument far from the unit circle is divided again at the wider width
-    ``numeric.fixed_width`` gives it, the rule an mpc argument meets in
-    ``numeric._fixed_argument``.
+    ``binding`` maps each variable to a complex number (an mpc included) or
+    to a fixed-point pair (x, y, w) standing for (x + iy) / 2^w, as
+    ``preimages`` gives its roots.  Runs in Python-int fixed point at
+    ``policy.fixed_bits``: the powers of each variable, each of the plan's
+    monomials once, each distinct polynomial once (``ArgumentPlan.values``)
+    and one complex division per argument.  The draw is degenerate if some
+    argument has a pole there or a value x with |x| < 1e-8, |x| > 1e8 or
+    |x - 1| < 1e-8, decided at ``policy.fixed_bits``.  Constant arguments
+    come first, as Fractions, then the others in sum order, each as the
+    fixed-point pair (x, y, wp) that ``cl_apply`` takes, x + iy = floor of
+    the quotient times 2^wp: an argument far from the unit circle is divided
+    again at the wider width ``numeric.fixed_width`` gives it, the rule an
+    mpc argument meets in ``numeric._fixed_argument``.
     """
     plan = s.plan()
     wp = policy.fixed_bits
     one = 1 << wp
     rows = []
     for v, d in zip(plan.variables, plan.degrees):
-        x, y = to_fixed_pair(binding[v], wp)
+        value = binding[v]
+        if isinstance(value, tuple):  # a fixed-point pair (x, y, w)
+            x, y, w = value
+            x, y = x << wp >> w, y << wp >> w
+        else:
+            x, y = to_fixed_pair(value, wp)
         row = [(one, 0), (x, y)]
         for _ in range(d - 1):
             a, b = row[-1]
@@ -219,30 +235,34 @@ def _phi_variable(phi: RatFunc) -> Tuple[str, int]:
 def preimages(phi: RatFunc, w, policy: PrecisionPolicy) -> List:
     """phi^(-1)(w) with multiplicity, including infinite preimages.
 
-    ``w`` may be a complex value, a Fraction, or INFINITY.  The degree of phi
-    is max(deg num, deg den); degree drop in the target polynomial puts the
+    ``w`` may be a complex value (an mpc included), a Fraction, or INFINITY.
+    The target polynomial num - w den is built from w's exact value as
+    Gaussian rationals, and its finite roots come back as the certified
+    ``numeric.Root`` pairs of ``poly_roots``.  The degree of phi is
+    max(deg num, deg den); degree drop in the target polynomial puts the
     missing preimages at infinity.
     """
-    ctx = policy.context
     var, deg = _phi_variable(phi)
     num_c = _univariate_coeffs(phi.num, var)
     den_c = _univariate_coeffs(phi.den, var)
-    co = policy.real
     if w is INFINITY:
-        coeffs = [co(c) for c in den_c]
+        coeffs = [(c, 0) for c in den_c]
     else:
-        wv = policy.complex(w)
-        size = max(len(num_c), len(den_c))
-        coeffs = []
-        for i in range(size):
-            cn = co(num_c[i]) if i < len(num_c) else ctx.mpf(0)
-            cd = co(den_c[i]) if i < len(den_c) else ctx.mpf(0)
-            coeffs.append(cn - wv * cd)
-    while coeffs and coeffs[-1] == 0:
+        wr, wi = exact_complex(w)
+        pairs = itertools.zip_longest(num_c, den_c, fillvalue=0)
+        coeffs = [(cn - wr * cd, -wi * cd) for cn, cd in pairs]
+    while coeffs and coeffs[-1] == (0, 0):
         coeffs.pop()
     finite = poly_roots(coeffs, policy) if len(coeffs) >= 2 else []
     inf_mult = deg - (len(coeffs) - 1 if coeffs else 0)
     return finite + [INFINITY] * max(inf_mult, 0)
+
+
+def _preimage_points(phi: RatFunc, w, policy: PrecisionPolicy) -> List:
+    """``preimages`` as mpcs at the context precision, INFINITY kept."""
+    ctx = policy.context
+    roots = preimages(phi, w, policy)
+    return [r if r is INFINITY else from_fixed_pair(*r.pair, ctx) for r in roots]
 
 
 def phi_value(phi: RatFunc, x, policy: PrecisionPolicy):
@@ -305,9 +325,9 @@ def verify_dilog_general(
     ctx = policy.context
     _, deg = _phi_variable(phi)
     a_val = phi_value(phi, alpha, policy)
-    betas = preimages(phi, B, policy)
-    gammas = preimages(phi, C, policy)
-    deltas = preimages(phi, D, policy)
+    betas = _preimage_points(phi, B, policy)
+    gammas = _preimage_points(phi, C, policy)
+    deltas = _preimage_points(phi, D, policy)
     alpha_v = alpha if alpha is INFINITY else policy.complex(alpha)
     total = ctx.mpf(0)
     for b, g, d in itertools.product(betas, gammas, deltas):
@@ -342,7 +362,7 @@ def verify_trilog_theorem(
     ctx = policy.context
     _, deg = _phi_variable(phi)
     targets = (A_pts, B_pts, C_pts, D_pts)
-    pre = [[preimages(phi, p, policy) for p in pts] for pts in targets]
+    pre = [[_preimage_points(phi, p, policy) for p in pts] for pts in targets]
     total = ctx.mpf(0)
     for idx in itertools.product((0, 1), repeat=4):
         inner = ctx.mpf(0)
@@ -369,7 +389,7 @@ def verify_wojtkowiak(
     combination at two points and compare."""
     policy = policy or PrecisionPolicy(50)
     ctx = policy.context
-    pre = {f: preimages(phi, p, policy) for f, p in zip("ABC", (A, B, C))}
+    pre = {f: _preimage_points(phi, p, policy) for f, p in zip("ABC", (A, B, C))}
 
     def value(x):
         xv = policy.complex(x)
@@ -395,15 +415,17 @@ def verify_fourlog_numeric(
     eq = get_equation(f"fourlog_n{n}")
     z = RatFunc.var("z")
     phi = z ** (n - 1) * (z - 1)
+    one = 1 << policy.fixed_bits
+    near = math.ceil(Fraction(1e-6) ** 2 * one**2)  # |r|^2 against (1e-6)^2
 
     def attempt(rng):
         tv = sample_complex(rng, ctx)
         uv = sample_complex(rng, ctx)
         xs, ys = preimages(phi, tv, policy), preimages(phi, uv, policy)
-        if any(abs(r) < 1e-6 or abs(r - 1) < 1e-6 for r in xs + ys):
+        if any(r.x**2 + r.y**2 < near or (r.x - one) ** 2 + r.y**2 < near for r in xs + ys):
             return None
-        binding = {f"x{k+1}": xs[k] for k in range(n)}
-        binding.update({f"y{k+1}": ys[k] for k in range(n)})
+        binding = {f"x{k+1}": xs[k].pair for k in range(n)}
+        binding.update({f"y{k+1}": ys[k].pair for k in range(n)})
         terms = _evaluate_terms(eq.sum, binding, policy)
         if terms is None:
             return None
@@ -418,6 +440,15 @@ def verify_fourlog_numeric(
 _PHI_DEGREE, _PHI_HEIGHT = 3, 5
 
 
+def _squarefree(coeffs: Sequence[Fraction]) -> bool:
+    """gcd(p, p') = 1 for p = sum coeffs[i] z^i of degree >= 1, exactly:
+    ``ratfunc._heu_gcd`` on p with its denominators cleared."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    p = {(i,): int(c * den) for i, c in enumerate(coeffs) if c}
+    dp = {(i - 1,): i * c for (i,), c in p.items() if i}
+    return max(_heu_gcd(p, dp)[0]) == (0,)
+
+
 def random_phi(rng: SplitMix64) -> RatFunc:
     """Random squarefree monic polynomial map of degree ``_PHI_DEGREE`` with
     rational coefficients of height at most ``_PHI_HEIGHT``."""
@@ -426,17 +457,10 @@ def random_phi(rng: SplitMix64) -> RatFunc:
     z = RatFunc.var("z")
     while True:
         coeffs = [random_rational(_PHI_HEIGHT, rng) for _ in range(_PHI_DEGREE)] + [Fraction(1)]
-        phi = RatFunc.from_value(0)
-        power = RatFunc.from_value(1)
-        for c in coeffs:
-            phi = phi + power * c
-            power = power * z
-        pol = PrecisionPolicy(30)
-        roots = poly_roots([Fraction(c) for c in coeffs], pol)
-        distinct = all(
-            abs(roots[i] - roots[j]) > 1e-6
-            for i in range(len(roots))
-            for j in range(i + 1, len(roots))
-        )
-        if distinct:
+        if _squarefree(coeffs):
+            phi = RatFunc.from_value(0)
+            power = RatFunc.from_value(1)
+            for c in coeffs:
+                phi = phi + power * c
+                power = power * z
             return phi

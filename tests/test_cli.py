@@ -78,6 +78,16 @@ def test_roots_bad_coefficients_are_usage_errors(coefficients, message):
     assert message in err
 
 
+@pytest.mark.parametrize("precision", ["15", "30", "60"])
+@pytest.mark.parametrize("coefficients, k", [("-1,3,-3,1", 3), ("1,-4,6,-4,1", 4)])
+def test_roots_multiple_root_exits_zero_with_one_cluster(coefficients, k, precision):
+    """(x-1)^3 and (x-1)^4 print one certified cluster k times."""
+    code, out, _ = run_cli("roots", f"--coefficients={coefficients}", "--precision", precision)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == k and len(set(lines)) == 1
+
+
 def test_leading_minus_values_take_the_equals_form():
     """A value that starts with a minus is passed as --z=... or
     --coefficients=..., as the README and the help text write it; with a

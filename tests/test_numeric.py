@@ -718,7 +718,8 @@ def test_roots_multiplicity():
 
 def test_roots_triple_root_keeps_mpmath_start():
     """(x-1)^3: float Durand-Kerner stalls on the triple root, so it gives no
-    seeds and mpmath iterates from its own start, which converges at P = 15."""
+    seeds and the fixed-point sweeps start from its start (0.4 + 0.9i)^k;
+    at P = 15 the certificate returns one cluster of three."""
     assert numeric._float_roots([1, -3, 3, -1]) is None
     policy = PrecisionPolicy.for_digits(15)
     roots = poly_roots([-1, 3, -3, 1], policy)
@@ -727,8 +728,8 @@ def test_roots_triple_root_keeps_mpmath_start():
 
 
 def test_roots_beyond_float_range_raise():
-    """x^2 + 10^400: 10^400 is inf as a float, so there are no seeds (a float
-    iteration would hand mpmath NaN), and the iteration fails as before."""
+    """x^2 + 10^400: 10^400 is inf as a float, so there are no seeds, and
+    the sweeps from the plain start end without a certified enclosure."""
     coeffs = [CTX.mpf(10) ** 400, 0, 1]
     assert numeric._float_roots([POLICY.complex(c) for c in reversed(coeffs)]) is None
     with pytest.raises(numeric.RootFindingError):
@@ -741,29 +742,91 @@ def test_roots_of_non_finite_coefficients_raise_domain_error(bad):
         poly_roots([bad, 1], POLICY)
 
 
+def within_radius(root, refs):
+    """Some reference root lies inside the root's certified radius."""
+    bound = mpmath.ldexp(root.radius, -root.wp)
+    value = mpmath.mpc(mpmath.ldexp(root.x, -root.wp), mpmath.ldexp(root.y, -root.wp))
+    return min(abs(value - ref) for ref in refs) <= bound
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_roots_of_fourlog_polynomials_match_mpmath(n):
-    """z^n - z^(n-1) - t at 30 seeded t: the float-seeded roots match
-    mpmath's polyroots 20 digits higher from its own start, within
-    2^-prec |root| scaled by 4 (each part is rounded to prec bits)."""
+    """z^n - z^(n-1) - t at 30 seeded t: mpmath's polyroots 20 digits higher
+    from its own start puts a root inside each certified radius, and every
+    radius is a few units of 2^-fixed_bits."""
     rng = SplitMix64(4400 + n)
     for _ in range(30):
         t = complex(rng.next_int(-300, 300) / 100, rng.next_int(-300, 300) / 100)
         coeffs = [-t] + [0] * (n - 2) + [-1, 1]
         assert numeric._float_roots([POLICY.complex(c) for c in reversed(coeffs)])
         roots = poly_roots(coeffs, POLICY)
+        assert len(roots) == n and len(set(roots)) == n
         with mpmath.workdps(CTX.dps + 20):
             refs = mpmath.polyroots([1, -1] + [0] * (n - 2) + [-mpmath.mpc(t)], maxsteps=200)
-            for r in map(mpmath.mpmathify, roots):
-                bound = mpmath.ldexp(max(1, abs(r)), 2 - CTX.prec)
-                assert min(abs(r - ref) for ref in refs) < bound, (n, t)
+            for r in roots:
+                assert r.wp == POLICY.fixed_bits and r.radius <= 16, (n, t, r)
+                assert within_radius(r, refs), (n, t)
+
+
+def test_roots_of_random_phi_preimages_match_mpmath():
+    """phi(z) - w for 40 random_phi cubics and sampled w: mpmath's roots
+    20 digits higher lie inside each certified radius."""
+    from polyrel.verify import _phi_variable, _univariate_coeffs, random_phi, sample_complex
+
+    rng = SplitMix64(4500)
+    for i in range(40):
+        phi = random_phi(rng.split("phi", i))
+        coeffs = _univariate_coeffs(phi.num, _phi_variable(phi)[0])
+        w = sample_complex(rng, CTX)
+        wr, wi = numeric.exact_complex(w)
+        roots = poly_roots([(coeffs[0] - wr, -wi)] + [(c, 0) for c in coeffs[1:]], POLICY)
+        with mpmath.workdps(CTX.dps + 20):
+            refs = mpmath.polyroots(
+                [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs[1:])]
+                + [coeffs[0] - mpmath.mpc(w)],
+                maxsteps=200,
+            )
+            assert all(within_radius(r, refs) for r in roots), (i, w)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 60])
+@pytest.mark.parametrize("coeffs, k", [([-1, 3, -3, 1], 3), ([1, -4, 6, -4, 1], 4)])
+def test_roots_multiple_root_is_one_certified_cluster(coeffs, k, digits):
+    """(x-1)^3 and (x-1)^4: one cluster of multiplicity k whose certified
+    radius contains 1."""
+    policy = PrecisionPolicy.for_digits(digits)
+    roots = poly_roots(coeffs, policy)
+    assert len(roots) == k and len(set(roots)) == 1
+    r = roots[0]
+    assert (r.x - (1 << r.wp)) ** 2 + r.y**2 <= r.radius**2
+
+
+def test_certificate_rejects_shifted_and_doubled_roots():
+    """(x-1)(x-2)(x-3) from the exact roots at wp bits: certified as three
+    simple roots; one root shifted by 2^-40, or two copies of one simple root
+    (equal, or 2^-40 apart), is not."""
+    policy = PrecisionPolicy.for_digits(30)
+    wp = policy.fixed_bits + numeric._ROOT_GUARD_BITS
+    coeffs = [(c, 0) for c in (-6, 11, -6, 1)]
+    exact = [(k << wp, 0) for k in (1, 2, 3)]
+    roots = numeric._certify(coeffs, exact, wp, policy)
+    assert [(r.x, r.y, r.radius) for r in roots] == [(k << policy.fixed_bits, 0, 2) for k in (1, 2, 3)]
+    shift = 1 << (wp - 40)
+    for z in (
+        [exact[0], exact[1], (exact[2][0] + shift, 0)],
+        [exact[0], exact[1], (exact[2][0], shift)],
+        [exact[0], exact[0], exact[2]],
+        [exact[0], (exact[0][0] + shift, 0), exact[2]],
+    ):
+        with pytest.raises(numeric.RootFindingError):
+            numeric._certify(coeffs, z, wp, policy)
 
 
 def test_roots_sum_product_invariant():
     rng = SplitMix64(17)
     for _ in range(5):
         coeffs = [Fraction(rng.next_int(-9, 9) or 1) for _ in range(5)]
-        roots = poly_roots(coeffs, POLICY)
+        roots = [numeric.from_fixed_pair(*r.pair, CTX) for r in poly_roots(coeffs, POLICY)]
         total = sum(roots, CTX.mpc(0))
         prod = CTX.mpc(1)
         for r in roots:

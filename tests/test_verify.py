@@ -1,13 +1,18 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from polyrel.catalog import equation_names, get_equation
 from polyrel.exact import DomainError, SplitMix64
+from mpmath.libmp import from_man_exp
+
 from polyrel.numeric import PrecisionPolicy, fixed_width, from_fixed_pair, poly_roots
 from polyrel.ratfunc import INFINITY, RatFunc
 from polyrel.verify import (
     _evaluate_terms,
+    _squarefree,
     cr_num,
     preimages,
     random_phi,
@@ -44,7 +49,7 @@ def test_preimages_of_polynomial():
     phi = z * (1 - z)
     pts = preimages(phi, POLICY.complex(Fraction(3, 16)), POLICY)
     assert len(pts) == 2
-    vals = sorted(complex(p).real for p in pts)
+    vals = sorted(complex(from_fixed_pair(*p.pair, CTX)).real for p in pts)
     assert abs(vals[0] - 0.25) < 1e-20 and abs(vals[1] - 0.75) < 1e-20
 
 
@@ -147,6 +152,24 @@ def test_random_phi_is_cubic_and_squarefree():
     assert phi.num.degree_in("z") == 3
 
 
+def test_squarefree_agrees_with_the_discriminant_over_the_height_box():
+    """Over every monic cubic z^3 + a z^2 + b z + c with a, b, c drawn from
+    random_rational's height-5 values (37 each, 0 and 1 excluded), the exact
+    gcd(p, p') test says squarefree exactly where the discriminant of
+    A z^3 + B z^2 + C z + D, the cubic with denominators cleared, is
+    nonzero."""
+    values = sorted({Fraction(p, q) for p in range(-5, 6) for q in range(1, 6)} - {0, 1})
+    assert len(values) == 37
+    repeated = 0
+    for c, b, a in itertools.product(values, repeat=3):
+        A = math.lcm(a.denominator, b.denominator, c.denominator)
+        B, C, D = (int(v * A) for v in (a, b, c))
+        disc = B * B * C * C - 4 * A * C**3 - 4 * B**3 * D - 27 * A * A * D * D + 18 * A * B * C * D
+        assert _squarefree([c, b, a, Fraction(1)]) == (disc != 0), (a, b, c)
+        repeated += disc == 0
+    assert repeated == 22
+
+
 def reference_terms(s, binding, ctx):
     """The sum's terms at a complex point by ``RatFunc.evaluate_in``, one
     argument at a time in mpmath, with the numeric drivers' degenerate rule
@@ -167,11 +190,20 @@ def reference_terms(s, binding, ctx):
     return constants + values
 
 
+def exact_mpc(value, ctx):
+    """A fixed-point pair (x, y, wp) as the mpc of its exact value; any other
+    value unchanged."""
+    if not isinstance(value, tuple):
+        return value
+    x, y, wp = value
+    return ctx.make_mpc((from_man_exp(x, -wp), from_man_exp(y, -wp)))
+
+
 def _plan_bindings(name, policy):
     """Points the numeric drivers draw for a catalog sum: annulus samples for
     rational sums (and each variable moved near 1, 0 and infinity, where
     arguments degenerate), the roots of z^n - z^(n-1) - t and of
-    z^n - z^(n-1) - u for the weight-4 templates."""
+    z^n - z^(n-1) - u, as fixed-point pairs, for the weight-4 templates."""
     ctx = policy.context
     variables = get_equation(name).sum.variables()
     rng = SplitMix64(7).split(name)
@@ -184,7 +216,7 @@ def _plan_bindings(name, policy):
                 target = sample_complex(rng, ctx)
                 coeffs = [-target] + [0] * (n - 2) + [-1, 1]
                 for k, r in enumerate(poly_roots(coeffs, policy)):
-                    binding[f"{prefix}{k + 1}"] = r
+                    binding[f"{prefix}{k + 1}"] = r.pair
             out.append(binding)
         return out
     out = [{v: sample_complex(rng, ctx) for v in variables} for _ in range(3)]
@@ -199,8 +231,9 @@ def _plan_bindings(name, policy):
 @pytest.mark.parametrize("digits", [30, 60])
 def test_plan_evaluation_matches_evaluate_in(digits):
     """The argument plan's fixed-point evaluation agrees with RatFunc.evaluate_in
-    on every catalog sum: the same degenerate draws, and values (fixed-point
-    pairs, converted by from_fixed_pair) within 10^-(P+5) max(1, |x|)."""
+    on every catalog sum (root-bound pairs taken at their exact values): the
+    same degenerate draws, and values (fixed-point pairs, converted by
+    from_fixed_pair) within 10^-(P+5) max(1, |x|)."""
     policy = PrecisionPolicy.for_digits(digits)
     ctx = policy.context
     flags = set()
@@ -208,7 +241,7 @@ def test_plan_evaluation_matches_evaluate_in(digits):
         s = get_equation(name).sum
         for binding in _plan_bindings(name, policy):
             got = _evaluate_terms(s, binding, policy)
-            ref = reference_terms(s, binding, ctx)
+            ref = reference_terms(s, {v: exact_mpc(b, ctx) for v, b in binding.items()}, ctx)
             flags.add(ref is None)
             assert (got is None) == (ref is None), (name, binding)
             if ref is None:
