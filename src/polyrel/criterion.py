@@ -29,9 +29,13 @@ Each trial factors its specialized values once: a FactoredSum, built from
 integer among the |a|, b and |b - a| of its values x = a/b once (log x and
 log(1 - x) are differences of those vectors), clears the coefficients to
 integers over their common denominator, and holds the sorted prime support
-the random functionals are drawn on.  The functionals are drawn as ints and
-stay ints, so each pairing applies them once per distinct integer and runs
-entirely in Python integers, with a single Fraction built for its value.
+the random functionals are drawn on.  ``exact.factor_int`` trial-divides
+only by the primes below 2^10 and hands a larger cofactor to Miller-Rabin,
+so a trial's 30-bit prime cofactors cost a primality test, not a division
+loop to their square root.  Each functional is drawn as a plain int list in
+support order and paired by ``_pairing_total``, the one integer core, which
+``beta_pairing`` also calls once it has cleared its DualFunctionals; the
+kernel test builds DualFunctionals and a Fraction only for a witness.
 """
 
 from __future__ import annotations
@@ -165,6 +169,38 @@ class FactoredSum:
         self.support = tuple(support)
 
 
+def _pairing_total(fs: FactoredSum, k: int, th: List[int], ph: List[int], ps: List[int]) -> int:
+    """The pairing's integer core: sum_x c theta(log x)^k (phi(log x)
+    psi(log(1 - x)) - phi(log(1 - x)) psi(log x)) over the FactoredSum's
+    terms, c the cleared coefficients, for integer functionals given as
+    their values in support order.
+
+    Each functional is applied once to each of the FactoredSum's distinct
+    integers, and a term reads log x and log(1 - x) as differences of those
+    values.  A term with theta(log x) = 0 is skipped when k > 0.
+    """
+    tvals, pvals, qvals = [], [], []
+    for vec in fs.vectors:
+        t = p = q = 0
+        for i, e in vec:
+            t += th[i] * e
+            p += ph[i] * e
+            q += ps[i] * e
+        tvals.append(t)
+        pvals.append(p)
+        qvals.append(q)
+    total = 0
+    for c, ia, ib, iw in fs.terms:
+        tv = tvals[ia] - tvals[ib]
+        if k and not tv:
+            continue
+        pb, qb = pvals[ib], qvals[ib]
+        px, qx = pvals[ia] - pb, qvals[ia] - qb
+        pw, qw = pvals[iw] - pb, qvals[iw] - qb
+        total += c * tv ** k * (px * qw - pw * qx)
+    return total
+
+
 def beta_pairing(s, m: int, theta: DualFunctional, phi: DualFunctional, psi: DualFunctional) -> Fraction:
     """Exact pairing of the weight-m tensor of ``s`` with theta^(m-2) (phi ^ psi).
 
@@ -177,9 +213,8 @@ def beta_pairing(s, m: int, theta: DualFunctional, phi: DualFunctional, psi: Dua
     equal to 0 is a domain error.
 
     The sum runs in integers: each functional is cleared over the lcm of its
-    own denominators (d_theta, d_phi, d_psi) and applied once to each of the
-    FactoredSum's distinct integers, a term reads log x and log(1 - x) as
-    differences of those values, and the total is divided once by
+    own denominators (d_theta, d_phi, d_psi), ``_pairing_total`` sums the
+    cleared values, and the total is divided once by
     scale * d_theta^(m-2) * d_phi * d_psi at the end.
     """
     if m < 2:
@@ -188,27 +223,8 @@ def beta_pairing(s, m: int, theta: DualFunctional, phi: DualFunctional, psi: Dua
     dt, th = theta.cleared(fs.support)
     dp, ph = phi.cleared(fs.support)
     dq, ps = psi.cleared(fs.support)
-    tvals, pvals, qvals = [], [], []
-    for vec in fs.vectors:
-        t = p = q = 0
-        for i, e in vec:
-            t += th[i] * e
-            p += ph[i] * e
-            q += ps[i] * e
-        tvals.append(t)
-        pvals.append(p)
-        qvals.append(q)
     k = m - 2
-    total = 0
-    for c, ia, ib, iw in fs.terms:
-        tv = tvals[ia] - tvals[ib]
-        if k and not tv:
-            continue
-        pb, qb = pvals[ib], qvals[ib]
-        px, qx = pvals[ia] - pb, qvals[ia] - qb
-        pw, qw = pvals[iw] - pb, qvals[iw] - qb
-        total += c * tv ** k * (px * qw - pw * qx)
-    return Fraction(total, fs.scale * dt ** k * dp * dq)
+    return Fraction(_pairing_total(fs, k, th, ph, ps), fs.scale * dt ** k * dp * dq)
 
 
 def expand_tensor(s, m: int) -> Dict[Tuple, Fraction]:
@@ -254,12 +270,15 @@ class Verdict:
         return {"status": self.status, "witness": self.witness, "trials": self.trials}
 
 
-def _random_functional(support: Tuple[int, ...], rng: SplitMix64, height: int) -> DualFunctional:
+def _random_functional(n: int, rng: SplitMix64, height: int) -> List[int]:
+    """The values, in support order, of a random integer functional on a
+    support of n primes: n draws in [-height, height], redrawn (up to 64
+    times) while all are zero, then the functional 1 on the first prime."""
     for _ in range(64):
-        values = dict(zip(support, rng.ints(-height, height, len(support))))
-        if any(values.values()):
-            return DualFunctional(values)
-    return DualFunctional({support[0]: 1}) if support else DualFunctional({})
+        values = rng.ints(-height, height, n)
+        if any(values):
+            return values
+    return [1] + [0] * (n - 1) if n else []
 
 
 def _integer_specializer(s: FormalSum) -> Tuple[Tuple[str, ...], Callable]:
@@ -334,11 +353,18 @@ def kernel_test(
     pairing is exactly zero; the first nonzero pairing is returned as a
     reproducible witness.  Soundness: true kernel elements always pass.
     A verdict needs evidence, so ``trials`` and ``functionals`` must be >= 1.
+
+    Each trial factors its specialization once (``FactoredSum``) and pairs
+    it against int-list functionals through ``_pairing_total``; only a
+    nonzero total builds the witness's DualFunctionals, and its value is the
+    total over the FactoredSum's scale, as ``beta_pairing`` gives it.
     """
     if trials < 1 or functionals < 1:
         raise DomainError(
             f"kernel test needs trials >= 1 and functionals >= 1 (got {trials}, {functionals})"
         )
+    if m < 2:
+        raise DomainError("beta pairing needs m >= 2")
     root = SplitMix64(seed)
     variables, specialize = _integer_specializer(s)
     spec_height = specialization_height or height
@@ -366,17 +392,16 @@ def kernel_test(
         support = factored.support
         for k in range(functionals):
             fun_rng = root.split("fun", r, k)
-            theta = _random_functional(support, fun_rng, height)
-            phi = _random_functional(support, fun_rng, height)
-            psi = _random_functional(support, fun_rng, height)
-            value = beta_pairing(factored, m, theta, phi, psi)
-            if value != 0:
+            draws = [_random_functional(len(support), fun_rng, height) for _ in range(3)]
+            total = _pairing_total(factored, m - 2, *draws)
+            if total:
+                theta, phi, psi = (DualFunctional(dict(zip(support, d))) for d in draws)
                 witness = {
                     "specialization": {v: str(q) for v, q in binding.items()},
                     "theta": {p: str(c) for p, c in theta.values.items()},
                     "phi": {p: str(c) for p, c in phi.values.items()},
                     "psi": {p: str(c) for p, c in psi.values.items()},
-                    "value": str(value),
+                    "value": str(Fraction(total, factored.scale)),
                     "trial": r,
                     "functional_index": k,
                 }

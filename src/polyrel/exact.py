@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List
+from math import gcd, isqrt
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 __all__ = [
     "DomainError",
@@ -73,9 +74,9 @@ class SplitMix64:
         return _mix64(self._state)
 
     def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection (n must be positive)."""
-        if n <= 0:
-            raise ValueError("next_below needs a positive bound")
+        """Uniform integer in [0, n) by rejection, for 0 < n <= 2^64."""
+        if not 0 < n <= _MASK64 + 1:
+            raise ValueError("next_below needs a bound in [1, 2^64]")
         # widest multiple of n below 2^64; rejection keeps exact uniformity
         limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
         while True:
@@ -92,8 +93,8 @@ class SplitMix64:
         and end state, with the rejection limit computed once and the mix
         inlined."""
         n = hi - lo + 1
-        if n <= 0:
-            raise ValueError("ints needs lo <= hi")
+        if not 0 < n <= _MASK64 + 1:
+            raise ValueError("ints needs lo <= hi and at most 2^64 values")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
         state = self._state
         out: List[int] = []
@@ -124,12 +125,26 @@ class SplitMix64:
 
 
 # ---------------------------------------------------------------------------
-# Integer factorization: trial division + Brent's rho
+# Integer factorization: small trial division, Miller-Rabin, Brent's rho
 # ---------------------------------------------------------------------------
 
-_TRIAL_LIMIT = 100_000
+def _primes_below(n: int) -> Tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i, v in enumerate(sieve) if v)
 
-# deterministic Miller-Rabin witnesses for n < 3.317e24
+
+# trial division runs over the primes below this bound, so a cofactor left
+# below its square has no factor it could have missed: it is 1 or a prime
+_TRIAL_BOUND = 1 << 10
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
+
+# deterministic Miller-Rabin witnesses for n < 3.317e24 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -157,12 +172,15 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int, rng: SplitMix64) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    from math import gcd
+    """One nontrivial factor of composite odd n (Brent's cycle variant).
 
+    The start y and the constant c are drawn below min(n, 2^64): SplitMix64
+    draws are 64-bit, so its rejection bound for a wider n would be empty.
+    """
+    top = min(n, 1 << 64) - 1
     while True:
-        y = rng.next_int(1, n - 1)
-        c = rng.next_int(1, n - 1)
+        y = rng.next_int(1, top)
+        c = rng.next_int(1, top)
         m = 128
         g = r = q = 1
         while g == 1:
@@ -192,12 +210,17 @@ _factor_cache: Dict[int, Dict[int, int]] = {}
 
 
 def factor_int(n: int) -> Dict[int, int]:
-    """Exact factorization of a positive integer as {prime: exponent}.
+    """Exact factorization of a positive integer as {prime: exponent}, the
+    primes ascending.
 
-    Trial division up to 1e5, then Brent rho on the remaining cofactor with a
-    fixed-seed generator, so results are deterministic.  Sampled
-    specialization points keep cofactors small; this is not a general-purpose
-    factoring engine.
+    Trial division by the primes below _TRIAL_BOUND (2^10), stopping once
+    p^2 exceeds what is left.  A cofactor below _TRIAL_BOUND^2 is then prime;
+    a larger one goes to ``is_probable_prime`` (exact below 3.317e24, far
+    above the 34-bit integers the kernel test specializes to), and only a
+    composite one to Brent rho, with a fixed-seed generator, so results are
+    deterministic.  Results are cached per n (callers get a copy).  Sampled
+    specialization points keep cofactors small; this is not a
+    general-purpose factoring engine.
     """
     if n <= 0:
         raise DomainError("factor_int needs a positive integer")
@@ -208,33 +231,30 @@ def factor_int(n: int) -> Dict[int, int]:
         return dict(cached)
     original = n
     out: Dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    p = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p * p <= n and p < _TRIAL_LIMIT:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += wheel[i]
-        i = (i + 1) % 8
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if not n % p:
+            e = 0
+            while not n % p:
+                n //= p
+                e += 1
+            out[p] = e
+    large: Dict[int, int] = {}
     stack = [n] if n > 1 else []
     rng = None  # built only when a composite cofactor needs Brent rho
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(m):
+            large[m] = large.get(m, 0) + 1
             continue
         if rng is None:
             rng = SplitMix64(0x5EED_FAC7).split(original & _MASK64)
         d = _brent_rho(m, rng)
         stack.append(d)
         stack.append(m // d)
+    for q in sorted(large):
+        out[q] = large[q]
     if len(_factor_cache) < 200_000:
         _factor_cache[original] = dict(out)
     return out

@@ -102,6 +102,13 @@ class SpecializeResult:
         )
 
 
+def _in_plan_order(names: Tuple[str, ...], variables: Tuple[str, ...]) -> bool:
+    """True when an argument has positive degree in every variable of the
+    plan: its exponent tuples over ``names`` are then already full-width
+    vectors in plan order (both are sorted), and need no scatter."""
+    return names == variables
+
+
 class ArgumentPlan:
     """The arguments of a sum as distinct integer polynomials, for evaluation
     at points.
@@ -137,9 +144,9 @@ class ArgumentPlan:
             for v, d in zip(names, top):
                 degree[v] = max(degree.get(v, 0), d)
             live.append((c, names, num, den))
-        self.variables = tuple(sorted(degree))
-        self.degrees = tuple(degree[v] for v in self.variables)
-        index = {v: k for k, v in enumerate(self.variables)}
+        variables = self.variables = tuple(sorted(degree))
+        self.degrees = tuple(degree[v] for v in variables)
+        index = {v: k for k, v in enumerate(variables)}
         width = len(index)
         monomials: Dict[Tuple[int, ...], int] = {}
         slots: Dict[tuple, int] = {}  # (names, frozen IntPoly) -> index into polys
@@ -148,13 +155,16 @@ class ArgumentPlan:
         def slot(names, poly) -> int:
             i = slots.get((names, poly))
             if i is None:
-                place = [index[v] for v in names]
-                pairs = []
-                for exp, n in poly:
-                    full = [0] * width
-                    for k, e in zip(place, exp):
-                        full[k] = e
-                    pairs.append((monomials.setdefault(tuple(full), len(monomials)), n))
+                if _in_plan_order(names, variables):
+                    pairs = [(monomials.setdefault(exp, len(monomials)), n) for exp, n in poly]
+                else:
+                    place = [index[v] for v in names]
+                    pairs = []
+                    for exp, n in poly:
+                        full = [0] * width
+                        for k, e in zip(place, exp):
+                            full[k] = e
+                        pairs.append((monomials.setdefault(tuple(full), len(monomials)), n))
                 i = slots[names, poly] = len(polys)
                 polys.append(tuple(pairs))
             return i

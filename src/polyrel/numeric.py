@@ -45,7 +45,8 @@ mpf, and ``cl_apply`` sums c * core over a whole linear combination in ints
 and rounds the sum once.
 
 Polynomial roots (``poly_roots``) are proved, not estimated: float
-Durand-Kerner seeds Weierstrass sweeps in Gaussian-int fixed point at
+Durand-Kerner (or, without float seeds, a start scaled to the size of the
+roots) seeds Weierstrass sweeps in Gaussian-int fixed point at
 ``policy.fixed_bits`` plus guard bits, and one Weierstrass-Gerschgorin
 certificate, computed exactly on the coefficients as given, encloses every
 root or cluster of roots in a disk and counts its multiplicity.  Each root
@@ -841,11 +842,14 @@ def _weierstrass_sweeps(monic: Sequence[Gaussian], z: List[Gaussian], wp: int) -
     != i) (z_i - z_j) for the monic p whose lower coefficients, descending,
     are ``monic``, each new z_i used at once.  A zero difference or product
     skips its factor or root.  Stops after the first sweep whose steps are
-    all at most _ROOT_STEP_UNITS units in both parts, or after wp sweeps: a
-    simple root converges quadratically, a k-fold one linearly (by
-    (k - 1)/k a sweep) to within about 2^(-wp/k) of it.
+    all at most _ROOT_STEP_UNITS units in both parts, after the second sweep
+    in a row whose largest step is no smaller than the one before, or after
+    wp sweeps.  A simple root converges quadratically; a k-fold one
+    converges linearly (by (k - 1)/k a sweep) to within about 2^(-wp/k) of
+    it, where its steps stop shrinking.
     """
     one = 1 << wp
+    last, stalls = None, 0
     for _ in range(wp):
         step = 0
         for i, (x, y) in enumerate(z):
@@ -864,6 +868,10 @@ def _weierstrass_sweeps(monic: Sequence[Gaussian], z: List[Gaussian], wp: int) -
                 step = max(step, abs(sr), abs(si))
         if step <= _ROOT_STEP_UNITS:
             return
+        stalls = stalls + 1 if last is not None and step >= last else 0
+        if stalls == 2:
+            return
+        last = step
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -932,12 +940,15 @@ def poly_roots(coefficients: Sequence, policy: PrecisionPolicy) -> List[Root]:
 
     The coefficients count at their exact values (``exact_complex``; a
     non-finite one raises DomainError), so each enclosure holds for the
-    polynomial as given.  ``_float_roots`` (or its start (0.4 + 0.9i)^k
-    where it gives no seeds) seeds ``_weierstrass_sweeps`` at
-    ``policy.fixed_bits`` plus _ROOT_GUARD_BITS, and ``_certify`` alone
-    decides success: a k-fold cluster comes back as its centroid k times, or
-    RootFindingError names it.  The grid is absolute, so roots much closer
-    together than 2^-fixed_bits form one cluster.
+    polynomial as given.  ``_float_roots`` seeds ``_weierstrass_sweeps`` at
+    wp = ``policy.fixed_bits`` plus _ROOT_GUARD_BITS bits.  Where it gives
+    no seeds (a multiple root, or coefficients beyond float range) the start
+    is (0.4 + 0.9i)^k times 2^e, near the circle of radius 2^e, with e =
+    round(log2|a_0 / a_n| / n) the roots' mean size in bits (0 when a_0 =
+    0), but at least -wp/2 so that the start points stay apart on the grid.
+    ``_certify`` alone decides success: a k-fold cluster comes back as its
+    centroid k times, or RootFindingError names it.  The grid is absolute,
+    so roots much closer together than 2^-fixed_bits form one cluster.
     """
     coeffs = [exact_complex(c) for c in coefficients]
     while coeffs and coeffs[-1] == (0, 0):
@@ -957,9 +968,16 @@ def poly_roots(coefficients: Sequence, policy: PrecisionPolicy) -> List[Root]:
         seeds = _float_roots([complex(re / den, im / den) for re, im in a[::-1]])
     except OverflowError:
         seeds = None
+    shift = wp  # each seed s enters as floor(s 2^shift)
+    if seeds is None:
+        br, bi = a[0]
+        if br or bi:
+            e = round((log2(br * br + bi * bi) - log2(norm)) / (2 * (len(a) - 1)))
+            shift += max(e, -(wp // 2))
+        seeds = [(0.4 + 0.9j) ** k for k in range(len(a) - 1)]
     z = [
-        tuple((num << wp) // d for num, d in (s.real.as_integer_ratio(), s.imag.as_integer_ratio()))
-        for s in seeds or [(0.4 + 0.9j) ** k for k in range(len(a) - 1)]
+        tuple((num << shift) // d for num, d in (s.real.as_integer_ratio(), s.imag.as_integer_ratio()))
+        for s in seeds
     ]
     _weierstrass_sweeps(monic, z, wp)
     return _certify(a, z, wp, policy)

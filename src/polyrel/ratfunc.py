@@ -134,16 +134,20 @@ class RatFunc:
         table order, and ``degrees`` the largest exponent of each over num
         and den together.  num and den are ``cleared()`` with exponents
         restricted to ``names``, frozen as sets of (exponent, coefficient)
-        pairs so that equal polynomials compare equal.  A constant has no
-        names.
+        pairs so that equal polynomials compare equal; when every variable
+        is live, the cleared items are frozen as they are.  A constant has
+        no names.
         """
         if self._live is None:
             top = [max(column) for column in zip(*self.num.terms, *self.den.terms)]
             live = [i for i, e in enumerate(top) if e]
-            num, den = (
-                frozenset((tuple([exp[i] for i in live]), n) for exp, n in p.items())
-                for p in self.cleared()
-            )
+            if len(live) == len(top):  # every variable live: the items as they are
+                num, den = (frozenset(p.items()) for p in self.cleared())
+            else:
+                num, den = (
+                    frozenset((tuple([exp[i] for i in live]), n) for exp, n in p.items())
+                    for p in self.cleared()
+                )
             self._live = (tuple(self.vars[i] for i in live), tuple(top[i] for i in live), num, den)
         return self._live
 

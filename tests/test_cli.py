@@ -88,6 +88,13 @@ def test_roots_multiple_root_exits_zero_with_one_cluster(coefficients, k, precis
     assert len(lines) == k and len(set(lines)) == 1
 
 
+def test_roots_beyond_float_range_exit_zero():
+    """x^2 + 10^400 (1e400 reads as an exact Fraction) prints its two roots."""
+    code, out, _ = run_cli("roots", "--coefficients=1e400,0,1", "--precision", "60")
+    assert code == 0
+    assert out.splitlines() == ["(0.0 - 1.0e+200j)", "(0.0 + 1.0e+200j)"]
+
+
 def test_leading_minus_values_take_the_equals_form():
     """A value that starts with a minus is passed as --z=... or
     --coefficients=..., as the README and the help text write it; with a

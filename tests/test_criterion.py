@@ -455,6 +455,52 @@ def test_kernel_golden_witness(name, spec_height, expected):
     assert json.dumps(verdict.to_json()) == json.dumps(expected)
 
 
+# -- one pairing core: int functionals, DualFunctional only for a witness ---------------
+
+def _count_dual_functionals(monkeypatch):
+    import polyrel.criterion as criterion
+
+    built = []
+
+    class Counting(DualFunctional):
+        __slots__ = ()
+
+        def __init__(self, values):
+            built.append(1)
+            super().__init__(values)
+
+    monkeypatch.setattr(criterion, "DualFunctional", Counting)
+    return built
+
+
+def test_kernel_builds_no_dual_functional_on_a_passing_sum(monkeypatch):
+    built = _count_dual_functionals(monkeypatch)
+    assert kernel_test(five_term_sum(), 2, trials=3, functionals=4, seed=5).passed
+    eq = get_equation("goncharov22")
+    assert kernel_test(eq.sum, eq.weight, trials=2, functionals=3, seed=5).passed
+    assert built == []
+    s, m = _perturbed("goncharov22")
+    assert not kernel_test(s, m, trials=4, functionals=3, seed=0).passed
+    assert len(built) == 3  # theta, phi and psi of the witness
+
+
+@pytest.mark.parametrize("name, spec_height", [("xi7_explicit", 7), ("goncharov22", None)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_witness_value_is_beta_pairing_of_its_own_functionals(name, spec_height, seed):
+    s, m = _perturbed(name)
+    witness = kernel_test(
+        s, m, trials=4, functionals=3, seed=seed, specialization_height=spec_height
+    ).witness
+    variables, specialize = _integer_specializer(s)
+    triples = specialize({v: Fraction(witness["specialization"][v]) for v in variables})
+    theta, phi, psi = (
+        DualFunctional({p: Fraction(v) for p, v in witness[key].items()})
+        for key in ("theta", "phi", "psi")
+    )
+    value = beta_pairing(triples, m, theta, phi, psi)
+    assert value != 0 and str(value) == witness["value"]
+
+
 # -- the integer specialization against FormalSum.specialize ---------------------------
 
 def reference_functional(support, rng, height):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyrel.exact as exact
 from polyrel.exact import (
     DomainError,
     SampleSpaceExhausted,
@@ -52,7 +53,7 @@ def test_factor_int_large_prime_cofactor():
 
 
 def test_factor_int_semiprime_above_trial_limit(monkeypatch):
-    # both primes exceed the 1e5 trial limit, so only Brent rho splits n;
+    # both primes exceed the trial bound (2^10), so only Brent rho splits n;
     # its generator is built on that path only
     import polyrel.exact as exact
 
@@ -70,10 +71,69 @@ def test_factor_int_semiprime_above_trial_limit(monkeypatch):
     assert built
     built.clear()
     assert factor_int(n) == {100003: 1, 100019: 1}  # cached repeat
-    smooth = 2 ** 5 * 3 ** 4 * 99991  # 99991 < 1e5: trial division alone
+    smooth = 2 ** 5 * 3 ** 4 * 99991  # 99991 < 2^20: prime once trial division ends
     exact._factor_cache.pop(smooth, None)
     assert factor_int(smooth) == {2: 5, 3: 4, 99991: 1}
     assert built == []
+
+
+def _assert_factors_like_sympy(n):
+    import sympy
+
+    got = factor_int(n)
+    assert got == sympy.factorint(n), n
+    assert list(got) == sorted(got)
+    product = 1
+    for p, e in got.items():
+        product *= p**e
+    assert product == n
+
+
+def test_factor_int_matches_sympy_on_random_integers():
+    # 300 integers of 1 to 90 bits, uniform in each bit length
+    rng = SplitMix64(2701)
+    for _ in range(300):
+        bits = rng.next_int(1, 90)
+        wide = rng.next_u64() << 64 | rng.next_u64()
+        _assert_factors_like_sympy(wide >> (128 - bits) | 1 << (bits - 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 1021, 1031, 65537, 1000003, 2**31 - 1])
+def test_factor_int_matches_sympy_on_prime_powers(p):
+    # 1031 and above lie beyond the trial bound: their powers go to rho
+    for e in range(1, 7):
+        _assert_factors_like_sympy(p**e)
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [
+        (1031, 1033),
+        (1031, 1031),
+        (1031, 1033, 1039),
+        (65537, 1000003),
+        (1000003, 1000033, 1000037),
+        (100003, 2**61 - 1),
+        (2**31 - 1, 2**31 - 1, 1031),
+    ],
+)
+def test_factor_int_matches_sympy_on_products_above_the_trial_bound(primes):
+    # no factor below 2^10, and every product exceeds 2^20, so each is
+    # split by Brent rho; the wider ones exceed 2^64, past SplitMix64's
+    # single-draw range
+    n = 1
+    for p in primes:
+        n *= p
+    exact._factor_cache.pop(n, None)
+    _assert_factors_like_sympy(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, (1 << 64) + 1])
+def test_next_below_rejects_bounds_outside_one_draw(n):
+    with pytest.raises(ValueError):
+        SplitMix64(1).next_below(n)
+    with pytest.raises(ValueError):
+        SplitMix64(1).ints(0, n - 1, 1)
 
 
 def test_factor_int_returns_a_copy_of_the_cache():

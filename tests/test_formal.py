@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polyrel import formal
+from polyrel.catalog import equation_names, get_equation
 from polyrel.checks import _triple_product, group_generators
 
 from polyrel.formal import (
@@ -139,8 +140,6 @@ def test_xi7_block_table_merges_like_reference():
 
 @pytest.mark.parametrize("c", [60, -1, Fraction(1, 7), 0])
 def test_scale_matches_constructor_on_catalog(c):
-    from polyrel.catalog import equation_names, get_equation
-
     for name in equation_names():
         s = get_equation(name).sum
         _assert_same_terms(s.scale(c), FormalSum([(k * c, a) for k, a in s.terms]).terms)
@@ -626,3 +625,54 @@ def test_gprime_orbits_serialize_as_over_the_reference_closure():
             for g in ref
         ]
         assert [g.serialize() for g in images] == [g.serialize() for g in ref_images]
+
+
+# -- ArgumentPlan: arguments in every variable skip the exponent scatter ---------------
+
+_PLAN_FIELDS = ("variables", "degrees", "monomials", "polys", "args", "constants")
+
+
+def _assert_fast_path_matches_scatter(monkeypatch, terms):
+    """The plan built as it is equals the plan with every argument
+    scattered into full-width exponents; returns how many num/den
+    polynomials took the fast path."""
+    taken = []
+    in_order = formal._in_plan_order
+
+    def spy(names, variables):
+        taken.append(in_order(names, variables))
+        return taken[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(formal, "_in_plan_order", spy)
+        fast = formal.ArgumentPlan(terms)
+    with monkeypatch.context() as m:
+        m.setattr(formal, "_in_plan_order", lambda names, variables: False)
+        slow = formal.ArgumentPlan(terms)
+    for name in _PLAN_FIELDS:
+        assert getattr(fast, name) == getattr(slow, name), name
+    return sum(taken)
+
+
+@pytest.mark.parametrize("name", equation_names())
+def test_plan_fast_path_matches_the_scatter_on_the_catalog(monkeypatch, name):
+    _assert_fast_path_matches_scatter(monkeypatch, get_equation(name).sum.terms)
+
+
+def test_plan_fast_path_with_an_argument_missing_a_variable(monkeypatch):
+    z = RatFunc.var("z")
+    s = FormalSum(
+        [
+            (1, x * y * z),
+            (Fraction(-1, 2), (1 - x * z) / (1 - y)),
+            (2, (x + 1) / (y * y + 3)),  # lacks z
+            (-1, x * x - 5),  # only x
+            (3, RatFunc.from_value(Fraction(7, 3))),
+        ]
+    )
+    taken = _assert_fast_path_matches_scatter(monkeypatch, s.terms)
+    assert taken == 4  # the num and den of x*y*z and of (1 - xz)/(1 - y)
+    plan = s.plan()
+    assert plan.variables == ("x", "y", "z") and plan.degrees == (2, 2, 1)
+    assert plan.constants == ((3, Fraction(7, 3)),)
+    assert all(len(exp) == 3 for exp in plan.monomials)

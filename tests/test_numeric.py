@@ -727,13 +727,53 @@ def test_roots_triple_root_keeps_mpmath_start():
     assert abs(roots[0] - 1) < 1e-5
 
 
-def test_roots_beyond_float_range_raise():
-    """x^2 + 10^400: 10^400 is inf as a float, so there are no seeds, and
-    the sweeps from the plain start end without a certified enclosure."""
-    coeffs = [CTX.mpf(10) ** 400, 0, 1]
+def test_roots_beyond_float_range_are_certified():
+    """x^2 + 10^400: 10^400 is inf as a float, so there are no seeds; the
+    start scaled to radius 2^round(log2(10^400) / 2) reaches ±10^200 i, and
+    each certified disk contains one of them (checked in exact ints)."""
+    coeffs = [Fraction(10) ** 400, 0, 1]
     assert numeric._float_roots([POLICY.complex(c) for c in reversed(coeffs)]) is None
-    with pytest.raises(numeric.RootFindingError):
-        poly_roots(coeffs, POLICY)
+    roots = poly_roots(coeffs, POLICY)
+    assert len(roots) == 2
+    for root, sign in zip(roots, (-1, 1)):  # sorted by (re, im)
+        center = sign * 10**200 << root.wp
+        assert root.x**2 + (root.y - center) ** 2 <= root.radius**2
+
+
+def test_roots_far_below_the_grid_form_one_cluster():
+    """x^2 + 10^-400: the start is scaled down only to 2^(-wp/2), where its
+    points are still apart on the grid, and both roots (±10^-200 i, far
+    below 2^-wp) come back as one certified cluster at 0."""
+    roots = poly_roots([Fraction(10) ** -400, 0, 1], POLICY)
+    assert len(roots) == 2 and roots[0] == roots[1]
+    assert (roots[0].x, roots[0].y) == (0, 0) and roots[0].radius >= 1
+
+
+def _sweeps(monkeypatch, coeffs, policy):
+    """The number of Weierstrass sweeps poly_roots runs on coeffs: each
+    sweep reads the monic coefficients once per root."""
+    reads = []
+
+    class Counted(list):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    sweeps = numeric._weierstrass_sweeps
+    monkeypatch.setattr(numeric, "_weierstrass_sweeps", lambda m, z, wp: sweeps(Counted(m), z, wp))
+    roots = poly_roots(coeffs, policy)
+    return len(reads) // len(roots), policy.fixed_bits + numeric._ROOT_GUARD_BITS
+
+
+def test_roots_multiple_root_stops_when_steps_stall(monkeypatch):
+    """(x-1)^4 at P = 60: the steps settle near 2^(-wp/4) and stop
+    shrinking there, which ends the sweeps well before the cap of wp; a
+    simple quartic stops on the step rule after a handful of sweeps."""
+    policy = PrecisionPolicy.for_digits(60)
+    sweeps, cap = _sweeps(monkeypatch, [1, -4, 6, -4, 1], policy)
+    assert cap == 280 and sweeps <= cap // 2
+    sweeps, _ = _sweeps(monkeypatch, [24, -50, 35, -10, 1], policy)
+    assert sweeps <= 8
 
 
 @pytest.mark.parametrize("bad", [complex(0, float("inf")), float("nan"), CTX.mpf("-inf")])

@@ -53,6 +53,40 @@ def test_preimages_of_polynomial():
     assert abs(vals[0] - 0.25) < 1e-20 and abs(vals[1] - 0.75) < 1e-20
 
 
+# sha256 prefixes of the Root tuples poly_roots returned, call by call, while
+# verify_fourlog_numeric sampled: criterion 8's seeds and points, then three
+# task seeds of the benchmark's weight4 workload (one point each), all at
+# criterion 8's policy.  Changes to the root finder must keep every one.
+FOURLOG_ROOT_DIGESTS = {
+    (0, 20): ["141e2b94f3853171", "3a829c05ab3d312f", "1b6e00efd41c2604", "8a4ab0089c8cb79a"],
+    (20260808, 20): ["b4ca2e9c951a83c2", "25915bd270113364", "82276aec8d620759", "57d2683e4c71a698"],
+    (7422510017824750757, 1): ["28eea17177e3f6f4", "b25894d792b18db1", "2f49ef5aecf8a0d0", "038889b676793122"],
+    (5331106820786274622, 1): ["ee076772ff01f14f", "b41008acdc29efd8", "367ac3bc298be6bf", "d9d11b7890c7f090"],
+    (2814191923245174489, 1): ["14f80078513dfa72", "4be0428914057de4", "b3537dc47a47efb9", "d518b3a3e6becf30"],
+}
+
+
+@pytest.mark.parametrize("seed, points", list(FOURLOG_ROOT_DIGESTS))
+def test_fourlog_preimage_roots_stay_bit_identical(monkeypatch, seed, points):
+    import hashlib
+
+    import polyrel.verify as verify
+
+    policy = PrecisionPolicy(60, t_slack=20)
+    for n, digest in zip(range(2, 6), FOURLOG_ROOT_DIGESTS[seed, points]):
+        calls = []
+
+        def record(coeffs, policy):
+            roots = poly_roots(coeffs, policy)
+            calls.append([tuple(r) for r in roots])
+            return roots
+
+        monkeypatch.setattr(verify, "poly_roots", record)
+        verify_fourlog_numeric(n, points=points, policy=policy, seed=seed)
+        assert len(calls) == 2 * points
+        assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == digest, n
+
+
 def test_preimages_at_infinity_for_polynomials():
     phi = z * z
     pts = preimages(phi, INFINITY, POLICY)
