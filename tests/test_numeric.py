@@ -760,8 +760,9 @@ def _sweeps(monkeypatch, coeffs, policy):
             return super().__iter__()
 
     sweeps = numeric._weierstrass_sweeps
-    monkeypatch.setattr(numeric, "_weierstrass_sweeps", lambda m, z, wp: sweeps(Counted(m), z, wp))
-    roots = poly_roots(coeffs, policy)
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "_weierstrass_sweeps", lambda a, z, wp: sweeps(Counted(a), z, wp))
+        roots = poly_roots(coeffs, policy)
     return len(reads) // len(roots), policy.fixed_bits + numeric._ROOT_GUARD_BITS
 
 
