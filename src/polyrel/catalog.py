@@ -16,7 +16,8 @@ the term order of the sequential product.  No computed value depends on
 that order, since the kernel test and the numeric drivers sum the argument
 plan in integers; it keeps each product equal to the sequential one term
 for term (tests/test_catalog.py checks the ordered term lists) and fixes
-the order of ``RatFunc.evaluate_in``'s floating-point sum.
+the order of ``RatFunc.evaluate_in``'s floating-point sum, the tests'
+reference.
 
 f17 is a building block (only differences of its specializations are
 functional equations) and carries is_equation=False; the weight-4 family is
@@ -444,8 +445,8 @@ def _power_product(sign: int, factor_exps: Dict[str, Dict[int, int]]) -> RatFunc
     at a time, variable by variable: the variables are disjoint, so no two
     products collide and the insertion order is the outer product of the
     factors' orders.  The order changes no verdict: the argument plan sums
-    in integers, and only ``evaluate_in`` (``phi_value`` and the tests'
-    reference) sums in it, in floating point.
+    in integers, and only ``evaluate_in`` (the tests' reference) sums in
+    it, in floating point.
     """
     key = (sign, tuple((var, tuple(exps.items())) for var, exps in factor_exps.items()))
     rf = _power_products.get(key)

@@ -152,16 +152,10 @@ class PrecisionPolicy:
         ctx = self.context
         return ctx.mpf(10) ** (-self.working_digits + self.t_slack)
 
-    def real(self, value):
-        ctx = self.context
-        if isinstance(value, Fraction):
-            return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
-        return ctx.mpf(value)
-
     def complex(self, value):
         ctx = self.context
         if isinstance(value, Fraction):
-            return ctx.mpc(self.real(value))
+            return ctx.mpc(ctx.mpf(value.numerator) / ctx.mpf(value.denominator))
         if isinstance(value, complex):
             return ctx.mpc(value.real, value.imag)
         return ctx.mpc(value)
@@ -772,13 +766,6 @@ class Root(NamedTuple):
     @property
     def pair(self) -> Tuple[int, int, int]:
         return self.x, self.y, self.wp
-
-    def __sub__(self, other):
-        """The difference to a number, an mpc in ``other``'s context
-        (mpmath's global one for a plain number)."""
-        import mpmath
-
-        return from_fixed_pair(*self.pair, getattr(other, "context", mpmath.mp)) - other
 
 
 def exact_complex(value) -> Tuple[Fraction, Fraction]:

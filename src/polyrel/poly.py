@@ -32,10 +32,10 @@ Between the two, everything is integer:
   sum's argument plan (``formal.ArgumentPlan``).
 
 ``evaluate_in`` sums in term insertion order, in floating point.  It serves
-only ``phi_value`` and the tests' reference: the numeric drivers and the
-kernel test sum a sum's argument plan in integers, where the order changes
-no value.  Keeping the plain loop's order keeps a product equal to the
-plain loop's term for term, which the tests check.
+only the tests' reference: the numeric drivers and the kernel test sum a
+sum's argument plan in integers, where the order changes no value.
+Keeping the plain loop's order keeps a product equal to the plain loop's
+term for term, which the tests check.
 """
 
 from __future__ import annotations

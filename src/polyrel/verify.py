@@ -12,8 +12,13 @@ in Python-int fixed point from the sampled point to the sum: each monomial
 and each distinct polynomial once per point, one complex division per
 argument into the fixed-point pair CL_m's kernel takes, and ``cl_apply``
 summing the weighted kernel values in ints and rounding the sum once.
-``RatFunc.evaluate_in`` serves only the one-variable maps of the preimage
-families (``phi_value``).
+
+The preimage families take the same path.  Each term's cross ratio is
+built once per point pattern (which positions are infinite, which hold the
+same point, which hold phi of a point) by ``ratfunc.cross_ratio``, and
+evaluated by ``_evaluate_terms`` at its points' fixed-point pairs: the
+certified roots of ``preimages`` as they come, sampled points at their
+exact values.  Each verdict is one ``cl_apply`` sum.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .catalog import EquationSpec, get_equation
 from .criterion import Verdict
@@ -29,16 +35,15 @@ from .exact import DomainError, SplitMix64
 from .formal import FormalSum
 from .numeric import (
     PrecisionPolicy,
+    Root,
     cl_apply,
-    cl_m,
     exact_complex,
     fixed_width,
-    from_fixed_pair,
     poly_roots,
     to_fixed_pair,
 )
 from .poly import MultiPoly
-from .ratfunc import INFINITY, RatFunc, _heu_gcd
+from .ratfunc import INFINITY, POLE, RatFunc, _heu_gcd, cross_ratio
 
 __all__ = [
     "sample_complex",
@@ -50,7 +55,6 @@ __all__ = [
     "WOJTKOWIAK_TERMS",
     "verify_fourlog_numeric",
     "preimages",
-    "cr_num",
     "random_phi",
 ]
 
@@ -207,22 +211,17 @@ def verify_numeric(
 
 
 # ---------------------------------------------------------------------------
-# Preimages and numeric cross ratios
+# Preimages and cross-ratio terms
 # ---------------------------------------------------------------------------
 
 def _univariate_coeffs(p: MultiPoly, var: str) -> List[Fraction]:
-    for v in p.vars:
-        if v != var and p.degree_in(v) > 0:
-            raise DomainError(f"polynomial is not univariate in {var}")
-    deg = p.degree_in(var)
-    out = [Fraction(0)] * (deg + 1)
-    if var in p.vars:
-        i = p.vars.index(var)
-        for exp, c in p.terms.items():
-            out[exp[i]] += c
-    else:
-        for exp, c in p.terms.items():
-            out[0] += c
+    """The coefficients of p in ``var``, one of its variables, lowest first."""
+    if any(p.degree_in(v) for v in p.vars if v != var):
+        raise DomainError(f"polynomial is not univariate in {var}")
+    i = p.vars.index(var)
+    out = [Fraction(0)] * (p.degree_in(var) + 1)
+    for exp, c in p.terms.items():
+        out[exp[i]] += c
     return out
 
 
@@ -258,63 +257,96 @@ def preimages(phi: RatFunc, w, policy: PrecisionPolicy) -> List:
     return finite + [INFINITY] * max(inf_mult, 0)
 
 
-def _preimage_points(phi: RatFunc, w, policy: PrecisionPolicy) -> List:
-    """``preimages`` as mpcs at the context precision, INFINITY kept."""
-    ctx = policy.context
-    roots = preimages(phi, w, policy)
-    return [r if r is INFINITY else from_fixed_pair(*r.pair, ctx) for r in roots]
+class _Spot(NamedTuple):
+    """A finite point of a cross-ratio term: its fixed-point pair, which also
+    labels it, and whether the position holds phi of the point."""
+
+    pair: Tuple[int, int, int]
+    mapped: bool = False
 
 
-def phi_value(phi: RatFunc, x, policy: PrecisionPolicy):
-    """Numeric value of a one-variable rational map (INFINITY at poles)."""
-    ctx = policy.context
-    if x is INFINITY:
-        var, _ = _phi_variable(phi)
-        dn, dd = phi.num.degree_in(var), phi.den.degree_in(var)
-        if dn > dd:
-            return INFINITY
-        if dn < dd:
-            return ctx.mpc(0)
-        num_c = _univariate_coeffs(phi.num, var)
-        den_c = _univariate_coeffs(phi.den, var)
-        return policy.real(num_c[-1]) / policy.real(den_c[-1])
-    binding = {v: policy.complex(x) for v in phi.vars}
-    val, ok = phi.evaluate_in(binding, policy.real)
-    return val if ok else INFINITY
+def _spot(p, policy: PrecisionPolicy):
+    """INFINITY, or the ``_Spot`` of a certified root or of a number (an
+    int, Fraction, complex or mpc, floored from its exact value)."""
+    wp = policy.fixed_bits
+    if p is INFINITY:
+        return p
+    if isinstance(p, Root):
+        return _Spot((p.x << wp >> p.wp, p.y << wp >> p.wp, wp))
+    re, im = exact_complex(p)
+    return _Spot((math.floor(re * 2**wp), math.floor(im * 2**wp), wp))
 
 
-def cr_num(ctx, x, y, z, w):
-    """Numeric cross ratio with the infinity conventions of the symbolic one."""
+def _image(phi: RatFunc, p, policy: PrecisionPolicy):
+    """phi(p): substituted into the term's cross ratio at a finite point;
+    at infinity, phi(1/t) at t = 0 exactly."""
+    if p is not INFINITY:
+        return p._replace(mapped=True)
+    inverted = phi.substitute({u: 1 / RatFunc.var(u) for u in phi.vars})
+    value = inverted.evaluate({u: Fraction(0) for u in phi.vars})
+    return INFINITY if value is POLE else _spot(value, policy)
 
-    def same(a, b):
-        if a is INFINITY or b is INFINITY:
-            return a is b
-        return a == b
 
-    if same(x, z) or same(y, w):
-        return ctx.mpc(0)
-    if same(x, w) or same(y, z):
-        return INFINITY
-    if same(x, y) or same(z, w):
-        return ctx.mpc(1)
-    num = ctx.mpc(1)
-    den = ctx.mpc(1)
-    if x is not INFINITY and z is not INFINITY:
-        num *= x - z
-    if y is not INFINITY and w is not INFINITY:
-        num *= y - w
-    if x is not INFINITY and w is not INFINITY:
-        den *= x - w
-    if y is not INFINITY and z is not INFINITY:
-        den *= y - z
-    if den == 0:
-        return INFINITY
-    return num / den
+def _family(phi: RatFunc, w, policy: PrecisionPolicy) -> List:
+    return [_spot(r, policy) for r in preimages(phi, w, policy)]
+
+
+@lru_cache(maxsize=256)
+def _cross_ratio_pattern(pattern: tuple, phi: RatFunc | None) -> FormalSum:
+    """The cross ratio of four positions, each INFINITY or (k, mapped): the
+    variable p<k> of the k-th distinct point, or phi of it.  The conventions
+    of ``ratfunc.cross_ratio`` hold (infinite points drop their factors,
+    coincident pairs give 0, INFINITY or 1).  It comes back as a one-term
+    FormalSum, a constant one included, and INFINITY, where CL_m vanishes,
+    as the empty sum."""
+    points = []
+    for p in pattern:
+        if p is not INFINITY:
+            k, mapped = p
+            p = RatFunc.var(f"p{k}")
+            p = phi.substitute({u: p for u in phi.vars}) if mapped else p
+        points.append(p)
+    cr = cross_ratio(*points)
+    return FormalSum() if cr is INFINITY else FormalSum([(1, cr)])
+
+
+def _cross_ratio_terms(terms, phi: RatFunc, policy: PrecisionPolicy) -> List:
+    """The (coefficient, value) pairs ``cl_apply`` takes for terms
+    (c, four points from ``_spot`` or ``_image``): each term's pattern,
+    equal pairs sharing a variable, evaluated by ``_evaluate_terms``.  A
+    degenerate value raises DomainError."""
+    out = []
+    for c, points in terms:
+        labels: Dict[tuple, int] = {}
+        pattern = []
+        mapped = None  # phi, once a position holds phi of a point
+        for p in points:
+            if p is not INFINITY:
+                mapped = phi if p.mapped else mapped
+                p = (labels.setdefault(p.pair, len(labels)), p.mapped)
+            pattern.append(p)
+        binding = {f"p{k}": pair for pair, k in labels.items()}
+        evaluated = _evaluate_terms(_cross_ratio_pattern(tuple(pattern), mapped), binding, policy)
+        if evaluated is None:
+            raise DomainError(f"degenerate cross ratio in a preimage family: {pattern}")
+        out += [(c * one, value) for one, value in evaluated]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Preimage-family verifications
 # ---------------------------------------------------------------------------
+
+def _error_verdict(weight: int, terms, phi: RatFunc, policy: PrecisionPolicy, **meta) -> Verdict:
+    """Pass iff |sum c CL_weight(cr(points))| over the terms, one
+    ``cl_apply`` sum, is below the tolerance; meta and a failing witness
+    record it as the error."""
+    err = abs(cl_apply(weight, _cross_ratio_terms(terms, phi, policy), policy))
+    meta = {**meta, "precision": policy.working_digits, "error": float(err)}
+    if err < policy.tolerance:
+        return Verdict("pass", None, meta)
+    return Verdict("fail", {"error": float(err)}, meta)
+
 
 def verify_dilog_general(
     phi: RatFunc, alpha, B, C, D, policy: PrecisionPolicy | None = None
@@ -322,31 +354,12 @@ def verify_dilog_general(
     """sum over preimages CL_2(cr(alpha, beta, gamma, delta)) equals
     deg(phi) * CL_2(cr(phi(alpha), B, C, D))."""
     policy = policy or PrecisionPolicy(50)
-    ctx = policy.context
     _, deg = _phi_variable(phi)
-    a_val = phi_value(phi, alpha, policy)
-    betas = _preimage_points(phi, B, policy)
-    gammas = _preimage_points(phi, C, policy)
-    deltas = _preimage_points(phi, D, policy)
-    alpha_v = alpha if alpha is INFINITY else policy.complex(alpha)
-    total = ctx.mpf(0)
-    for b, g, d in itertools.product(betas, gammas, deltas):
-        total += cl_m(2, cr_num(ctx, alpha_v, b, g, d), policy)
-    rhs = deg * cl_m(2, cr_num(ctx, a_val, _pt(B, policy), _pt(C, policy), _pt(D, policy)), policy)
-    return _error_verdict(abs(total - rhs), policy, degree=deg)
-
-
-def _pt(v, policy):
-    return v if v is INFINITY else policy.complex(v)
-
-
-def _error_verdict(err, policy: PrecisionPolicy, **meta) -> Verdict:
-    """Pass iff the error ``err`` is below the tolerance; meta and a failing
-    witness record it."""
-    meta = {**meta, "precision": policy.working_digits, "error": float(err)}
-    if err < policy.tolerance:
-        return Verdict("pass", None, meta)
-    return Verdict("fail", {"error": float(err)}, meta)
+    a = _spot(alpha, policy)
+    families = [_family(phi, w, policy) for w in (B, C, D)]
+    terms = [(1, (a, *pts)) for pts in itertools.product(*families)]
+    terms.append((-deg, (_image(phi, a, policy), *(_spot(w, policy) for w in (B, C, D)))))
+    return _error_verdict(2, terms, phi, policy, degree=deg)
 
 
 def verify_trilog_theorem(
@@ -359,19 +372,16 @@ def verify_trilog_theorem(
 ) -> Verdict:
     """The alternating 16-fold combination over preimage families vanishes."""
     policy = policy or PrecisionPolicy(50)
-    ctx = policy.context
     _, deg = _phi_variable(phi)
     targets = (A_pts, B_pts, C_pts, D_pts)
-    pre = [[_preimage_points(phi, p, policy) for p in pts] for pts in targets]
-    total = ctx.mpf(0)
+    pre = [[_family(phi, p, policy) for p in pts] for pts in targets]
+    terms = []
     for idx in itertools.product((0, 1), repeat=4):
-        inner = ctx.mpf(0)
-        for pts in itertools.product(*(fam[i] for fam, i in zip(pre, idx))):
-            inner += cl_m(3, cr_num(ctx, *pts), policy)
-        images = (_pt(pts[i], policy) for pts, i in zip(targets, idx))
-        inner -= deg * cl_m(3, cr_num(ctx, *images), policy)
-        total += (-1) ** sum(idx) * inner
-    return _error_verdict(abs(total), policy, degree=deg)
+        sign = (-1) ** sum(idx)
+        terms += [(sign, pts) for pts in itertools.product(*(fam[i] for fam, i in zip(pre, idx)))]
+        images = tuple(_spot(pts[i], policy) for pts, i in zip(targets, idx))
+        terms.append((-sign * deg, images))
+    return _error_verdict(3, terms, phi, policy, degree=deg)
 
 
 #: Wojtkowiak's combination for the trilogarithm of phi(x): beside
@@ -388,18 +398,17 @@ def verify_wojtkowiak(
     """The one-variable specialization is independent of x: evaluate the
     combination at two points and compare."""
     policy = policy or PrecisionPolicy(50)
-    ctx = policy.context
-    pre = {f: _preimage_points(phi, p, policy) for f, p in zip("ABC", (A, B, C))}
+    pre = {f: _family(phi, p, policy) for f, p in zip("ABC", (A, B, C))}
+    images = tuple(_spot(p, policy) for p in (C, B, A))
 
-    def value(x):
-        xv = policy.complex(x)
-        total = cl_m(3, cr_num(ctx, phi_value(phi, x, policy), _pt(C, policy), _pt(B, policy), _pt(A, policy)), policy)
-        for sign, fams in WOJTKOWIAK_TERMS:
-            for pts in itertools.product(*(pre[f] for f in fams)):
-                total += sign * cl_m(3, cr_num(ctx, xv, *pts), policy)
-        return total
+    def terms(x, sign):
+        x = _spot(x, policy)
+        out = [(sign, (_image(phi, x, policy), *images))]
+        for s, fams in WOJTKOWIAK_TERMS:
+            out += [(sign * s, (x, *pts)) for pts in itertools.product(*(pre[f] for f in fams))]
+        return out
 
-    return _error_verdict(abs(value(x1) - value(x2)), policy)
+    return _error_verdict(3, terms(x1, 1) + terms(x2, -1), phi, policy)
 
 
 def verify_fourlog_numeric(

@@ -698,6 +698,7 @@ def test_cl_apply_conjugation_pair():
 
 def test_roots_quadratic():
     roots = poly_roots([-1, 0, 1], POLICY)  # x^2 - 1
+    roots = [numeric.from_fixed_pair(*r.pair, CTX) for r in roots]
     assert len(roots) == 2
     assert close(roots[0], CTX.mpc(-1), 45) and close(roots[1], CTX.mpc(1), 45)
 
@@ -705,6 +706,7 @@ def test_roots_quadratic():
 def test_roots_phi_preimage_quadratic():
     # x^2 - x - t at t = 3/4 has roots 3/2, -1/2
     roots = poly_roots([Fraction(-3, 4), Fraction(-1), Fraction(1)], POLICY)
+    roots = [numeric.from_fixed_pair(*r.pair, CTX) for r in roots]
     assert close(roots[0], POLICY.complex(Fraction(-1, 2)), 45)
     assert close(roots[1], POLICY.complex(Fraction(3, 2)), 45)
 
@@ -713,7 +715,7 @@ def test_roots_multiplicity():
     roots = poly_roots([4, -4, 1], POLICY)  # (x-2)^2
     assert len(roots) == 2
     assert roots[0] == roots[1]
-    assert close(roots[0], CTX.mpc(2), 20)
+    assert close(numeric.from_fixed_pair(*roots[0].pair, CTX), CTX.mpc(2), 20)
 
 
 def test_roots_triple_root_keeps_mpmath_start():
@@ -724,7 +726,7 @@ def test_roots_triple_root_keeps_mpmath_start():
     policy = PrecisionPolicy.for_digits(15)
     roots = poly_roots([-1, 3, -3, 1], policy)
     assert len(roots) == 3 and roots[0] == roots[1] == roots[2]
-    assert abs(roots[0] - 1) < 1e-5
+    assert abs(numeric.from_fixed_pair(*roots[0].pair, policy.context) - 1) < 1e-5
 
 
 def test_roots_beyond_float_range_are_certified():

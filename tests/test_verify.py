@@ -11,9 +11,12 @@ from mpmath.libmp import from_man_exp
 from polyrel.numeric import PrecisionPolicy, fixed_width, from_fixed_pair, poly_roots
 from polyrel.ratfunc import INFINITY, RatFunc
 from polyrel.verify import (
+    _cross_ratio_pattern,
+    _cross_ratio_terms,
     _evaluate_terms,
+    _image,
+    _spot,
     _squarefree,
-    cr_num,
     preimages,
     random_phi,
     sample_complex,
@@ -100,12 +103,37 @@ def test_preimages_of_rational_map():
     assert sum(1 for p in pts if p is INFINITY) == 1
 
 
-def test_cr_num_conventions():
-    a, b, c = CTX.mpc(2), CTX.mpc(3), CTX.mpc(5)
-    assert cr_num(CTX, INFINITY, a, b, c) == (a - c) / (a - b)
-    assert cr_num(CTX, a, b, a, c) == 0
-    assert cr_num(CTX, a, b, c, a) is INFINITY
-    assert cr_num(CTX, a, a, b, c) == 1
+def test_cross_ratio_pattern_conventions():
+    """An infinite point drops its factors, and points with equal values (an
+    int, an mpc, a Fraction) share a variable, so coincident pairs give the
+    constants 0, INFINITY and 1."""
+    a, b, c = _spot(2, POLICY), _spot(3, POLICY), _spot(5, POLICY)
+    a2 = _spot(CTX.mpc(2), POLICY)
+    (_, value), = _cross_ratio_terms([(1, (INFINITY, a, b, c))], None, POLICY)
+    wp = POLICY.fixed_bits
+    assert value == (3 << wp, 0, wp)  # (a - c) / (a - b) = 3, exactly
+    pattern = (INFINITY, (0, False), (1, False), (2, False))
+    ((_, cr),) = _cross_ratio_pattern(pattern, None).terms
+    p0, p1, p2 = (RatFunc.var(v) for v in ("p0", "p1", "p2"))
+    assert cr.equivalent((p0 - p2) / (p0 - p1))
+    a3 = _spot(Fraction(2), POLICY)
+    assert _cross_ratio_terms([(1, (a, b, a2, c))], None, POLICY) == [(1, 0)]
+    assert _cross_ratio_terms([(1, (a, a3, b, c))], None, POLICY) == [(1, 1)]
+    # INFINITY, where CL_m vanishes, is the empty sum
+    assert not _cross_ratio_pattern(((0, False), (1, False), (2, False), (0, False)), None).terms
+    assert _cross_ratio_terms([(1, (a, b, c, a2))], None, POLICY) == []
+
+
+def test_cross_ratio_terms_map_phi():
+    """phi enters a term's cross ratio by substitution, and phi(INFINITY) is
+    INFINITY for a polynomial, the ratio of leading coefficients otherwise."""
+    phi = z * (1 - z)
+    a, b, c = _spot(Fraction(1, 2), POLICY), _spot(2, POLICY), _spot(3, POLICY)
+    (_, value), = _cross_ratio_terms([(1, (_image(phi, a, POLICY), b, c, INFINITY))], phi, POLICY)
+    wp = POLICY.fixed_bits
+    assert value == ((11 << wp) // 4, 0, wp)  # (phi(1/2) - 3) / (2 - 3) = 11/4
+    assert _image(phi, INFINITY, POLICY) is INFINITY
+    assert _image((2 * z + 1) / (z - 3), INFINITY, POLICY).pair == (2 << wp, 0, wp)
 
 
 def test_verify_numeric_five_term():
@@ -161,6 +189,50 @@ def test_wojtkowiak_independence_of_x():
     pts = [sample_complex(rng, CTX) for _ in range(5)]
     verdict = verify_wojtkowiak(phi, pts[0], pts[1], pts[2], pts[3], pts[4], POLICY)
     assert verdict.passed
+
+
+#: Criterion 7's policy: tolerance 1e-30.
+FAMILY_POLICY = PrecisionPolicy(50, t_slack=20)
+
+
+def _family_drivers():
+    """Each preimage driver on a random cubic at sampled points, as a
+    callable, the way criterion 7 calls them."""
+    phi = random_phi(SplitMix64(24))
+    rng = SplitMix64(25)
+    pts = [sample_complex(rng, FAMILY_POLICY.context) for _ in range(10)]
+    p = FAMILY_POLICY
+    return {
+        "dilog_general": lambda: verify_dilog_general(phi, pts[0], pts[1], pts[2], pts[3], p),
+        "trilog_theorem": lambda: verify_trilog_theorem(phi, pts[0:2], pts[2:4], pts[4:6], pts[6:8], p),
+        "wojtkowiak": lambda: verify_wojtkowiak(phi, pts[0], pts[1], pts[2], pts[8], pts[9], p),
+    }
+
+
+@pytest.mark.parametrize("driver", ["dilog_general", "trilog_theorem", "wojtkowiak"])
+def test_preimage_drivers_fail_on_a_moved_root(monkeypatch, driver):
+    """Negative control: the drivers pass near the kernel's floor on exact
+    preimages, and fail far above the tolerance once one root of the first
+    family moves by 2^-60."""
+    import polyrel.verify as verify
+
+    run = _family_drivers()[driver]
+    verdict = run()
+    assert verdict.passed and verdict.trials["error"] < 1e-65, verdict.to_json()
+    calls = []
+
+    def moved(phi, w, policy):
+        roots = preimages(phi, w, policy)
+        if not calls:
+            r = roots[0]
+            roots[0] = r._replace(x=r.x + (1 << (r.wp - 60)))
+        calls.append(w)
+        return roots
+
+    monkeypatch.setattr(verify, "preimages", moved)
+    verdict = run()
+    assert calls and not verdict.passed
+    assert verdict.witness["error"] > 1e-25, verdict.to_json()
 
 
 def test_fourlog_numeric_smallest_family():
