@@ -32,17 +32,17 @@ fixed before summing.  CL_m reads only the weights m - r with B_r != 0
 
 The logarithms (log z and log(-log z) for the expansion, log|z| for the
 power series, log(1-z) for Li_1, log(-z) for the inversion) come from one
-fixed-point complex log, ``_log_fixed``, with no mpmath call.
+fixed-point complex log, ``_log_fixed``, and so does pi (``_pi_fixed``, the
+imaginary part of log(-1)): the kernel makes no mpmath call.
 
-An argument enters fixed point once, at the width ``fixed_width`` gives it
-(extra bits far from the unit circle): ``_fixed_argument`` converts an mpc,
-and a caller that already holds the argument in fixed point (the numeric
-verifier's argument plan) hands over the pair (x, y, wp) itself.  li_m folds
-|z| > 2 by inversion and rounds once to an mpc.  CL_m's integer core
+A number enters fixed point one way: ``exact_complex`` reads its exact
+value and ``fixed_pair`` floors it, at the width ``_fixed_argument`` picks
+from its exact top bit (``fixed_width``: extra bits far from the unit
+circle).  li_m folds |z| > 2 by inversion.  CL_m's integer core
 (``_cl_fixed``) folds |z| > 1 to 1/z and sums the parts it keeps of one
-kernel call with cached Bernoulli weights; ``cl_m`` rounds that once to an
-mpf, and ``cl_apply`` sums c * core over a whole linear combination in ints
-and rounds the sum once.
+kernel call with cached Bernoulli weights; ``cl_apply`` sums c * core over
+a linear combination in ints, and ``cl_m`` is its one-term case.  A value
+leaves fixed point one way too, rounded once by ``_rounded``.
 
 Polynomial roots (``poly_roots``) are proved, not estimated: float
 Durand-Kerner (or, without float seeds, a start scaled to the size of the
@@ -81,6 +81,7 @@ __all__ = [
     "poly_roots",
     "Root",
     "exact_complex",
+    "fixed_pair",
 ]
 
 
@@ -152,13 +153,79 @@ class PrecisionPolicy:
         ctx = self.context
         return ctx.mpf(10) ** (-self.working_digits + self.t_slack)
 
-    def complex(self, value):
-        ctx = self.context
-        if isinstance(value, Fraction):
-            return ctx.mpc(ctx.mpf(value.numerator) / ctx.mpf(value.denominator))
-        if isinstance(value, complex):
-            return ctx.mpc(value.real, value.imag)
-        return ctx.mpc(value)
+
+# ---------------------------------------------------------------------------
+# Into fixed point and out of it
+# ---------------------------------------------------------------------------
+
+class Root(NamedTuple):
+    """A certified root (x + iy) / 2^wp: the polynomial has a root (a k-fold
+    cluster: k roots) within radius / 2^wp of it."""
+
+    x: int
+    y: int
+    wp: int
+    radius: int
+
+    @property
+    def pair(self) -> Tuple[int, int, int]:
+        return self.x, self.y, self.wp
+
+
+def _is_fixed(value) -> bool:
+    """A ``Root`` or a fixed-point triple (x, y, wp), (x + iy) / 2^wp."""
+    return isinstance(value, Root) or isinstance(value, tuple) and len(value) == 3
+
+
+def exact_complex(value) -> Tuple[Fraction, Fraction]:
+    """A number's exact value as a Gaussian rational (re, im): an int,
+    Fraction, float, complex, mpf or mpc (its binary value), a pair of
+    rationals, or a ``Root`` or fixed-point triple (x, y, wp) standing for
+    (x + iy) / 2^wp.  Any other tuple, and a non-finite value, raise
+    DomainError naming the value."""
+    from mpmath.libmp import from_float, fzero, to_rational
+
+    if _is_fixed(value):
+        x, y, wp = value[:3]
+        return Fraction(x, 1 << wp), Fraction(y, 1 << wp)
+    if isinstance(value, tuple):
+        if len(value) != 2:
+            raise DomainError(f"not a number, nor a pair or triple: {value}")
+        return Fraction(value[0]), Fraction(value[1])
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value), Fraction(0)
+    if hasattr(value, "_mpc_") or hasattr(value, "_mpf_"):
+        parts = getattr(value, "_mpc_", None) or (value._mpf_, fzero)
+    else:
+        z = complex(value)
+        parts = from_float(z.real), from_float(z.imag)
+    if any(not man and exp for _, man, exp, _ in parts):  # inf and nan
+        raise DomainError(f"need a finite number, got {value}")
+    return tuple(Fraction(*to_rational(p)) for p in parts)
+
+
+def fixed_pair(value, wp: int) -> Tuple[int, int]:
+    """(re, im) of a number's exact value (``exact_complex``) as ints
+    scaled by 2^wp, rounded toward -oo; a ``Root`` or fixed-point triple is
+    shifted as ints."""
+    if _is_fixed(value):
+        x, y, w = value[:3]
+        return x << wp >> w, y << wp >> w
+    re, im = exact_complex(value)
+    return (re.numerator << wp) // re.denominator, (im.numerator << wp) // im.denominator
+
+
+def _rounded(num: int, scale: int, prec: int, den: int = 1):
+    """num / (den 2^scale) rounded to nearest at prec bits, as mpmath's raw
+    mpf: the one way a value leaves fixed point."""
+    from mpmath.libmp import from_int, from_man_exp, mpf_div
+
+    return mpf_div(from_man_exp(num, -scale), from_int(den), prec, "n")
+
+
+def from_fixed_pair(re: int, im: int, wp: int, ctx):
+    """The mpc of a fixed-point pair, rounded to the context precision."""
+    return ctx.make_mpc((_rounded(re, wp, ctx.prec), _rounded(im, wp, ctx.prec)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +313,9 @@ def zeta_int(k: int, policy: PrecisionPolicy):
     """
     if k < 2:
         raise DomainError("zeta_int needs k >= 2")
-    from mpmath.libmp import from_man_exp
-
     ctx = policy.context
     wp = policy.fixed_bits
-    return ctx.make_mpf(from_man_exp(_zeta_fixed(k, wp), -wp, ctx.prec, "n"))
+    return ctx.make_mpf(_rounded(_zeta_fixed(k, wp), wp, ctx.prec))
 
 
 @lru_cache(maxsize=None)
@@ -372,22 +437,12 @@ def _log_fixed(x: int, y: int, wp: int) -> Tuple[int, int]:
     return re, im
 
 
-def to_fixed_pair(z, wp: int) -> Tuple[int, int]:
-    """(re, im) of an mpc as ints scaled by 2^wp, rounded toward -infinity."""
-    from mpmath.libmp import to_fixed
-
-    re, im = z._mpc_
-    return to_fixed(re, wp), to_fixed(im, wp)
-
-
-def from_fixed_pair(re: int, im: int, wp: int, ctx):
-    """The mpc of a fixed-point pair, rounded to the context precision."""
-    from mpmath.libmp import from_man_exp
-
-    prec = ctx.prec
-    return ctx.make_mpc(
-        (from_man_exp(re, -wp, prec, "n"), from_man_exp(im, -wp, prec, "n"))
-    )
+@lru_cache(maxsize=None)
+def _pi_fixed(wp: int) -> int:
+    """floor(pi 2^wp): Im log(-1) from ``_log_fixed`` at wp + 20 bits (within
+    0.6 units) shifted down 20 bits, exact unless pi 2^wp lies within 2^-20
+    of an integer, which happens at no width from 16 to 1500 bits."""
+    return _log_fixed(-1 << (wp + 20), 0, wp + 20)[1] >> 20
 
 
 # k -> (1^k, 2^k, ...), replaced by a longer tuple when a call needs more
@@ -455,13 +510,11 @@ def _log_table(m: int, wp: int) -> Tuple:
     table = _log_tables.get(key)
     if table is not None:
         return table
-    from mpmath.libmp import pi_fixed
-
     k_max = _terms(wp, log2(_U_MAX), _COEFF_BITS + 2)
     # scaled[k] = (2pi)^k / k!, built 8 bits wider: the powers carry pi's
     # last-unit error up to k (2pi)^(k-1) / k! < 2^7 times
     wb = wp + 8
-    twopi = pi_fixed(wb) << 1
+    twopi = _pi_fixed(wb) << 1
     scaled = [1 << wb]
     for k in range(1, max(k_max, m + 1)):
         scaled.append(scaled[-1] * twopi // (k << wb))
@@ -497,11 +550,9 @@ def _li_log_series(m: int, x: int, y: int, wp: int) -> Tuple[Callable[[int, int]
     real (``part`` 0) or imaginary (``part`` 1) part of Li_j(z), j <= m,
     against the sweep, and log|z| = Re w.
     """
-    from mpmath.libmp import pi_fixed
-
     wr, wi = _log_fixed(x, y, wp)
     log_r, log_i = _log_fixed(-wr, -wi, wp)
-    twopi = pi_fixed(wp) << 1
+    twopi = _pi_fixed(wp) << 1
     ur = (wr << wp) // twopi
     ui = (wi << wp) // twopi
     n_terms = max(_terms(wp, _log2_abs(ur, ui, wp), _COEFF_BITS + 2), m + 1)
@@ -565,10 +616,8 @@ def _li_inversion_weights(m: int, wp: int) -> Tuple[int, ...]:
     Every c_k is real: 0 at odd k, and (2 pi i)^k = (-1)^(k/2) (2pi)^k at
     even k, built 8 bits wider to absorb pi's last-unit error in the power.
     """
-    from mpmath.libmp import pi_fixed
-
     wb = wp + 8
-    twopi = pi_fixed(wb) << 1
+    twopi = _pi_fixed(wb) << 1
     out = []
     for k in range(m + 1):
         q = (Fraction(2, 1 << k) - 1) * bernoulli(k) / (factorial(k) * factorial(m - k))
@@ -585,16 +634,21 @@ def fixed_width(top: int, policy: PrecisionPolicy) -> int:
     return policy.fixed_bits + max(abs(top) - 2, 0)
 
 
-def _fixed_argument(z, policy: PrecisionPolicy) -> Tuple[int, int, int]:
-    """(x, y, wp): the mpc z as x + iy scaled by 2^wp, rounded toward -oo,
-    at the width ``fixed_width`` gives it.  A non-finite z raises
-    DomainError.
-    """
-    if not policy.context.isfinite(z):
-        raise DomainError(f"polylogarithms need a finite argument, got {z}")
-    top = max((p[2] + p[3] for p in z._mpc_ if p[1]), default=0)
-    wp = fixed_width(top, policy)
-    return (*to_fixed_pair(z, wp), wp)
+def _fixed_argument(value, policy: PrecisionPolicy) -> Tuple[int, int, int]:
+    """(x, y, wp): a number ``exact_complex`` reads, floored (``fixed_pair``)
+    at the width ``fixed_width`` gives the larger top bit floor(log2 |q|) + 1
+    of its exact nonzero parts q; a triple or ``Root`` already wider keeps
+    its width.  A non-finite value raises DomainError."""
+    if _is_fixed(value):
+        x, y, w = value[:3]
+        parts = [(x, 1 << w), (y, 1 << w)]
+    else:
+        value = exact_complex(value)
+        w, parts = 0, [(q.numerator, q.denominator) for q in value]
+    k = max(d.bit_length() for _, d in parts)
+    top = max((((abs(n) << k) // d).bit_length() - k for n, d in parts if n), default=0)
+    wp = max(fixed_width(top, policy), w)
+    return (*fixed_pair(value, wp), wp)
 
 
 def li_m(m: int, z, policy: PrecisionPolicy):
@@ -602,30 +656,35 @@ def li_m(m: int, z, policy: PrecisionPolicy):
 
     m = 1 is -log(1-z) (pole at z = 1); for m >= 2 the point z = 1 itself
     gives zeta(m), while real z > 1 raises BranchAmbiguityError (use CL_m,
-    which is one-valued, on the cut).  A non-finite z raises DomainError.
+    which is one-valued, on the cut).  These checks read z's exact value
+    (``exact_complex``).  A non-finite z raises DomainError.
 
-    In fixed point from ``_fixed_argument`` on: m = 1 is one ``_log_fixed``;
-    for m >= 2, |z| <= 1/2 is the power series, 1/2 < |z| <= 2 the expansion
-    in log z, and |z| > 2 folds to 1/z by Li_m(z) = (-1)^(m-1) Li_m(1/z)
-    - sum_k c_k L^(m-k), L = log(-z), c_k from ``_li_inversion_weights``.
+    In fixed point from ``_fixed_argument`` on: m = 1 is one ``_log_fixed``
+    of 1 - z, floored from its exact value with the extra bits z or 1 - z
+    needs; for m >= 2, |z| <= 1/2 is the power series, 1/2 < |z| <= 2 the
+    expansion in log z, and |z| > 2 folds to 1/z by Li_m(z) = (-1)^(m-1)
+    Li_m(1/z) - sum_k c_k L^(m-k), L = log(-z), c_k from
+    ``_li_inversion_weights``.
     """
     if m < 1:
         raise DomainError("li_m needs m >= 1")
     ctx = policy.context
-    z = policy.complex(z)
+    z = exact_complex(z)
     x, y, wp = _fixed_argument(z, policy)
-    if z == 1:
+    if z == (1, 0):
         if m == 1:
             raise PoleError("Li_1 has a pole at z = 1")
         return ctx.mpc(zeta_int(m, policy))
-    if m > 1 and z.imag == 0 and z.real > 1:
+    if m == 1:
+        w = (1 - z[0], -z[1])
+        wp = max(wp, _fixed_argument(w, policy)[2])
+        re, im = _log_fixed(*fixed_pair(w, wp), wp)
+        return from_fixed_pair(-re, -im, wp, ctx)
+    if not z[1] and z[0] > 1:
         raise BranchAmbiguityError("Li_m is branch-ambiguous on (1, oo); evaluate CL_m instead")
-    if not y and z.imag > 0:
+    if not y and z[1] > 0:
         y = 1  # the floor sends 0 < Im z < 2^-wp to 0; the branch needs its sign
     one = 1 << wp
-    if m == 1:
-        re, im = _log_fixed(one - x, -y, wp)
-        return from_fixed_pair(-re, -im, wp, ctx)
     norm = x * x + y * y
     fold = norm > one * one << 2  # |z| > 2
     if fold:
@@ -659,24 +718,20 @@ def _cl_fixed(m: int, value, policy: PrecisionPolicy) -> Tuple[int, int]:
     """CL_m(value) as an int t and a scale s, the value t / 2^s: CL_m's
     integer core, before any rounding to the context precision.
 
-    ``value`` is complex (an mpc included), a Fraction, INFINITY, or a
-    fixed-point pair (x, y, wp) standing for (x + iy) / 2^wp, with wp at
-    least ``policy.fixed_bits``.  Continuity values: 0 at 0 and infinity;
-    zeta(m) at 1 (``_zeta_fixed`` at ``policy.fixed_bits``) for odd m, 0 for
-    even m.  Any other value enters fixed point once (``_fixed_argument``)
-    and runs in Python ints from there: |z| > 1 is folded to 1/z, and one
-    fused _li_all call gives the real parts (odd m) or the imaginary parts
-    (even m) of the Li_j(z) CL_m reads, and log|z|.  The Bernoulli weights,
-    cached per (m, bits), combine them at scale s = 2 wp.
+    ``value`` is INFINITY or any number ``exact_complex`` reads.  Continuity
+    values: 0 at 0 and infinity; zeta(m) at 1 (``_zeta_fixed`` at
+    ``policy.fixed_bits``) for odd m, 0 for even m.  Any other value enters
+    fixed point once (``_fixed_argument``) and runs in Python ints from
+    there: |z| > 1 is folded to 1/z, and one fused _li_all call gives the
+    real parts (odd m) or the imaginary parts (even m) of the Li_j(z) CL_m
+    reads, and log|z|.  The Bernoulli weights, cached per (m, bits), combine
+    them at scale s = 2 wp.
     """
     if m < 2:
         raise DomainError("cl_m needs m >= 2 (m = 1 is excluded)")
     if value is INFINITY:
         return 0, 0
-    if isinstance(value, tuple):
-        x, y, wp = value
-    else:
-        x, y, wp = _fixed_argument(policy.complex(value), policy)
+    x, y, wp = _fixed_argument(value, policy)
     if not x and not y:
         return 0, 0
     base = policy.fixed_bits
@@ -704,42 +759,31 @@ def _cl_fixed(m: int, value, policy: PrecisionPolicy) -> Tuple[int, int]:
 
 
 def cl_m(m: int, z, policy: PrecisionPolicy):
-    """One-valued CL_m: total on P^1(C), real-valued, inversion-(anti)symmetric.
-
-    Accepts the values ``_cl_fixed`` does (complex, Fraction, INFINITY or a
-    fixed-point pair) and rounds its integer core once to an mpf at the
-    context precision.
-    """
-    from mpmath.libmp import from_man_exp
-
-    ctx = policy.context
-    total, scale = _cl_fixed(m, z, policy)
-    return ctx.make_mpf(from_man_exp(total, -scale, ctx.prec, "n"))
+    """One-valued CL_m: total on P^1(C), real-valued, inversion-(anti)symmetric;
+    the one-term ``cl_apply``."""
+    return cl_apply(m, ((1, z),), policy)
 
 
 def cl_apply(m: int, terms, policy: PrecisionPolicy):
     """Linear extension: sum of coeff * CL_m(value) over (coefficient, value)
-    pairs, values as ``_cl_fixed`` takes them (complex, Fraction, INFINITY
-    or a fixed-point pair), rational coefficients.
+    pairs, values as ``_cl_fixed`` takes them, rational coefficients.
 
     The sum is exact in ints from the kernel on: with L the lcm of the
     coefficients' denominators, each c * L * core is shifted to the widest
     scale of the terms, and the total over L is rounded once to the context
-    precision.  So the error is counted per term: each core is within
-    2^_GUARD_BITS units of 2^-``policy.fixed_bits``, that is 2^-prec for
-    the context's prec bits, of CL_m at the argument it was handed (the
-    budget the guard bits hold), and the sum is within 2^-prec sum |c| of
-    sum c CL_m(value), plus the one final rounding, at most half an ulp of
-    the result.
+    precision (``_rounded``).  So the error is counted per term: each core
+    is within 2^_GUARD_BITS units of 2^-``policy.fixed_bits``, that is
+    2^-prec for the context's prec bits, of CL_m at the argument it was
+    handed (the budget the guard bits hold), and the sum is within
+    2^-prec sum |c| of sum c CL_m(value), plus the one final rounding, at
+    most half an ulp of the result.
     """
-    from mpmath.libmp import from_int, from_man_exp, mpf_div
-
     ctx = policy.context
     parts = [(Fraction(c), *_cl_fixed(m, value, policy)) for c, value in terms]
     den = lcm(*(c.denominator for c, _, _ in parts))
     scale = max((s for _, _, s in parts), default=0)
     total = sum(c.numerator * (den // c.denominator) * t << (scale - s) for c, t, s in parts)
-    return ctx.make_mpf(mpf_div(from_man_exp(total, -scale), from_int(den), ctx.prec, "n"))
+    return ctx.make_mpf(_rounded(total, scale, ctx.prec, den))
 
 
 # ---------------------------------------------------------------------------
@@ -752,40 +796,6 @@ _FLOAT_SWEEPS = 100
 _ROOT_GUARD_BITS = 8
 # a sweep that moves no root by more than this many units ends the iteration
 _ROOT_STEP_UNITS = 16
-
-
-class Root(NamedTuple):
-    """A certified root (x + iy) / 2^wp: the polynomial has a root (a k-fold
-    cluster: k roots) within radius / 2^wp of it."""
-
-    x: int
-    y: int
-    wp: int
-    radius: int
-
-    @property
-    def pair(self) -> Tuple[int, int, int]:
-        return self.x, self.y, self.wp
-
-
-def exact_complex(value) -> Tuple[Fraction, Fraction]:
-    """A number's exact value as a Gaussian rational (re, im): an int,
-    Fraction, float, complex, mpf or mpc (its binary value), or a pair of
-    rationals.  A non-finite value raises DomainError."""
-    from mpmath.libmp import from_float, fzero, to_rational
-
-    if isinstance(value, tuple):
-        return Fraction(value[0]), Fraction(value[1])
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value), Fraction(0)
-    if hasattr(value, "_mpc_") or hasattr(value, "_mpf_"):
-        parts = getattr(value, "_mpc_", None) or (value._mpf_, fzero)
-    else:
-        z = complex(value)
-        parts = from_float(z.real), from_float(z.imag)
-    if any(not man and exp for _, man, exp, _ in parts):  # inf and nan
-        raise DomainError(f"poly_roots needs finite coefficients, got {value}")
-    return tuple(Fraction(*to_rational(p)) for p in parts)
 
 
 def _float_roots(descending: Sequence) -> Optional[List[complex]]:
@@ -962,9 +972,6 @@ def poly_roots(coefficients: Sequence, policy: PrecisionPolicy) -> List[Root]:
             e = round((log2(br * br + bi * bi) - log2(norm)) / (2 * (len(a) - 1)))
             shift += max(e, -(wp // 2))
         seeds = [(0.4 + 0.9j) ** k for k in range(len(a) - 1)]
-    z = [
-        tuple((num << shift) // d for num, d in (s.real.as_integer_ratio(), s.imag.as_integer_ratio()))
-        for s in seeds
-    ]
+    z = [fixed_pair(s, shift) for s in seeds]
     _weierstrass_sweeps(monic, z, wp)
     return _certify(a, z, wp, policy)

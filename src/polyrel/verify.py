@@ -35,12 +35,11 @@ from .exact import DomainError, SplitMix64
 from .formal import FormalSum
 from .numeric import (
     PrecisionPolicy,
-    Root,
     cl_apply,
     exact_complex,
+    fixed_pair,
     fixed_width,
     poly_roots,
-    to_fixed_pair,
 )
 from .poly import MultiPoly
 from .ratfunc import INFINITY, POLE, RatFunc, _heu_gcd, cross_ratio
@@ -81,31 +80,26 @@ def _evaluate_terms(s: FormalSum, binding: Dict[str, object], policy: PrecisionP
     """The terms of ``s`` at a complex point, from its ArgumentPlan; None
     signals a degenerate draw.
 
-    ``binding`` maps each variable to a complex number (an mpc included) or
-    to a fixed-point pair (x, y, w) standing for (x + iy) / 2^w, as
-    ``preimages`` gives its roots.  Runs in Python-int fixed point at
-    ``policy.fixed_bits``: the powers of each variable, each of the plan's
-    monomials once, each distinct polynomial once (``ArgumentPlan.values``)
-    and one complex division per argument.  The draw is degenerate if some
-    argument has a pole there or a value x with |x| < 1e-8, |x| > 1e8 or
-    |x - 1| < 1e-8, decided at ``policy.fixed_bits``.  Constant arguments
-    come first, as Fractions, then the others in sum order, each as the
-    fixed-point pair (x, y, wp) that ``cl_apply`` takes, x + iy = floor of
-    the quotient times 2^wp: an argument far from the unit circle is divided
-    again at the wider width ``numeric.fixed_width`` gives it, the rule an
-    mpc argument meets in ``numeric._fixed_argument``.
+    ``binding`` maps each variable to a number ``numeric.fixed_pair``
+    floors at ``policy.fixed_bits``: a complex number (an mpc included), a
+    fixed-point pair (x, y, w) standing for (x + iy) / 2^w, or a root of
+    ``preimages``.  Runs in Python-int fixed point at that width: the
+    powers of each variable, each of the plan's monomials once, each
+    distinct polynomial once (``ArgumentPlan.values``) and one complex
+    division per argument.  The draw is degenerate if some argument has a
+    pole there or a value x with |x| < 1e-8, |x| > 1e8 or |x - 1| < 1e-8.
+    Constant arguments come first, as Fractions, then the others in sum
+    order, each as the fixed-point pair (x, y, wp) that ``cl_apply`` takes,
+    x + iy = floor of the quotient times 2^wp: an argument far from the unit
+    circle is divided again at the wider width ``numeric.fixed_width``
+    gives it, the rule ``numeric._fixed_argument`` applies to any number.
     """
     plan = s.plan()
     wp = policy.fixed_bits
     one = 1 << wp
     rows = []
     for v, d in zip(plan.variables, plan.degrees):
-        value = binding[v]
-        if isinstance(value, tuple):  # a fixed-point pair (x, y, w)
-            x, y, w = value
-            x, y = x << wp >> w, y << wp >> w
-        else:
-            x, y = to_fixed_pair(value, wp)
+        x, y = fixed_pair(binding[v], wp)
         row = [(one, 0), (x, y)]
         for _ in range(d - 1):
             a, b = row[-1]
@@ -266,15 +260,13 @@ class _Spot(NamedTuple):
 
 
 def _spot(p, policy: PrecisionPolicy):
-    """INFINITY, or the ``_Spot`` of a certified root or of a number (an
-    int, Fraction, complex or mpc, floored from its exact value)."""
-    wp = policy.fixed_bits
+    """INFINITY, or the ``_Spot`` of a certified root or of any number
+    ``numeric.exact_complex`` reads, floored at ``policy.fixed_bits`` by
+    ``numeric.fixed_pair``."""
     if p is INFINITY:
         return p
-    if isinstance(p, Root):
-        return _Spot((p.x << wp >> p.wp, p.y << wp >> p.wp, wp))
-    re, im = exact_complex(p)
-    return _Spot((math.floor(re * 2**wp), math.floor(im * 2**wp), wp))
+    wp = policy.fixed_bits
+    return _Spot((*fixed_pair(p, wp), wp))
 
 
 def _image(phi: RatFunc, p, policy: PrecisionPolicy):

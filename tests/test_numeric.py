@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 from math import factorial, isqrt, log2
 
@@ -26,6 +27,12 @@ CTX = POLICY.context
 
 def close(a, b, digits=45):
     return abs(a - b) < CTX.mpf(10) ** (-digits)
+
+
+def exact_mpc(value, ctx=CTX):
+    """The mpc of a number's exact value (numeric.exact_complex), rounded to
+    the context ``ctx``."""
+    return ctx.mpc(*(ctx.mpf(q.numerator) / q.denominator for q in numeric.exact_complex(value)))
 
 
 # -- Bernoulli ---------------------------------------------------------------
@@ -259,6 +266,22 @@ def test_li_keeps_relative_accuracy_at_tiny_z(digits):
 
 
 @pytest.mark.parametrize("digits", [50, 60])
+def test_li1_keeps_accuracy_near_0_and_1(digits):
+    """Li_1(z) = -log(1 - z) floors 1 - z from its exact value, with the
+    extra bits z or 1 - z needs: |z| = 1e-30 keeps relative error <= 10^-P,
+    and z = 1 - 2^-k, which a floor of z would put on the pole or one unit
+    from it, gives k log 2."""
+    policy = PrecisionPolicy(digits)
+    with mpmath.workdps(digits + 20):
+        for z in (cmath.rect(1e-30, 0.4), cmath.rect(1e-30, -2.9)):
+            ref = mpmath.polylog(1, mpmath.mpc(z))
+            err = abs(mpmath.mpmathify(li_m(1, z, policy)) - ref)
+            assert err <= mpmath.mpf(10) ** -digits * abs(ref), z
+        for k in (150, 250, 1000):
+            _assert_within(li_m(1, 1 - Fraction(1, 2**k), policy), k * mpmath.ln2, digits, k)
+
+
+@pytest.mark.parametrize("digits", [50, 60])
 def test_li_continuation_across_negative_axis(digits):
     """|z| > 2 just above, on and just below the negative real axis."""
     policy = PrecisionPolicy(digits)
@@ -278,7 +301,7 @@ def test_li_log_series_parts_match_single_part_sums():
     wp = POLICY.fixed_bits
     for _ in range(50):
         z = cmath.rect(0.51 + 1.48 * rng.next_unit(), 0.001 + 6.28 * rng.next_unit())
-        x, y = numeric.to_fixed_pair(POLICY.complex(z), wp)
+        x, y = numeric.fixed_pair(z, wp)
         for m in range(2, 8):
             re, im = (numeric._li_all(m, x, y, wp, part)[0][m] for part in (0, 1))
             expected = numeric.from_fixed_pair(re, im, wp, CTX)
@@ -338,7 +361,7 @@ def test_li_all_needed_weights_match_the_full_chain(digits):
     regions = set()
     for _ in range(40):
         z = cmath.rect(0.02 + 1.97 * rng.next_unit(), cmath.pi * (2 * rng.next_unit() - 1))
-        x, y = numeric.to_fixed_pair(policy.complex(z), wp)
+        x, y = numeric.fixed_pair(z, wp)
         regions.add(abs(z) <= 0.5)
         for m in range(2, 9):
             needed = {m - r for r in range(m) if bernoulli(r)}
@@ -360,7 +383,6 @@ def _full_chain_cl(m, z, policy):
     from mpmath.libmp import from_man_exp
 
     ctx = policy.context
-    z = policy.complex(z)
     if z == 0:
         return ctx.mpf(0)
     x, y, wp = numeric._fixed_argument(z, policy)
@@ -439,10 +461,7 @@ def test_cl_apply_differential_against_mpmath(m, digits):
         for c, value in terms:
             if value is INFINITY:
                 continue
-            if isinstance(value, tuple):
-                zz = mpmath.mpc(mpmath.ldexp(value[0], -value[2]), mpmath.ldexp(value[1], -value[2]))
-            else:
-                zz = mpmath.mpc(policy.complex(value))
+            zz = exact_mpc(value, mpmath.mp)
             lis = [mpmath.polylog(j, zz) for j in range(1, m + 1)]
             term = _cl_oracle(m, lis, mpmath.log(abs(zz)))
             ref += mpmath.mpf(c.numerator) / c.denominator * term
@@ -579,6 +598,109 @@ def test_non_finite_arguments_raise_domain_error(f, m, z):
         f(m, z, POLICY)
 
 
+def test_pi_fixed_matches_mpmath():
+    """_pi_fixed, the imaginary part of the kernel's own log(-1), is mpmath's
+    pi_fixed bit for bit at every width from 16 to 1500 bits."""
+    from mpmath.libmp import pi_fixed
+
+    assert [wp for wp in range(16, 1501) if numeric._pi_fixed(wp) != pi_fixed(wp)] == []
+
+
+def test_kernel_takes_no_mpmath_pi(monkeypatch):
+    """cl_m in all three regions (the power series, the log expansion and the
+    inversion fold) and li_m's fold beyond |z| = 2 take pi from the kernel's
+    own log, not from mpmath.libmp.pi_fixed; at a width no other test uses,
+    so no table is cached yet, every value matches mpmath's polylog 20 digits
+    higher."""
+    import mpmath.libmp
+
+    def forbidden(*args):
+        raise AssertionError("mpmath pi_fixed called")
+
+    digits = 47
+    policy = PrecisionPolicy(digits)
+    monkeypatch.setattr(mpmath.libmp, "pi_fixed", forbidden)
+    # |z| <= 1/2, 1/2 < |z| <= 1, and |z| > 1 folded into either region
+    got_cl = [(m, z, cl_m(m, z, policy)) for m in (2, 3, 7) for z in (0.3 + 0.1j, 0.9 - 0.4j, 1.7j, -3 + 0.5j)]
+    got_li = [(m, z, li_m(m, z, policy)) for m in (2, 4, 7) for z in (-3 + 0.5j, 2.5j, 1e20 + 1j)]
+    monkeypatch.undo()
+    with mpmath.workdps(digits + 20):
+        for m, z, value in got_cl:
+            zz = mpmath.mpc(z)
+            lis = [mpmath.polylog(j, zz) for j in range(1, m + 1)]
+            _assert_within(value, _cl_oracle(m, lis, mpmath.log(abs(zz))), digits, (m, z))
+        for m, z, value in got_li:
+            _assert_within(value, mpmath.polylog(m, mpmath.mpc(z)), digits, (m, z))
+
+
+def _conversion_values(seed, count):
+    """(value, its exact mpc parts) for seeded mpc, complex, float and dyadic
+    Fraction values over 2^-300..2^300, with zero parts and negative parts at
+    powers of two among them; the parts are built by mpmath alone."""
+    from mpmath.libmp import from_float, from_man_exp, fzero
+
+    rng = SplitMix64(seed)
+
+    def man_exp(bits):
+        if rng.next_unit() < 0.2:  # a power of two
+            man = 1
+        else:  # up to ``bits`` bits, odd or even
+            man = (rng.next_u64() << 64 | rng.next_u64()) << 64 | rng.next_u64()
+            man = (man >> rng.next_int(192 - bits, 191)) or 1
+        return man if rng.next_unit() < 0.5 else -man, rng.next_int(-300, 300)
+
+    out = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:  # mpc, up to 150 bits a part
+            parts = tuple(from_man_exp(*man_exp(150)) for _ in range(2))
+            parts = tuple(fzero if rng.next_unit() < 0.1 else p for p in parts)
+            out.append((CTX.make_mpc(parts), parts))
+        elif kind == 1:  # complex
+            re, im = (math.ldexp(*man_exp(53)) for _ in range(2))
+            im = 0.0 if rng.next_unit() < 0.1 else im
+            out.append((complex(re, im), (from_float(re), from_float(im))))
+        elif kind == 2:  # float
+            x = math.ldexp(*man_exp(53))
+            out.append((x, (from_float(x), fzero)))
+        else:  # dyadic Fraction
+            man, exp = man_exp(120)
+            out.append((Fraction(man) * Fraction(2) ** exp, (from_man_exp(man, exp), fzero)))
+    return out
+
+
+def test_fixed_pair_and_width_against_mpmath():
+    """fixed_pair floors each part as mpmath's to_fixed does, at any width,
+    and _fixed_argument's width from the exact top bit equals the rule read
+    from an mpc's exponent fields, fixed_width of the larger exp + bc of the
+    nonzero parts; a fixed-point triple and a Root are shifted alike."""
+    from mpmath.libmp import to_fixed
+
+    for value, parts in _conversion_values(29, 4000):
+        for wp in (7, POLICY.fixed_bits, POLICY.fixed_bits + 333):
+            assert numeric.fixed_pair(value, wp) == tuple(to_fixed(p, wp) for p in parts), (value, wp)
+        top = max((exp + bc for _, man, exp, bc in parts if man), default=0)
+        width = numeric.fixed_width(top, POLICY)
+        expected = (*(to_fixed(p, width) for p in parts), width)
+        assert numeric._fixed_argument(value, POLICY) == expected, value
+        x, y, wp = expected
+        for pair in ((x, y, wp), numeric.Root(x, y, wp, 1)):
+            assert numeric._fixed_argument(pair, POLICY) == expected
+            assert numeric.fixed_pair(pair, wp - 9) == (x >> 9, y >> 9)
+            assert numeric.fixed_pair(pair, wp + 9) == (x << 9, y << 9)
+
+
+def test_exact_complex_reads_pairs_triples_and_roots():
+    """A 2-tuple is a Gaussian-rational pair, a 3-tuple or Root the
+    fixed-point number (x + iy) / 2^wp; any other tuple is no number."""
+    assert numeric.exact_complex((Fraction(1, 3), -2)) == (Fraction(1, 3), -2)
+    assert numeric.exact_complex((3, -5, 2)) == (Fraction(3, 4), Fraction(-5, 4))
+    assert numeric.exact_complex(numeric.Root(3, -5, 2, 7)) == (Fraction(3, 4), Fraction(-5, 4))
+    for value in ((), (1,), (1, 2, 3, 4), (1, 2, 3, 4, 5)):
+        with pytest.raises(DomainError, match="not a number"):
+            numeric.exact_complex(value)
+
+
 # -- CL ---------------------------------------------------------------------------
 
 def test_cl2_real_axis_vanishes():
@@ -707,8 +829,8 @@ def test_roots_phi_preimage_quadratic():
     # x^2 - x - t at t = 3/4 has roots 3/2, -1/2
     roots = poly_roots([Fraction(-3, 4), Fraction(-1), Fraction(1)], POLICY)
     roots = [numeric.from_fixed_pair(*r.pair, CTX) for r in roots]
-    assert close(roots[0], POLICY.complex(Fraction(-1, 2)), 45)
-    assert close(roots[1], POLICY.complex(Fraction(3, 2)), 45)
+    assert close(roots[0], exact_mpc(Fraction(-1, 2)), 45)
+    assert close(roots[1], exact_mpc(Fraction(3, 2)), 45)
 
 
 def test_roots_multiplicity():
@@ -734,7 +856,7 @@ def test_roots_beyond_float_range_are_certified():
     start scaled to radius 2^round(log2(10^400) / 2) reaches ±10^200 i, and
     each certified disk contains one of them (checked in exact ints)."""
     coeffs = [Fraction(10) ** 400, 0, 1]
-    assert numeric._float_roots([POLICY.complex(c) for c in reversed(coeffs)]) is None
+    assert numeric._float_roots([exact_mpc(c) for c in reversed(coeffs)]) is None
     roots = poly_roots(coeffs, POLICY)
     assert len(roots) == 2
     for root, sign in zip(roots, (-1, 1)):  # sorted by (re, im)
@@ -801,7 +923,7 @@ def test_roots_of_fourlog_polynomials_match_mpmath(n):
     for _ in range(30):
         t = complex(rng.next_int(-300, 300) / 100, rng.next_int(-300, 300) / 100)
         coeffs = [-t] + [0] * (n - 2) + [-1, 1]
-        assert numeric._float_roots([POLICY.complex(c) for c in reversed(coeffs)])
+        assert numeric._float_roots([exact_mpc(c) for c in reversed(coeffs)])
         roots = poly_roots(coeffs, POLICY)
         assert len(roots) == n and len(set(roots)) == n
         with mpmath.workdps(CTX.dps + 20):
@@ -875,8 +997,8 @@ def test_roots_sum_product_invariant():
         for r in roots:
             prod *= r
         d = len(coeffs) - 1
-        assert abs(total + POLICY.complex(coeffs[d - 1] / coeffs[d])) < POLICY.tolerance
-        expected = (-1) ** d * POLICY.complex(coeffs[0] / coeffs[d])
+        assert abs(total + exact_mpc(coeffs[d - 1] / coeffs[d])) < POLICY.tolerance
+        expected = (-1) ** d * exact_mpc(coeffs[0] / coeffs[d])
         assert abs(prod - expected) < POLICY.tolerance
 
 

@@ -48,9 +48,28 @@ def test_sampling_deterministic():
     assert a == b
 
 
+def test_preimages_of_a_certified_root():
+    """A Root stands for the number (x + iy) / 2^wp: under z^2 the certified
+    root sqrt 2 has the preimages -2^(1/4) and 2^(1/4)."""
+    root = poly_roots([-2, 0, 1], POLICY)[1]  # sorted by (re, im): +sqrt 2
+    pts = preimages(z * z, root, POLICY)
+    fourth = CTX.mpf(2) ** CTX.mpf(0.25)
+    vals = sorted((from_fixed_pair(*p.pair, CTX) for p in pts), key=lambda v: v.real)
+    assert len(vals) == 2
+    for v, sign in zip(vals, (-1, 1)):
+        assert abs(v - sign * fourth) < POLICY.tolerance, v
+
+
+def test_non_finite_point_names_the_value():
+    """A non-finite point raises DomainError naming the value, not a caller."""
+    with pytest.raises(DomainError, match=r"finite number, got \(inf\+0j\)") as info:
+        verify_dilog_general(z * z, complex(math.inf, 0), 1, 0, INFINITY, POLICY)
+    assert "poly_roots" not in str(info.value)
+
+
 def test_preimages_of_polynomial():
     phi = z * (1 - z)
-    pts = preimages(phi, POLICY.complex(Fraction(3, 16)), POLICY)
+    pts = preimages(phi, Fraction(3, 16), POLICY)
     assert len(pts) == 2
     vals = sorted(complex(from_fixed_pair(*p.pair, CTX)).real for p in pts)
     assert abs(vals[0] - 0.25) < 1e-20 and abs(vals[1] - 0.75) < 1e-20
@@ -162,7 +181,7 @@ def test_verify_numeric_catches_non_equation():
 def test_dilog_general_five_term_special_case():
     phi = z * (1 - z)
     verdict = verify_dilog_general(
-        phi, POLICY.complex(complex(0.37, 0.61)), 1, 0, INFINITY, POLICY
+        phi, complex(0.37, 0.61), 1, 0, INFINITY, POLICY
     )
     assert verdict.passed
 
