@@ -191,7 +191,10 @@ def exact_complex(value) -> Tuple[Fraction, Fraction]:
     if isinstance(value, tuple):
         if len(value) != 2:
             raise DomainError(f"not a number, nor a pair or triple: {value}")
-        return Fraction(value[0]), Fraction(value[1])
+        try:
+            return Fraction(value[0]), Fraction(value[1])
+        except (OverflowError, ValueError):  # an inf or nan part
+            raise DomainError(f"need a finite number, got {value}") from None
     if isinstance(value, (int, Fraction)):
         return Fraction(value), Fraction(0)
     if hasattr(value, "_mpc_") or hasattr(value, "_mpf_"):
@@ -275,10 +278,7 @@ def _borwein_weights(wp: int) -> Tuple[int, Tuple[int, ...]]:
     return guard, tuple(((dn - dj) << (wp + guard)) // dn for dj in d[:n])
 
 
-# (k, wp) -> zeta(k) in fixed point at wp bits
-_zeta_cache: Dict[Tuple[int, int], int] = {}
-
-
+@lru_cache(maxsize=10_000)
 def _zeta_fixed(k: int, wp: int) -> int:
     """zeta(k) for integer k >= 2 as an int scaled by 2^wp, within one unit.
 
@@ -289,10 +289,6 @@ def _zeta_fixed(k: int, wp: int) -> int:
     decreases, so for large k (the log-expansion table) the series stops at
     the first term below 2^-(wp+guard), as an alternating tail allows.
     """
-    key = (k, wp)
-    value = _zeta_cache.get(key)
-    if value is not None:
-        return value
     guard, weights = _borwein_weights(wp)
     bits = wp + guard
     n = len(weights)
@@ -300,10 +296,7 @@ def _zeta_fixed(k: int, wp: int) -> int:
     eta = sum(weights[j] // (j + 1) ** k for j in range(0, terms, 2)) - sum(
         weights[j] // (j + 1) ** k for j in range(1, terms, 2)
     )
-    value = ((eta << (k - 1)) // ((1 << (k - 1)) - 1) + (1 << (guard - 1))) >> guard
-    if len(_zeta_cache) < 10_000:
-        _zeta_cache[key] = value
-    return value
+    return ((eta << (k - 1)) // ((1 << (k - 1)) - 1) + (1 << (guard - 1))) >> guard
 
 
 def zeta_int(k: int, policy: PrecisionPolicy):
@@ -489,9 +482,7 @@ def _power_series(x: int, y: int, wp: int, weights: Sequence[int], part: int) ->
     return out
 
 
-_log_tables: Dict[Tuple[int, int], Tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _log_table(m: int, wp: int) -> Tuple:
     """Rows j = 1..m of e_(j,k) = zeta(j-k) (2pi)^k / k! in fixed point.
 
@@ -506,10 +497,6 @@ def _log_table(m: int, wp: int) -> Tuple:
     the guard bits.  Built on first use for each (m, wp), for every
     |u| <= _U_MAX.
     """
-    key = (m, wp)
-    table = _log_tables.get(key)
-    if table is not None:
-        return table
     k_max = _terms(wp, log2(_U_MAX), _COEFF_BITS + 2)
     # scaled[k] = (2pi)^k / k!, built 8 bits wider: the powers carry pi's
     # last-unit error up to k (2pi)^(k-1) / k! < 2^7 times
@@ -532,9 +519,7 @@ def _log_table(m: int, wp: int) -> Tuple:
             )
             tail.append(-entry if p % 2 else entry)
         rows.append((head, tail, scaled[j - 1]))
-    table = tuple(rows)
-    _log_tables[key] = table
-    return table
+    return tuple(rows)
 
 
 def _li_log_series(m: int, x: int, y: int, wp: int) -> Tuple[Callable[[int, int], int], int]:

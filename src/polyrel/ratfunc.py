@@ -14,8 +14,9 @@ and its serialization.
 Composition and the gcd run on poly's integer form: ``cleared()`` gives num
 and den as IntPolys over one common denominator, which leaves the function
 unchanged, and results come back through ``MultiPoly.from_ints``.  The gcd
-is a port of sympy's heuristic gcd on IntPolys; sympy itself is imported
-only if the heuristic fails.
+is a port of sympy's heuristic gcd on IntPolys (``_heu_gcd``), which tries
+evaluation points until exact division accepts a candidate; the package
+imports no sympy.
 """
 
 from __future__ import annotations
@@ -332,8 +333,8 @@ class RatFunc:
     def cancelled(self) -> "RatFunc":
         """Gcd-reduced representative (unique canonical form).
 
-        The only place multivariate gcd enters the package; results are
-        cached per instance.
+        The gcd is ``_heu_gcd``'s (``verify._squarefree`` runs it too, on
+        univariate polynomials); results are cached per instance.
         """
         if self._cancelled is not None:
             return self._cancelled
@@ -381,46 +382,14 @@ def _sympy_cancel(f: RatFunc) -> RatFunc:
     table in perfbench/spans.py wraps).
 
     Both polynomials enter as ``f.cleared()``, which leaves the function
-    unchanged.  The cofactors come from ``_heu_gcd``, a port of sympy's
-    heuristic gcd (``dmp_zz_heu_gcd``); if it fails at every evaluation
-    point, sympy's ``cofactors`` over ZZ computes them instead, imported only
-    then.  The cofactor terms go back through ``MultiPoly.from_ints`` in
-    ascending lex order of their exponents, the order of sympy's
-    ``dmp_to_dict``, and the constructor's normalization then gives the
-    canonical representative.
-
-    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989): evaluate f
-    and g at x_0 = ξ, take the gcd of the images, and read a candidate back
-    from the balanced base-ξ digits of the image gcd, or of one cofactor
-    image.  If ξ >= 2·min(‖f‖, ‖g‖) + 2 (max norms), a candidate that divides
-    both inputs exactly is their gcd.  The first ξ is sympy's
-    max(min(B, 99·isqrt(B)), 2·min(‖f‖/|lc f|, ‖g‖/|lc g|) + 4) with
-    B = 2·min(‖f‖, ‖g‖) + 29: B alone meets the condition whenever the smaller
-    norm is at most 4,850, and the second term keeps ξ above twice the Cauchy
-    root bound of one input.  Each retry raises ξ to 73794·ξ·isqrt(isqrt(ξ))
-    // 27011.
+    unchanged, and the cofactors come from ``_heu_gcd``.  They go back
+    through ``MultiPoly.from_ints`` in ascending lex order of their
+    exponents, the order of sympy's ``dmp_to_dict``, and the constructor's
+    normalization then gives the canonical representative.
     """
     num, den = f.cleared()
-    try:
-        _, pn, pd = _heu_gcd(num, den)
-    except _HeuristicGCDFailed:
-        pn, pd = _sympy_cofactors(f.vars, num, den)
+    _, pn, pd = _heu_gcd(num, den)
     return RatFunc(*(MultiPoly.from_ints(f.vars, sorted(p.items())) for p in (pn, pd)))
-
-
-def _sympy_cofactors(vs: Tuple[str, ...], num: IntPoly, den: IntPoly) -> Tuple[IntPoly, IntPoly]:
-    """num / gcd and den / gcd by sympy's ``Poly.cofactors`` over ZZ."""
-    import sympy
-
-    syms = sympy.symbols(vs)
-    if not isinstance(syms, tuple):
-        syms = (syms,)
-    pn, pd = (sympy.Poly.from_dict(p, *syms, domain="ZZ") for p in (num, den))
-    _, pn, pd = pn.cofactors(pd)
-    return tuple(
-        {tuple(map(int, e)): int(c) for e, c in sp.as_dict(native=True).items()}
-        for sp in (pn, pd)
-    )
 
 
 # -- heuristic gcd over ZZ ----------------------------------------------------------
@@ -428,25 +397,49 @@ def _sympy_cofactors(vs: Tuple[str, ...], num: IntPoly, den: IntPoly) -> Tuple[I
 # Polynomials are IntPolys over one variable table; tuple order is lex order
 # with the first variable most significant.
 
-#: Evaluation points tried per level before giving up (sympy's HEU_GCD_MAX).
-_HEU_GCD_TRIES = 6
-
-
-class _HeuristicGCDFailed(ArithmeticError):
-    """No evaluation point gave a candidate that divides both inputs."""
-
 
 def _heu_gcd(f: IntPoly, g: IntPoly) -> Tuple[IntPoly, IntPoly, IntPoly]:
     """(h, f / h, g / h) for h = gcd(f, g), f and g nonzero.
 
-    sympy's ``dmp_zz_heu_gcd`` on sparse dicts: the first variable is
-    evaluated at ξ and the gcd of the images is taken recursively, down to
-    integers.  A candidate is accepted through one of three exact divisions:
-    the interpolated gcd divides f and g, or the interpolated cofactor of f
-    (then of g) divides f (g) and the quotient divides the other input.
-    Kronecker images of several variables at once would not do: they do not
-    preserve coprimality.  Raises _HeuristicGCDFailed after
-    ``_HEU_GCD_TRIES`` points.
+    A port of sympy's ``dmp_zz_heu_gcd`` on sparse dicts, GCDHEU (Char,
+    Geddes and Gonnet, J. Symbolic Comput. 1989): the first variable is
+    evaluated at ξ, the gcd of the images is taken recursively, down to
+    integers, and a candidate is read back from the balanced base-ξ digits
+    of the image gcd, or of one cofactor image.  It is accepted through one
+    of three exact divisions: the interpolated gcd divides f and g, or the
+    interpolated cofactor of f (then of g) divides f (g) and the quotient
+    divides the other input.  If ξ >= 2·min(‖f‖, ‖g‖) + 2 (max norms), a
+    candidate that divides both inputs is their gcd; the code takes every
+    accepted candidate to be the gcd.  Kronecker images of several
+    variables at once would not do: they do not preserve coprimality.
+
+    The first ξ is sympy's max(min(B, 99·isqrt(B)), 2·min(‖f‖/|lc f|,
+    ‖g‖/|lc g|) + 4) with B = 2·min(‖f‖, ‖g‖) + 29: B alone meets the
+    condition whenever the smaller norm is at most 4,850, and the second
+    term keeps ξ above twice the Cauchy root bound of one input.  Each retry
+    raises ξ to 73794·ξ·isqrt(isqrt(ξ)) // 27011.  There is no cap on the
+    retries, because the loop ends:
+
+    - Write f = h·a and g = h·b with h = gcd(f, g), primitive once the joint
+      content is divided out, and x' for the variables after the first, x1.
+      Then a and b are coprime in Q(x')[x1], so s·a + t·b = r with s, t in
+      Z[x1, x'] and some nonzero r in Z[x'].
+    - At x1 = ξ the images' gcd is ±h(ξ)·D, where D = gcd(a(ξ), b(ξ))
+      divides r.
+    - D is non-constant only if some irreducible factor p of r divides both
+      a(ξ) and b(ξ).  But p does not divide both a and b, so one of them is
+      a nonzero polynomial in x1 over the domain Z[x']/(p), with at most its
+      degree of roots ξ.
+    - f(ξ) = 0 or g(ξ) = 0 (a point that is skipped) also happens for
+      finitely many ξ.
+    - At every other ξ, D is an integer c that divides the content of r.
+      Once ξ > 2·cont(r)·‖h‖, the balanced base-ξ digits of ±c·h(ξ) are
+      the coefficients of ±c·h, ``_primitive`` gives ±h, and both exact
+      divisions succeed.
+    - ξ starts at 4 or more and at least doubles each round
+      (73794/27011 > 2), so the loop gets past every bad value and every
+      bound.  The recursive call ends by induction on the number of
+      variables.
     """
     if () in f:
         a, b = f[()], g[()]
@@ -463,7 +456,7 @@ def _heu_gcd(f: IntPoly, g: IntPoly) -> Tuple[IntPoly, IntPoly, IntPoly]:
         min(bound, 99 * isqrt(bound)),
         2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4,
     )
-    for _ in range(_HEU_GCD_TRIES):
+    while True:
         ff, gg = _eval_first(f, xi), _eval_first(g, xi)
         if ff and gg:
             h, cff, cfg = _heu_gcd(ff, gg)
@@ -486,7 +479,6 @@ def _heu_gcd(f: IntPoly, g: IntPoly) -> Tuple[IntPoly, IntPoly, IntPoly]:
                 if q is not None:
                     return _times(h, cont), q, cfg
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
-    raise _HeuristicGCDFailed("no evaluation point gave the gcd")
 
 
 def _eval_first(f: IntPoly, xi: int) -> IntPoly:

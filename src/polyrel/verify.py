@@ -76,6 +76,13 @@ def sample_complex(rng: SplitMix64, ctx):
         return ctx.mpc(z.real, z.imag)
 
 
+@lru_cache(maxsize=None)
+def _degeneracy_bounds(wp: int) -> Tuple[int, int]:
+    """|x|^2 bounds (1e-8)^2 and (1e8)^2 of ``_evaluate_terms``, scaled by
+    2^(2 wp)."""
+    return math.ceil(Fraction(1e-8) ** 2 * 4**wp), 10**16 << 2 * wp
+
+
 def _evaluate_terms(s: FormalSum, binding: Dict[str, object], policy: PrecisionPolicy):
     """The terms of ``s`` at a complex point, from its ArgumentPlan; None
     signals a degenerate draw.
@@ -115,9 +122,7 @@ def _evaluate_terms(s: FormalSum, binding: Dict[str, object], policy: PrecisionP
         mono_r.append(r)
         mono_i.append(i)
     val_r, val_i = plan.values(mono_r), plan.values(mono_i)
-    # |x|^2 against (1e-8)^2 and (1e8)^2, all scaled by 2^(2 wp)
-    small = math.ceil(Fraction(1e-8) ** 2 * 4**wp)
-    large = 10**16 << 2 * wp
+    small, large = _degeneracy_bounds(wp)
     out: List[Tuple[Fraction, object]] = list(plan.constants)
     for c, i, j in plan.args:
         dr, di = val_r[j], val_i[j]

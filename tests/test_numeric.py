@@ -15,6 +15,7 @@ from polyrel.numeric import (
     bernoulli,
     cl_apply,
     cl_m,
+    exact_complex,
     li_m,
     poly_roots,
     zeta_int,
@@ -590,12 +591,30 @@ def test_kernel_takes_no_mpmath_log(monkeypatch):
         (li_m, 2, -1e400),
         (li_m, 2, 1e400j),
         (li_m, 1, 1e400j),
+        (cl_m, 3, (float("inf"), 0)),
     ],
 )
 def test_non_finite_arguments_raise_domain_error(f, m, z):
     """cl_m's point at infinity is INFINITY; an inf or nan part is not a point."""
     with pytest.raises(DomainError, match="finite"):
         f(m, z, POLICY)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact_complex((float("inf"), 0)),
+        lambda: exact_complex((float("nan"), 1)),
+        lambda: exact_complex((1, float("-inf"))),
+        lambda: poly_roots([(float("inf"), 0), (1, 0)], POLICY),
+    ],
+    ids=["inf-re", "nan-re", "inf-im", "poly_roots"],
+)
+def test_non_finite_pair_part_is_a_domain_error(call):
+    """A Gaussian-rational pair with an inf or nan part is not a point, and
+    the message names the pair."""
+    with pytest.raises(DomainError, match=r"need a finite number, got \("):
+        call()
 
 
 def test_pi_fixed_matches_mpmath():

@@ -506,29 +506,45 @@ gcd_inputs = [
 ]
 
 
-@pytest.mark.parametrize("f", gcd_inputs)
-def test_heuristic_gcd_matches_reference_without_fallback(f, monkeypatch):
+def _ints(p: MultiPoly) -> dict:
+    return {e: int(c) for e, c in p.terms.items()}
+
+
+def _evaluation_points(monkeypatch) -> dict:
+    """The ξ values ``_heu_gcd`` evaluates at, in order, by the number of
+    variables of the polynomials evaluated (the top level has the most),
+    through a wrapper on ``ratfunc._eval_first``."""
     from polyrel import ratfunc
 
-    def no_fallback(*args):
-        raise AssertionError("sympy fallback reached")
+    points = {}
+    evaluate = ratfunc._eval_first
 
-    monkeypatch.setattr(ratfunc, "_sympy_cofactors", no_fallback)
+    def counted(p, xi):
+        level = points.setdefault(len(next(iter(p))), [])
+        if xi not in level:
+            level.append(xi)
+        return evaluate(p, xi)
+
+    monkeypatch.setattr(ratfunc, "_eval_first", counted)
+    return points
+
+
+@pytest.mark.parametrize("f", gcd_inputs)
+def test_heuristic_gcd_matches_reference_without_fallback(f):
+    from polyrel import ratfunc
+
     assert_same_representation(ratfunc._sympy_cancel(f), reference_sympy_cancel(f))
 
 
-def test_second_evaluation_point_is_tried():
+def test_second_evaluation_point_is_tried(monkeypatch):
     from polyrel import ratfunc
 
     num, den = {(2, 3): 2}, {(3, 1): 4, (2, 2): -6}  # over (x, y)
+    points = _evaluation_points(monkeypatch)
     assert ratfunc._heu_gcd(num, den) == ({(2, 1): 2}, {(0, 2): 1}, {(1, 0): 2, (0, 1): -3})
-    old = ratfunc._HEU_GCD_TRIES
-    try:
-        ratfunc._HEU_GCD_TRIES = 1
-        with pytest.raises(ratfunc._HeuristicGCDFailed):
-            ratfunc._heu_gcd(num, den)
-    finally:
-        ratfunc._HEU_GCD_TRIES = old
+    # one point for x; the gcd of the images over y, whose primitive parts
+    # are y^3 and 62y - 3y^2, needs a second
+    assert points == {2: [31], 1: [31, 169]}
 
 
 _cyc = 1 + x + x * x
@@ -542,58 +558,48 @@ _cyc = 1 + x + x * x
     ],
     ids=["cff", "cfg"],
 )
-def test_cofactor_routes_accept_at_the_first_point(f, common):
+def test_cofactor_routes_accept_at_the_first_point(f, common, monkeypatch):
     # the gcd's coefficients are too wide for the first ξ's balanced digits,
     # the cofactor's are not: one evaluation point must do
     from polyrel import ratfunc
 
-    def ints(p: MultiPoly) -> dict:
-        return {e: int(c) for e, c in p.terms.items()}
-
-    old = ratfunc._HEU_GCD_TRIES
-    try:
-        ratfunc._HEU_GCD_TRIES = 1
-        h, cff, cfg = ratfunc._heu_gcd(ints(f.num), ints(f.den))
-    finally:
-        ratfunc._HEU_GCD_TRIES = old
-    assert h == ints(common.num)
+    points = _evaluation_points(monkeypatch)
+    h, cff, cfg = ratfunc._heu_gcd(_ints(f.num), _ints(f.den))
+    assert len(points[1]) == 1
+    assert h == _ints(common.num)
     assert_same_representation(ratfunc._sympy_cancel(f), reference_sympy_cancel(f))
 
 
-@given(gcd_case())
-@settings(max_examples=60, deadline=None)
-def test_sympy_fallback_matches_reference(f):
+@pytest.mark.parametrize("f", gcd_inputs)
+def test_heuristic_gcd_runs_past_rejected_candidates(f, monkeypatch):
+    # the first 21 top-level candidates (seven points' worth, every route)
+    # get a term of degree 1000 in the interpolated variable, above both
+    # inputs' degrees, so exact division rejects each of them and the loop
+    # runs past the six points sympy's heuristic would give up after
     from polyrel import ratfunc
 
-    if not _nontrivial(f):
-        return
-    calls = []
-    fallback = ratfunc._sympy_cofactors
+    num, den = f.cleared()
+    arity = len(next(iter(num)))
+    corrupted = []
+    interpolate = ratfunc._interpolate
 
-    def counted(*args):
-        calls.append(args)
-        return fallback(*args)
+    def corrupt(h, xi):
+        out = interpolate(h, xi)
+        if len(next(iter(out))) == arity and len(corrupted) < 21:
+            corrupted.append(xi)
+            out = {**out, (1000,) + (0,) * (arity - 1): 1}
+        return out
 
-    old = ratfunc._HEU_GCD_TRIES
-    try:
-        ratfunc._HEU_GCD_TRIES = 0
-        ratfunc._sympy_cofactors = counted
-        got = ratfunc._sympy_cancel(f)
-    finally:
-        ratfunc._HEU_GCD_TRIES = old
-        ratfunc._sympy_cofactors = fallback
-    assert_same_representation(got, reference_sympy_cancel(f))
-    if len(f.num.terms) > 1 and len(f.den.terms) > 1:
-        assert calls  # neither side is a constant: the loop runs, and gives up
+    points = _evaluation_points(monkeypatch)
+    monkeypatch.setattr(ratfunc, "_interpolate", corrupt)
+    assert_same_representation(ratfunc._sympy_cancel(f), reference_sympy_cancel(f))
+    assert len(corrupted) == 21 and len(points[arity]) >= 8
 
 
 def test_symmetry_criteria_never_reach_the_fallback(monkeypatch):
     from test_formal import reference_closure
 
     from polyrel import catalog, checks, ratfunc, report
-
-    def no_fallback(*args):
-        raise AssertionError("sympy fallback reached")
 
     cancels = []
     cancel = ratfunc._sympy_cancel
@@ -604,7 +610,6 @@ def test_symmetry_criteria_never_reach_the_fallback(monkeypatch):
 
     # start from empty process caches so every cancel of the two criteria runs
     monkeypatch.setattr(catalog, "_cache", {})
-    monkeypatch.setattr(ratfunc, "_sympy_cofactors", no_fallback)
     monkeypatch.setattr(ratfunc, "_sympy_cancel", counted)
     checks.gprime_orbits.cache_clear()
     try:
@@ -628,10 +633,20 @@ def test_symmetry_criteria_do_not_import_sympy():
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     code = (
         "import sys\n"
+        "sys.modules['sympy'] = None  # any import of sympy raises ImportError\n"
         "from polyrel import report\n"
+        "from polyrel.expr import parse_expression\n"
         "assert report.criterion_3_symmetric_equivalences(0)['passed']\n"
         "assert report.criterion_4_q_equations(0)['passed']\n"
-        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+        "for line in sys.stdin.read().splitlines():\n"
+        "    print(parse_expression(line).cancelled().serialize())\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        input="".join(f.serialize() + "\n" for f in gcd_inputs),
+        capture_output=True,
+        text=True,
+    )
     assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [reference_sympy_cancel(f).serialize() for f in gcd_inputs]
