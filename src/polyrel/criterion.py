@@ -36,6 +36,9 @@ loop to their square root.  Each functional is drawn as a plain int list in
 support order and paired by ``_pairing_total``, the one integer core, which
 ``beta_pairing`` also calls once it has cleared its DualFunctionals; the
 kernel test builds DualFunctionals and a Fraction only for a witness.
+
+``expand_tensor``, the full tensor the pairing contracts, expands the same
+FactoredSum on polyrel.tensor's packed int keys.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from .exact import DomainError, SplitMix64, factor_int, factor_rational, random_rational
 from .formal import FormalSum
 from .poly import power_table
-from .tensor import add_product, sym_power, wedge
+from .tensor import add_product, bump, sym_power, wedge
 
 __all__ = [
     "DualFunctional",
@@ -115,7 +118,7 @@ def _triples(s) -> List[Tuple[Fraction, int, int]]:
     """
     if isinstance(s, FormalSum):
         if not all(a.is_constant() for _, a in s):
-            raise DomainError("beta_pairing needs a specialized (constant) sum")
+            raise DomainError("the sum is not specialized: an argument is not constant")
         s = [(c, a.constant_value()) for c, a in s]
     out = []
     for term in s:
@@ -152,7 +155,7 @@ class FactoredSum:
         kept = []
         for c, a, b in _triples(s):
             if not a:
-                raise DomainError("beta_pairing argument 0 is outside the domain")
+                raise DomainError("argument 0 is outside the domain")
             if a == b:
                 continue
             # left to right: each len(ids) counts the integers filed before it
@@ -228,25 +231,32 @@ def beta_pairing(s, m: int, theta: DualFunctional, phi: DualFunctional, psi: Dua
 
 
 def expand_tensor(s, m: int) -> Dict[Tuple, Fraction]:
-    """The reference expansion of the weight-m tensor, for any m >= 2.
+    """The full weight-m tensor of ``s``, anything beta_pairing takes, m >= 2.
 
-    Sums coeff * (log x)^(m-2) (x) (log x ^ log(1-x)) as a polyrel.tensor
-    dict.  Keys are (sym_part, wedge_pair): sym_part is a sorted tuple of m-2
-    primes, wedge_pair an ordered prime pair p < q.  The sum is in the kernel
-    iff the expansion is empty; beta_pairing is its contraction with
-    theta^(m-2) (phi ^ psi).
+    Sums coeff * (log x)^(m-2) (x) (log x ^ log(1-x)).  Keys are (sym_part,
+    wedge_pair): a sorted tuple of m-2 primes and a prime pair p < q; values
+    are Fractions.  The sum is in the kernel iff the result is empty, and
+    beta_pairing is its contraction with theta^(m-2) (phi ^ psi).  It expands
+    the FactoredSum's exponent vectors and cleared coefficients in ints on
+    packed keys (polyrel.tensor) and names the primes, over ``scale``, at the end.
     """
     if m < 2:
         raise DomainError("tensor expansion needs m >= 2")
+    fs = s if isinstance(s, FactoredSum) else FactoredSum(s)
+    k = m - 2
+    width = max(1, (len(fs.support) - 1).bit_length())
+    packed: Dict[int, int] = {}
+    for c, ia, ib, iw in fs.terms:
+        log_b = dict(fs.vectors[ib])
+        log_x = bump(dict(fs.vectors[ia]), log_b, -1)
+        log_1mx = bump(dict(fs.vectors[iw]), log_b, -1)
+        add_product(packed, sym_power(log_x, k, width), wedge(log_x, log_1mx, width), c, 2 * width)
+    # a key is m fields, highest first: the sym part's k indices, then p, q
+    support, mask, fields = fs.support, (1 << width) - 1, range(m - 1, -1, -1)
     out: Dict[Tuple, Fraction] = {}
-    for coeff, a, b in _triples(s):
-        if not a:
-            raise DomainError("tensor expansion argument 0 is outside the domain")
-        if a == b:
-            continue
-        x = Fraction(a, b)
-        v = log_vector(x)
-        add_product(out, sym_power(v, m - 2), wedge(v, log_vector(1 - x)), coeff)
+    for key, c in packed.items():
+        primes = tuple(support[(key >> width * j) & mask] for j in fields)
+        out[(primes[:k], primes[k:])] = Fraction(c, fs.scale)
     return out
 
 

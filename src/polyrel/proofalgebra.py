@@ -8,7 +8,8 @@ column (a fixed echelon basis), so reduction to canonical coordinates is a
 projection with integer coefficients.
 
 Tensors live in Sym^2(L) (x) Lambda^2(L), built from polyrel.tensor's sparse
-dicts and helpers.  The mixed notation "A^3 ^ B" of the weight-4 calculus
+dicts and its product helpers on packed int keys (the same loops expand the
+weight-m symbol in criterion.expand_tensor).  The mixed notation "A^3 ^ B" of the weight-4 calculus
 means A (sym) A (x) (A ^ B); it is built both directly (add_sym2_wedge) and
 through the symmetric-power expansion (add_sym3_wedge), whose agreement is
 itself a verified identity.

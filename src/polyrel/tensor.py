@@ -2,24 +2,26 @@
 
 A tensor is a plain dict from basis keys to nonzero exact coefficients (int
 or Fraction); a missing key has coefficient zero, so the empty dict is the
-zero tensor and equality is dict equality.  Basis keys only need to be
-mutually comparable.  Every helper keeps the invariant that no stored
-coefficient is zero.  The loops run on plain dicts, without per-coordinate
-calls, because the weight-4 proof runs them about a million times.
+zero tensor and equality is dict equality.  Every helper keeps the invariant
+that no stored coefficient is zero.  The loops run on plain dicts, without
+per-coordinate calls, because the weight-4 proof runs them about a million
+times.
 
-Two key forms.  Without a width, a pair of keys (a, b) is stored as the
-tuple (a, b); only the symbol criterion (criterion.expand_tensor) uses this
-form, on primes.  With ``width`` the keys are small ints (basis indices
-below 2**width, as in proofalgebra), and ``wedge``, ``sym`` and
-``add_product`` store the pair as the single int a << width | b;
-``unpack`` inverts it.  A product of two packed pieces is packed again at
-twice the width, so a Sym^2 (x) Lambda^2 coordinate is one int of
-4 * width bits, which hashes and compares faster than a nested tuple.  The
-width must cover every index: 2**width > largest index.
+``bump``, ``lin`` and ``vsum`` take any keys.  The product helpers take
+packed int keys: a vector's keys are basis indices below 2**width, and
+``wedge``, ``sym`` and ``add_product`` store a pair (a, b) as the single int
+a << width | b (``unpack`` inverts it).  ``sym_power`` packs a sorted
+k-tuple i1 <= ... <= ik the same way, one width-bit field per factor with the
+smallest index in the highest field, so ``sym_power(v, 2, width) ==
+sym(v, v, width)``.  A product of two packed pieces is packed again, the
+right piece in the low bits, so a Sym^k (x) Lambda^2 coordinate is one int
+of (k + 2) * width bits, which hashes and compares faster than a nested
+tuple.  The width must cover every index: 2**width > largest index.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Dict, Iterable, Tuple
 
 __all__ = ["bump", "lin", "vsum", "wedge", "sym", "sym_power", "add_product", "unpack"]
@@ -54,18 +56,15 @@ def vsum(vs: Iterable[Dict]) -> Dict:
     return lin(*((1, v) for v in vs))
 
 
-def wedge(u: Dict, v: Dict, width: int | None = None) -> Dict:
-    """u ^ v: the coordinate of a ^ b sits on (a, b) when a < b, negated otherwise.
-
-    With ``width`` the pair is packed (see the module docstring).
-    """
+def wedge(u: Dict, v: Dict, width: int) -> Dict:
+    """u ^ v: the coordinate of a ^ b sits on a << width | b when a < b,
+    negated on b << width | a otherwise."""
     out: Dict = {}
     for a, ca in u.items():
         for b, cb in v.items():
             if a == b:
                 continue
-            lo, hi, c = (a, b, ca * cb) if a < b else (b, a, -ca * cb)
-            key = (lo, hi) if width is None else lo << width | hi
+            key, c = (a << width | b, ca * cb) if a < b else (b << width | a, -ca * cb)
             c += out.get(key, 0)
             if c:
                 out[key] = c
@@ -74,13 +73,12 @@ def wedge(u: Dict, v: Dict, width: int | None = None) -> Dict:
     return out
 
 
-def sym(u: Dict, v: Dict, width: int | None = None) -> Dict:
-    """u.v in Sym^2, keyed by sorted pairs, packed with ``width``."""
+def sym(u: Dict, v: Dict, width: int) -> Dict:
+    """u.v in Sym^2, keyed by sorted pairs lo << width | hi."""
     out: Dict = {}
     for a, ca in u.items():
         for b, cb in v.items():
-            lo, hi = (a, b) if a <= b else (b, a)
-            key = (lo, hi) if width is None else lo << width | hi
+            key = a << width | b if a <= b else b << width | a
             c = out.get(key, 0) + ca * cb
             if c:
                 out[key] = c
@@ -89,47 +87,35 @@ def sym(u: Dict, v: Dict, width: int | None = None) -> Dict:
     return out
 
 
-def sym_power(v: Dict, k: int) -> Dict:
-    """v^k in Sym^k, keyed by sorted k-tuples; sym_power(v, 2) == sym(v, v).
+def sym_power(v: Dict, k: int, width: int) -> Dict:
+    """v^k in Sym^k, keyed by packed sorted k-tuples (see the module docstring).
 
-    A monomial's coefficient is the product of its factors' coefficients
-    times its multinomial count, summed here one ordering at a time.  All
-    orderings of a monomial contribute the same nonzero product, so nothing
-    cancels.
+    Each monomial is built once, as a non-decreasing index sequence: taking
+    the indices in increasing order, e copies of index a among the ``left``
+    fields still open multiply the coefficient by comb(left, e) * v[a]**e,
+    so a finished monomial carries its multinomial count.  Every monomial's
+    coefficient is a nonzero product, so nothing cancels.
     """
-    out: Dict = {(): 1}
-    for _ in range(k):
-        step: Dict = {}
-        for key, c in out.items():
-            for a, ca in v.items():
-                grown = tuple(sorted((*key, a)))
-                step[grown] = step.get(grown, 0) + c * ca
-        out = step
-    return out
+    partial = [(0, k, 1)]  # (packed key, fields left, coefficient)
+    for a, ca in sorted(v.items()):
+        grown = []
+        for key, left, c in partial:
+            power = c
+            for e in range(left + 1):
+                grown.append((key, left - e, power * comb(left, e)))
+                key = key << width | a
+                power *= ca
+        partial = grown
+    return {key: c for key, left, c in partial if not left}
 
 
-def add_product(acc: Dict, left: Dict, right: Dict, c=1, width: int | None = None) -> Dict:
-    """acc += c * left (x) right in place, keyed by (left key, right key); returns acc.
-
-    With ``width`` the right keys are ints below 2**width and the key is
-    packed; the loop is written out twice so neither pays for the other.
-    """
-    if width is not None:
-        for lk, lc in left.items():
-            f = c * lc
-            base = lk << width
-            for rk, rc in right.items():
-                key = base | rk
-                x = acc.get(key, 0) + f * rc
-                if x:
-                    acc[key] = x
-                else:
-                    acc.pop(key, None)
-        return acc
+def add_product(acc: Dict, left: Dict, right: Dict, c, width: int) -> Dict:
+    """acc += c * left (x) right in place, keyed by lk << width | rk; returns acc."""
     for lk, lc in left.items():
         f = c * lc
+        base = lk << width
         for rk, rc in right.items():
-            key = (lk, rk)
+            key = base | rk
             x = acc.get(key, 0) + f * rc
             if x:
                 acc[key] = x

@@ -236,12 +236,12 @@ def test_factored_sum_structure():
     assert (triples.terms, triples.vectors, triples.scale, triples.support) == (
         fs.terms, fs.vectors, fs.scale, fs.support
     )
-    with pytest.raises(DomainError, match="^beta_pairing argument 0 is outside the domain$"):
+    with pytest.raises(DomainError, match="^argument 0 is outside the domain$"):
         FactoredSum([(Fraction(1), Fraction(0))])
     theta = phi = psi = DualFunctional({2: 1})
-    with pytest.raises(DomainError, match="^beta_pairing argument 0 is outside the domain$"):
+    with pytest.raises(DomainError, match="^argument 0 is outside the domain$"):
         beta_pairing([(Fraction(1), Fraction(1, 2)), (Fraction(1), 0)], 3, theta, phi, psi)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^the sum is not specialized: an argument is not constant$"):
         FactoredSum(FormalSum.single(RatFunc.var("t")))
 
 
@@ -275,6 +275,39 @@ def test_expansion_consistent_with_pairing():
         support.update(log_vector(1 - v))
     theta, phi, psi = random_functionals(tuple(sorted(support)), 11)
     assert beta_pairing(s, 4, theta, phi, psi) == 0
+
+
+def test_expansion_domain_errors_and_factored_input():
+    with pytest.raises(DomainError, match="^argument 0 is outside the domain$"):
+        expand_tensor([(Fraction(1), Fraction(2, 5)), (Fraction(1), 0)], 3)
+    with pytest.raises(DomainError, match="^the sum is not specialized: an argument is not constant$"):
+        expand_tensor(FormalSum.single(RatFunc.var("t")), 3)
+    with pytest.raises(DomainError, match="^tensor expansion needs m >= 2$"):
+        expand_tensor(FactoredSum([(Fraction(1), Fraction(2, 5))]), 1)
+    pairs = [(Fraction(3, 4), Fraction(-2, 9)), (Fraction(-1, 6), Fraction(10, 3)), (Fraction(2), 1)]
+    for m in (2, 3, 7):
+        expansion = expand_tensor(pairs, m)
+        assert expansion and expand_tensor(FactoredSum(pairs), m) == expansion
+
+
+def _seeded_specialization(s, height, seed):
+    """The first non-degenerate draw of the sum's variables, and its triples."""
+    variables, specialize = _integer_specializer(s)
+    rng = SplitMix64(seed)
+    while True:
+        binding = {v: random_rational(height, rng) for v in variables}
+        triples = specialize(binding)
+        if triples is not None:
+            return binding, triples
+
+
+@pytest.mark.parametrize("name", ["xi7_explicit", "xi7_symmetric"])
+def test_weight_seven_relations_expand_to_zero(name):
+    eq = get_equation(name)
+    assert eq.weight == 7
+    _, triples = _seeded_specialization(eq.sum, 7, 7)
+    assert len(triples) > 100
+    assert expand_tensor(triples, 7) == {}
 
 
 def _contract_expansion(expansion, m, theta, phi, psi):
@@ -499,6 +532,23 @@ def test_witness_value_is_beta_pairing_of_its_own_functionals(name, spec_height,
     )
     value = beta_pairing(triples, m, theta, phi, psi)
     assert value != 0 and str(value) == witness["value"]
+
+
+def test_perturbed_xi7_witness_is_its_contracted_expansion():
+    # criterion 11's control: the full weight-7 expansion at the witness's
+    # specialization, contracted with the witness's functionals, is the
+    # witness's value
+    s, m = _perturbed("xi7_explicit")
+    witness = kernel_test(s, m, trials=4, functionals=3, seed=0, specialization_height=7).witness
+    res = s.specialize({v: Fraction(q) for v, q in witness["specialization"].items()})
+    assert not res.degenerate
+    expansion = expand_tensor(res.sum, m)
+    theta, phi, psi = (
+        DualFunctional({p: Fraction(v) for p, v in witness[key].items()})
+        for key in ("theta", "phi", "psi")
+    )
+    value = _contract_expansion(expansion, m, theta, phi, psi)
+    assert value != 0 and value == Fraction(witness["value"])
 
 
 # -- the integer specialization against FormalSum.specialize ---------------------------

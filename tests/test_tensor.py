@@ -1,19 +1,7 @@
+import random
 from fractions import Fraction
 
 from polyrel.tensor import add_product, bump, lin, sym, sym_power, unpack, vsum, wedge
-
-
-def test_sym_power_two_is_sym():
-    for v in ({3: 2, 2: -1, 5: Fraction(1, 3)}, {("xi", 1): 1, ("eta", 2): -4}, {7: 5}):
-        assert sym_power(v, 2) == sym(v, v)
-
-
-def test_sym_power_carries_multinomial_coefficients():
-    a, b = 5, 2  # keys inserted out of order: every key must come out sorted
-    assert sym_power({a: 1, b: 1}, 3) == {(b, b, b): 1, (b, b, a): 3, (b, a, a): 3, (a, a, a): 1}
-    assert sym_power({a: 2, b: -1}, 1) == {(a,): 2, (b,): -1}
-    assert sym_power({a: 2}, 0) == {(): 1}
-    assert sym_power({}, 2) == {}
 
 
 def test_bump_drops_cancelled_keys():
@@ -25,26 +13,102 @@ def test_bump_drops_cancelled_keys():
     assert vsum([{1: 1, 2: 1}, {1: -1}]) == {2: 1}
 
 
-def test_wedge_and_products_keep_no_zero_coordinates():
-    u, v = {2: 1, 3: 1}, {2: 1, 3: 1}
-    assert wedge(u, v) == {}
-    assert wedge({3: 1}, {2: 1}) == {(2, 3): -1}
-    acc = add_product({}, {(2,): 1}, {(2, 3): 4}, 3)
-    assert acc == {((2,), (2, 3)): 12}
-    assert add_product(acc, {(2,): 2}, {(2, 3): 3}, -2) == {}
+# -- tuple-key reference: every ordering of every product, keys left unpacked ----------
+
+def _accumulate(out, key, c):
+    c += out.get(key, 0)
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
+def ref_sym_power(v, k):
+    out = {(): 1}
+    for _ in range(k):
+        step = {}
+        for key, c in out.items():
+            for a, ca in v.items():
+                _accumulate(step, tuple(sorted((*key, a))), c * ca)
+        out = step
+    return out
+
+
+def ref_sym(u, v):
+    out = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            _accumulate(out, tuple(sorted((a, b))), ca * cb)
+    return out
+
+
+def ref_wedge(u, v):
+    out = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            if a < b:
+                _accumulate(out, (a, b), ca * cb)
+            elif b < a:
+                _accumulate(out, (b, a), -ca * cb)
+    return out
+
+
+def ref_add_product(acc, left, right, c):
+    for lk, lc in left.items():
+        for rk, rc in right.items():
+            _accumulate(acc, lk + rk, c * lc * rc)
+    return acc
+
+
+def pack(fields, width):
+    """A tuple of indices as one int, the first index in the highest field."""
+    key = 0
+    for i in fields:
+        key = key << width | i
+    return key
+
+
+def packed(tensor, width):
+    return {pack(k, width): c for k, c in tensor.items()}
 
 
 def test_packed_pieces_match_tuple_keys():
-    width = 3
-    u, v = {5: 2, 1: -1, 7: 1}, {1: 3, 7: -2, 0: 1}
+    rng = random.Random(20260808)
+    for width in range(1, 8):
+        for as_fraction in (False, True):
+            for _ in range(6):
+                def draw():
+                    # keys inserted in random order: every key must come out sorted
+                    keys = rng.sample(range(1 << width), rng.randint(0, min(4, 1 << width)))
+                    if as_fraction:
+                        return {a: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)) for a in keys}
+                    return {a: rng.choice([-3, -1, 1, 2]) for a in keys}
 
-    def pack(a, b, w=width):
-        return a << w | b
+                u, v = draw(), draw()
+                assert sym(u, v, width) == packed(ref_sym(u, v), width)
+                assert wedge(u, v, width) == packed(ref_wedge(u, v), width)
+                assert wedge(v, v, width) == {}
+                assert sym_power(v, 2, width) == sym(v, v, width)
+                for k in range(6):
+                    power = sym_power(v, k, width)
+                    assert power == packed(ref_sym_power(v, k), width)
+                    c = rng.choice([-2, 1, 3])
+                    acc = add_product({}, power, wedge(u, v, width), c, 2 * width)
+                    expected = ref_add_product({}, ref_sym_power(v, k), ref_wedge(u, v), c)
+                    assert acc == packed(expected, width)
+                    assert add_product(acc, power, wedge(u, v, width), -c, 2 * width) == {}
+                for a, b in zip(u, v):
+                    assert unpack(pack((a, b), width), width) == (a, b)
 
-    assert sym(u, v, width) == {pack(*k): c for k, c in sym(u, v).items()}
-    assert wedge(u, v, width) == {pack(*k): c for k, c in wedge(u, v).items()}
-    assert unpack(pack(7, 6), width) == (7, 6)
-    acc = add_product({}, sym(u, v, width), wedge(u, v, width), 3, 2 * width)
-    expected = add_product({}, sym(u, v), wedge(u, v), 3)
-    assert acc == {pack(pack(*a), pack(*b), 2 * width): c for (a, b), c in expected.items()}
-    assert add_product(acc, sym(u, v, width), wedge(u, v, width), -3, 2 * width) == {}
+
+def test_packed_pieces_cancel_to_nothing():
+    width, a, b = 3, 5, 2
+    # (a + b).(a - b) = a.a - b.b: the cross terms cancel
+    assert sym({a: 1, b: 1}, {a: 1, b: -1}, width) == {pack((a, a), width): 1, pack((b, b), width): -1}
+    assert sym_power({a: 1, b: 1}, 3, width) == {
+        pack((b, b, b), width): 1, pack((b, b, a), width): 3,
+        pack((b, a, a), width): 3, pack((a, a, a), width): 1,
+    }
+    assert sym_power({a: 2}, 0, width) == {0: 1}
+    assert sym_power({}, 2, width) == {}
+    assert wedge({3: 1}, {2: 1}, width) == {pack((2, 3), width): -1}
