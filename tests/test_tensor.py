@@ -101,14 +101,30 @@ def test_packed_pieces_match_tuple_keys():
                     assert unpack(pack((a, b), width), width) == (a, b)
 
 
-def test_packed_pieces_cancel_to_nothing():
-    width, a, b = 3, 5, 2
-    # (a + b).(a - b) = a.a - b.b: the cross terms cancel
-    assert sym({a: 1, b: 1}, {a: 1, b: -1}, width) == {pack((a, a), width): 1, pack((b, b), width): -1}
+def test_sym_power_two_is_sym():
+    width = 3
+    for v in ({3: 2, 2: -1, 5: Fraction(1, 3)}, {1: 1, 6: -4}, {7: 5}):
+        assert sym_power(v, 2, width) == sym(v, v, width)
+
+
+def test_sym_power_carries_multinomial_coefficients():
+    width, a, b = 3, 5, 2  # keys inserted out of order: every key must come out sorted
     assert sym_power({a: 1, b: 1}, 3, width) == {
         pack((b, b, b), width): 1, pack((b, b, a), width): 3,
         pack((b, a, a), width): 3, pack((a, a, a), width): 1,
     }
+    assert sym_power({a: 2, b: -1}, 1, width) == {a: 2, b: -1}
     assert sym_power({a: 2}, 0, width) == {0: 1}
     assert sym_power({}, 2, width) == {}
+
+
+def test_wedge_and_products_keep_no_zero_coordinates():
+    width = 3
+    u, v = {2: 1, 3: 1}, {2: 1, 3: 1}
+    assert wedge(u, v, width) == {}
     assert wedge({3: 1}, {2: 1}, width) == {pack((2, 3), width): -1}
+    # (a + b).(a - b) = a.a - b.b: the cross terms cancel
+    assert sym({5: 1, 2: 1}, {5: 1, 2: -1}, width) == {pack((5, 5), width): 1, pack((2, 2), width): -1}
+    acc = add_product({}, {2: 1}, {pack((2, 3), width): 4}, 3, 2 * width)
+    assert acc == {pack((2, 2, 3), width): 12}
+    assert add_product(acc, {2: 2}, {pack((2, 3), width): 3}, -2, 2 * width) == {}
