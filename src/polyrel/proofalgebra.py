@@ -32,11 +32,16 @@ Names appear only where a tensor is read out: ``LogSpace.named``,
 ``FormalTensor.coords`` and ``kinds_per_coord``.
 
 Building each product once.  Every image and T-term is accumulated in place
-with its coefficient.  add_sym3_wedge builds one product per distinct
-factor, so S.S.S (x) z is 3 SS (x) S^z.  A cell's T_1 multiplies S (sym) S,
-built once per space, by one combined wedge; its first two pieces go into
-the proof's aggregate as soon as they are built; and once T_1 is summed it
-becomes the cell's total, so the decomposition check is one dict comparison.
+with its coefficient; add_sym3_wedge builds one product per distinct factor,
+so S.S.S (x) z is 3 SS (x) S^z.  Cell (l, m) of the claim and the theorem
+keeps its tensors as triples (W_A, W_B, W_C) of wedge dicts, standing for
+A (x) W_A + B (x) W_B + C (x) W_C with A = S.S, B = S.s, C = s.s and
+s = s_lm; a log v = aS + bs has the image (a^2, 2ab, b^2) times v^w.  The
+decomposition compares triples, exactly: S ^ s != 0 for n >= 2 (S has an
+xi_i with i != l, s = xi_l - eta_m has not), so S and s are independent,
+A, B, C are distinct monomials of a basis of Sym^2, and a tensor vanishes
+only with its triple.  A sum over the cells is expanded once: S.S times the
+summed W_A, and per cell one product on S.s (4n - 1 keys) and one on s.s.
 
 Everything the per-n verification needs is assembled here: the formal
 beta_4 images of the six argument families, the T_1..T_4 decomposition, the
@@ -129,7 +134,7 @@ class LogSpace:
             for i in range(1, n):
                 out[index["zeta", i, m]] = -1
             return out
-        out = {index[("Z",)]: 2 - n}
+        out = {index[("Z",)]: 2 - n} if n > 2 else {}
         for i in range(1, n):
             for j in range(1, n):
                 out[index["zeta", i, j]] = 1
@@ -165,7 +170,7 @@ class LogSpace:
 
     @cached_property
     def SS(self) -> Dict[int, int]:
-        """S (sym) S, packed; every cell's T_1 multiplies it."""
+        """S (sym) S, packed; the S.S of every cell's triple."""
         return self.sym(self.S(), self.S())
 
     def named(self, terms: Dict[int, int]) -> Dict[Tuple, int]:
@@ -206,15 +211,11 @@ class FormalTensor:
 
     # in-place builders ---------------------------------------------------------
 
-    def _add_stored(self, sym_part: Dict, wedge_part: Dict, k: int) -> "FormalTensor":
-        """terms += k * sym_part (x) wedge_part, in stored (3x) units."""
-        add_product(self.terms, sym_part, wedge_part, k, 2 * self.space.width)
-        return self
-
     def add_product(self, sym_part: Dict, wedge_part: Dict, c: int = 1) -> "FormalTensor":
         """self += c * sym_part (x) wedge_part in place; returns self.  The
         pieces are the space's packed sym and wedge."""
-        return self._add_stored(sym_part, wedge_part, 3 * c)
+        add_product(self.terms, sym_part, wedge_part, 3 * c, 2 * self.space.width)
+        return self
 
     def add_sym2_wedge(self, a: Vec, b: Vec, c: Vec, d: Vec, k: int = 1) -> "FormalTensor":
         """self += k * a (sym) b (x) (c ^ d) in place; returns self."""
@@ -234,7 +235,8 @@ class FormalTensor:
             if z in factors[:i]:
                 continue
             x, y = factors[:i] + factors[i + 1 :]
-            self._add_stored(space.sym(x, y), space.wedge(z, d), k * factors.count(z))
+            sym_part, wedge_part = space.sym(x, y), space.wedge(z, d)
+            add_product(self.terms, sym_part, wedge_part, k * factors.count(z), 2 * space.width)
         return self
 
     def add(self, other: "FormalTensor", c: int = 1) -> "FormalTensor":
@@ -284,33 +286,33 @@ ARG_KINDS = (
 )
 
 
-def _beta4_pair(space: LogSpace, kind: str, l: int, m: int) -> Tuple[Vec, Vec]:
-    """(log of the argument, log of 1 - argument), modulo torsion."""
+def _beta4_pair(space: LogSpace, kind: str, l: int, m: int) -> Tuple[Tuple | None, Vec, Vec]:
+    """(ab, v, w): the log v of the argument and the log w of 1 - argument,
+    modulo torsion.  For the four ratio kinds v = a S + b s_lm with
+    ab = (a, b); for the two one-variable kinds ab is None."""
     n = space.n
+    if kind == "1-1/x_l":
+        return None, lin((1, space.xi_sum()), (-n, space.xi(l))), lin((-1, space.xi(l)))
+    if kind == "1-1/y_m":
+        return None, lin((1, space.eta_sum()), (-n, space.eta(m))), lin((-1, space.eta(m)))
     if kind == "X/Y-ratio":
-        return space.S(), lin((1, space.Z()), (-1, space.eta_sum()))
-    if kind == "(1-x)/(1-y)":
-        v = lin((1, space.S()), (1 - n, space.s(l, m)))
+        ab, w = (1, 0), lin((1, space.Z()), (-1, space.eta_sum()))
+    elif kind == "(1-x)/(1-y)":
+        ab = (1, 1 - n)
         w = lin((1, space.zeta(l, m)), (-1, space.eta_sum()), (n - 1, space.eta(m)))
-        return v, w
-    if kind == "(1-x^-1)/(1-y^-1)":
-        v = lin((1, space.S()), (-n, space.s(l, m)))
+    elif kind == "(1-x^-1)/(1-y^-1)":
+        ab = (1, -n)
         w = lin(
             (1, space.zeta(l, m)),
             (-1, space.xi(l)),
             (-1, space.eta_sum()),
             (n - 1, space.eta(m)),
         )
-        return v, w
-    if kind == "x_l/y_m":
-        return space.s(l, m), lin((1, space.zeta(l, m)), (-1, space.eta(m)))
-    if kind == "1-1/x_l":
-        v = lin((1, space.xi_sum()), (-n, space.xi(l)))
-        return v, lin((-1, space.xi(l)))
-    if kind == "1-1/y_m":
-        v = lin((1, space.eta_sum()), (-n, space.eta(m)))
-        return v, lin((-1, space.eta(m)))
-    raise DomainError(f"unknown argument kind {kind!r}")
+    elif kind == "x_l/y_m":
+        ab, w = (0, 1), lin((1, space.zeta(l, m)), (-1, space.eta(m)))
+    else:
+        raise DomainError(f"unknown argument kind {kind!r}")
+    return ab, lin((ab[0], space.S()), (ab[1], space.s(l, m))), w
 
 
 def beta4_formal(
@@ -324,14 +326,52 @@ def beta4_formal(
     in place and returns it.
     """
     space = LogSpace(n)
-    v, w = _beta4_pair(space, kind, l, m)
+    _, v, w = _beta4_pair(space, kind, l, m)
     out = FormalTensor(space) if into is None else into
     return out.add_sym2_wedge(v, v, v, w, c)
 
 
 # ---------------------------------------------------------------------------
-# T-terms
+# Cell triples (wedge coefficients on S.S, S.s_lm, s_lm.s_lm) and T-terms
 # ---------------------------------------------------------------------------
+
+Triple = Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]
+Piece = Tuple[Tuple[int, int, int], Dict[int, int]]
+
+
+def _square(a: int, b: int, c: int = 1) -> Tuple[int, int, int]:
+    """c (aS + bs).(aS + bs) on (S.S, S.s, s.s)."""
+    return c * a * a, 2 * c * a * b, c * b * b
+
+
+def _triple(*pieces: Piece, into: Triple | None = None) -> Triple:
+    """The sum of (k_A S.S + k_B S.s + k_C s.s) (x) w over the pieces
+    ((k_A, k_B, k_C), w), as a triple; with ``into``, added to it in place."""
+    out = ({}, {}, {}) if into is None else into
+    for ks, w in pieces:
+        for part, k in zip(out, ks):
+            bump(part, w, k)
+    return out
+
+
+def _ratio_piece(space: LogSpace, kind: str, l: int, m: int, c: int) -> Piece:
+    """c times the beta_4 image v.v (x) v^w of a ratio-family argument of
+    cell (l, m)."""
+    ab, v, w = _beta4_pair(space, kind, l, m)
+    return _square(*ab, c), space.wedge(v, w)
+
+
+def _expand(space: LogSpace, cells: List[Tuple[int, int]], triples: List[Triple]) -> FormalTensor:
+    """The sum over cells of S.S (x) W_A + S.s_lm (x) W_B + s_lm.s_lm (x) W_C,
+    with the W_A summed first, so S.S multiplies once."""
+    S = space.S()
+    out = FormalTensor(space)
+    for (l, m), (_, w_b, w_c) in zip(cells, triples):
+        s = space.s(l, m)
+        out.add_product(space.sym(S, s), w_b)
+        out.add_product(space.sym(s, s), w_c)
+    return out.add_product(space.SS, vsum(t[0] for t in triples))
+
 
 def _kronecker_wedge(space: LogSpace, l: int, m: int) -> Dict:
     """sum_{i,j} (2-n)^(delta_il + delta_jm) xi_i ^ eta_j, packed."""
@@ -343,37 +383,29 @@ def _kronecker_wedge(space: LogSpace, l: int, m: int) -> Dict:
     return out
 
 
-def _t_terms(
-    space: LogSpace, l: int, m: int, first_two: FormalTensor | None = None
-) -> Tuple[FormalTensor, ...]:
-    """(T_1, T_2, T_3, T_4) of cell (l, m).  ``first_two``, if given, gains
-    T_1's first two pieces, as they are built."""
+def _t_terms(space: LogSpace, l: int, m: int) -> Tuple[Triple, ...]:
+    """(T_1, T_2, T_3, T_4) of cell (l, m), each a triple."""
     n = space.n
     S = space.S()
     s = space.s(l, m)
     z = space.zeta(l, m)
-    a1 = lin((1, S), (1 - n, s))
-    a2 = lin((1, S), (-n, s))
     # T_1 = (2n-1) S^3.z - 3n(n-1) S^2 s.z + n^2(n-1)^2 s^3.z, converted:
     # S^3.z = SS (x) S^z, 3 S^2 s.z = SS (x) s^z + 2 Ss (x) S^z, s^3.z = ss (x) s^z
-    S_z, s_z = space.wedge(S, z), space.wedge(s, z)
-    t1 = FormalTensor(space).add_product(space.SS, lin((2 * n - 1, S_z), (-n * (n - 1), s_z)))
-    t1.add_product(space.sym(S, s), S_z, -2 * n * (n - 1))
-    if first_two is not None:
-        first_two.add(t1)
-    t1.add_product(space.sym(s, s), s_z, n * n * (n - 1) ** 2)
-    a2a2 = space.sym(a2, a2)
-    # T_2 = -(n^2 a1.a1 - (n-1)^2 a2.a2) (x) kron, the sign moved into the sym part
-    sym_mix = lin((-n * n, space.sym(a1, a1)), ((n - 1) ** 2, a2a2))
-    t2 = FormalTensor(space).add_product(sym_mix, _kronecker_wedge(space, l, m))
-    t3_wedge = space.wedge(space.eta(m), space.xi(l))
-    t3 = FormalTensor(space).add_product(a2a2, t3_wedge, (n - 1) ** 2)
+    t1 = _triple(
+        ((2 * n - 1, -2 * n * (n - 1), 0), space.wedge(S, z)),
+        ((-n * (n - 1), 0, n * n * (n - 1) ** 2), space.wedge(s, z)),
+    )
+    # a1 = S + (1-n) s, a2 = S - n s; T_2 = -(n^2 a1.a1 - (n-1)^2 a2.a2) (x) kron,
+    # and T_3, T_4 are (n-1)^2 a2.a2 (x) their wedges
+    a2a2 = _square(1, -n, (n - 1) ** 2)
+    kron = _kronecker_wedge(space, l, m)
+    t2 = _triple(([x + y for x, y in zip(_square(1, 1 - n, -n * n), a2a2)], kron))
+    t3 = _triple((a2a2, space.wedge(space.eta(m), space.xi(l))))
     t4_wedge = lin(
         (1, space.wedge(space.xi_sum(), space.xi(l))),
         (1, space.wedge(space.eta(m), space.eta_sum())),
     )
-    t4 = FormalTensor(space).add_product(a2a2, t4_wedge, (n - 1) ** 2)
-    return t1, t2, t3, t4
+    return t1, t2, t3, _triple((a2a2, t4_wedge))
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +489,9 @@ def verify_claim_and_theorem(n: int, perturb_coefficient: bool = False) -> Dict[
     """The per-(l,m) T-decomposition, the claim's aggregation, and the exact
     vanishing of the full weight-4 combination.
 
+    The decomposition compares each cell's triples; every other verdict
+    compares full tensors (module docstring).
+
     ``perturb_coefficient`` replaces n(n-2) by n(n-3) in the full
     combination: the documented negative control, which must fail.
     """
@@ -464,26 +499,26 @@ def verify_claim_and_theorem(n: int, perturb_coefficient: bool = False) -> Dict[
     cells = [(l, m) for l in range(1, n + 1) for m in range(1, n + 1)]
     report: Dict[str, bool] = {}
 
-    # the theorem's combination: each cell's two ratio-family images are
-    # built once, here, and enter it through the decomposition's lhs
-    combo = FormalTensor(space)
-    sum_t123 = FormalTensor(space)
-    sum_t4 = FormalTensor(space)
-    first_two = FormalTensor(space)  # the first two pieces of sum T_1
+    S = space.S()
+    t123, t4s, first_two, combo = [], [], [], []  # one triple per cell
     decomposition_ok = True
     for l, m in cells:
-        t1, t2, t3, t4 = _t_terms(space, l, m, first_two)
-        lhs = beta4_formal("(1-x)/(1-y)", l, m, n, into=FormalTensor(space), c=n * n)
-        beta4_formal("(1-x^-1)/(1-y^-1)", l, m, n, into=lhs, c=-(n - 1) ** 2)
-        combo.add(lhs)
-        sum_t123.add(t1).add(t2).add(t3)
-        sum_t4.add(t4)
-        # T_1 is spent once summed, so it becomes the cell's total: the
-        # small terms go into it and the comparison runs at dict speed
-        decomposition_ok = decomposition_ok and lhs == t1.add(t2).add(t3).add(t4)
+        # a triple determines its tensor and back (module docstring)
+        assert space.wedge(S, space.s(l, m)), "S and s_lm are dependent"
+        t1, t2, t3, t4 = _t_terms(space, l, m)
+        lhs = _triple(
+            _ratio_piece(space, "(1-x)/(1-y)", l, m, n * n),
+            _ratio_piece(space, "(1-x^-1)/(1-y^-1)", l, m, -(n - 1) ** 2),
+        )
+        t123.append(tuple(map(vsum, zip(t1, t2, t3))))
+        decomposition_ok = decomposition_ok and lhs == tuple(map(vsum, zip(t123[-1], t4)))
+        t4s.append(t4)
+        first_two.append((t1[0], t1[1], {}))  # T_1's first two pieces
+        # the theorem's combination, cell by cell
+        x_over_y = _ratio_piece(space, "x_l/y_m", l, m, -n * n * (n - 1) ** 2)
+        combo.append(_triple(x_over_y, into=lhs))
     report["t_decomposition"] = decomposition_ok
 
-    S = space.S()
     Z = space.Z()
     nn2 = n * (n - 2)
     xi_eta = vsum(space.wedge(space.xi(l), space.eta(m)) for l, m in cells)
@@ -497,12 +532,12 @@ def verify_claim_and_theorem(n: int, perturb_coefficient: bool = False) -> Dict[
             (1, space.wedge(s, space.zeta(l, m))), (-1, space.wedge(space.xi(l), space.eta(m)))
         )
         claim.add_product(space.sym(s, s), second, n * n * (n - 1) ** 2)
-    report["claim_first_lines"] = sum_t123 == claim
+    report["claim_first_lines"] = _expand(space, cells, t123) == claim
 
     # aggregation noted in the proof: the first two pieces of sum T_1 combine
-    report["t1_first_two_aggregate"] = first_two == FormalTensor(space).add_sym2_wedge(
-        S, S, S, Z, -nn2
-    )
+    report["t1_first_two_aggregate"] = _expand(space, cells, first_two) == FormalTensor(
+        space
+    ).add_sym2_wedge(S, S, S, Z, -nn2)
 
     s_zeta = vsum(space.wedge(space.s(l, m), space.zeta(l, m)) for l, m in cells)
     report["s_wedge_zeta_aggregates"] = s_zeta == space.wedge(S, Z)
@@ -511,15 +546,14 @@ def verify_claim_and_theorem(n: int, perturb_coefficient: bool = False) -> Dict[
     for i in range(1, n + 1):
         beta4_formal("1-1/x_l", i, i, n, into=one_var)
         beta4_formal("1-1/y_m", i, i, n, into=one_var, c=-1)
+    sum_t4 = _expand(space, cells, t4s)
     report["t4_matches_beta4"] = sum_t4 == one_var.scale(-n * (n - 1) ** 2)
     report["t4_pure"] = sum_t4.is_pure_xi_eta()
 
     lead = n * (n - 3) if perturb_coefficient else nn2
-    beta4_formal("X/Y-ratio", 1, 1, n, into=combo, c=lead)
-    for l, m in cells:
-        beta4_formal("x_l/y_m", l, m, n, into=combo, c=-n * n * (n - 1) ** 2)
-    combo.add(one_var, n * (n - 1) ** 2)
-    report["theorem_zero"] = combo.is_zero()
+    # the X/Y-ratio image lies on S.S, which every cell shares
+    _triple(_ratio_piece(space, "X/Y-ratio", 1, 1, lead), into=combo[0])
+    report["theorem_zero"] = _expand(space, cells, combo).add(one_var, n * (n - 1) ** 2).is_zero()
     return report
 
 

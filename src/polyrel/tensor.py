@@ -4,8 +4,9 @@ A tensor is a plain dict from basis keys to nonzero exact coefficients (int
 or Fraction); a missing key has coefficient zero, so the empty dict is the
 zero tensor and equality is dict equality.  Every helper keeps the invariant
 that no stored coefficient is zero.  The loops run on plain dicts, without
-per-coordinate calls, because the weight-4 proof runs them about a million
-times.
+per-coordinate calls, because they make every coordinate update of the
+weight-4 proof: about half a million for n = 2..6 together, 0.9 million at
+n = 8.
 
 ``bump``, ``lin`` and ``vsum`` take any keys.  The product helpers take
 packed int keys: a vector's keys are basis indices below 2**width, and

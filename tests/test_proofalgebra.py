@@ -7,13 +7,16 @@ from polyrel.proofalgebra import (
     ARG_KINDS,
     FormalTensor,
     LogSpace,
+    _expand,
+    _ratio_piece,
     _t_terms,
+    _triple,
     beta4_formal,
     report_json,
     verify_claim_and_theorem,
     verify_identities,
 )
-from polyrel.tensor import unpack
+from polyrel.tensor import unpack, vsum
 
 
 def named(space, v):
@@ -93,15 +96,68 @@ def test_identities_negative_control():
         assert [k for k, ok in out.items() if not ok] == ["eq15_distribution_scalars"]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_claim_and_theorem_pass(n):
     assert all(verify_claim_and_theorem(n).values())
 
 
 def test_theorem_negative_control():
-    for n in (2, 4, 5):
+    for n in (2, 4, 5, 6):
         out = verify_claim_and_theorem(n, perturb_coefficient=True)
         assert [k for k, ok in out.items() if not ok] == ["theorem_zero"]
+
+
+def test_claim_and_theorem_key_order():
+    # report_json and check --json carry these keys in this order
+    assert list(verify_claim_and_theorem(3)) == [
+        "t_decomposition",
+        "claim_first_lines",
+        "t1_first_two_aggregate",
+        "s_wedge_zeta_aggregates",
+        "t4_matches_beta4",
+        "t4_pure",
+        "theorem_zero",
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_log_space_vectors_hold_no_zero(n):
+    space = LogSpace(n)
+    idx = range(1, n + 1)
+    vectors = [space.Z(), space.S(), space.xi_sum(), space.eta_sum()]
+    vectors += [space.xi(i) for i in idx] + [space.eta(j) for j in idx]
+    vectors += [f(l, m) for f in (space.zeta, space.s) for l in idx for m in idx]
+    for v in vectors:
+        assert v and 0 not in v.values(), v
+
+
+def rank(rows):
+    """The rank of a list of dicts over Q, by elimination."""
+    pivots = []  # (key, row) with row[key] == 1
+    for row in rows:
+        row = {k: Fraction(c) for k, c in row.items()}
+        for key, p in pivots:
+            c = row.get(key, 0)
+            if c:
+                row = {k: row.get(k, 0) - c * p.get(k, 0) for k in {*row, *p}}
+                row = {k: x for k, x in row.items() if x}
+        if row:
+            key = min(row)
+            pivots.append((key, {k: x / row[key] for k, x in row.items()}))
+    return len(pivots)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_S_and_s_are_independent(n):
+    # so S.S, S.s and s.s are independent in Sym^2, and a cell's triple
+    # determines its tensor
+    space = LogSpace(n)
+    S = space.S()
+    for l in range(1, n + 1):
+        for m in range(1, n + 1):
+            s = space.s(l, m)
+            assert rank([S, s]) == 2 and space.wedge(S, s)
+            assert rank([space.SS, space.sym(S, s), space.sym(s, s)]) == 3
 
 
 def test_report_json_shape():
@@ -285,6 +341,14 @@ def reference_t_terms(n, l, m):
     return t1, t2, t3, t4
 
 
+def _lhs_triple(space, l, m):
+    n = space.n
+    return _triple(
+        _ratio_piece(space, "(1-x)/(1-y)", l, m, n * n),
+        _ratio_piece(space, "(1-x^-1)/(1-y^-1)", l, m, -(n - 1) ** 2),
+    )
+
+
 def assert_three_times(tensor, ref):
     assert set(tensor.coords) == set(ref)
     for k, c in tensor.coords.items():
@@ -322,7 +386,29 @@ def test_tensors_are_three_times_the_rational_reference(n):
                 reference_sym3_wedge(ra, rb, rc, rz),
             )
         for got, ref in zip(_t_terms(space, l, m), reference_t_terms(n, l, m)):
-            assert_three_times(got, ref)
+            assert_three_times(_expand(space, [(l, m)], [got]), ref)
+        for kind in ARG_KINDS[:4]:
+            got = _expand(space, [(l, m)], [_triple(_ratio_piece(space, kind, l, m, 1))])
+            assert_three_times(got, reference_beta4_formal(kind, l, m, n))
+        lhs = _lhs_triple(space, l, m)
+        ref = reference_vadd(
+            reference_vscale(reference_beta4_formal("(1-x)/(1-y)", l, m, n), n * n),
+            reference_vscale(reference_beta4_formal("(1-x^-1)/(1-y^-1)", l, m, n), -(n - 1) ** 2),
+        )
+        assert_three_times(_expand(space, [(l, m)], [lhs]), ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lhs_triple_is_the_beta4_combination_in_every_cell(n):
+    space = LogSpace(n)
+    for l in range(1, n + 1):
+        for m in range(1, n + 1):
+            lhs = _lhs_triple(space, l, m)
+            expected = beta4_formal("(1-x)/(1-y)", l, m, n, c=n * n)
+            beta4_formal("(1-x^-1)/(1-y^-1)", l, m, n, into=expected, c=-(n - 1) ** 2)
+            assert _expand(space, [(l, m)], [lhs]) == expected
+            # the T-decomposition holds on the triples themselves
+            assert lhs == tuple(vsum(parts) for parts in zip(*_t_terms(space, l, m)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
