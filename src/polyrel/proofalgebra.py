@@ -339,7 +339,7 @@ Triple = Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]
 Piece = Tuple[Tuple[int, int, int], Dict[int, int]]
 
 
-def _square(a: int, b: int, c: int = 1) -> Tuple[int, int, int]:
+def _square(a: int, b: int, c: int) -> Tuple[int, int, int]:
     """c (aS + bs).(aS + bs) on (S.S, S.s, s.s)."""
     return c * a * a, 2 * c * a * b, c * b * b
 
@@ -359,6 +359,15 @@ def _ratio_piece(space: LogSpace, kind: str, l: int, m: int, c: int) -> Piece:
     cell (l, m)."""
     ab, v, w = _beta4_pair(space, kind, l, m)
     return _square(*ab, c), space.wedge(v, w)
+
+
+def _lhs_triple(space: LogSpace, l: int, m: int) -> Triple:
+    """n^2 beta_4((1-x)/(1-y)) - (n-1)^2 beta_4((1-x^-1)/(1-y^-1)) of cell (l, m)."""
+    n = space.n
+    return _triple(
+        _ratio_piece(space, "(1-x)/(1-y)", l, m, n * n),
+        _ratio_piece(space, "(1-x^-1)/(1-y^-1)", l, m, -(n - 1) ** 2),
+    )
 
 
 def _expand(space: LogSpace, cells: List[Tuple[int, int]], triples: List[Triple]) -> FormalTensor:
@@ -506,10 +515,7 @@ def verify_claim_and_theorem(n: int, perturb_coefficient: bool = False) -> Dict[
         # a triple determines its tensor and back (module docstring)
         assert space.wedge(S, space.s(l, m)), "S and s_lm are dependent"
         t1, t2, t3, t4 = _t_terms(space, l, m)
-        lhs = _triple(
-            _ratio_piece(space, "(1-x)/(1-y)", l, m, n * n),
-            _ratio_piece(space, "(1-x^-1)/(1-y^-1)", l, m, -(n - 1) ** 2),
-        )
+        lhs = _lhs_triple(space, l, m)
         t123.append(tuple(map(vsum, zip(t1, t2, t3))))
         decomposition_ok = decomposition_ok and lhs == tuple(map(vsum, zip(t123[-1], t4)))
         t4s.append(t4)

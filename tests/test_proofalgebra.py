@@ -8,6 +8,7 @@ from polyrel.proofalgebra import (
     FormalTensor,
     LogSpace,
     _expand,
+    _lhs_triple,
     _ratio_piece,
     _t_terms,
     _triple,
@@ -108,7 +109,7 @@ def test_theorem_negative_control():
 
 
 def test_claim_and_theorem_key_order():
-    # report_json and check --json carry these keys in this order
+    # callers list the failing keys in this order; the JSON renderings sort them
     assert list(verify_claim_and_theorem(3)) == [
         "t_decomposition",
         "claim_first_lines",
@@ -339,14 +340,6 @@ def reference_t_terms(n, l, m):
     )
     t4 = reference_vscale(reference_product(a2a2, t4_wedge), (n - 1) ** 2)
     return t1, t2, t3, t4
-
-
-def _lhs_triple(space, l, m):
-    n = space.n
-    return _triple(
-        _ratio_piece(space, "(1-x)/(1-y)", l, m, n * n),
-        _ratio_piece(space, "(1-x^-1)/(1-y^-1)", l, m, -(n - 1) ** 2),
-    )
 
 
 def assert_three_times(tensor, ref):
