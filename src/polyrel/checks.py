@@ -458,7 +458,7 @@ def check_q_equations() -> CheckReport:
     # squares of the 16 described products == squares of the 16 long-orbit
     # arguments, as inversion-class sets
     *_, images_y1, images_prod = gprime_orbits()
-    long_squares = {inversion_class_key(image * image) for image in images_prod}
+    long_squares = {inversion_class_key(image.pow_int(2)) for image in images_prod}
 
     described_squares = set()
     signs = [(e1, e2, e3) for e1 in (1, -1) for e2 in (1, -1) for e3 in (1, -1)]

@@ -21,27 +21,31 @@ fixed before summing.  CL_m reads only the weights m - r with B_r != 0
 * |z| <= 1/2: the powers z^n, then one builtin pass per weight read,
   jumping from weight j to weight j + k by one floor division by n^k
   (bit-identical to k divisions by n); N terms with 2|z|^N < 2^-bits.
-* 1/2 < |z| <= 2: with u = log(z)/2pi (|u| < 0.513), one sweep of u^k
-  against the cached table zeta(j-k) (2pi)^k / k!, plus the distinguished
-  log term at degree j-1 with one shared log(-log z); K terms with
-  2^8 |u|^K / (1-|u|) < 2^-bits.  The table is built in Python ints too,
-  from one zeta evaluator: Borwein's series in fixed point at the same
-  width (``_zeta_fixed``, within one unit of 2^-bits), so the guard bits
-  hold in the table as well.  ``zeta_int`` rounds that value to the
+* 1/2 < |z| <= 2: one sweep of t^k against a cached table (``_sweep``),
+  K terms with 2^8 |t|^K / (1-|t|) < 2^-bits, in whichever expansion
+  ``_near_minus_one`` estimates the cheaper: t = log(z)/2pi (|t| < 0.513)
+  against zeta(j-k) (2pi)^k / k!, plus a log term at degree j-1 with one
+  shared log(-log z), of which CL_m needs only the real part
+  (``_li_log_series``); or about -1, t = log(-z)/pi (|t| <= 1/2) against
+  -eta(j-k) pi^k / k!, with no log term.  The tables are built in Python
+  ints too, from one zeta evaluator: Borwein's series in fixed point at the
+  same width (``_zeta_fixed``, within one unit of 2^-bits), so the guard
+  bits hold in the tables as well.  ``zeta_int`` rounds that value to the
   context precision.
 
-The logarithms (log z and log(-log z) for the expansion, log|z| for the
-power series, log(1-z) for Li_1, log(-z) for the inversion) come from one
-fixed-point complex log, ``_log_fixed``, and so does pi (``_pi_fixed``, the
-imaginary part of log(-1)): the kernel makes no mpmath call.
+The logarithms (log z and log|log z| or log(-log z), log(-z) for the eta
+expansion and the inversion, log|z|, log(1-z)) come from one fixed-point
+complex log, ``_log_fixed``, and so does pi (``_pi_fixed``, the imaginary
+part of log(-1)): the kernel makes no mpmath call.
 
 A number enters fixed point one way: ``exact_complex`` reads its exact
 value and ``fixed_pair`` floors it, at the width ``_fixed_argument`` picks
 from its exact top bit (``fixed_width``: extra bits far from the unit
 circle).  li_m folds |z| > 2 by inversion.  CL_m's integer core
-(``_cl_fixed``) folds |z| > 1 to 1/z and sums the parts it keeps of one
-kernel call with cached Bernoulli weights; ``cl_apply`` sums c * core over
-a linear combination in ints, and ``cl_m`` is its one-term case.  A value
+(``_cl_fixed``) runs _CL_EXTRA_BITS wider than its argument, folds |z| > 1
+to 1/z and sums the parts it keeps of one kernel call with cached Bernoulli
+weights; ``cl_apply`` sums c * core over a linear combination in ints, and
+``cl_m`` is its one-term case.  A value
 leaves fixed point one way too, rounded once by ``_rounded``.
 
 Polynomial roots (``poly_roots``) are proved, not estimated: float
@@ -323,10 +327,15 @@ def _harmonic(m: int) -> Fraction:
 # Fixed-point numbers are Python ints scaled by 2^wp, wp = policy.fixed_bits
 # (the context precision plus _GUARD_BITS); the guard bits absorb the rounding
 # of the truncated terms (about one ulp per term and weight) and of the
-# log-expansion table (a few ulps per entry, zeta included), so far below
-# 2^36 ulps at any term count used here.
+# expansion tables (a few ulps per entry, zeta included), so far below 2^36
+# ulps at any term count used here.  CL_m's core runs _CL_EXTRA_BITS wider
+# still: against mpmath's polylog at 110 digits, on 200 seeded points at
+# P = 30 and 60 for m = 2, 3, 4, 7, its worst errors in units of
+# 2^-fixed_bits fall from 151-258 (power series), 477-628 (log expansion)
+# and 404-488 (about -1, then still the log expansion) to 1.1, 2.4 and 1.2.
 _GUARD_BITS = 36
-# |e_(j,k)| <= zeta(2) * max_n (2pi)^n/n! < 2^8 for every table entry below.
+# |e_(j,k)| <= zeta(2) * max_n (2pi)^n/n! < 2^8 for every log-table entry
+# below; the eta table's are below 2^3.
 _COEFF_BITS = 8
 # |u| = |log z| / 2pi <= sqrt(log(2)^2 + pi^2) / 2pi < 0.513 for 1/2 < |z| <= 2.
 _U_MAX = 0.513
@@ -482,6 +491,18 @@ def _power_series(x: int, y: int, wp: int, weights: Sequence[int], part: int) ->
     return out
 
 
+def _over_factorials(wp: int, count: int, c: int) -> List[int]:
+    """(c pi)^k / k! for k < count in fixed point at wp bits, built 8 bits
+    wider: the powers carry pi's last-unit error up to k (c pi)^(k-1) / k!
+    < 2^7 times for c <= 2."""
+    wb = wp + 8
+    cpi = _pi_fixed(wb) * c
+    scaled = [1 << wb]
+    for k in range(1, count):
+        scaled.append(scaled[-1] * cpi // (k << wb))
+    return [s >> 8 for s in scaled]
+
+
 @lru_cache(maxsize=None)
 def _log_table(m: int, wp: int) -> Tuple:
     """Rows j = 1..m of e_(j,k) = zeta(j-k) (2pi)^k / k! in fixed point.
@@ -498,14 +519,7 @@ def _log_table(m: int, wp: int) -> Tuple:
     |u| <= _U_MAX.
     """
     k_max = _terms(wp, log2(_U_MAX), _COEFF_BITS + 2)
-    # scaled[k] = (2pi)^k / k!, built 8 bits wider: the powers carry pi's
-    # last-unit error up to k (2pi)^(k-1) / k! < 2^7 times
-    wb = wp + 8
-    twopi = _pi_fixed(wb) << 1
-    scaled = [1 << wb]
-    for k in range(1, max(k_max, m + 1)):
-        scaled.append(scaled[-1] * twopi // (k << wb))
-    scaled = [s >> 8 for s in scaled]
+    scaled = _over_factorials(wp, max(k_max, m + 1), 2)
     rows = []
     for j in range(1, m + 1):
         head = [_zeta_fixed(j - k, wp) * scaled[k] >> wp for k in range(j - 1)]
@@ -522,45 +536,146 @@ def _log_table(m: int, wp: int) -> Tuple:
     return tuple(rows)
 
 
-def _li_log_series(m: int, x: int, y: int, wp: int) -> Tuple[Callable[[int, int], int], int]:
+@lru_cache(maxsize=None)
+def _eta_table(m: int, wp: int) -> Tuple:
+    """Rows j = 1..m of -eta(j-k) pi^k / k! in fixed point, the coefficients
+    of Li_j(-e^v) = -sum_k eta(j-k) v^k / k! in t = v/pi.
+
+    eta(s) = (1 - 2^(1-s)) zeta(s) is Dirichlet's eta: ``_zeta_fixed`` less
+    its shift for s >= 2, log 2 at s = 1 and 1/2 at s = 0.  Row j is (head,
+    tail) as in ``_log_table``: head holds k = 0..j, tail the odd offsets
+    k = j+1, j+3, ..., since eta vanishes at negative even integers.  At
+    k = j + 2p - 1 the functional equation turns -eta(1-2p) pi^k / k! into
+    (-1)^p 2 (1 - 2^-2p) zeta(2p) pi^(j-1) (2p-1)!/k!, near 2/k in size.
+    Every entry is within a few units of 2^-wp.  Built on first use for
+    each (m, wp), for every |t| <= _U_MAX.
+    """
+    k_max = _terms(wp, log2(_U_MAX), _COEFF_BITS + 2)
+    scaled = _over_factorials(wp, max(k_max, m + 1), 1)
+
+    def eta(s: int) -> int:
+        if s >= 2:
+            z = _zeta_fixed(s, wp)
+            return z - (z >> (s - 1))
+        return _ln2_fixed(wp) if s else 1 << (wp - 1)
+
+    rows = []
+    for j in range(1, m + 1):
+        head = [-(eta(j - k) * scaled[k] >> wp) for k in range(j + 1)]
+        tail = []
+        for k in range(j + 1, k_max, 2):
+            p = (k - j + 1) // 2
+            z = _zeta_fixed(2 * p, wp)
+            # pi^(j-1) (2p-1)!/k! = scaled[j-1] / (k C(k-1, j-1))
+            entry = (2 * (z - (z >> 2 * p)) * scaled[j - 1] >> wp) // (k * comb(k - 1, j - 1))
+            tail.append(-entry if p % 2 else entry)
+        rows.append((head, tail))
+    return tuple(rows)
+
+
+Weight = Callable[[int, int], int]
+
+
+def _sweep(tr: int, ti: int, wp: int, m: int, rows: Tuple) -> Tuple[Weight, List[int], List[int]]:
+    """(total, powers re, powers im) for t = (tr + i ti) / 2^wp, |t| <= _U_MAX:
+    the powers t^k, K of them with 2^_COEFF_BITS |t|^K / (1-|t|) < 2^-wp (at
+    least m + 1), and ``total(j, part)``, the real (``part`` 0) or imaginary
+    (``part`` 1) part of row j's head and tail (``_log_table``,
+    ``_eta_table``) summed against them at scale 2^(2 wp)."""
+    n_terms = max(_terms(wp, _log2_abs(tr, ti, wp), _COEFF_BITS + 2), m + 1)
+    upr, upi = [1 << wp], [0]
+    for _ in range(n_terms - 1):
+        a, b = upr[-1], upi[-1]
+        upr.append((a * tr - b * ti) >> wp)
+        upi.append((a * ti + b * tr) >> wp)
+
+    def total(j: int, part: int) -> int:
+        head, tail = rows[j - 1][:2]
+        up = upi if part else upr
+        return sum(map(mul, head, up)) + sum(map(mul, tail, up[j + 1 :: 2]))
+
+    return total, upr, upi
+
+
+def _li_log_series(m: int, x: int, y: int, wp: int, branch: bool) -> Tuple[Weight, int]:
     """1/2 < |z| <= 2: the expansion in u = w/2pi, w = log z (|u| < 0.513).
 
     Li_j(e^w) = sum_{k != j-1} e_(j,k) u^k
                 + w^(j-1)/(j-1)! (H_(j-1) - log(-w)),
-    one sweep of u^k and one log(-w) shared by every weight and both parts.
-    w and log(-w) both come from ``_log_fixed``; w is never 0 there, since
-    z != 1 lies at least one unit from 1 and the log keeps that unit.
-    With |e_(j,k)| < 2^8 the tail after K terms is below 2^8 |u|^K / (1-|u|).
-    Returns (weight, log|z|) in fixed point: ``weight(j, part)`` sums the
-    real (``part`` 0) or imaginary (``part`` 1) part of Li_j(z), j <= m,
-    against the sweep, and log|z| = Re w.
+    one ``_sweep`` of u^k shared by every weight and both parts.  w comes
+    from ``_log_fixed``, and is never 0 there, since z != 1 lies at least
+    one unit from 1 and the log keeps that unit.
+
+    With ``branch`` the log term takes the complex log(-w), as Li_j needs.
+    Without it, the real log|w|, which is all CL_m reads: over the weights
+    j = m - r, sum_r 2^r B_r / r! L^r w^(m-1-r) / (m-1-r)!, L = Re w, is the
+    coefficient of x^(m-1) in (L x / sinh(L x)) e^(i Im(w) x), real for odd
+    m and imaginary for even m, so arg(-w) drops out of the part CL_m keeps.
+
+    Returns (weight, log|z|) in fixed point: ``weight(j, part)`` is the real
+    (``part`` 0) or imaginary (``part`` 1) part of Li_j(z), j <= m (without
+    ``branch``, less the arg(-w) term CL_m drops), and log|z| = Re w.
     """
     wr, wi = _log_fixed(x, y, wp)
-    log_r, log_i = _log_fixed(-wr, -wi, wp)
+    if branch:
+        log_r, log_i = _log_fixed(-wr, -wi, wp)
+    else:
+        log_r, log_i = _log_fixed(isqrt(wr * wr + wi * wi), 0, wp)[0], 0
     twopi = _pi_fixed(wp) << 1
-    ur = (wr << wp) // twopi
-    ui = (wi << wp) // twopi
-    n_terms = max(_terms(wp, _log2_abs(ur, ui, wp), _COEFF_BITS + 2), m + 1)
-    upr, upi = [1 << wp], [0]
-    for _ in range(n_terms - 1):
-        a, b = upr[-1], upi[-1]
-        upr.append((a * ur - b * ui) >> wp)
-        upi.append((a * ui + b * ur) >> wp)
     table = _log_table(m, wp)
+    total, upr, upi = _sweep((wr << wp) // twopi, (wi << wp) // twopi, wp, m, table)
 
     def weight(j: int, part: int) -> int:
-        head, tail, dist = table[j - 1]
-        up = upi if part else upr
-        total = sum(map(mul, head, up)) + sum(map(mul, tail, up[j + 1 :: 2]))
         # w^(j-1)/(j-1)! (H_(j-1) - log(-w)) = dist u^(j-1) (H_(j-1) - log(-w))
         h = _harmonic(j - 1)
         br = (h.numerator << wp) // h.denominator - log_r
         bi = -log_i
         ar, ai = upr[j - 1], upi[j - 1]
-        total += dist * ((ar * bi + ai * br if part else ar * br - ai * bi) >> wp)
-        return total >> wp
+        dist = table[j - 1][2]
+        log_term = dist * ((ar * bi + ai * br if part else ar * br - ai * bi) >> wp)
+        return (total(j, part) + log_term) >> wp
 
     return weight, wr
+
+
+def _li_eta_series(m: int, x: int, y: int, wp: int) -> Tuple[Weight, int]:
+    """z near -1: Li_j(-e^v) = -sum_k eta(j-k) v^k / k! with v = log(-z),
+    one ``_sweep`` of t = v/pi (|t| <= 1/2 where ``_near_minus_one`` picks
+    it) against ``_eta_table``.  eta is entire, so the series has no log
+    term and needs no second log.  Returns (weight, log|z|) as
+    ``_li_log_series`` does; log|z| = Re v."""
+    vr, vi = _log_fixed(-x, -y, wp)
+    pi = _pi_fixed(wp)
+    total = _sweep((vr << wp) // pi, (vi << wp) // pi, wp, m, _eta_table(m, wp))[0]
+    return (lambda j, part: total(j, part) >> wp), vr
+
+
+# sweep terms charged for the log expansion's second log (the real log|w|,
+# or li_m's complex log(-w)), against the eta expansion, which has none
+_LOG_TERMS = 40
+
+
+def _near_minus_one(x: int, y: int, wp: int) -> bool:
+    """For 1/2 < |z| <= 2, z = (x + iy) / 2^wp: whether the eta expansion
+    about -1 is the cheaper one.  It needs |log(-z)| / pi <= 1/2, and fewer
+    terms than the log expansion's plus _LOG_TERMS, both counted from float
+    logs, so the choice is a fixed function of (x, y, wp)."""
+    z = complex(x / (1 << wp), y / (1 << wp))
+    t = abs(cmath.log(-z)) / cmath.pi
+    if t > 0.5:
+        return False
+    u = abs(cmath.log(z)) / (2 * cmath.pi)  # near -1, so about 1/2
+    extra = _COEFF_BITS + 2
+    return _terms(wp, log2(t) if t else -inf, extra) < _terms(wp, log2(u), extra) + _LOG_TERMS
+
+
+def _li_annulus(m: int, x: int, y: int, wp: int, branch: bool = False) -> Tuple[Weight, int]:
+    """(weight, log|z|) for 1/2 < |z| <= 2: ``_li_eta_series`` where
+    ``_near_minus_one`` picks it, else ``_li_log_series`` (``branch`` as
+    there)."""
+    if _near_minus_one(x, y, wp):
+        return _li_eta_series(m, x, y, wp)
+    return _li_log_series(m, x, y, wp, branch)
 
 
 @lru_cache(maxsize=None)
@@ -581,16 +696,20 @@ def _li_all(m: int, x: int, y: int, wp: int, part: int) -> Tuple[Dict[int, int],
     alone, and log|z| as the real ``_log_fixed`` of |z| = isqrt(x^2 + y^2)
     (``fixed_width`` keeps |z| 2^wp >= 2^(policy.fixed_bits - 3), so the
     floor moves log|z| by at most 2^(3 - policy.fixed_bits), while the Li_j
-    it multiplies are O(|z|)); for 1/2 < |z| <= 2 the expansion in log z,
-    whose real part is log|z|.  Each value is bit-identical to the one the
-    full chain of weights 1..m gives.
+    it multiplies are O(|z|)); for 1/2 < |z| <= 2 ``_li_annulus``'s
+    expansion in log z or log(-z), whose real part is log|z|.  Each value is
+    bit-identical to the one the full chain of weights 1..m gives.
+
+    In the log expansion each value takes log|log z| for log(-log z), so it
+    is off that part of Li_j(z) by a multiple of arg(-log z) that cancels in
+    CL_m's Bernoulli combination (``_li_log_series``).
     """
     weights = _cl_li_weights(m)
     norm = x * x + y * y
     if norm <= 1 << (2 * wp - 2):
         values = _power_series(x, y, wp, weights, part)
         return dict(zip(weights, values)), _log_fixed(isqrt(norm), 0, wp)[0]
-    weight, log_abs = _li_log_series(m, x, y, wp)
+    weight, log_abs = _li_annulus(m, x, y, wp)
     return {j: weight(j, part) for j in weights}, log_abs
 
 
@@ -676,7 +795,7 @@ def li_m(m: int, z, policy: PrecisionPolicy):
         lr, li = _log_fixed(-x, -y, wp)
         x, y = (x << 2 * wp) // norm, (-y << 2 * wp) // norm
     elif norm > one * one >> 2:
-        weight = _li_log_series(m, x, y, wp)[0]
+        weight = _li_annulus(m, x, y, wp, branch=True)[0]
         return from_fixed_pair(weight(m, 0), weight(m, 1), wp, ctx)
     re, im = (_power_series(x, y, wp, (m,), part)[0] for part in (0, 1))  # |z| <= 1/2
     if fold:
@@ -692,6 +811,11 @@ def li_m(m: int, z, policy: PrecisionPolicy):
 # CL_m
 # ---------------------------------------------------------------------------
 
+# bits _cl_fixed carries beyond the argument's width, so that the kernel's
+# rounding lands well inside one unit of 2^-policy.fixed_bits
+_CL_EXTRA_BITS = 8
+
+
 @lru_cache(maxsize=None)
 def _cl_weights(m: int, wp: int) -> Tuple[Tuple[int, int], ...]:
     """(r, 2^r B_r / r! in fixed point) for the r < m with B_r != 0."""
@@ -704,13 +828,14 @@ def _cl_fixed(m: int, value, policy: PrecisionPolicy) -> Tuple[int, int]:
     integer core, before any rounding to the context precision.
 
     ``value`` is INFINITY or any number ``exact_complex`` reads.  Continuity
-    values: 0 at 0 and infinity; zeta(m) at 1 (``_zeta_fixed`` at
-    ``policy.fixed_bits``) for odd m, 0 for even m.  Any other value enters
-    fixed point once (``_fixed_argument``) and runs in Python ints from
-    there: |z| > 1 is folded to 1/z, and one fused _li_all call gives the
-    real parts (odd m) or the imaginary parts (even m) of the Li_j(z) CL_m
-    reads, and log|z|.  The Bernoulli weights, cached per (m, bits), combine
-    them at scale s = 2 wp.
+    values: 0 at 0 and infinity; zeta(m) at 1 (``_zeta_fixed``) for odd m,
+    0 for even m.  Any other value enters fixed point once
+    (``_fixed_argument``) and runs in Python ints from there, _CL_EXTRA_BITS
+    wider than its width, so the sums' rounding stays within a few units of
+    2^-``policy.fixed_bits`` (see _GUARD_BITS): |z| > 1 is folded to 1/z,
+    and one fused _li_all call gives the real parts (odd m) or the imaginary
+    parts (even m) of the Li_j(z) CL_m reads, and log|z|.  The Bernoulli
+    weights, cached per (m, bits), combine them at scale s = 2 wp.
     """
     if m < 2:
         raise DomainError("cl_m needs m >= 2 (m = 1 is excluded)")
@@ -719,7 +844,8 @@ def _cl_fixed(m: int, value, policy: PrecisionPolicy) -> Tuple[int, int]:
     x, y, wp = _fixed_argument(value, policy)
     if not x and not y:
         return 0, 0
-    base = policy.fixed_bits
+    x, y, wp = x << _CL_EXTRA_BITS, y << _CL_EXTRA_BITS, wp + _CL_EXTRA_BITS
+    base = policy.fixed_bits + _CL_EXTRA_BITS
     shift = wp - base
     one = 1 << wp
     sign = 1
@@ -759,9 +885,9 @@ def cl_apply(m: int, terms, policy: PrecisionPolicy):
     precision (``_rounded``).  So the error is counted per term: each core
     is within 2^_GUARD_BITS units of 2^-``policy.fixed_bits``, that is
     2^-prec for the context's prec bits, of CL_m at the argument it was
-    handed (the budget the guard bits hold), and the sum is within
-    2^-prec sum |c| of sum c CL_m(value), plus the one final rounding, at
-    most half an ulp of the result.
+    handed (the budget the guard bits hold; a few units, measured), and the
+    sum is within 2^-prec sum |c| of sum c CL_m(value), plus the one final
+    rounding, at most half an ulp of the result.
     """
     ctx = policy.context
     parts = [(Fraction(c), *_cl_fixed(m, value, policy)) for c, value in terms]

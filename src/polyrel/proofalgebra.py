@@ -41,7 +41,10 @@ decomposition compares triples, exactly: S ^ s != 0 for n >= 2 (S has an
 xi_i with i != l, s = xi_l - eta_m has not), so S and s are independent,
 A, B, C are distinct monomials of a basis of Sym^2, and a tensor vanishes
 only with its triple.  A sum over the cells is expanded once: S.S times the
-summed W_A, and per cell one product on S.s (4n - 1 keys) and one on s.s.
+summed W_A; S.e_i, for each of the 2n basis indices i of the xi_l and
+eta_m, times the W_B summed with s_lm's coefficient at i (S.s is linear in
+s, so this is one product per index, not one per cell); and per cell one
+product on s.s.
 
 Everything the per-n verification needs is assembled here: the formal
 beta_4 images of the six argument families, the T_1..T_4 decomposition, the
@@ -371,14 +374,22 @@ def _lhs_triple(space: LogSpace, l: int, m: int) -> Triple:
 
 
 def _expand(space: LogSpace, cells: List[Tuple[int, int]], triples: List[Triple]) -> FormalTensor:
-    """The sum over cells of S.S (x) W_A + S.s_lm (x) W_B + s_lm.s_lm (x) W_C,
-    with the W_A summed first, so S.S multiplies once."""
+    """The sum over cells of S.S (x) W_A + S.s_lm (x) W_B + s_lm.s_lm (x) W_C.
+
+    S.S multiplies the summed W_A once.  S.s_lm is linear in s_lm, so the
+    S.s sum is sum_i S.e_i (x) (sum over cells of s_lm[i] W_B): one product
+    per basis index i that some s_lm holds, 2n in all, not one per cell.
+    """
     S = space.S()
     out = FormalTensor(space)
+    folded: Dict[int, Dict[int, int]] = {}  # i -> sum over cells of s_lm[i] W_B
     for (l, m), (_, w_b, w_c) in zip(cells, triples):
         s = space.s(l, m)
-        out.add_product(space.sym(S, s), w_b)
+        for i, c in s.items():
+            bump(folded.setdefault(i, {}), w_b, c)
         out.add_product(space.sym(s, s), w_c)
+    for i, w in folded.items():
+        out.add_product(space.sym(S, {i: 1}), w)
     return out.add_product(space.SS, vsum(t[0] for t in triples))
 
 

@@ -58,6 +58,13 @@ def test_eval_cl_catalan():
     assert out.strip().startswith("0.91596559417721901505")
 
 
+@pytest.mark.parametrize("m", ["2", "4"])
+def test_eval_cl_at_minus_one_is_exactly_zero_for_even_m(m):
+    code, out, _ = run_cli("eval-cl", "--m", m, "--z=-1")
+    assert code == 0
+    assert out.strip() == "0.0"
+
+
 def test_eval_li_branch_error_is_usage():
     code, _, err = run_cli("eval-li", "--m", "2", "--z", "1.5")
     assert code == 2

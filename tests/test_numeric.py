@@ -125,6 +125,27 @@ def test_log_table_entries_match_mpmath(digits):
             assert max(abs(v - ref) for ref, v in pairs) <= 2 ** 7, j
 
 
+
+@pytest.mark.parametrize("digits", [30, 60, 120])
+def test_eta_table_entries_match_mpmath(digits):
+    """Every entry of _eta_table(7, wp) against -eta(j-k) pi^k / k! from
+    mpmath 64 bits wider (its altzeta is Dirichlet's eta), and below 2^3 in
+    size as _COEFF_BITS needs."""
+    wp = PrecisionPolicy.for_digits(digits).fixed_bits
+    table = numeric._eta_table(7, wp)
+    with mpmath.workprec(wp + 64):
+        one = mpmath.mpf(2) ** wp
+
+        def e(j, k):
+            return -mpmath.altzeta(j - k) * mpmath.pi ** k / mpmath.factorial(k) * one
+
+        for j, (head, tail) in enumerate(table, start=1):
+            assert len(head) == j + 1
+            pairs = [(e(j, k), v) for k, v in enumerate(head)]
+            pairs += [(e(j, j + 1 + 2 * i), v) for i, v in enumerate(tail)]
+            assert max(abs(v - ref) for ref, v in pairs) <= 16, j
+            assert max(abs(v) for _, v in pairs) < 8 << wp
+
 # -- Li -------------------------------------------------------------------------
 
 def test_li1_is_log():
@@ -297,16 +318,25 @@ def test_li_continuation_across_negative_axis(digits):
 def test_li_log_series_parts_match_single_part_sums():
     """li_m's 1/2 < |z| <= 2 branch sums both parts of weight m from one
     sweep; the result is bit-identical to the real and imaginary parts that
-    _li_all computes in two separate calls."""
+    the same region's series computes in two separate calls, and near -1,
+    where the eta expansion has no log term to carry arg(-w), to the parts
+    that _li_all computes for CL_m."""
     rng = SplitMix64(2020)
     wp = POLICY.fixed_bits
+    regions = set()
     for _ in range(50):
         z = cmath.rect(0.51 + 1.48 * rng.next_unit(), 0.001 + 6.28 * rng.next_unit())
         x, y = numeric.fixed_pair(z, wp)
+        near = numeric._near_minus_one(x, y, wp)
+        regions.add(near)
         for m in range(2, 8):
-            re, im = (numeric._li_all(m, x, y, wp, part)[0][m] for part in (0, 1))
+            re, im = (numeric._li_annulus(m, x, y, wp, branch=True)[0](m, part) for part in (0, 1))
             expected = numeric.from_fixed_pair(re, im, wp, CTX)
             assert li_m(m, z, POLICY) == expected, (m, z)
+            if near:
+                re, im = (numeric._li_all(m, x, y, wp, part)[0][m] for part in (0, 1))
+                assert li_m(m, z, POLICY) == numeric.from_fixed_pair(re, im, wp, CTX), (m, z)
+    assert regions == {True, False}
 
 
 # -- needed weights, and bit identity with the full chain ---------------------------
@@ -335,7 +365,7 @@ def _full_chain(m, x, y, wp, part):
     norm = x * x + y * y
     if norm <= 1 << (2 * wp - 2):
         return _full_power_chain(x, y, wp, m, part), numeric._log_fixed(isqrt(norm), 0, wp)[0]
-    weight, log_abs = numeric._li_log_series(m, x, y, wp)
+    weight, log_abs = numeric._li_annulus(m, x, y, wp)
     return [weight(j, part) for j in range(1, m + 1)], log_abs
 
 
@@ -354,8 +384,8 @@ def _seeded_grid(seed, count):
 @pytest.mark.parametrize("digits", [30, 60, 120])
 def test_li_all_needed_weights_match_the_full_chain(digits):
     """_li_all returns exactly the weights m - r with B_r != 0, each
-    bit-identical to the chain that computes every weight, in both kernel
-    regions, for m = 2..8."""
+    bit-identical to the chain that computes every weight, in all three
+    kernel regions, for m = 2..8."""
     policy = PrecisionPolicy.for_digits(digits)
     wp = policy.fixed_bits
     rng = SplitMix64(digits)
@@ -363,7 +393,8 @@ def test_li_all_needed_weights_match_the_full_chain(digits):
     for _ in range(40):
         z = cmath.rect(0.02 + 1.97 * rng.next_unit(), cmath.pi * (2 * rng.next_unit() - 1))
         x, y = numeric.fixed_pair(z, wp)
-        regions.add(abs(z) <= 0.5)
+        near = numeric._near_minus_one(x, y, wp)
+        regions.add("power" if abs(z) <= 0.5 else "eta" if near else "log")
         for m in range(2, 9):
             needed = {m - r for r in range(m) if bernoulli(r)}
             for part in (0, 1):
@@ -372,22 +403,24 @@ def test_li_all_needed_weights_match_the_full_chain(digits):
                 assert set(values) == needed
                 assert log_abs == full_log_abs
                 assert all(values[j] == full[j - 1] for j in needed), (m, z, part)
-    assert regions == {True, False}
+    assert regions == {"power", "log", "eta"}
     assert numeric._cl_li_weights(7) == (1, 3, 5, 6, 7)
     assert numeric._cl_li_weights(4) == (2, 3, 4)
 
 
 def _full_chain_cl(m, z, policy):
     """CL_m(z) as the full chain gives it: every weight of Li_j computed,
-    the Bernoulli combination summed at the argument's width and rounded
-    once."""
+    the Bernoulli combination summed at the argument's width plus
+    _CL_EXTRA_BITS and rounded once."""
     from mpmath.libmp import from_man_exp
 
     ctx = policy.context
     if z == 0:
         return ctx.mpf(0)
     x, y, wp = numeric._fixed_argument(z, policy)
-    base = policy.fixed_bits
+    extra = numeric._CL_EXTRA_BITS
+    x, y, wp = x << extra, y << extra, wp + extra
+    base = policy.fixed_bits + extra
     one = 1 << wp
     sign = 1
     norm = x * x + y * y
@@ -781,6 +814,101 @@ def test_cl_two_routes_agree_on_annulus():
         b = (-1) ** (m - 1) * cl_m(m, 1 / z, POLICY)
         assert abs(a - b) < POLICY.tolerance
 
+
+
+@pytest.mark.parametrize("digits", [30, 50, 60])
+def test_cl_at_minus_one(digits):
+    """CL_m(-1) is exactly 0 for even m (Im Li_m(-1) = 0, and the eta
+    expansion at v = 0 has no imaginary part), and Li_m(-1) = -eta(m) =
+    -(1 - 2^(1-m)) zeta(m) within one ulp for odd m."""
+    policy = PrecisionPolicy.for_digits(digits)
+    prec = policy.context.prec
+    for m in range(2, 9):
+        got = cl_m(m, -1, policy)
+        if m % 2 == 0:
+            assert got == 0, m
+            continue
+        with mpmath.workprec(prec + 64):
+            ref = -(1 - mpmath.mpf(2) ** (1 - m)) * mpmath.zeta(m)
+            ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(abs(ref), 2)) + 1 - prec)
+            assert abs(mpmath.mpf(got) - ref) <= ulp, m
+
+
+def _gauss_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_cl_log_terms_drop_arg_of_minus_w(m):
+    """sum_r 2^r B_r / r! L^r w^(m-1-r) / (m-1-r)!, L = Re w, is real for odd m
+    and imaginary for even m, in exact Fractions at seeded Gaussian-rational
+    w: the log terms of the Li_j that CL_m reads carry arg(-w) only through
+    the part CL_m drops, so _li_log_series may take log|w| alone for CL_m."""
+    rng = SplitMix64(33 + m)
+    for _ in range(25):
+        w = tuple(Fraction(rng.next_int(-400, 400), rng.next_int(1, 97)) for _ in range(2))
+        if w == (0, 0):
+            continue
+        total = [Fraction(0), Fraction(0)]
+        for r in range(m):
+            beta = Fraction(2**r) * bernoulli(r) / factorial(r)
+            term = (beta * w[0] ** r / factorial(m - 1 - r), Fraction(0))
+            for _ in range(m - 1 - r):
+                term = _gauss_mul(term, w)
+            total = [total[0] + term[0], total[1] + term[1]]
+        assert total[m % 2] == 0, w
+        # the kept part does not vanish with it, so the test reads something
+        assert total[1 - m % 2] or w[1] == 0 or m == 2, w
+
+
+def _cl_region(z, policy):
+    """The kernel region _cl_fixed evaluates z in: power, log, eta (about -1),
+    with a -fold suffix for |z| > 1."""
+    x, y, wp = numeric._fixed_argument(z, policy)
+    fold = x * x + y * y > 1 << 2 * wp
+    if fold:
+        z = 1 / z
+        x, y, wp = numeric._fixed_argument(z, policy)
+    if abs(z) <= 0.5:
+        name = "power"
+    else:
+        name = "eta" if numeric._near_minus_one(x, y, wp) else "log"
+    return name + ("-fold" if fold else "")
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_cl_fixed_within_32_units_of_mpmath(digits):
+    """Every _cl_fixed value on a seeded grid is within 32 units of
+    2^-fixed_bits of CL_m from mpmath's polylog at 110 digits, at the
+    argument's exact value, in each kernel region (power series, log
+    expansion, eta expansion about -1, and each of them behind the
+    inversion fold) for m = 2, 3, 4, 7."""
+    policy = PrecisionPolicy.for_digits(digits)
+    bits = policy.fixed_bits
+    rng = SplitMix64(110 + digits)
+    points = [-1, 1j, 0.2 - 0.3j, Fraction(-3, 4), Fraction(5, 3), -2.5 + 0.1j]
+    for _ in range(24):
+        radius = 0.1 + 2.8 * rng.next_unit()
+        points.append(cmath.rect(radius, cmath.pi * (2 * rng.next_unit() - 1)))
+    for _ in range(8):  # about -1, on both sides of the unit circle
+        angle = cmath.pi * (0.7 + 0.6 * rng.next_unit())
+        points.append(cmath.rect(0.6 + 0.9 * rng.next_unit(), angle))
+    regions = set()
+    worst = 0
+    with mpmath.workdps(110):
+        for z in points:
+            regions.add(_cl_region(z, policy))
+            zz = exact_mpc(z, mpmath.mp)
+            lis = [mpmath.polylog(j, zz) for j in range(1, 8)]
+            logabs = mpmath.log(abs(zz))
+            for m in (2, 3, 4, 7):
+                t, scale = numeric._cl_fixed(m, z, policy)
+                err = abs(mpmath.ldexp(t, -scale) - _cl_oracle(m, lis, logabs))
+                err *= mpmath.ldexp(1, bits)
+                assert err <= 32, (m, z, float(err))
+                worst = max(worst, err)
+    assert regions == {f"{r}{f}" for r in ("power", "log", "eta") for f in ("", "-fold")}
+    assert worst > 0
 
 @pytest.mark.parametrize(
     "digits, guard, slack",

@@ -161,6 +161,48 @@ def test_S_and_s_are_independent(n):
             assert rank([space.SS, space.sym(S, s), space.sym(s, s)]) == 3
 
 
+
+def per_cell_expand(space, cells, triples):
+    """The sum over cells of S.S (x) W_A + S.s_lm (x) W_B + s_lm.s_lm (x) W_C
+    with one S.s_lm product per cell: the loop that _expand folds."""
+    S = space.S()
+    out = FormalTensor(space)
+    for (l, m), (w_a, w_b, w_c) in zip(cells, triples):
+        s = space.s(l, m)
+        out.add_product(space.SS, w_a)
+        out.add_product(space.sym(S, s), w_b)
+        out.add_product(space.sym(s, s), w_c)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_folded_expand_equals_the_per_cell_loop(n):
+    # every kind of triple the proof expands: the T-terms, their partial
+    # sums, each cell's lhs and the theorem's per-cell combination
+    space = LogSpace(n)
+    cells = [(l, m) for l in range(1, n + 1) for m in range(1, n + 1)]
+    t_terms = [_t_terms(space, l, m) for l, m in cells]
+    families = [[t[k] for t in t_terms] for k in range(4)]
+    families.append([tuple(map(vsum, zip(*t[:3]))) for t in t_terms])
+    families.append([(t[0][0], t[0][1], {}) for t in t_terms])
+    lhs = [_lhs_triple(space, l, m) for l, m in cells]
+    families.append(lhs)
+    x_over_y = [_ratio_piece(space, "x_l/y_m", l, m, -n * n * (n - 1) ** 2) for l, m in cells]
+    families.append([_triple(piece, into=_lhs_triple(space, *cell)) for piece, cell in zip(x_over_y, cells)])
+    for triples in families:
+        assert _expand(space, cells, triples) == per_cell_expand(space, cells, triples)
+    assert not _expand(space, cells, lhs).is_zero()
+    # a single cell, and cells in another order, fold the same way
+    assert _expand(space, cells[:1], lhs[:1]) == per_cell_expand(space, cells[:1], lhs[:1])
+    assert _expand(space, cells[::-1], lhs[::-1]) == per_cell_expand(space, cells, lhs)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_theorem_negative_control_fails_on_theorem_zero_only(n):
+    out = verify_claim_and_theorem(n, perturb_coefficient=True)
+    assert [k for k, ok in out.items() if not ok] == ["theorem_zero"]
+
+
 def test_report_json_shape():
     rep = report_json(2)
     assert rep["n"] == 2
