@@ -1,4 +1,15 @@
-"""polyrel: exact verification engine for polylogarithm functional equations."""
+"""polyrel: exact verification engine for polylogarithm functional equations.
+
+The exact layers (``exact``, ``expr``, ``formal``, ``poly``, ``ratfunc``) are
+imported with the package.  Every other public name is in ``_LAZY_API`` and
+imports its module on first use (PEP 562 ``__getattr__``): the polylog
+kernel and root finder of ``numeric`` (``cl_m``, ``li_m``, ``cl_apply``,
+``poly_roots``, ``PrecisionPolicy``, ...) and the high-level API of
+``catalog``, ``criterion``, ``verify``, ``report``, ``proofalgebra`` and
+``checks``.  The symbolic path (building a catalog equation and running its
+kernel test) never calls ``numeric``, the largest module, so it does not
+compile or run it.
+"""
 
 from .exact import (
     DomainError,
@@ -10,25 +21,23 @@ from .exact import (
 )
 from .expr import ParseError, parse_expression
 from .formal import Automorphism, FormalSum, group_closure, inversion_class_key, orbit
-from .numeric import (
-    BranchAmbiguityError,
-    PoleError,
-    PrecisionPolicy,
-    bernoulli,
-    cl_apply,
-    cl_m,
-    li_m,
-    poly_roots,
-    zeta_int,
-)
 from .poly import MultiPoly
 from .ratfunc import INDETERMINATE, INFINITY, POLE, RatFunc, ZeroDenominator, cross_ratio
 
 __version__ = "0.1.0"
 
 
-# high-level API, imported lazily so that `import polyrel` stays light
+# names imported on first use (PEP 562), so that `import polyrel` stays light
 _LAZY_API = {
+    "BranchAmbiguityError": ("polyrel.numeric", "BranchAmbiguityError"),
+    "PoleError": ("polyrel.numeric", "PoleError"),
+    "PrecisionPolicy": ("polyrel.numeric", "PrecisionPolicy"),
+    "bernoulli": ("polyrel.numeric", "bernoulli"),
+    "cl_apply": ("polyrel.numeric", "cl_apply"),
+    "cl_m": ("polyrel.numeric", "cl_m"),
+    "li_m": ("polyrel.numeric", "li_m"),
+    "poly_roots": ("polyrel.numeric", "poly_roots"),
+    "zeta_int": ("polyrel.numeric", "zeta_int"),
     "get_equation": ("polyrel.catalog", "get_equation"),
     "equation_names": ("polyrel.catalog", "equation_names"),
     "EquationSpec": ("polyrel.catalog", "EquationSpec"),

@@ -22,7 +22,12 @@ Between the two, everything is integer:
   in the plain Fraction loop's order, removing a term whose sum cancels to
   zero and re-inserting it if it reappears, so a product's insertion order
   is exactly the plain loop's.  ``MultiPoly.__mul__`` and
-  ``RatFunc.substitute`` both expand this way.
+  ``RatFunc.substitute`` both expand this way, packing each operand from
+  its own variable table straight into the fields of the union table.  A
+  product with a constant factor over a table inside the other factor's
+  packs nothing: it scales the other factor's terms in their own order,
+  the order the plain loop gives when one side has a single term (a factor
+  of 1 gives back the other factor itself).
 * ``int_value`` sums integer terms against power tables a^e b^(D-e)
   (``power_table``): a point value a/b homogenized to its variable's
   degree D.  ``MultiPoly.evaluate_ratio`` evaluates this way, and
@@ -72,10 +77,14 @@ class MultiPoly:
         vs = tuple(variables)
         if list(vs) != sorted(vs):
             raise ValueError("variables must be sorted")
+        if len(set(vs)) != len(vs):
+            raise ValueError("repeated variable name")
         cleaned = {}
         for exp, c in terms.items():
             if len(exp) != len(vs):
                 raise ValueError("exponent arity mismatch")
+            if any(e < 0 for e in exp):
+                raise ValueError("negative exponent")
             if c != 0:
                 cleaned[tuple(exp)] = _coeff(c)
         self.vars = vs
@@ -157,7 +166,10 @@ class MultiPoly:
         vs = tuple(sorted(variables))
         if vs == self.vars:
             return self
-        if not set(self.vars) <= set(vs):
+        names = set(vs)
+        if len(names) != len(vs):
+            raise ValueError("repeated variable name")
+        if not names.issuperset(self.vars):
             raise ValueError("embedding must not drop variables")
         pos = [vs.index(v) for v in self.vars]
         terms: Dict[Exponent, Coeff] = {}
@@ -166,7 +178,7 @@ class MultiPoly:
             for p, e in zip(pos, exp):
                 new[p] = e
             terms[tuple(new)] = c
-        return MultiPoly(vs, terms)
+        return MultiPoly._trusted(vs, terms)
 
     @staticmethod
     def align(p: "MultiPoly", q: "MultiPoly") -> Tuple["MultiPoly", "MultiPoly"]:
@@ -200,14 +212,21 @@ class MultiPoly:
             if c == 0:
                 return MultiPoly._trusted(self.vars, {})
             return MultiPoly._trusted(self.vars, {e: _coeff(k * c) for e, k in self.terms.items()})
-        p, q = MultiPoly.align(self, other)
-        if not p.terms or not q.terms:
-            return MultiPoly._trusted(p.vars, {})
-        width = (_max_exponent(p) + _max_exponent(q)).bit_length() + 1
-        shifts = range(0, width * len(p.vars), width)
-        den, (ip, iq) = cleared(p, q)
-        out = packed_product(pack(ip, shifts), pack(iq, shifts))
-        return MultiPoly.from_ints(p.vars, unpack(out, shifts, width), den * den)
+        vs = self.vars if self.vars == other.vars else tuple(sorted({*self.vars, *other.vars}))
+        if not self.terms or not other.terms:
+            return MultiPoly._trusted(vs, {})
+        for p, q in ((self, other), (other, self)):
+            if len(q.terms) == 1 and p.vars == vs:
+                ((exp, c),) = q.terms.items()
+                if not any(exp):  # a constant factor: scale p in its own term order
+                    return p if c == 1 else p * c
+        width = (_max_exponent(self) + _max_exponent(other)).bit_length() + 1
+        shifts = range(0, width * len(vs), width)
+        den, (ip, iq) = cleared(self, other)
+        out = packed_product(
+            pack(ip, _shifts_in(self.vars, vs, shifts)), pack(iq, _shifts_in(other.vars, vs, shifts))
+        )
+        return MultiPoly.from_ints(vs, unpack(out, shifts, width), den * den)
 
     __rmul__ = __mul__
 
@@ -406,6 +425,14 @@ def power_table(q, deg: int) -> List[int]:
     for _ in range(deg):
         table.append(table[-1] // b * a)
     return table
+
+
+def _shifts_in(own: Tuple[str, ...], vs: Tuple[str, ...], shifts: Sequence[int]) -> Sequence[int]:
+    """The bit offsets, among ``shifts`` for the table ``vs``, of the
+    variables of the table ``own`` (a subset of ``vs``)."""
+    if own == vs:
+        return shifts
+    return [shifts[vs.index(v)] for v in own]
 
 
 def _max_exponent(p: MultiPoly) -> int:

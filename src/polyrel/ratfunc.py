@@ -4,7 +4,12 @@ A RatFunc is a pair of MultiPoly (num, den) over a shared variable set.  It
 is stored *unreduced*: no gcd cancellation happens during arithmetic, only a
 cheap normalization on the integer side (``cleared()`` num and den, divided
 by the content of den's ints signed by its graded-lex leading coefficient,
-so den is integral, primitive and leads positive).  `equivalent` decides
+so den is integral, primitive and leads positive).  A den of 1 already is,
+so a function over 1 skips the normalization, and the sum or difference of
+two functions over 1 adds their numerators, which gives the cross products'
+terms in their order.  `coerce` hands out one shared constant per int (for
+the 1024 most recent ints), which is safe because a RatFunc is immutable
+and its caches hold only functions of its value.  `equivalent` decides
 equality of the functions by cross-multiplication.  `cancelled()` produces
 the gcd-reduced canonical representative, and its serialization is the one
 key by which the package identifies a function (FormalSum terms, group
@@ -22,6 +27,7 @@ imports no sympy.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Dict, List, Mapping, Tuple, Union
 
@@ -77,7 +83,7 @@ class RatFunc:
         if num.is_zero():
             num = MultiPoly.zero(den.vars)
             den = MultiPoly.const(1, den.vars)
-        else:
+        elif not _is_one(den):  # den = 1 is integral, primitive and leads positive
             scale, (n, d) = cleared(num, den)
             g = gcd(*d.values())
             if den.leading()[1] < 0:
@@ -105,8 +111,11 @@ class RatFunc:
 
     @staticmethod
     def coerce(value: "RatFunc | Scalar") -> "RatFunc":
+        """value as a RatFunc; an int gives one shared constant per value."""
         if isinstance(value, RatFunc):
             return value
+        if type(value) is int:
+            return _int_constant(value)
         return RatFunc.from_value(value)
 
     # -- structure -----------------------------------------------------------
@@ -168,6 +177,9 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         other = RatFunc.coerce(other)
+        if _is_one(self.den) and _is_one(other.den):
+            # the cross products' terms, in their order
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -367,7 +379,7 @@ class RatFunc:
                 self._serial = c.serialize()
                 return self._serial
             num_s = self.num.to_expr_string()
-            if self.den.is_constant() and self.den.constant_value() == 1:
+            if _is_one(self.den):
                 self._serial = f"({num_s})"
             else:
                 self._serial = f"({num_s})/({self.den.to_expr_string()})"
@@ -375,6 +387,16 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.serialize()!r})"
+
+
+@lru_cache(maxsize=1024)
+def _int_constant(value: int) -> RatFunc:
+    return RatFunc.from_value(value)
+
+
+def _is_one(p: MultiPoly) -> bool:
+    """True iff p is the constant 1."""
+    return len(p.terms) == 1 and p.terms.get((0,) * len(p.vars)) == 1
 
 
 def _sympy_cancel(f: RatFunc) -> RatFunc:

@@ -22,6 +22,30 @@ def test_artifact_matches_builder(name):
     assert data == get_equation(name).to_json()
 
 
+def test_export_is_byte_identical_to_the_committed_artifacts(tmp_path):
+    # the bytes depend on FormalSum's term order, and so on the term order
+    # of every product and sum that builds an equation; a fresh process
+    # builds them as `polyrel export` does
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    out = tmp_path / "catalog"
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyrel.cli", "export", "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in DATA_DIR.iterdir())
+    for path in DATA_DIR.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_env_seed_is_honored(monkeypatch):
     import contextlib
     import io

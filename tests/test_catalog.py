@@ -343,3 +343,55 @@ def test_equation_json_roundtrip():
         assert back.sum == eq.sum
         assert back.weight == eq.weight
         assert back.variables == eq.variables
+
+
+SYMBOLIC_RELATIONS = (
+    "five_term",
+    "three_term",
+    "goncharov22",
+    "goncharov22_sym",
+    "gamma21",
+    "relation34",
+    "xi7_explicit",
+    "xi7_symmetric",
+)
+
+
+def test_symbolic_path_needs_no_numeric_kernel():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "sys.modules['polyrel.numeric'] = None  # any import of it raises ImportError\n"
+        "from polyrel import get_equation, kernel_test\n"
+        f"eqs = {{name: get_equation(name) for name in {SYMBOLIC_RELATIONS!r}}}\n"
+        "for name in ('relation34', 'xi7_explicit'):\n"
+        "    eq = eqs[name]\n"
+        "    verdict = kernel_test(\n"
+        "        eq.sum, eq.weight, trials=2, functionals=2, seed=0, specialization_height=7\n"
+        "    )\n"
+        "    assert verdict.status == 'pass', (name, verdict.status)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_public_name_resolves():
+    import polyrel
+    from polyrel import PrecisionPolicy, cl_m, poly_roots
+    from polyrel import numeric
+
+    for name in polyrel.__all__:
+        assert getattr(polyrel, name) is not None, name
+    assert (cl_m, PrecisionPolicy, poly_roots) == (
+        numeric.cl_m,
+        numeric.PrecisionPolicy,
+        numeric.poly_roots,
+    )
+    with pytest.raises(AttributeError):
+        polyrel.no_such_name

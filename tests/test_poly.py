@@ -1,10 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyrel.poly import MultiPoly, cleared, int_value, pack, power_table, unpack
+from polyrel.poly import (
+    MultiPoly,
+    _max_exponent,
+    cleared,
+    int_value,
+    pack,
+    packed_product,
+    power_table,
+    unpack,
+)
 from polyrel.ratfunc import RatFunc, ZeroDenominator
 
 
@@ -234,3 +244,89 @@ def test_constant_values_stay_fractions():
     assert type(f.cancelled().constant_value()) is Fraction
     assert type(RatFunc.from_value(4).constant_value()) is Fraction
     assert type(MultiPoly.var("x").evaluate({"x": 2})) is Fraction
+
+
+def test_constructor_rejects_negative_exponents():
+    # packed, x^-1 borrows from the field above it: it serialized as 1 and
+    # its square as x^6
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(["x"], {(-1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(["x", "y"], {(2, 0): 1, (1, -2): 3})
+
+
+def test_constructor_rejects_repeated_variable_names():
+    with pytest.raises(ValueError, match="repeated variable"):
+        MultiPoly(["x", "x"], {(1, 0): 1})
+    with pytest.raises(ValueError, match="repeated variable"):
+        MultiPoly.var("x").embed(["x", "x", "y"])
+    with pytest.raises(ValueError, match="drop variables"):
+        MultiPoly.var("x").embed(["y"])
+
+
+def general_route(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """p * q by the route every product took before the constant-factor and
+    mixed-table paths: both operands embedded in the union table, then one
+    packed product over it."""
+    vs = sorted(set(p.vars) | set(q.vars))
+    p, q = p.embed(vs), q.embed(vs)
+    if not p.terms or not q.terms:
+        return MultiPoly(vs, {})
+    width = (_max_exponent(p) + _max_exponent(q)).bit_length() + 1
+    shifts = range(0, width * len(vs), width)
+    den, (ip, iq) = cleared(p, q)
+    out = packed_product(pack(ip, shifts), pack(iq, shifts))
+    return MultiPoly.from_ints(p.vars, unpack(out, shifts, width), den * den)
+
+
+def assert_same_product(got: MultiPoly, ref: MultiPoly):
+    """Equal term for term, in insertion order, with the same coefficient types."""
+    assert got.vars == ref.vars
+    assert list(got.terms.items()) == list(ref.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in ref.terms.values()]
+
+
+NAMES = ("a", "t", "u", "x", "y", "z")
+
+
+def random_coeff(rng: random.Random):
+    c = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4)))
+    return c if c else Fraction(1)
+
+
+def random_poly(rng: random.Random, vs, terms: int) -> MultiPoly:
+    vs = sorted(vs)
+    return MultiPoly(
+        vs, {tuple(rng.randint(0, 4) for _ in vs): random_coeff(rng) for _ in range(terms)}
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_constant_and_single_term_products_match_the_general_route(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        table = rng.sample(NAMES, rng.randint(1, 4))
+        p = random_poly(rng, table, rng.randint(0, 6))
+        rest = [v for v in NAMES if v not in table]
+        tables = {
+            "empty": [],
+            "same": table,
+            "smaller": rng.sample(table, rng.randint(0, len(table) - 1)),
+            "larger": table + rng.sample(rest, rng.randint(1, len(rest))),
+        }
+        for vs in tables.values():
+            c = rng.choice([1, -1, 2, random_coeff(rng)])
+            factors = [MultiPoly.const(c, vs), random_poly(rng, vs, 1)]
+            for q in factors:
+                assert_same_product(p * q, general_route(p, q))
+                assert_same_product(q * p, general_route(q, p))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mixed_table_products_match_the_general_route(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        p = random_poly(rng, rng.sample(NAMES, rng.randint(0, 4)), rng.randint(0, 6))
+        q = random_poly(rng, rng.sample(NAMES, rng.randint(0, 4)), rng.randint(0, 6))
+        assert_same_product(p * q, general_route(p, q))
+        assert_same_product(q * p, general_route(q, p))

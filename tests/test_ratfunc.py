@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyrel.exact import DomainError
-from polyrel.poly import MultiPoly
+from polyrel.poly import MultiPoly, cleared
 from polyrel.ratfunc import (
     INDETERMINATE,
     INFINITY,
@@ -650,3 +650,97 @@ def test_symmetry_criteria_do_not_import_sympy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [reference_sympy_cancel(f).serialize() for f in gcd_inputs]
+
+
+def _forced_normalization(num: MultiPoly, den: MultiPoly) -> RatFunc:
+    """RatFunc(num, den) through the constructor's content division: doubling
+    both sides keeps the function but puts 2 in den's content, so no
+    unit-denominator shortcut applies."""
+    return RatFunc(num * 2, den * 2)
+
+
+def cross_product(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
+    """a op b from the cross products, every product by the general route."""
+    from test_poly import general_route
+
+    if op == "+":
+        num = general_route(a.num, b.den) + general_route(b.num, a.den)
+        return _forced_normalization(num, general_route(a.den, b.den))
+    if op == "-":
+        num = general_route(a.num, b.den) + general_route(-b.num, a.den)
+        return _forced_normalization(num, general_route(a.den, b.den))
+    return _forced_normalization(general_route(a.num, b.den), general_route(a.den, b.num))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_unit_denominator_arithmetic_matches_the_cross_products(seed):
+    import operator
+    import random
+
+    from test_poly import NAMES, assert_same_product, random_poly
+
+    ops = {"+": operator.add, "-": operator.sub, "/": operator.truediv}
+    rng = random.Random(seed)
+    for _ in range(30):
+        a, b = (
+            RatFunc(random_poly(rng, vs, rng.randint(0, 5)), MultiPoly.const(1, vs))
+            for vs in (rng.sample(NAMES, rng.randint(0, 3)) for _ in range(2))
+        )
+        assert a.den.terms == {(0,) * len(a.vars): 1}
+        for op, fn in ops.items():
+            for lhs, rhs in ((a, b), (b, a), (a, rng.randint(-3, 3)), (rng.randint(-3, 3), a)):
+                rf_lhs, rf_rhs = RatFunc.coerce(lhs), RatFunc.coerce(rhs)
+                if op == "/" and rf_rhs.is_zero():
+                    continue
+                if op == "+" and isinstance(lhs, int):  # int + f runs f.__radd__
+                    rf_lhs, rf_rhs = rf_rhs, rf_lhs
+                got, ref = fn(lhs, rhs), cross_product(rf_lhs, rf_rhs, op)
+                assert_same_product(got.num, ref.num)
+                assert_same_product(got.den, ref.den)
+                assert got.serialize() == ref.serialize()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_numerator_over_one_is_normalized_as_it_stands(seed):
+    import random
+
+    from test_poly import NAMES, assert_same_product, random_poly
+
+    rng = random.Random(seed)
+    for _ in range(30):
+        vs = rng.sample(NAMES, rng.randint(0, 3))
+        num = random_poly(rng, vs, rng.randint(1, 5))
+        if rng.random() < 0.5:
+            num = num * cleared(num)[0]  # integral
+        one = MultiPoly.const(1, vs)
+        got, ref = RatFunc(num, one), _forced_normalization(num, one)
+        assert_same_product(got.num, ref.num)
+        assert_same_product(got.den, ref.den)
+
+
+def test_shared_int_constants_keep_every_use_unchanged():
+    from polyrel.formal import inversion_class_key
+
+    def state(f):
+        return f.vars, list(f.num.terms.items()), list(f.den.terms.items()), f.serialize()
+
+    for value in (-3, -1, 0, 1, 2, 5):
+        shared = RatFunc.coerce(value)
+        assert RatFunc.coerce(value) is shared
+        fresh = RatFunc.from_value(value)
+        uses = [lambda: x + value, lambda: value - x, lambda: x * value, lambda: value * (y + 1)]
+        if value:
+            uses.append(lambda: x / value)
+        before = [state(use()) for use in uses]
+        expected_key = inversion_class_key(fresh)
+        # every cache a constant carries, filled on one use of it
+        assert shared.cancelled().serialize() == fresh.serialize()
+        assert shared.serialize() == fresh.serialize()
+        assert inversion_class_key(shared) == expected_key
+        hash(shared)
+        shared.live_cleared()
+        assert RatFunc.coerce(value) is shared
+        assert state(shared) == state(fresh)
+        assert state(shared.cancelled()) == state(fresh)
+        assert [state(use()) for use in uses] == before
+        assert inversion_class_key(RatFunc.coerce(value)) == expected_key
