@@ -7,8 +7,9 @@ kernel and root finder of ``numeric`` (``cl_m``, ``li_m``, ``cl_apply``,
 ``poly_roots``, ``PrecisionPolicy``, ...) and the high-level API of
 ``catalog``, ``criterion``, ``verify``, ``report``, ``proofalgebra`` and
 ``checks``.  The symbolic path (building a catalog equation and running its
-kernel test) never calls ``numeric``, the largest module, so it does not
-compile or run it.
+kernel test) never calls ``numeric``, the largest module, so through this
+API it does not compile or run it.  The command line does: ``polyrel.cli``
+imports ``numeric``, ``report`` and ``verify`` at the top.
 """
 
 from .exact import (

@@ -5,11 +5,7 @@ is stored *unreduced*: no gcd cancellation happens during arithmetic, only a
 cheap normalization on the integer side (``cleared()`` num and den, divided
 by the content of den's ints signed by its graded-lex leading coefficient,
 so den is integral, primitive and leads positive).  A den of 1 already is,
-so a function over 1 skips the normalization, and the sum or difference of
-two functions over 1 adds their numerators, which gives the cross products'
-terms in their order.  `coerce` hands out one shared constant per int (for
-the 1024 most recent ints), which is safe because a RatFunc is immutable
-and its caches hold only functions of its value.  `equivalent` decides
+so a function over 1 skips the normalization.  `equivalent` decides
 equality of the functions by cross-multiplication.  `cancelled()` produces
 the gcd-reduced canonical representative, and its serialization is the one
 key by which the package identifies a function (FormalSum terms, group
@@ -27,7 +23,6 @@ imports no sympy.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import Dict, List, Mapping, Tuple, Union
 
@@ -111,11 +106,8 @@ class RatFunc:
 
     @staticmethod
     def coerce(value: "RatFunc | Scalar") -> "RatFunc":
-        """value as a RatFunc; an int gives one shared constant per value."""
         if isinstance(value, RatFunc):
             return value
-        if type(value) is int:
-            return _int_constant(value)
         return RatFunc.from_value(value)
 
     # -- structure -----------------------------------------------------------
@@ -177,9 +169,6 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         other = RatFunc.coerce(other)
-        if _is_one(self.den) and _is_one(other.den):
-            # the cross products' terms, in their order
-            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -387,11 +376,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.serialize()!r})"
-
-
-@lru_cache(maxsize=1024)
-def _int_constant(value: int) -> RatFunc:
-    return RatFunc.from_value(value)
 
 
 def _is_one(p: MultiPoly) -> bool:
