@@ -8,8 +8,8 @@ kernel and root finder of ``numeric`` (``cl_m``, ``li_m``, ``cl_apply``,
 ``catalog``, ``criterion``, ``verify``, ``report``, ``proofalgebra`` and
 ``checks``.  The symbolic path (building a catalog equation and running its
 kernel test) never calls ``numeric``, the largest module, so through this
-API it does not compile or run it.  The command line does: ``polyrel.cli``
-imports ``numeric``, ``report`` and ``verify`` at the top.
+API it does not compile or run it; nor does ``polyrel verify --mode
+symbolic``, since each command imports the modules it runs.
 """
 
 from .exact import (

@@ -3,6 +3,9 @@
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage error,
 3 internal error.  All probabilistic commands take --seed (default from
 POLYLOG_SEED) and echo it in the report so runs are reproducible.
+
+Each command imports the modules it runs, so that ``verify --mode
+symbolic`` loads no numeric kernel.
 """
 
 from __future__ import annotations
@@ -17,12 +20,8 @@ from fractions import Fraction
 
 from . import __version__
 from .catalog import equation_names, get_equation
-from .checks import check_names, find_check
 from .criterion import kernel_test
 from .exact import DomainError
-from .numeric import PrecisionPolicy, cl_m, from_fixed_pair, li_m, poly_roots
-from .report import RunReport, run_acceptance
-from .verify import verify_numeric
 
 USAGE_ERROR, CHECK_FAILED, INTERNAL_ERROR = 2, 1, 3
 
@@ -30,6 +29,15 @@ _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # a real part must end where a sign or the text does, so that '2i' and
 # '1e-5i' read as purely imaginary
 _COMPLEX_RE = re.compile(rf"(?P<re>[+-]?{_NUMBER}(?=[+-]|$))?(?:(?P<im>[+-]?(?:{_NUMBER})?)i)?")
+
+
+def _part(literal: str) -> float:
+    """A decimal literal as the nearest float; one with a nonzero digit that
+    rounds to 0.0 raises ValueError."""
+    value = float(literal)
+    if not value and re.search(r"[1-9]", re.split(r"[eE]", literal)[0]):
+        raise ValueError(f"need a finite nonzero double for {literal!r}, which rounds to 0.0")
+    return value
 
 
 def parse_complex_literal(text: str) -> complex:
@@ -44,11 +52,13 @@ def parse_complex_literal(text: str) -> complex:
     if im is None:
         imag = 0.0
     else:
-        imag = float(im + "1" if im in ("", "+", "-") else im)
-    return complex(float(m.group("re") or 0.0), imag)
+        imag = _part(im + "1" if im in ("", "+", "-") else im)
+    return complex(_part(m.group("re") or "0"), imag)
 
 
-def _policy(args) -> PrecisionPolicy:
+def _policy(args):
+    from .numeric import PrecisionPolicy
+
     return PrecisionPolicy.for_digits(args.precision)
 
 
@@ -59,7 +69,7 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def _emit(args, report: RunReport) -> int:
+def _emit(args, report) -> int:
     if args.json:
         print(report.render_json())
     else:
@@ -97,6 +107,8 @@ def cmd_show(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .runreport import RunReport
+
     eq = get_equation(args.equation)
     seed = _seed(args)
     if not eq.is_equation:
@@ -129,6 +141,8 @@ def cmd_verify(args) -> int:
             t0,
         )
     if args.mode in ("numeric", "both"):
+        from .verify import verify_numeric
+
         t0 = time.time()
         verdict = verify_numeric(
             eq, points=args.points, policy=_policy(args), seed=seed
@@ -145,23 +159,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval_cl(args) -> int:
+    from .numeric import cl_m, decimal_str
+
     policy = _policy(args)
     z = parse_complex_literal(args.z)
-    value = cl_m(args.m, z, policy)
-    print(policy.context.nstr(value, args.precision))
+    print(decimal_str(cl_m(args.m, z, policy), args.precision))
     return 0
 
 
 def cmd_eval_li(args) -> int:
+    from .numeric import decimal_str, li_m
+
     policy = _policy(args)
     z = parse_complex_literal(args.z)
-    value = li_m(args.m, z, policy)
-    ctx = policy.context
-    print(ctx.nstr(value, args.precision))
+    print(decimal_str(li_m(args.m, z, policy), args.precision))
     return 0
 
 
 def cmd_roots(args) -> int:
+    from .numeric import decimal_str, from_fixed_pair, poly_roots
+
     policy = _policy(args)
     coeffs = []
     for chunk in args.coefficients.split(","):
@@ -173,14 +190,15 @@ def cmd_roots(args) -> int:
             coeffs.append(Fraction(chunk))
         except ZeroDivisionError:  # Fraction("1/0")
             raise DomainError(f"coefficient {chunk!r} has a zero denominator") from None
-    roots = poly_roots(coeffs, policy)
-    ctx = policy.context
-    for r in roots:
-        print(ctx.nstr(from_fixed_pair(*r.pair, ctx), args.precision))
+    for r in poly_roots(coeffs, policy):
+        print(decimal_str(from_fixed_pair(*r.pair, policy.prec), args.precision))
     return 0
 
 
 def cmd_check(args) -> int:
+    from .checks import check_names, find_check
+    from .runreport import RunReport
+
     name = args.name
     check = find_check(name)
     if check is None:
@@ -199,6 +217,8 @@ def cmd_report(args) -> int:
     if not args.all and not args.only:
         print("report needs --all or --only", file=sys.stderr)
         return USAGE_ERROR
+    from .report import run_acceptance
+
     only = [cid.strip() for cid in args.only.split(",")] if args.only else None
     report = run_acceptance(seed=_seed(args), only=only)
     return _emit(args, report)

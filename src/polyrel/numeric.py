@@ -1,8 +1,9 @@
 """Arbitrary-precision numerics: Li_m, the one-valued CL_m, zeta, certified roots.
 
-Everything here takes an explicit PrecisionPolicy; the policy owns a private
-mpmath context (its working precision in decimal digits plus guard digits),
-so there is no global precision state and calls are safe to run in parallel.
+Everything here takes an explicit PrecisionPolicy: its working precision in
+decimal digits plus guard digits, and the bits ``prec`` those make.  There is
+no global precision state, so calls are safe to run in parallel, and the
+module runs on the standard library alone.
 
 CL_m is the one-valued polylogarithm: the Bernoulli-weighted combination
 
@@ -13,7 +14,7 @@ relation CL_m(z) = (-1)^(m-1) CL_m(1/z) to |z| > 1 and by continuity to
 {0, 1, infinity}.
 
 The weights of Li_j(z) at one point that a caller reads come out of one
-fused kernel (_li_all) in Python-int fixed point at the context precision
+fused kernel (_li_all) in Python-int fixed point at the policy's ``prec``
 plus guard bits (``PrecisionPolicy.fixed_bits``), with the number of terms
 fixed before summing.  CL_m reads only the weights m - r with B_r != 0
 (m = 7: 7, 6, 5, 3, 1), and the kernel computes no other:
@@ -30,13 +31,13 @@ fixed before summing.  CL_m reads only the weights m - r with B_r != 0
   -eta(j-k) pi^k / k!, with no log term.  The tables are built in Python
   ints too, from one zeta evaluator: Borwein's series in fixed point at the
   same width (``_zeta_fixed``, within one unit of 2^-bits), so the guard
-  bits hold in the tables as well.  ``zeta_int`` rounds that value to the
-  context precision.
+  bits hold in the tables as well.  ``zeta_int`` rounds that value to
+  ``prec`` bits.
 
 The logarithms (log z and log|log z| or log(-log z), log(-z) for the eta
 expansion and the inversion, log|z|, log(1-z)) come from one fixed-point
 complex log, ``_log_fixed``, and so does pi (``_pi_fixed``, the imaginary
-part of log(-1)): the kernel makes no mpmath call.
+part of log(-1)).
 
 A number enters fixed point one way: ``exact_complex`` reads its exact
 value and ``fixed_pair`` floors it, at the width ``_fixed_argument`` picks
@@ -46,7 +47,10 @@ circle).  li_m folds |z| > 2 by inversion.  CL_m's integer core
 to 1/z and sums the parts it keeps of one kernel call with cached Bernoulli
 weights; ``cl_apply`` sums c * core over a linear combination in ints, and
 ``cl_m`` is its one-term case.  A value
-leaves fixed point one way too, rounded once by ``_rounded``.
+leaves fixed point one way too, rounded once to nearest at ``prec`` bits by
+``_rounded``, as an exact dyadic: a Fraction for a real value, a Gaussian-
+rational pair (re, im) for a complex one, the form ``exact_complex`` reads
+back.  ``decimal_str`` prints either one.
 
 Polynomial roots (``poly_roots``) are proved, not estimated: float
 Durand-Kerner (or, without float seeds, a start scaled to the size of the
@@ -62,10 +66,10 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, hypot, inf, isqrt, lcm, log2
+from math import comb, factorial, hypot, inf, isqrt, lcm, log, log2
 from operator import floordiv, mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -86,6 +90,8 @@ __all__ = [
     "Root",
     "exact_complex",
     "fixed_pair",
+    "from_fixed_pair",
+    "decimal_str",
 ]
 
 
@@ -109,14 +115,16 @@ class RootFindingError(RuntimeError):
 class PrecisionPolicy:
     """Working precision P (decimal digits), guard digits, tolerance slack.
 
-    tolerance = 10^(-P + t_slack) is the pass threshold for numeric
-    verification; internal arithmetic runs at P + guard digits.
+    ``prec`` = round((dps + 1) log2 10) bits hold dps = P + guard decimal
+    digits: every value leaves fixed point rounded to them, and the kernels
+    run at ``fixed_bits``, a few dozen bits wider.  ``tolerance``,
+    10^(t_slack - P) rounded once to nearest at ``prec`` bits, is the pass
+    threshold for numeric verification.
     """
 
     working_digits: int = 50
     guard_digits: int = 10
     t_slack: int = 15
-    _ctx: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.working_digits < 10:
@@ -137,25 +145,22 @@ class PrecisionPolicy:
         return PrecisionPolicy(digits, guard_digits=guard, t_slack=slack)
 
     @property
-    def context(self):
-        if self._ctx is None:
-            from mpmath.ctx_mp import MPContext
+    def dps(self) -> int:
+        return self.working_digits + self.guard_digits
 
-            ctx = MPContext()
-            ctx.dps = self.working_digits + self.guard_digits
-            object.__setattr__(self, "_ctx", ctx)
-        return self._ctx
+    @property
+    def prec(self) -> int:
+        return max(1, round((self.dps + 1) * _LOG2_10))
 
     @property
     def fixed_bits(self) -> int:
-        """Bits of the Python-int fixed point the kernels run in: the context
-        precision plus _GUARD_BITS."""
-        return self.context.prec + _GUARD_BITS
+        """Bits of the Python-int fixed point the kernels run in: ``prec``
+        plus _GUARD_BITS."""
+        return self.prec + _GUARD_BITS
 
     @property
-    def tolerance(self):
-        ctx = self.context
-        return ctx.mpf(10) ** (-self.working_digits + self.t_slack)
+    def tolerance(self) -> Fraction:
+        return _rounded(1, 0, self.prec, 10 ** (self.working_digits - self.t_slack))
 
 
 # ---------------------------------------------------------------------------
@@ -183,32 +188,26 @@ def _is_fixed(value) -> bool:
 
 def exact_complex(value) -> Tuple[Fraction, Fraction]:
     """A number's exact value as a Gaussian rational (re, im): an int,
-    Fraction, float, complex, mpf or mpc (its binary value), a pair of
-    rationals, or a ``Root`` or fixed-point triple (x, y, wp) standing for
-    (x + iy) / 2^wp.  Any other tuple, and a non-finite value, raise
-    DomainError naming the value."""
-    from mpmath.libmp import from_float, fzero, to_rational
-
+    Fraction, float or complex (its binary value), a pair of rationals, or a
+    ``Root`` or fixed-point triple (x, y, wp) standing for (x + iy) / 2^wp.
+    Any other tuple, and a non-finite value, raise DomainError naming the
+    value."""
     if _is_fixed(value):
         x, y, wp = value[:3]
         return Fraction(x, 1 << wp), Fraction(y, 1 << wp)
     if isinstance(value, tuple):
         if len(value) != 2:
             raise DomainError(f"not a number, nor a pair or triple: {value}")
-        try:
-            return Fraction(value[0]), Fraction(value[1])
-        except (OverflowError, ValueError):  # an inf or nan part
-            raise DomainError(f"need a finite number, got {value}") from None
-    if isinstance(value, (int, Fraction)):
+        parts = value
+    elif isinstance(value, (int, Fraction)):
         return Fraction(value), Fraction(0)
-    if hasattr(value, "_mpc_") or hasattr(value, "_mpf_"):
-        parts = getattr(value, "_mpc_", None) or (value._mpf_, fzero)
     else:
         z = complex(value)
-        parts = from_float(z.real), from_float(z.imag)
-    if any(not man and exp for _, man, exp, _ in parts):  # inf and nan
-        raise DomainError(f"need a finite number, got {value}")
-    return tuple(Fraction(*to_rational(p)) for p in parts)
+        parts = z.real, z.imag
+    try:
+        return Fraction(parts[0]), Fraction(parts[1])
+    except (OverflowError, ValueError):  # an inf or nan part
+        raise DomainError(f"need a finite number, got {value}") from None
 
 
 def fixed_pair(value, wp: int) -> Tuple[int, int]:
@@ -222,17 +221,72 @@ def fixed_pair(value, wp: int) -> Tuple[int, int]:
     return (re.numerator << wp) // re.denominator, (im.numerator << wp) // im.denominator
 
 
-def _rounded(num: int, scale: int, prec: int, den: int = 1):
-    """num / (den 2^scale) rounded to nearest at prec bits, as mpmath's raw
-    mpf: the one way a value leaves fixed point."""
-    from mpmath.libmp import from_int, from_man_exp, mpf_div
+def _rounded(num: int, scale: int, prec: int, den: int = 1) -> Fraction:
+    """num / (den 2^scale), den > 0, rounded to nearest at prec bits, ties to
+    even, as an exact dyadic: the one way a value leaves fixed point."""
+    if not num:
+        return Fraction(0)
+    a, shift = abs(num), prec - abs(num).bit_length() + den.bit_length()
+    a, den = (a << shift, den) if shift >= 0 else (a, den << -shift)
+    if a >= den << prec:  # 2^(prec-1) < a / den < 2^(prec+1): keep prec bits
+        den, shift = den << 1, shift - 1
+    q, r = divmod(a, den)
+    q += 2 * r > den or 2 * r == den and q & 1
+    q, shift = q if num > 0 else -q, shift + scale
+    return Fraction(q, 1 << shift) if shift >= 0 else Fraction(q << -shift)
 
-    return mpf_div(from_man_exp(num, -scale), from_int(den), prec, "n")
+
+def from_fixed_pair(re: int, im: int, wp: int, prec: int) -> Tuple[Fraction, Fraction]:
+    """A fixed-point pair's value, each part rounded to prec bits."""
+    return _rounded(re, wp, prec), _rounded(im, wp, prec)
 
 
-def from_fixed_pair(re: int, im: int, wp: int, ctx):
-    """The mpc of a fixed-point pair, rounded to the context precision."""
-    return ctx.make_mpc((_rounded(re, wp, ctx.prec), _rounded(im, wp, ctx.prec)))
+_LOG2_10 = log(10, 2)
+
+
+def decimal_str(value, digits: int) -> str:
+    """A rational value (a Fraction or int, or a Gaussian-rational pair as
+    "(re + imj)") in decimal with at most ``digits`` >= 1 significant
+    digits, rounded half up, trailing zeros stripped.
+
+    digits + 3 digits are cut toward zero from the value floored at a
+    binary point (digits + 3) log2 10 + 10 bits below its top bit.  Below
+    2^-3500 or from 2^3500 on, the value is first divided by a power of ten,
+    exactly.  The leading digit at decimal position e prints in fixed
+    notation for min(-(digits // 3), -5) < e < digits, else as d.ddde+-x.
+    """
+    if isinstance(value, tuple):
+        re, im = value
+        sign = "-" if im < 0 else "+"
+        return f"({decimal_str(re, digits)} {sign} {decimal_str(abs(im), digits)}j)"
+    if not value:
+        return "0.0"
+    sign, q = "-" if value < 0 else "", abs(Fraction(value))
+
+    def top(q: Fraction) -> int:  # 2^(top-1) <= q < 2^top
+        t = q.numerator.bit_length() - q.denominator.bit_length()
+        return t + (q.numerator << max(-t, 0) >= q.denominator << max(t, 0))
+
+    bits, exponent = int((digits + 3) * _LOG2_10) + 10, 0
+    if abs(top(q)) > 3500:
+        exponent = int(top(q) / _LOG2_10)
+        q /= Fraction(10) ** exponent
+    fixprec = max(bits - top(q), 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    text = str(((q.numerator << fixprec) // q.denominator) * 10**fixdps >> fixprec)
+    exponent += len(text) - fixdps - 1
+    if len(text) > digits and text[digits] in "56789":
+        text = str(int(text[:digits]) + 1)
+        if len(text) > digits:  # 99..9 rounded up to 10..0
+            text, exponent = text[:digits], exponent + 1
+    text = text[:digits]
+    split = 1
+    if min(-(digits // 3), -5) < exponent < digits:
+        text = "0" * -exponent + text + "0" * (exponent + 1 - digits)
+        split, exponent = max(exponent, 0) + 1, 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    text += "0" if text.endswith(".") else ""
+    return sign + text + (f"e{exponent:+d}" if exponent else "")
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +357,15 @@ def _zeta_fixed(k: int, wp: int) -> int:
     return ((eta << (k - 1)) // ((1 << (k - 1)) - 1) + (1 << (guard - 1))) >> guard
 
 
-def zeta_int(k: int, policy: PrecisionPolicy):
+def zeta_int(k: int, policy: PrecisionPolicy) -> Fraction:
     """zeta(k) for integer k >= 2: the fixed-point value at
     ``policy.fixed_bits`` (``_zeta_fixed``, cached per k and width) rounded
-    to the context precision.
+    to ``policy.prec`` bits.
     """
     if k < 2:
         raise DomainError("zeta_int needs k >= 2")
-    ctx = policy.context
     wp = policy.fixed_bits
-    return ctx.make_mpf(_rounded(_zeta_fixed(k, wp), wp, ctx.prec))
+    return _rounded(_zeta_fixed(k, wp), wp, policy.prec)
 
 
 @lru_cache(maxsize=None)
@@ -325,11 +378,11 @@ def _harmonic(m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 # Fixed-point numbers are Python ints scaled by 2^wp, wp = policy.fixed_bits
-# (the context precision plus _GUARD_BITS); the guard bits absorb the rounding
+# (policy.prec plus _GUARD_BITS); the guard bits absorb the rounding
 # of the truncated terms (about one ulp per term and weight) and of the
 # expansion tables (a few ulps per entry, zeta included), so far below 2^36
 # ulps at any term count used here.  CL_m's core runs _CL_EXTRA_BITS wider
-# still: against mpmath's polylog at 110 digits, on 200 seeded points at
+# still: against a reference polylog at 110 digits, on 200 seeded points at
 # P = 30 and 60 for m = 2, 3, 4, 7, its worst errors in units of
 # 2^-fixed_bits fall from 151-258 (power series), 477-628 (log expansion)
 # and 404-488 (about -1, then still the log expansion) to 1.1, 2.4 and 1.2.
@@ -755,8 +808,9 @@ def _fixed_argument(value, policy: PrecisionPolicy) -> Tuple[int, int, int]:
     return (*fixed_pair(value, wp), wp)
 
 
-def li_m(m: int, z, policy: PrecisionPolicy):
-    """Principal-branch Li_m(z), continued through C - [1, oo).
+def li_m(m: int, z, policy: PrecisionPolicy) -> Tuple[Fraction, Fraction]:
+    """Principal-branch Li_m(z), continued through C - [1, oo), as the pair
+    (re, im) rounded to ``policy.prec`` bits (``from_fixed_pair``).
 
     m = 1 is -log(1-z) (pole at z = 1); for m >= 2 the point z = 1 itself
     gives zeta(m), while real z > 1 raises BranchAmbiguityError (use CL_m,
@@ -772,18 +826,18 @@ def li_m(m: int, z, policy: PrecisionPolicy):
     """
     if m < 1:
         raise DomainError("li_m needs m >= 1")
-    ctx = policy.context
+    prec = policy.prec
     z = exact_complex(z)
     x, y, wp = _fixed_argument(z, policy)
     if z == (1, 0):
         if m == 1:
             raise PoleError("Li_1 has a pole at z = 1")
-        return ctx.mpc(zeta_int(m, policy))
+        return zeta_int(m, policy), Fraction(0)
     if m == 1:
         w = (1 - z[0], -z[1])
         wp = max(wp, _fixed_argument(w, policy)[2])
         re, im = _log_fixed(*fixed_pair(w, wp), wp)
-        return from_fixed_pair(-re, -im, wp, ctx)
+        return from_fixed_pair(-re, -im, wp, prec)
     if not z[1] and z[0] > 1:
         raise BranchAmbiguityError("Li_m is branch-ambiguous on (1, oo); evaluate CL_m instead")
     if not y and z[1] > 0:
@@ -796,7 +850,7 @@ def li_m(m: int, z, policy: PrecisionPolicy):
         x, y = (x << 2 * wp) // norm, (-y << 2 * wp) // norm
     elif norm > one * one >> 2:
         weight = _li_annulus(m, x, y, wp, branch=True)[0]
-        return from_fixed_pair(weight(m, 0), weight(m, 1), wp, ctx)
+        return from_fixed_pair(weight(m, 0), weight(m, 1), wp, prec)
     re, im = (_power_series(x, y, wp, (m,), part)[0] for part in (0, 1))  # |z| <= 1/2
     if fold:
         ar = ai = 0  # sum_k c_k L^(m-k) by Horner's rule, L^m first
@@ -804,7 +858,7 @@ def li_m(m: int, z, policy: PrecisionPolicy):
             ar, ai = ((ar * lr - ai * li) >> wp) + c, (ar * li + ai * lr) >> wp
         sign = (-1) ** (m - 1)
         re, im = sign * re - ar, sign * im - ai
-    return from_fixed_pair(re, im, wp, ctx)
+    return from_fixed_pair(re, im, wp, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +879,7 @@ def _cl_weights(m: int, wp: int) -> Tuple[Tuple[int, int], ...]:
 
 def _cl_fixed(m: int, value, policy: PrecisionPolicy) -> Tuple[int, int]:
     """CL_m(value) as an int t and a scale s, the value t / 2^s: CL_m's
-    integer core, before any rounding to the context precision.
+    integer core, before any rounding to ``policy.prec`` bits.
 
     ``value`` is INFINITY or any number ``exact_complex`` reads.  Continuity
     values: 0 at 0 and infinity; zeta(m) at 1 (``_zeta_fixed``) for odd m,
@@ -869,32 +923,31 @@ def _cl_fixed(m: int, value, policy: PrecisionPolicy) -> Tuple[int, int]:
     return sign * total, 2 * wp
 
 
-def cl_m(m: int, z, policy: PrecisionPolicy):
+def cl_m(m: int, z, policy: PrecisionPolicy) -> Fraction:
     """One-valued CL_m: total on P^1(C), real-valued, inversion-(anti)symmetric;
     the one-term ``cl_apply``."""
     return cl_apply(m, ((1, z),), policy)
 
 
-def cl_apply(m: int, terms, policy: PrecisionPolicy):
+def cl_apply(m: int, terms, policy: PrecisionPolicy) -> Fraction:
     """Linear extension: sum of coeff * CL_m(value) over (coefficient, value)
     pairs, values as ``_cl_fixed`` takes them, rational coefficients.
 
     The sum is exact in ints from the kernel on: with L the lcm of the
     coefficients' denominators, each c * L * core is shifted to the widest
-    scale of the terms, and the total over L is rounded once to the context
-    precision (``_rounded``).  So the error is counted per term: each core
-    is within 2^_GUARD_BITS units of 2^-``policy.fixed_bits``, that is
-    2^-prec for the context's prec bits, of CL_m at the argument it was
+    scale of the terms, and the total over L is rounded once to
+    ``policy.prec`` bits (``_rounded``).  So the error is counted per term:
+    each core is within 2^_GUARD_BITS units of 2^-``policy.fixed_bits``,
+    that is 2^-prec, of CL_m at the argument it was
     handed (the budget the guard bits hold; a few units, measured), and the
     sum is within 2^-prec sum |c| of sum c CL_m(value), plus the one final
     rounding, at most half an ulp of the result.
     """
-    ctx = policy.context
     parts = [(Fraction(c), *_cl_fixed(m, value, policy)) for c, value in terms]
     den = lcm(*(c.denominator for c, _, _ in parts))
     scale = max((s for _, _, s in parts), default=0)
     total = sum(c.numerator * (den // c.denominator) * t << (scale - s) for c, t, s in parts)
-    return ctx.make_mpf(_rounded(total, scale, ctx.prec, den))
+    return _rounded(total, scale, policy.prec, den)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,10 +1054,14 @@ def _certify(
     (its center moved by under a unit per part, its radius rounded up plus
     2, so it contains the exact disk), which keeps those counts.  A component of k disks comes back as its centroid k times, with
     a radius over the whole component, if that is at most
-    2^(-prec/k) max(1, |centroid|) for the context's prec bits; coincident
+    2^(-prec/k) max(1, |centroid|) for ``policy.prec`` bits; coincident
     approximations, or a wider component, raise RootFindingError.
     """
-    n, ctx = len(z), policy.context
+    n, prec = len(z), policy.prec
+
+    def near(x: int, y: int, wp: int) -> str:
+        return decimal_str(from_fixed_pair(x, y, wp, prec), policy.dps)
+
     disks = []
     for j, (x, y) in enumerate(z):
         pr, pi = a[n]  # 2^(wp n) p(z_j), by Horner's rule
@@ -1016,7 +1073,7 @@ def _certify(
             mr, mi = mr * (x - u) - mi * (y - v), mr * (y - v) + mi * (x - u)
         norm = mr * mr + mi * mi
         if not norm:
-            raise RootFindingError(f"coincident approximations at {from_fixed_pair(x, y, wp, ctx)}")
+            raise RootFindingError(f"coincident approximations at {near(x, y, wp)}")
         radius = _ceil_sqrt(-(-((n - 1) ** 2) * (pr * pr + pi * pi) // norm)) + 2
         disks.append((x - (pr * mr + pi * mi) // norm, y - (pi * mr - pr * mi) // norm, radius))
     label = list(range(n))  # connected components, one label each
@@ -1033,9 +1090,9 @@ def _certify(
         spread = max(_ceil_sqrt((cx - x) ** 2 + (cy - y) ** 2) + r for x, y, r in members)
         radius = -(-spread >> shift) + 1  # plus the rounding to nearest below
         x, y = (cx >> (shift - 1)) + 1 >> 1, (cy >> (shift - 1)) + 1 >> 1
-        if log2(radius) > bits - ctx.prec / k + max(0.0, _log2_abs(x, y, bits)):
+        if log2(radius) > bits - prec / k + max(0.0, _log2_abs(x, y, bits)):
             raise RootFindingError(
-                f"no certified cluster of {k} roots near {from_fixed_pair(x, y, bits, ctx)}: "
+                f"no certified cluster of {k} roots near {near(x, y, bits)}: "
                 f"radius 2^{log2(radius) - bits:.1f}"
             )
         roots += [Root(x, y, bits, radius)] * k

@@ -1,8 +1,8 @@
 """Acceptance suite and machine-readable run reports.
 
 Each criterion function returns a dict with passed and details; _wrap adds
-it to the report through RunReport.add, the one builder of a check entry
-(id, name, passed, details, seconds), which the CLI uses too.
+it to the report through RunReport.add (``runreport``), the one builder of a
+check entry (id, name, passed, details, seconds), which the CLI uses too.
 run_acceptance executes them in order (every criterion owns a pre-split
 seed) and assembles a RunReport whose JSON is byte-identical across runs
 with the same seed once timings are stripped.
@@ -11,13 +11,10 @@ Claims that `polyrel check` also makes come from the same check functions.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List
 
-from . import __version__
 from .catalog import XI7_BLOCKS, _block_sum, a_k_sets, get_equation, theta
 from .checks import (
     ORBIT_SIZES,
@@ -36,9 +33,10 @@ from .checks import (
 from .criterion import DualFunctional, beta_pairing, kernel_test, log_vector
 from .exact import SplitMix64, random_rational
 from .formal import FormalSum, inversion_class_key, orbit
-from .numeric import PrecisionPolicy, cl_m
+from .numeric import PrecisionPolicy, _rounded, cl_m, exact_complex
 from .proofalgebra import verify_claim_and_theorem, verify_identities
 from .ratfunc import INFINITY, RatFunc
+from .runreport import RunReport
 from .verify import (
     random_phi,
     sample_complex,
@@ -49,59 +47,6 @@ from .verify import (
     verify_trilog_theorem,
     verify_wojtkowiak,
 )
-
-REPORT_SCHEMA = "polyrel/report/1"
-
-
-@dataclass
-class RunReport:
-    command: str
-    seed: int
-    checks: List[dict] = field(default_factory=list)
-    policy: dict = field(default_factory=dict)
-
-    def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
-
-    def add(
-        self, id_: str, name: str, passed, details: dict, start: float, expected_failure=False
-    ) -> None:
-        """Append a check entry; ``start`` is the time.time() its work began."""
-        entry = {
-            "id": id_,
-            "name": name,
-            "passed": bool(passed),
-            "details": details,
-            "seconds": round(time.time() - start, 3),
-        }
-        if expected_failure:
-            entry["expected_failure"] = True
-        self.checks.append(entry)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "version": __version__,
-            "command": self.command,
-            "seed": self.seed,
-            "policy": self.policy,
-            "checks": [dict(c) for c in self.checks],
-            "all_passed": self.all_passed(),
-        }
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-    def render_text(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c["passed"] else "FAIL"
-            extra = " (expected failure, see notes)" if c.get("expected_failure") else ""
-            lines.append(f"[{status}] {c['name']} ({c.get('seconds', 0):.1f}s){extra}")
-        summary = "all checks passed" if self.all_passed() else "some checks FAILED"
-        lines.append(f"-- {summary} --")
-        return "\n".join(lines)
-
 
 def _wrap(report: RunReport, id_: str, name: str, fn: Callable[[], dict]) -> None:
     """Run one criterion into ``report``; an exception fails it with the error."""
@@ -231,7 +176,6 @@ def criterion_7_preimage_families(seed: int) -> dict:
     # tolerance 1e-30; each verdict is one fixed-point sum over certified
     # roots, whose error sits near the kernel's floor (below 1e-65)
     policy = PrecisionPolicy(50, t_slack=20)
-    ctx = policy.context
     rng = SplitMix64(seed).split("crit7")
     z = RatFunc.var("z")
     phis = {
@@ -243,7 +187,7 @@ def criterion_7_preimage_families(seed: int) -> dict:
     passed = True
     for name, phi in phis.items():
         prng = rng.split(name)
-        pts = [sample_complex(prng, ctx) for _ in range(10)]
+        pts = [sample_complex(prng) for _ in range(10)]
         d1 = verify_dilog_general(phi, pts[0], pts[1], pts[2], pts[3], policy)
         d2 = verify_trilog_theorem(phi, pts[0:2], pts[2:4], pts[4:6], pts[6:8], policy)
         d3 = verify_wojtkowiak(phi, pts[0], pts[1], pts[2], pts[8], pts[9], policy)
@@ -349,27 +293,32 @@ def criterion_9_xi7(seed: int) -> dict:
 
 def criterion_10_invariants(seed: int) -> dict:
     policy = PrecisionPolicy(50)
-    ctx = policy.context
     root = SplitMix64(seed)
     tol = policy.tolerance
     details = {}
     passed = True
+
+    def rounded(q: Fraction) -> Fraction:
+        # 1/z, z^2 and every sum and difference below is formed exactly and
+        # rounded once to nearest at the policy's prec bits
+        return _rounded(q.numerator, 0, policy.prec, q.denominator)
+
     for m in range(2, 8):
-        worst = ctx.mpf(0)
+        worst = 0
         rng = root.split("inv", m)
+        sign = (-1) ** (m - 1)
         for _ in range(50):
-            zv = sample_complex(rng, ctx)
-            sign = (-1) ** (m - 1)
-            worst = max(worst, abs(cl_m(m, zv, policy) - sign * cl_m(m, 1 / zv, policy)))
-            worst = max(
-                worst, abs(cl_m(m, ctx.conj(zv), policy) - sign * cl_m(m, zv, policy))
-            )
+            x, y = exact_complex(sample_complex(rng))
+            norm = x * x + y * y
+            inverse = rounded(x / norm), rounded(-y / norm)
+            square = rounded(x * x - y * y), rounded(2 * x * y)
+            cl = cl_m(m, (x, y), policy)
+            doubled = 2 ** (m - 1) * rounded(cl + cl_m(m, (-x, -y), policy))
             worst = max(
                 worst,
-                abs(
-                    cl_m(m, zv * zv, policy)
-                    - 2 ** (m - 1) * (cl_m(m, zv, policy) + cl_m(m, -zv, policy))
-                ),
+                abs(rounded(cl - sign * cl_m(m, inverse, policy))),
+                abs(rounded(cl_m(m, (x, -y), policy) - sign * cl)),
+                abs(rounded(cl_m(m, square, policy) - doubled)),
             )
         details[f"m{m}_worst"] = float(worst)
         passed = passed and worst < tol

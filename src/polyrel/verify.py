@@ -36,6 +36,7 @@ from .formal import FormalSum
 from .numeric import (
     PrecisionPolicy,
     cl_apply,
+    decimal_str,
     exact_complex,
     fixed_pair,
     fixed_width,
@@ -65,7 +66,7 @@ __all__ = [
 _R_LO, _R_HI = 0.2, 5.0
 
 
-def sample_complex(rng: SplitMix64, ctx):
+def sample_complex(rng: SplitMix64) -> complex:
     """One point from the annulus 0.2 < |z| < 5, excluding |z - 1| < 0.1."""
     while True:
         r = math.exp(math.log(_R_LO) + rng.next_unit() * (math.log(_R_HI) - math.log(_R_LO)))
@@ -73,7 +74,12 @@ def sample_complex(rng: SplitMix64, ctx):
         z = complex(r * math.cos(theta), r * math.sin(theta))
         if abs(z - 1) < 0.1:
             continue
-        return ctx.mpc(z.real, z.imag)
+        return z
+
+
+def _point_str(z, policy: PrecisionPolicy) -> str:
+    """A witness point's exact value in decimal at the policy's dps digits."""
+    return decimal_str(exact_complex(z), policy.dps)
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +94,7 @@ def _evaluate_terms(s: FormalSum, binding: Dict[str, object], policy: PrecisionP
     signals a degenerate draw.
 
     ``binding`` maps each variable to a number ``numeric.fixed_pair``
-    floors at ``policy.fixed_bits``: a complex number (an mpc included), a
+    floors at ``policy.fixed_bits``: a complex number, a
     fixed-point pair (x, y, w) standing for (x + iy) / 2^w, or a root of
     ``preimages``.  Runs in Python-int fixed point at that width: the
     powers of each variable, each of the plan's monomials once, each
@@ -155,7 +161,7 @@ def _cl_vanishes(weight, points, policy, seed, label, tries, attempt, degenerate
     if points < 1:
         raise DomainError(f"numeric verification needs points >= 1 (got {points})")
     root = SplitMix64(seed)
-    worst = policy.context.mpf(0)
+    worst, tolerance = 0, policy.tolerance
     for i in range(points):
         rng = root.split(*label, i)
         for _ in range(tries):
@@ -167,7 +173,7 @@ def _cl_vanishes(weight, points, policy, seed, label, tries, attempt, degenerate
         terms, where = drawn
         value = abs(cl_apply(weight, terms, policy))
         worst = max(worst, value)
-        if value >= policy.tolerance:
+        if value >= tolerance:
             return Verdict("fail", {**where, "value": float(value), "index": i}, meta)
     return Verdict("pass", None, {**meta, "max_abs_value": float(worst)})
 
@@ -181,15 +187,14 @@ def verify_numeric_sum(
 ) -> Verdict:
     """CL_weight vanishes on the sum at ``points`` >= 1 random complex samples."""
     policy = policy or PrecisionPolicy(50)
-    ctx = policy.context
     variables = s.variables()
 
     def attempt(rng):
-        binding = {v: sample_complex(rng, ctx) for v in variables}
+        binding = {v: sample_complex(rng) for v in variables}
         terms = _evaluate_terms(s, binding, policy)
         if terms is None:
             return None
-        return terms, {"point": {v: str(binding[v]) for v in variables}}
+        return terms, {"point": {v: _point_str(binding[v], policy) for v in variables}}
 
     meta = {"points": points, "seed": seed, "precision": policy.working_digits}
     message = "persistent degeneracy while sampling point {i}"
@@ -233,7 +238,7 @@ def _phi_variable(phi: RatFunc) -> Tuple[str, int]:
 def preimages(phi: RatFunc, w, policy: PrecisionPolicy) -> List:
     """phi^(-1)(w) with multiplicity, including infinite preimages.
 
-    ``w`` may be a complex value (an mpc included), a Fraction, or INFINITY.
+    ``w`` may be a complex value, a Fraction, or INFINITY.
     The target polynomial num - w den is built from w's exact value as
     Gaussian rationals, and its finite roots come back as the certified
     ``numeric.Root`` pairs of ``poly_roots``.  The degree of phi is
@@ -417,7 +422,6 @@ def verify_fourlog_numeric(
     """Bind the weight-4 template to the preimages of random (t, u) and test
     CL_4 vanishing at ``points`` >= 1 samples; the preimage map is z^(n-1)(z-1)."""
     policy = policy or PrecisionPolicy(60)
-    ctx = policy.context
     eq = get_equation(f"fourlog_n{n}")
     z = RatFunc.var("z")
     phi = z ** (n - 1) * (z - 1)
@@ -425,8 +429,8 @@ def verify_fourlog_numeric(
     near = math.ceil(Fraction(1e-6) ** 2 * one**2)  # |r|^2 against (1e-6)^2
 
     def attempt(rng):
-        tv = sample_complex(rng, ctx)
-        uv = sample_complex(rng, ctx)
+        tv = sample_complex(rng)
+        uv = sample_complex(rng)
         xs, ys = preimages(phi, tv, policy), preimages(phi, uv, policy)
         if any(r.x**2 + r.y**2 < near or (r.x - one) ** 2 + r.y**2 < near for r in xs + ys):
             return None
@@ -435,7 +439,7 @@ def verify_fourlog_numeric(
         terms = _evaluate_terms(eq.sum, binding, policy)
         if terms is None:
             return None
-        return terms, {"t": str(tv), "u": str(uv)}
+        return terms, {"t": _point_str(tv, policy), "u": _point_str(uv, policy)}
 
     meta = {"n": n, "points": points, "seed": seed, "precision": policy.working_digits}
     message = f"persistent degeneracy in weight-4 sampling, n={n}"

@@ -39,6 +39,11 @@ def test_parse_complex_literals():
     for bad in ("nope", "3-2", "", "1i2", "1+2ii", "e5i"):
         with pytest.raises(ValueError):
             parse_complex_literal(bad)
+    # a zero literal may take any exponent; a nonzero one must not round to 0.0
+    assert parse_complex_literal("0e-400+0.000e-999i") == 0
+    assert parse_complex_literal("1e-310") == complex(1e-310, 0)  # subnormal, not 0
+    with pytest.raises(ValueError, match="rounds to 0.0"):
+        parse_complex_literal("2-1e-400i")
 
 
 def test_list_and_show():
@@ -71,7 +76,16 @@ def test_eval_li_branch_error_is_usage():
     assert "branch" in err.lower() or "error" in err.lower()
 
 
-@pytest.mark.parametrize("command, m, z", [("eval-cl", "3", "1e400"), ("eval-li", "2", "-1e400")])
+@pytest.mark.parametrize(
+    "command, m, z",
+    [
+        ("eval-cl", "3", "1e400"),
+        ("eval-li", "2", "-1e400"),
+        # nonzero, but 0.0 as a double: Li_2 there is about 1e-400, not 0
+        ("eval-li", "2", "1e-400"),
+        ("eval-li", "2", "1e-400i"),
+    ],
+)
 def test_non_finite_argument_is_usage_error(command, m, z):
     code, _, err = run_cli(command, "--m", m, f"--z={z}")
     assert code == 2

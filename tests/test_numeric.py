@@ -5,6 +5,7 @@ from math import factorial, isqrt, log2
 
 import mpmath
 import pytest
+from oracle import context, to_mp
 
 from polyrel import numeric
 from polyrel.exact import DomainError, SplitMix64
@@ -23,17 +24,20 @@ from polyrel.numeric import (
 from polyrel.ratfunc import INFINITY
 
 POLICY = PrecisionPolicy(50)
-CTX = POLICY.context
+CTX = context(POLICY)
+TOLERANCE = to_mp(POLICY.tolerance, CTX)
 
 
 def close(a, b, digits=45):
-    return abs(a - b) < CTX.mpf(10) ** (-digits)
+    """|a - b| < 10^-digits for a value of the numeric module and an mpmath
+    number b."""
+    return abs(to_mp(a, CTX) - b) < CTX.mpf(10) ** (-digits)
 
 
 def exact_mpc(value, ctx=CTX):
-    """The mpc of a number's exact value (numeric.exact_complex), rounded to
-    the context ``ctx``."""
-    return ctx.mpc(*(ctx.mpf(q.numerator) / q.denominator for q in numeric.exact_complex(value)))
+    """The mpc of a number's exact value (numeric.exact_complex), exact for
+    a dyadic value and otherwise rounded to the context ``ctx``."""
+    return to_mp(numeric.exact_complex(value), ctx)
 
 
 # -- Bernoulli ---------------------------------------------------------------
@@ -91,17 +95,17 @@ def test_zeta_domain():
 def test_zeta_fixed_within_two_units_of_mpmath(digits):
     """The fixed-point zeta is within 2 units of 2^-wp for every k the table
     uses, against mpmath 64 bits wider, and zeta_int is its rounding to the
-    context precision (within one unit in its last place, 2^(1-prec) for
+    policy's prec bits (within one unit in its last place, 2^(1-prec) for
     1 < zeta(k) < 2)."""
     policy = PrecisionPolicy.for_digits(digits)
-    prec, wp = policy.context.prec, policy.fixed_bits
+    prec, wp = policy.prec, policy.fixed_bits
     # the table reads zeta(2) .. zeta(k_max - 1)
     k_max = numeric._terms(wp, log2(numeric._U_MAX), numeric._COEFF_BITS + 2)
     with mpmath.workprec(wp + 64):
         for k in range(2, k_max):
             ref = mpmath.zeta(k)
             assert abs(numeric._zeta_fixed(k, wp) - ref * 2 ** wp) <= 2, k
-            assert abs(mpmath.mpf(zeta_int(k, policy)) - ref) * 2 ** (prec - 1) <= 1, k
+            assert abs(to_mp(zeta_int(k, policy)) - ref) * 2 ** (prec - 1) <= 1, k
 
 
 @pytest.mark.parametrize("digits", [30, 60, 120])
@@ -185,7 +189,7 @@ def _random_grid(m):
 def test_li_against_mpmath(m):
     with mpmath.workdps(70):
         for z in _random_grid(m):
-            mine = li_m(m, z, POLICY)
+            mine = to_mp(li_m(m, z, POLICY), CTX)
             ref = mpmath.polylog(m, mpmath.mpc(z))
             got = abs(complex(mine.real, mine.imag) - complex(ref))
             assert got < 1e-12  # float-level cross-check; digit-level below
@@ -240,7 +244,7 @@ _EDGE_POINTS = [
 def _assert_within(mine, ref, digits, where):
     """|mine - ref| < 10^-digits * max(1, |ref|), at the current mpmath precision."""
     bound = mpmath.mpf(10) ** -digits * max(1, abs(ref))
-    assert abs(mpmath.mpmathify(mine) - ref) < bound, where
+    assert abs(to_mp(mine) - ref) < bound, where
 
 
 def _cl_oracle(m, lis, logabs):
@@ -283,7 +287,7 @@ def test_li_keeps_relative_accuracy_at_tiny_z(digits):
         for z in (cmath.rect(1e-30, 0.4), cmath.rect(1e-30, -2.9)):
             for m in range(2, 8):
                 ref = mpmath.polylog(m, mpmath.mpc(z))
-                err = abs(mpmath.mpmathify(li_m(m, z, policy)) - ref)
+                err = abs(to_mp(li_m(m, z, policy)) - ref)
                 assert err <= mpmath.mpf(10) ** -digits * abs(ref), (m, z)
 
 
@@ -297,7 +301,7 @@ def test_li1_keeps_accuracy_near_0_and_1(digits):
     with mpmath.workdps(digits + 20):
         for z in (cmath.rect(1e-30, 0.4), cmath.rect(1e-30, -2.9)):
             ref = mpmath.polylog(1, mpmath.mpc(z))
-            err = abs(mpmath.mpmathify(li_m(1, z, policy)) - ref)
+            err = abs(to_mp(li_m(1, z, policy)) - ref)
             assert err <= mpmath.mpf(10) ** -digits * abs(ref), z
         for k in (150, 250, 1000):
             _assert_within(li_m(1, 1 - Fraction(1, 2**k), policy), k * mpmath.ln2, digits, k)
@@ -331,11 +335,11 @@ def test_li_log_series_parts_match_single_part_sums():
         regions.add(near)
         for m in range(2, 8):
             re, im = (numeric._li_annulus(m, x, y, wp, branch=True)[0](m, part) for part in (0, 1))
-            expected = numeric.from_fixed_pair(re, im, wp, CTX)
+            expected = numeric.from_fixed_pair(re, im, wp, POLICY.prec)
             assert li_m(m, z, POLICY) == expected, (m, z)
             if near:
                 re, im = (numeric._li_all(m, x, y, wp, part)[0][m] for part in (0, 1))
-                assert li_m(m, z, POLICY) == numeric.from_fixed_pair(re, im, wp, CTX), (m, z)
+                assert li_m(m, z, POLICY) == numeric.from_fixed_pair(re, im, wp, POLICY.prec), (m, z)
     assert regions == {True, False}
 
 
@@ -411,12 +415,11 @@ def test_li_all_needed_weights_match_the_full_chain(digits):
 def _full_chain_cl(m, z, policy):
     """CL_m(z) as the full chain gives it: every weight of Li_j computed,
     the Bernoulli combination summed at the argument's width plus
-    _CL_EXTRA_BITS and rounded once."""
-    from mpmath.libmp import from_man_exp
+    _CL_EXTRA_BITS and rounded once, by mpmath's rounding."""
+    from mpmath.libmp import from_man_exp, to_rational
 
-    ctx = policy.context
     if z == 0:
-        return ctx.mpf(0)
+        return Fraction(0)
     x, y, wp = numeric._fixed_argument(z, policy)
     extra = numeric._CL_EXTRA_BITS
     x, y, wp = x << extra, y << extra, wp + extra
@@ -428,7 +431,7 @@ def _full_chain_cl(m, z, policy):
         x, y = (x << 2 * wp) // norm, (-y << 2 * wp) // norm
         sign = (-1) ** (m - 1)
     if x == one and not y:
-        return zeta_int(m, policy) if m % 2 else ctx.mpf(0)
+        return zeta_int(m, policy) if m % 2 else Fraction(0)
     values, log_abs = _full_chain(m, x, y, wp, 1 - m % 2)
     total, power = 0, one
     for r in range(m):
@@ -438,7 +441,7 @@ def _full_chain_cl(m, z, policy):
         if b:
             weight = (b.numerator << (base + r)) // (b.denominator * factorial(r))
             total += ((weight << (wp - base)) * power >> wp) * values[m - r - 1]
-    return ctx.make_mpf(from_man_exp(sign * total, -2 * wp, ctx.prec, "n"))
+    return Fraction(*to_rational(from_man_exp(sign * total, -2 * wp, policy.prec, "n")))
 
 
 @pytest.mark.parametrize("digits", [30, 60])
@@ -476,13 +479,12 @@ def test_cl_apply_differential_against_mpmath(m, digits):
     digits higher, within cl_apply's stated bound: 2^-prec per unit of
     coefficient, plus half an ulp of the result."""
     policy = PrecisionPolicy(digits)
-    ctx = policy.context
     rng = SplitMix64(1000 * m + digits)
     terms = []
     for _ in range(12):
         coeff = Fraction(rng.next_int(-9, 9) or 1, rng.next_int(1, 7))
         z = cmath.rect(10 ** (-1.5 + 3 * rng.next_unit()), cmath.pi * (2 * rng.next_unit() - 1))
-        terms.append((coeff, ctx.mpc(z)))
+        terms.append((coeff, z))
     wp = policy.fixed_bits + 5
     terms += [
         (Fraction(3, 7), Fraction(-2, 3)),
@@ -500,9 +502,134 @@ def test_cl_apply_differential_against_mpmath(m, digits):
             term = _cl_oracle(m, lis, mpmath.log(abs(zz)))
             ref += mpmath.mpf(c.numerator) / c.denominator * term
         assert abs(ref) > 1e-3  # a sum that does not vanish
-        unit = mpmath.ldexp(1, -ctx.prec)
+        unit = mpmath.ldexp(1, -policy.prec)
         bound = unit * sum(abs(c) for c, _ in terms) + unit * abs(ref)
-        assert abs(mpmath.mpf(got) - ref) <= bound
+        assert abs(to_mp(got) - ref) <= bound
+
+
+# -- leaving fixed point: rounding, tolerance, decimal strings ------------------
+
+
+def _bits(rng, n):
+    """n random bits from a SplitMix64 stream."""
+    out = 0
+    for _ in range(0, n, 64):
+        out = out << 64 | rng.next_u64()
+    return out >> (-n % 64)
+
+
+def test_rounded_matches_mpmath_division():
+    """_rounded(num, scale, prec, den) is mpmath's mpf_div of num 2^-scale by
+    den at prec bits, round to nearest: seeded quotients of every size, and
+    exact ties, which go to the even neighbour."""
+    from mpmath.libmp import from_int, from_man_exp, mpf_div, to_rational
+
+    def reference(num, scale, prec, den):
+        return Fraction(*to_rational(mpf_div(from_man_exp(num, -scale), from_int(den), prec, "n")))
+
+    rng = SplitMix64(31)
+    for _ in range(3000):
+        prec = rng.next_int(2, 400)
+        num = _bits(rng, rng.next_int(1, 900)) * (1 if rng.next_unit() < 0.5 else -1)
+        den = 1 if rng.next_unit() < 0.3 else _bits(rng, rng.next_int(1, 300)) or 1
+        scale = rng.next_int(-500, 500)
+        assert numeric._rounded(num, scale, prec, den) == reference(num, scale, prec, den)
+    for prec in range(2, 12):
+        for num in range(-300, 300):
+            for den in (1, 2, 3):
+                assert numeric._rounded(num, 0, prec, den) == reference(num, 0, prec, den)
+
+
+def test_policy_prec_and_tolerance_match_mpmath():
+    """prec is mpmath's bits for dps = P + guard digits, and the tolerance its
+    mpf 10^(t_slack - P) at that precision, for every P from 10 to 400."""
+    from mpmath.libmp import to_rational
+
+    for digits in range(10, 401):
+        policy = PrecisionPolicy.for_digits(digits)
+        ctx = mpmath.MPContext()
+        ctx.dps = policy.working_digits + policy.guard_digits
+        assert policy.prec == ctx.prec, digits
+        tolerance = ctx.mpf(10) ** (policy.t_slack - policy.working_digits)
+        assert policy.tolerance == Fraction(*to_rational(tolerance._mpf_)), digits
+
+
+def _formatter_cases():
+    """(raw mpf, digits) on a seeded grid: digits 10..110 (the command line
+    takes P >= 10, and witnesses print P + guard digits), decimal exponents
+    -400..400, both signs, exact zero, and values whose leading digit sits at
+    either end of the fixed-notation window, min(-(digits // 3), -5) and
+    digits, or one place beyond it (9.99..e and 1e, which round across)."""
+    from mpmath.libmp import from_man_exp, from_str, fzero, mpf_neg
+
+    rng = SplitMix64(2027)
+    for i in range(4000):
+        digits = rng.next_int(10, 110)
+        prec = PrecisionPolicy.for_digits(digits).prec
+        low = min(-(digits // 3), -5)
+        if i % 3:
+            e = rng.next_int(-400, 400)
+            raw = from_man_exp(_bits(rng, prec) | 1, round(e * log2(10)) - prec)
+        else:
+            e = low + rng.next_int(-1, 1) if rng.next_unit() < 0.5 else digits + rng.next_int(-1, 1)
+            nines = "9" * rng.next_int(1, digits + 3)
+            text = f"{nines}e{e - len(nines) + 1}" if rng.next_unit() < 0.5 else f"1e{e}"
+            raw = from_str(text, prec, "n")
+        yield (mpf_neg(raw) if rng.next_unit() < 0.5 else raw), digits
+    yield fzero, 15
+
+
+def test_criterion_10_rounds_each_step_at_prec_bits():
+    """Criterion 10 forms 1/z, z^2, -z, conj z and each sum and difference
+    as mpmath's mpc and mpf arithmetic at the policy's prec bits does, each
+    rounded once to nearest: its m{k}_worst equal the same identities
+    computed in mpmath on the kernel's CL_m values."""
+    from mpmath.libmp import to_rational
+
+    from polyrel.report import criterion_10_invariants
+    from polyrel.verify import sample_complex
+
+    seed = 20260808
+    policy = PrecisionPolicy(50)
+    ctx = context(policy)
+
+    def cl(m, z):
+        return to_mp(cl_m(m, tuple(Fraction(*to_rational(p)) for p in z._mpc_), policy), ctx)
+
+    expected = {}
+    for m in range(2, 8):
+        rng = SplitMix64(seed).split("inv", m)
+        sign = (-1) ** (m - 1)
+        worst = ctx.mpf(0)
+        for _ in range(50):
+            z = ctx.mpc(sample_complex(rng))
+            worst = max(
+                worst,
+                abs(cl(m, z) - sign * cl(m, 1 / z)),
+                abs(cl(m, ctx.conj(z)) - sign * cl(m, z)),
+                abs(cl(m, z * z) - 2 ** (m - 1) * (cl(m, z) + cl(m, -z))),
+            )
+        expected[f"m{m}_worst"] = float(worst)
+    details = criterion_10_invariants(seed)["details"]
+    assert {key: details[key] for key in expected} == expected
+
+
+def test_decimal_str_matches_mpmath_to_str_and_nstr():
+    """decimal_str of a dyadic Fraction is mpmath's to_str of the same mpf,
+    and of a Gaussian-rational pair mpmath's nstr of the same mpc, with
+    either sign of the imaginary part and exact zero parts among them."""
+    from mpmath.libmp import fzero, to_rational, to_str
+
+    cases = list(_formatter_cases())
+    exact = lambda raw: Fraction(*to_rational(raw))
+    for raw, digits in cases:
+        assert numeric.decimal_str(exact(raw), digits) == to_str(raw, digits), (raw, digits)
+    ctx = mpmath.MPContext()
+    for (re, digits), (im, _) in zip(cases, cases[1:] + [(fzero, 0)]):
+        value = ctx.make_mpc((re, im))
+        assert numeric.decimal_str((exact(re), exact(im)), digits) == ctx.nstr(value, digits)
+    assert numeric.decimal_str(Fraction(0), 30) == "0.0"
+    assert numeric.decimal_str((Fraction(1, 2), Fraction(-3, 4)), 15) == "(0.5 - 0.75j)"
 
 
 # -- fixed-point log --------------------------------------------------------------
@@ -577,41 +704,60 @@ def test_li_and_cl_one_unit_from_one(digits):
     or below the cut, li_m and cl_m match mpmath's polylog and keep the
     principal branch (the sign of Im z)."""
     policy = PrecisionPolicy.for_digits(digits)
-    ctx = policy.context
-    unit = ctx.ldexp(1, -policy.fixed_bits)
-    points = [ctx.mpc(1 + dx * unit, dy * unit) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    points = [z for z in points if z != 1] + [ctx.mpc(1.5, unit), ctx.mpc(1.5, -unit)]
+    ctx = context(policy)
+    unit = Fraction(1, 1 << policy.fixed_bits)
+    points = [(1 + dx * unit, dy * unit) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    points = [z for z in points if z != (1, 0)] + [(Fraction(3, 2), unit), (Fraction(3, 2), -unit)]
     with mpmath.workdps(digits + 20):
         for z in points:
-            zz = mpmath.mpc(z)
+            zz = to_mp(z)
             lis = [mpmath.polylog(j, zz) for j in range(1, 8)]
             logabs = mpmath.log(abs(zz))
             for m in range(2, 8):
-                if z.imag or z.real < 1:
+                if z[1] or z[0] < 1:
                     _assert_within(li_m(m, z, policy), lis[m - 1], digits, (m, z))
                 _assert_within(cl_m(m, z, policy), _cl_oracle(m, lis, logabs), digits, (m, z))
     for sign in (1, -1):
-        im = li_m(2, ctx.mpc(1.5, sign * unit), policy).imag
-        assert abs(im - sign * ctx.pi * ctx.log(1.5)) < policy.tolerance
+        im = li_m(2, (Fraction(3, 2), sign * unit), policy)[1]
+        assert abs(to_mp(im, ctx) - sign * ctx.pi * ctx.log(1.5)) < to_mp(policy.tolerance, ctx)
 
 
-def test_kernel_takes_no_mpmath_log(monkeypatch):
-    """cl_m (both kernel branches, and the fold) and li_m (m = 1, and every
-    region up to the inversion beyond |z| = 2) run without mpmath's logs,
-    whether reached through mpmath.libmp or through the policy's context."""
-    import mpmath.libmp
+def _runtime_checks():
+    from polyrel.catalog import get_equation
+    from polyrel.report import criterion_10_invariants
+    from polyrel.verify import verify_fourlog_numeric, verify_numeric
 
-    points = (0.3 + 0.1j, 1e-30j, 0.9 - 0.4j, -1, 1.7j, -3 + 0.5j, 1e20 + 1j, -1e40)
-    calls = [(cl_m, 4), (li_m, 1), (li_m, 4), (li_m, 7)]
-    expected = [f(m, z, POLICY) for f, m in calls for z in points]
+    policy = PrecisionPolicy(40)
+    return [
+        criterion_10_invariants(3),
+        verify_numeric(get_equation("five_term"), points=8, policy=policy, seed=4).to_json(),
+        verify_fourlog_numeric(3, points=2, policy=policy, seed=5).to_json(),
+    ]
 
-    def forbidden(*args):
-        raise AssertionError("mpmath log called")
 
-    monkeypatch.setattr(mpmath.libmp, "mpc_log", forbidden)
-    monkeypatch.setattr(mpmath.libmp, "mpf_log", forbidden)
-    monkeypatch.setattr(POLICY.context, "log", forbidden)
-    assert [f(m, z, POLICY) for f, m in calls for z in points] == expected
+def test_runtime_needs_no_mpmath():
+    """Criterion 10's CL_m invariants, the numeric verdict on five_term and
+    the weight-4 verdict over certified roots run in a subprocess with
+    mpmath blocked, and give the JSON they give in this process."""
+    import inspect
+    import json
+    import os
+    import subprocess
+    import sys
+
+    code = "\n".join([
+        "import json, sys",
+        "sys.modules['mpmath'] = None",
+        "from polyrel.numeric import PrecisionPolicy",
+        inspect.getsource(_runtime_checks),
+        "print(json.dumps(_runtime_checks()))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    blocked = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert blocked.returncode == 0, blocked.stderr
+    here = json.loads(json.dumps(_runtime_checks()))
+    assert json.loads(blocked.stdout) == here
+    assert here[0]["passed"] and here[1]["status"] == here[2]["status"] == "pass"
 
 
 @pytest.mark.parametrize(
@@ -686,10 +832,13 @@ def test_kernel_takes_no_mpmath_pi(monkeypatch):
 
 
 def _conversion_values(seed, count):
-    """(value, its exact mpc parts) for seeded mpc, complex, float and dyadic
-    Fraction values over 2^-300..2^300, with zero parts and negative parts at
-    powers of two among them; the parts are built by mpmath alone."""
+    """(value, its exact mpc parts) for seeded Gaussian-rational pairs,
+    complex, float and dyadic Fraction values over 2^-300..2^300, with zero
+    parts and negative parts at powers of two among them; the parts are
+    built by mpmath alone."""
     from mpmath.libmp import from_float, from_man_exp, fzero
+
+    from mpmath.libmp import to_rational
 
     rng = SplitMix64(seed)
 
@@ -704,10 +853,10 @@ def _conversion_values(seed, count):
     out = []
     for i in range(count):
         kind = i % 4
-        if kind == 0:  # mpc, up to 150 bits a part
+        if kind == 0:  # a pair of dyadic Fractions, up to 150 bits a part
             parts = tuple(from_man_exp(*man_exp(150)) for _ in range(2))
             parts = tuple(fzero if rng.next_unit() < 0.1 else p for p in parts)
-            out.append((CTX.make_mpc(parts), parts))
+            out.append((tuple(Fraction(*to_rational(p)) for p in parts), parts))
         elif kind == 1:  # complex
             re, im = (math.ldexp(*man_exp(53)) for _ in range(2))
             im = 0.0 if rng.next_unit() < 0.1 else im
@@ -766,7 +915,7 @@ def test_cl2_at_i_is_catalan():
 
 
 def test_cl3_at_one_is_zeta3():
-    assert close(cl_m(3, 1, POLICY), zeta_int(3, POLICY))
+    assert close(cl_m(3, 1, POLICY), to_mp(zeta_int(3, POLICY), CTX))
 
 
 def test_cl_even_at_one_is_zero():
@@ -782,7 +931,7 @@ def test_cl_continuity_by_approach():
     # approach 0, 1, infinity along a ray; values must converge to the
     # assigned constants
     for m in (2, 3):
-        target = zeta_int(m, POLICY) if m % 2 else CTX.mpf(0)
+        target = zeta_int(m, POLICY) if m % 2 else 0
         seq = [cl_m(m, 1 + 10 ** -k * (0.3 + 0.4j), POLICY) for k in (4, 6, 8)]
         assert abs(seq[-1] - target) < 1e-6
         # near 0 and infinity CL_m ~ z log^(m-1)|z|, so loose bounds suffice
@@ -790,18 +939,26 @@ def test_cl_continuity_by_approach():
         assert abs(cl_m(m, 1e12 + 1e11j, POLICY)) < 1e-8
 
 
+def _inverse(z):
+    """1/z as an exact Gaussian-rational pair."""
+    x, y = exact_complex(z)
+    norm = x * x + y * y
+    return x / norm, -y / norm
+
+
 @pytest.mark.parametrize("m", range(2, 8))
 def test_cl_inversion_conjugation_distribution(m):
     rng = SplitMix64(1000 + m)
     for _ in range(6):
-        z = CTX.mpc(rng.next_int(-250, 250) / 100, rng.next_int(-250, 250) / 100 or 0.31)
+        z = complex(rng.next_int(-250, 250) / 100, rng.next_int(-250, 250) / 100 or 0.31)
         if abs(z) < 0.1 or abs(z - 1) < 0.1:
             continue
         sign = (-1) ** (m - 1)
-        assert abs(cl_m(m, z, POLICY) - sign * cl_m(m, 1 / z, POLICY)) < POLICY.tolerance
-        assert abs(cl_m(m, CTX.conj(z), POLICY) - sign * cl_m(m, z, POLICY)) < POLICY.tolerance
-        dist = cl_m(m, z * z, POLICY) - 2 ** (m - 1) * (
-            cl_m(m, z, POLICY) + cl_m(m, -z, POLICY)
+        x, y = exact_complex(z)
+        assert abs(cl_m(m, z, POLICY) - sign * cl_m(m, _inverse(z), POLICY)) < POLICY.tolerance
+        assert abs(cl_m(m, (x, -y), POLICY) - sign * cl_m(m, z, POLICY)) < POLICY.tolerance
+        dist = cl_m(m, (x * x - y * y, 2 * x * y), POLICY) - 2 ** (m - 1) * (
+            cl_m(m, z, POLICY) + cl_m(m, (-x, -y), POLICY)
         )
         assert abs(dist) < POLICY.tolerance
 
@@ -809,9 +966,9 @@ def test_cl_inversion_conjugation_distribution(m):
 def test_cl_two_routes_agree_on_annulus():
     # |z| slightly below vs above 1: inversion route and direct route agree
     for m in (2, 5):
-        z = CTX.mpc("0.999", "0.02")
+        z = (Fraction("0.999"), Fraction("0.02"))
         a = cl_m(m, z, POLICY)
-        b = (-1) ** (m - 1) * cl_m(m, 1 / z, POLICY)
+        b = (-1) ** (m - 1) * cl_m(m, _inverse(z), POLICY)
         assert abs(a - b) < POLICY.tolerance
 
 
@@ -822,7 +979,7 @@ def test_cl_at_minus_one(digits):
     expansion at v = 0 has no imaginary part), and Li_m(-1) = -eta(m) =
     -(1 - 2^(1-m)) zeta(m) within one ulp for odd m."""
     policy = PrecisionPolicy.for_digits(digits)
-    prec = policy.context.prec
+    prec = policy.prec
     for m in range(2, 9):
         got = cl_m(m, -1, policy)
         if m % 2 == 0:
@@ -831,7 +988,7 @@ def test_cl_at_minus_one(digits):
         with mpmath.workprec(prec + 64):
             ref = -(1 - mpmath.mpf(2) ** (1 - m)) * mpmath.zeta(m)
             ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(abs(ref), 2)) + 1 - prec)
-            assert abs(mpmath.mpf(got) - ref) <= ulp, m
+            assert abs(to_mp(got) - ref) <= ulp, m
 
 
 def _gauss_mul(a, b):
@@ -934,32 +1091,30 @@ def test_precision_scaling():
     for m in (2, 4, 7):
         a = cl_m(m, z, POLICY)
         b = cl_m(m, z, hi)
-        assert abs(a - hi.context.mpf(mpmath.nstr(b, 75))) < CTX.mpf(10) ** (
-            -POLICY.working_digits + POLICY.guard_digits
-        )
+        assert abs(a - b) < Fraction(1, 10 ** (POLICY.working_digits - POLICY.guard_digits))
 
 
 def test_cl_apply_five_term():
-    x, y = CTX.mpc(2, 1), CTX.mpc(1, -2)
+    # x = 2 + i, y = 1 - 2i: every argument is exact in binary
     terms = [
-        (Fraction(1), x * y),
-        (Fraction(-1), x),
-        (Fraction(-1), y),
-        (Fraction(-1), (1 - x) / (1 - 1 / y)),
-        (Fraction(-1), (1 - y) / (1 - 1 / x)),
+        (Fraction(1), 4 - 3j),  # x y
+        (Fraction(-1), 2 + 1j),
+        (Fraction(-1), 1 - 2j),
+        (Fraction(-1), -0.5 - 1.5j),  # (1 - x) / (1 - 1/y)
+        (Fraction(-1), 1 + 3j),  # (1 - y) / (1 - 1/x)
     ]
     assert abs(cl_apply(2, terms, POLICY)) < POLICY.tolerance
 
 
 def test_cl_apply_inversion_combination():
-    z = CTX.mpc(2, 1)
-    terms = [(Fraction(1), z), (Fraction(1), 1 / z), (Fraction(-2), z)]
+    z = 2 + 1j
+    terms = [(Fraction(1), z), (Fraction(1), _inverse(z)), (Fraction(-2), z)]
     assert abs(cl_apply(3, terms, POLICY)) < POLICY.tolerance
 
 
 def test_cl_apply_conjugation_pair():
-    z = CTX.mpc(2, 1)
-    terms = [(Fraction(1), CTX.conj(z)), (Fraction(1), z)]
+    z = 2 + 1j
+    terms = [(Fraction(1), z.conjugate()), (Fraction(1), z)]
     assert abs(cl_apply(2, terms, POLICY)) < POLICY.tolerance
 
 
@@ -967,7 +1122,7 @@ def test_cl_apply_conjugation_pair():
 
 def test_roots_quadratic():
     roots = poly_roots([-1, 0, 1], POLICY)  # x^2 - 1
-    roots = [numeric.from_fixed_pair(*r.pair, CTX) for r in roots]
+    roots = [numeric.from_fixed_pair(*r.pair, POLICY.prec) for r in roots]
     assert len(roots) == 2
     assert close(roots[0], CTX.mpc(-1), 45) and close(roots[1], CTX.mpc(1), 45)
 
@@ -975,7 +1130,7 @@ def test_roots_quadratic():
 def test_roots_phi_preimage_quadratic():
     # x^2 - x - t at t = 3/4 has roots 3/2, -1/2
     roots = poly_roots([Fraction(-3, 4), Fraction(-1), Fraction(1)], POLICY)
-    roots = [numeric.from_fixed_pair(*r.pair, CTX) for r in roots]
+    roots = [numeric.from_fixed_pair(*r.pair, POLICY.prec) for r in roots]
     assert close(roots[0], exact_mpc(Fraction(-1, 2)), 45)
     assert close(roots[1], exact_mpc(Fraction(3, 2)), 45)
 
@@ -984,7 +1139,7 @@ def test_roots_multiplicity():
     roots = poly_roots([4, -4, 1], POLICY)  # (x-2)^2
     assert len(roots) == 2
     assert roots[0] == roots[1]
-    assert close(numeric.from_fixed_pair(*roots[0].pair, CTX), CTX.mpc(2), 20)
+    assert close(numeric.from_fixed_pair(*roots[0].pair, POLICY.prec), CTX.mpc(2), 20)
 
 
 def test_roots_triple_root_keeps_mpmath_start():
@@ -995,7 +1150,7 @@ def test_roots_triple_root_keeps_mpmath_start():
     policy = PrecisionPolicy.for_digits(15)
     roots = poly_roots([-1, 3, -3, 1], policy)
     assert len(roots) == 3 and roots[0] == roots[1] == roots[2]
-    assert abs(numeric.from_fixed_pair(*roots[0].pair, policy.context) - 1) < 1e-5
+    assert abs(to_mp(numeric.from_fixed_pair(*roots[0].pair, policy.prec)) - 1) < 1e-5
 
 
 def test_roots_beyond_float_range_are_certified():
@@ -1089,7 +1244,7 @@ def test_roots_of_random_phi_preimages_match_mpmath():
     for i in range(40):
         phi = random_phi(rng.split("phi", i))
         coeffs = _univariate_coeffs(phi.num, _phi_variable(phi)[0])
-        w = sample_complex(rng, CTX)
+        w = sample_complex(rng)
         wr, wi = numeric.exact_complex(w)
         roots = poly_roots([(coeffs[0] - wr, -wi)] + [(c, 0) for c in coeffs[1:]], POLICY)
         with mpmath.workdps(CTX.dps + 20):
@@ -1138,15 +1293,16 @@ def test_roots_sum_product_invariant():
     rng = SplitMix64(17)
     for _ in range(5):
         coeffs = [Fraction(rng.next_int(-9, 9) or 1) for _ in range(5)]
-        roots = [numeric.from_fixed_pair(*r.pair, CTX) for r in poly_roots(coeffs, POLICY)]
+        roots = poly_roots(coeffs, POLICY)
+        roots = [to_mp(numeric.from_fixed_pair(*r.pair, POLICY.prec), CTX) for r in roots]
         total = sum(roots, CTX.mpc(0))
         prod = CTX.mpc(1)
         for r in roots:
             prod *= r
         d = len(coeffs) - 1
-        assert abs(total + exact_mpc(coeffs[d - 1] / coeffs[d])) < POLICY.tolerance
+        assert abs(total + exact_mpc(coeffs[d - 1] / coeffs[d])) < TOLERANCE
         expected = (-1) ** d * exact_mpc(coeffs[0] / coeffs[d])
-        assert abs(prod - expected) < POLICY.tolerance
+        assert abs(prod - expected) < TOLERANCE
 
 
 def test_roots_rejects_degenerate_input():

@@ -3,12 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracle import context, to_mp
 
 from polyrel.catalog import equation_names, get_equation
 from polyrel.exact import DomainError, SplitMix64
-from mpmath.libmp import from_man_exp
-
-from polyrel.numeric import PrecisionPolicy, fixed_width, from_fixed_pair, poly_roots
+from polyrel.numeric import PrecisionPolicy, exact_complex, fixed_width, from_fixed_pair, poly_roots
 from polyrel.ratfunc import INFINITY, RatFunc
 from polyrel.verify import (
     _cross_ratio_pattern,
@@ -29,7 +28,7 @@ from polyrel.verify import (
 )
 
 POLICY = PrecisionPolicy(40)
-CTX = POLICY.context
+CTX = context(POLICY)
 
 z = RatFunc.var("z")
 
@@ -37,14 +36,14 @@ z = RatFunc.var("z")
 def test_sampler_respects_annulus():
     rng = SplitMix64(3)
     for _ in range(50):
-        pt = sample_complex(rng, CTX)
+        pt = sample_complex(rng)
         assert 0.2 <= abs(pt) <= 5.0
         assert abs(pt - 1) >= 0.1
 
 
 def test_sampling_deterministic():
-    a = [complex(sample_complex(SplitMix64(5), CTX)) for _ in range(1)]
-    b = [complex(sample_complex(SplitMix64(5), CTX)) for _ in range(1)]
+    a = [sample_complex(SplitMix64(5)) for _ in range(1)]
+    b = [sample_complex(SplitMix64(5)) for _ in range(1)]
     assert a == b
 
 
@@ -54,10 +53,11 @@ def test_preimages_of_a_certified_root():
     root = poly_roots([-2, 0, 1], POLICY)[1]  # sorted by (re, im): +sqrt 2
     pts = preimages(z * z, root, POLICY)
     fourth = CTX.mpf(2) ** CTX.mpf(0.25)
-    vals = sorted((from_fixed_pair(*p.pair, CTX) for p in pts), key=lambda v: v.real)
+    vals = [to_mp(from_fixed_pair(*p.pair, POLICY.prec), CTX) for p in pts]
+    vals.sort(key=lambda v: v.real)
     assert len(vals) == 2
     for v, sign in zip(vals, (-1, 1)):
-        assert abs(v - sign * fourth) < POLICY.tolerance, v
+        assert abs(v - sign * fourth) < to_mp(POLICY.tolerance, CTX), v
 
 
 def test_non_finite_point_names_the_value():
@@ -71,7 +71,7 @@ def test_preimages_of_polynomial():
     phi = z * (1 - z)
     pts = preimages(phi, Fraction(3, 16), POLICY)
     assert len(pts) == 2
-    vals = sorted(complex(from_fixed_pair(*p.pair, CTX)).real for p in pts)
+    vals = sorted(float(from_fixed_pair(*p.pair, POLICY.prec)[0]) for p in pts)
     assert abs(vals[0] - 0.25) < 1e-20 and abs(vals[1] - 0.75) < 1e-20
 
 
@@ -124,10 +124,10 @@ def test_preimages_of_rational_map():
 
 def test_cross_ratio_pattern_conventions():
     """An infinite point drops its factors, and points with equal values (an
-    int, an mpc, a Fraction) share a variable, so coincident pairs give the
+    int, a complex, a Fraction) share a variable, so coincident pairs give the
     constants 0, INFINITY and 1."""
     a, b, c = _spot(2, POLICY), _spot(3, POLICY), _spot(5, POLICY)
-    a2 = _spot(CTX.mpc(2), POLICY)
+    a2 = _spot(2 + 0j, POLICY)
     (_, value), = _cross_ratio_terms([(1, (INFINITY, a, b, c))], None, POLICY)
     wp = POLICY.fixed_bits
     assert value == (3 << wp, 0, wp)  # (a - c) / (a - b) = 3, exactly
@@ -189,7 +189,7 @@ def test_dilog_general_five_term_special_case():
 def test_dilog_general_random_points():
     rng = SplitMix64(21)
     phi = z * z
-    pts = [sample_complex(rng, CTX) for _ in range(4)]
+    pts = [sample_complex(rng) for _ in range(4)]
     verdict = verify_dilog_general(phi, pts[0], pts[1], pts[2], pts[3], POLICY)
     assert verdict.passed
 
@@ -197,7 +197,7 @@ def test_dilog_general_random_points():
 def test_trilog_theorem_quadratic():
     rng = SplitMix64(22)
     phi = z * (1 - z)
-    pts = [sample_complex(rng, CTX) for _ in range(8)]
+    pts = [sample_complex(rng) for _ in range(8)]
     verdict = verify_trilog_theorem(phi, pts[0:2], pts[2:4], pts[4:6], pts[6:8], POLICY)
     assert verdict.passed
 
@@ -205,7 +205,7 @@ def test_trilog_theorem_quadratic():
 def test_wojtkowiak_independence_of_x():
     rng = SplitMix64(23)
     phi = z * (1 - z)
-    pts = [sample_complex(rng, CTX) for _ in range(5)]
+    pts = [sample_complex(rng) for _ in range(5)]
     verdict = verify_wojtkowiak(phi, pts[0], pts[1], pts[2], pts[3], pts[4], POLICY)
     assert verdict.passed
 
@@ -219,7 +219,7 @@ def _family_drivers():
     callable, the way criterion 7 calls them."""
     phi = random_phi(SplitMix64(24))
     rng = SplitMix64(25)
-    pts = [sample_complex(rng, FAMILY_POLICY.context) for _ in range(10)]
+    pts = [sample_complex(rng) for _ in range(10)]
     p = FAMILY_POLICY
     return {
         "dilog_general": lambda: verify_dilog_general(phi, pts[0], pts[1], pts[2], pts[3], p),
@@ -316,12 +316,9 @@ def reference_terms(s, binding, ctx):
 
 
 def exact_mpc(value, ctx):
-    """A fixed-point pair (x, y, wp) as the mpc of its exact value; any other
-    value unchanged."""
-    if not isinstance(value, tuple):
-        return value
-    x, y, wp = value
-    return ctx.make_mpc((from_man_exp(x, -wp), from_man_exp(y, -wp)))
+    """A point (a complex, or a fixed-point pair (x, y, wp)) as the mpc of its
+    exact value."""
+    return to_mp(exact_complex(value), ctx)
 
 
 def _plan_bindings(name, policy):
@@ -329,7 +326,6 @@ def _plan_bindings(name, policy):
     rational sums (and each variable moved near 1, 0 and infinity, where
     arguments degenerate), the roots of z^n - z^(n-1) - t and of
     z^n - z^(n-1) - u, as fixed-point pairs, for the weight-4 templates."""
-    ctx = policy.context
     variables = get_equation(name).sum.variables()
     rng = SplitMix64(7).split(name)
     if name.startswith("fourlog_n"):
@@ -338,17 +334,17 @@ def _plan_bindings(name, policy):
         for _ in range(3):
             binding = {}
             for prefix in "xy":
-                target = sample_complex(rng, ctx)
+                target = sample_complex(rng)
                 coeffs = [-target] + [0] * (n - 2) + [-1, 1]
                 for k, r in enumerate(poly_roots(coeffs, policy)):
                     binding[f"{prefix}{k + 1}"] = r.pair
             out.append(binding)
         return out
-    out = [{v: sample_complex(rng, ctx) for v in variables} for _ in range(3)]
+    out = [{v: sample_complex(rng) for v in variables} for _ in range(3)]
     for v in variables:
         for special in (1 + 1e-12j, 1e-10 + 1e-11j, 1e10 - 1e9j):
-            binding = {w: sample_complex(rng, ctx) for w in variables}
-            binding[v] = ctx.mpc(special)
+            binding = {w: sample_complex(rng) for w in variables}
+            binding[v] = special
             out.append(binding)
     return out
 
@@ -360,7 +356,7 @@ def test_plan_evaluation_matches_evaluate_in(digits):
     same degenerate draws, and values (fixed-point pairs, converted by
     from_fixed_pair) within 10^-(P+5) max(1, |x|)."""
     policy = PrecisionPolicy.for_digits(digits)
-    ctx = policy.context
+    ctx = context(policy)
     flags = set()
     for name in equation_names():
         s = get_equation(name).sum
@@ -376,7 +372,7 @@ def test_plan_evaluation_matches_evaluate_in(digits):
                 if isinstance(r, Fraction):
                     assert x == r
                 else:
-                    x = from_fixed_pair(*x, ctx)
+                    x = to_mp(from_fixed_pair(*x, policy.prec), ctx)
                     bound = ctx.mpf(10) ** -(digits + 5) * max(1, abs(r))
                     assert abs(x - r) <= bound, (name, x, r)
     assert flags == {True, False}  # both kinds of draw were compared
@@ -384,8 +380,8 @@ def test_plan_evaluation_matches_evaluate_in(digits):
 
 def test_plan_pairs_take_the_shared_width_rule():
     """Every non-constant argument reaches the kernel as a fixed-point pair
-    whose width is numeric.fixed_width of its own top bit, the rule an mpc
-    argument meets in _fixed_argument; arguments far from the unit circle
+    whose width is numeric.fixed_width of its own top bit, the rule any
+    other argument meets in _fixed_argument; arguments far from the unit circle
     take extra bits."""
     policy = PrecisionPolicy.for_digits(30)
     widths = set()
